@@ -1,8 +1,9 @@
 """Command line front end: condition checks, steady-state tables, and
 seeded trajectory/ensemble CSV artifacts.
 
-Four subcommands share the flags --network (config file), --out (artifact
-directory, default ``.``), and --seed where randomness is involved:
+Four subcommands share the flags --network (config file; omitted: the
+bundled benchmark network), --out (artifact directory, default ``.``), and
+--seed where randomness is involved:
 
 * ``check``       evaluate the noise bounds, the storage passivity
                   conditions, and the setpoint-shift residual at a state;
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +86,7 @@ def _parse_floats(text: str, flag: str) -> np.ndarray:
 
 def _load_network(path: str | None) -> ReactionNetwork:
     if path is None:
-        raise CliError("--network is required for this subcommand")
+        return presets.benchmark_network()
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -206,27 +208,20 @@ def cmd_equilibria(args) -> int:
 # simulate / casestudy
 
 
-def _record_steps(cfg: SimConfig) -> list[int]:
-    n = cfg.n_steps
-    return sorted({0, n} | set(range(0, n + 1, cfg.record_every)))
-
-
 def _event_cells(traj: Trajectory, steps: list[int]) -> list[str]:
     """One events cell per recorded row: guard events since the previous
-    row as sorted ``code:count`` pairs; abort lands on the last row."""
-    n_rows = len(traj.times)
-    cells = []
-    for i in range(n_rows):
-        lo = steps[i - 1] if i > 0 else -1
-        hi = steps[i] if i < n_rows - 1 or not traj.aborted else float("inf")
-        counts: dict[str, int] = {}
-        for step, code in traj.events:
-            if lo < step <= hi:
-                counts[code] = counts.get(code, 0) + 1
-        if i == n_rows - 1 and traj.aborted:
-            counts["abort"] = 1
-        cells.append(";".join(f"{code}:{n}" for code, n in sorted(counts.items())))
-    return cells
+    row as sorted ``code:count`` pairs; abort lands on the last row, which
+    of an aborted path also takes every event after the row before it."""
+    last = len(traj.times) - 1
+    counts: list[dict[str, int]] = [{} for _ in range(last + 1)]
+    for step, code in traj.events:
+        row = bisect_left(steps, step, 0, last)
+        if step <= steps[row] or traj.aborted:
+            counts[row][code] = counts[row].get(code, 0) + 1
+    if traj.aborted:
+        counts[last]["abort"] = 1
+    return [";".join(f"{code}:{n}" for code, n in sorted(c.items()))
+            for c in counts]
 
 
 def _write_trajectory(path: Path, net: ReactionNetwork, traj: Trajectory,
@@ -278,7 +273,7 @@ def _run_ensemble(net: ReactionNetwork, sp: Setpoint | None,
     except SimulationAbort as exc:
         print(f"phreactor: simulation aborted: {exc}", file=sys.stderr)
         return 3
-    steps = _record_steps(cfg)
+    steps = cfg.record_steps
     for traj in stats.trajectories:
         _write_trajectory(out / f"traj_{traj.index:03d}.csv", net, traj, steps)
     _write_summary(out / "summary.csv", net, stats)

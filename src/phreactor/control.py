@@ -15,15 +15,15 @@ heat input is realized through a jacket at temperature T_w = Qdot/lambda + T.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .network import ReactionNetwork
-from .thermo import ThermoState
+from .thermo import as_state
 from .transform import Setpoint
-from .structure import inlet_enthalpy_density, mixing_noise_scale, sde_fields
+from .structure import sde_fields
 
 #: Default upper clamp on the flow input, m^3/s.
 Q_MAX_DEFAULT = 1e-2
@@ -70,10 +70,9 @@ def jacket_temperature(net: ReactionNetwork, Qdot: float, T: float) -> float:
     """Jacket temperature realizing a heat input: T_w = Qdot/lambda + T.
 
     Undefined for lambda = 0 (no heat transfer path)."""
-    lam = net.reactor.lam
-    if lam == 0:
+    if net.reactor.lam == 0:
         raise ValueError("jacket temperature is undefined for lambda = 0")
-    return Qdot / lam + T
+    return kernel.jacket_temperature(net, Qdot, T)
 
 
 def solve_feedback(K: np.ndarray, d1: float, d2: float, o1: float,
@@ -91,23 +90,6 @@ def solve_feedback(K: np.ndarray, d1: float, d2: float, o1: float,
     return (a22 * b1 - a12 * b2) / det, (a11 * b2 - a21 * b1) / det
 
 
-def _gain_times_output(net: ReactionNetwork, sp: Setpoint, gains: ControllerGains,
-                       st: ThermoState) -> np.ndarray:
-    """Solve u = -(I + K delta)^(-1) K g^T grad A at a state."""
-    V = net.reactor.V
-    g00 = inlet_enthalpy_density(net) - float(st.N @ st.h) / V
-    dc = net.c_in - st.N / V
-    grad_U = 1.0 / sp.T_star - 1.0 / st.T
-    grad_N = st.mu_over_T - sp.mu_star_over_T
-    o1 = g00 * grad_U + float(dc @ grad_N)
-    o2 = grad_U
-    M = mixing_noise_scale(net, st)
-    rho = net.noise
-    d1 = 0.5 * rho.rho2 ** 2 * M / st.theta
-    d2 = 0.5 * rho.rho3 ** 2 / st.theta
-    return np.array(solve_feedback(gains.K, d1, d2, o1, o2))
-
-
 def control_law(net: ReactionNetwork, sp: Setpoint, gains: ControllerGains, x,
                 clamp: bool = True, q_max: float = Q_MAX_DEFAULT) -> ControlAction:
     """Evaluate the stabilizing feedback at a state.
@@ -117,18 +99,14 @@ def control_law(net: ReactionNetwork, sp: Setpoint, gains: ControllerGains, x,
     derived from the heat input when the network has a heat transfer path,
     else it is NaN.
     """
-    st = x if isinstance(x, ThermoState) else ThermoState.from_vector(net, x)
-    u = _gain_times_output(net, sp, gains, st)
-    q_raw, Qdot = float(u[0]), float(u[1])
-    q = q_raw
-    saturated = False
-    if clamp:
-        q = min(max(q_raw, 0.0), q_max)
-        saturated = q != q_raw
-    lam = net.reactor.lam
-    T_w = Qdot / lam + st.T if lam > 0 else math.nan
-    return ControlAction(q=q, Qdot=Qdot, T_w=T_w, saturated=saturated,
-                         q_raw=q_raw)
+    st = as_state(net, x)
+    q_raw, Qdot = solve_feedback(gains.K, *kernel.feedback_terms(
+        net, st.N, st.T, sp.T_star, sp.mu_star_over_T))
+    q_raw, Qdot = float(q_raw), float(Qdot)
+    q = min(max(q_raw, 0.0), q_max) if clamp else q_raw
+    return ControlAction(q=q, Qdot=Qdot,
+                         T_w=kernel.jacket_temperature(net, Qdot, st.T),
+                         saturated=clamp and q != q_raw, q_raw=q_raw)
 
 
 def control_law_diagonal(net: ReactionNetwork, sp: Setpoint, k_flow: float,
@@ -141,20 +119,13 @@ def control_law_diagonal(net: ReactionNetwork, sp: Setpoint, k_flow: float,
                (g00 (1/T* - 1/T) + dc^T (mu/T - mu*/T*))
         Qdot = -k_heat / (1 + k_heat rho3^2 / (2 theta)) * (1/T* - 1/T)
 
-    Unclamped; used as an independent cross-check of :func:`control_law`.
+    Unclamped; an independent cross-check of the 2x2 solve in
+    :func:`control_law`.
     """
-    st = x if isinstance(x, ThermoState) else ThermoState.from_vector(net, x)
-    V = net.reactor.V
-    g00 = inlet_enthalpy_density(net) - float(st.N @ st.h) / V
-    dc = net.c_in - st.N / V
-    grad_U = 1.0 / sp.T_star - 1.0 / st.T
-    grad_N = st.mu_over_T - sp.mu_star_over_T
-    M = mixing_noise_scale(net, st)
-    rho = net.noise
-    q = (-k_flow / (1.0 + k_flow * 0.5 * rho.rho2 ** 2 * M / st.theta)
-         * (g00 * grad_U + float(dc @ grad_N)))
-    Qdot = (-k_heat / (1.0 + k_heat * 0.5 * rho.rho3 ** 2 / st.theta) * grad_U)
-    return q, Qdot
+    st = as_state(net, x)
+    d1, d2, o1, o2 = kernel.feedback_terms(net, st.N, st.T, sp.T_star,
+                                           sp.mu_star_over_T)
+    return -k_flow / (1.0 + k_flow * d1) * o1, -k_heat / (1.0 + k_heat * d2) * o2
 
 
 def closed_loop_drift(net: ReactionNetwork, sp: Setpoint, gains: ControllerGains,
@@ -162,6 +133,6 @@ def closed_loop_drift(net: ReactionNetwork, sp: Setpoint, gains: ControllerGains
                       q_max: float = Q_MAX_DEFAULT):
     """Drift and diffusion of the closed loop at a state (inputs from the
     feedback law)."""
-    st = x if isinstance(x, ThermoState) else ThermoState.from_vector(net, x)
+    st = as_state(net, x)
     action = control_law(net, sp, gains, st, clamp=clamp, q_max=q_max)
     return sde_fields(net, st, action.u)

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .network import ReactionNetwork
 from .thermo import ThermoState, enthalpy, internal_energy
-from .structure import inlet_enthalpy_density, mass_action_rates, sde_fields
+from .structure import mass_action_rates, sde_fields
 
 
 class ConvergenceError(RuntimeError):
@@ -47,9 +48,8 @@ def drift_residual(net: ReactionNetwork, x, u) -> float:
 
 def _mole_balance(net: ReactionNetwork, N: np.ndarray, T: float,
                   q: float) -> np.ndarray:
-    V = net.reactor.V
-    rates = mass_action_rates(net, N / V, T)
-    return V * (net.stoich_net @ rates.net) + q * (net.c_in - N / V)
+    rates = mass_action_rates(net, N / net.reactor.V, T)
+    return kernel.reaction_flux(net, rates.net) + q * kernel.feed_gap(net, N)
 
 
 def _balance_scale(net: ReactionNetwork, N: np.ndarray, T: float,
@@ -173,7 +173,7 @@ def classify(net: ReactionNetwork, x, u, jacket: tuple[float, float] | None = No
 def _energy_residual(net: ReactionNetwork, T: float, q: float, T_w: float,
                      N0=None) -> tuple[float, np.ndarray]:
     N = mass_balance_steady(net, T, q, N0=N0)
-    g00 = inlet_enthalpy_density(net) - float(N @ enthalpy(net, T)) / net.reactor.V
+    g00, _ = kernel.flow_column(net, N, enthalpy(net, T))
     return q * g00 + net.reactor.lam * (T_w - T), N
 
 

@@ -1,0 +1,143 @@
+"""The reactor balance formulas on raw values, each written once.
+
+Every function takes the network and plain floats or arrays of one state
+(U in J, N in mol, T in K) and validates nothing: the public modules check
+shapes, the mole floor and T > 0 at their boundary (see :mod:`thermo`),
+and the stepper in :mod:`sim` adds its own guards.  ``net`` is only read
+for its parameters, so this module imports nothing from the package.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def enthalpy(net, T) -> np.ndarray:
+    """h_j(T) = cp_j (T - T_ref) + h_ref_j, J/mol."""
+    return net.cp * (T - net.reactor.T_ref) + net.h_ref
+
+
+def temperature(net, U, N) -> float:
+    """T(U, N) = T_ref + (U + P V - N^T h_ref) / N^T cp."""
+    rx = net.reactor
+    return rx.T_ref + (U + rx.P * rx.V - float(N @ net.h_ref)) / float(N @ net.cp)
+
+
+def closures(net, N, T):
+    """(h, mu/T, S, theta) at (N, T); see :mod:`thermo` for the formulas."""
+    h = enthalpy(net, T)
+    log_tau, log_x = np.log(T / net.reactor.T_ref), np.log(N / N.sum())
+    R = net.reactor.R_gas
+    mu_over_T = -net.cp * log_tau + R * log_x - net.s_ref + h / T
+    S = float(N @ (net.cp * log_tau + net.s_ref - R * log_x))
+    return h, mu_over_T, S, T * T * float(N @ net.cp)
+
+
+def neg_entropy_hessian(net, N, h, theta) -> np.ndarray:
+    """Hessian of -S in (U, N); see :mod:`thermo` for the block form."""
+    R = net.reactor.R_gas
+    p = N.size
+    H = np.empty((p + 1, p + 1))
+    H[0, 0] = 1.0 / theta
+    H[0, 1:] = -h / theta
+    H[1:, 0] = H[0, 1:]
+    H[1:, 1:] = (np.outer(h, h) / theta - (R / N.sum()) * np.ones((p, p))
+                 + np.diag(R / N))
+    return H
+
+
+def mass_action(net, c, T) -> tuple[np.ndarray, np.ndarray]:
+    """Arrhenius mass-action rates (r_f, r_b) at concentrations c."""
+    RT = net.reactor.R_gas * T
+    forward = (net.k0f * np.exp(-net.Ef / RT)
+               * np.prod(c[:, None] ** net.stoich_reactants, axis=0))
+    backward = (net.k0b * np.exp(-net.Eb / RT)
+                * np.prod(c[:, None] ** net.stoich_products, axis=0))
+    return forward, backward
+
+
+def reaction_flux(net, rate_net) -> np.ndarray:
+    """V nu (r_f - r_b): moles produced by reaction, mol/s."""
+    return net.reactor.V * (net.stoich_net @ rate_net)
+
+
+def affinity(net, mu_over_T, T) -> np.ndarray:
+    """Reaction affinities -nu^T mu, J/mol."""
+    return -(net.stoich_net.T @ (mu_over_T * T))
+
+
+def feed_gap(net, N) -> np.ndarray:
+    """dc = c_in - N / V, mol/m^3."""
+    return net.c_in - N / net.reactor.V
+
+
+def flow_column(net, N, h) -> tuple[float, np.ndarray]:
+    """The flow column (g00, dc) of g, g00 = c_in^T h(T_in) - N^T h / V."""
+    g00 = net.inlet_enthalpy_density - float(N @ h) / net.reactor.V
+    return g00, feed_gap(net, N)
+
+
+def mixing_scale(net, N, h, theta, g00, dc) -> float:
+    """M = theta g_q^T Hess(-S) g_q for the flow column g_q = (g00, dc)."""
+    R = net.reactor.R_gas
+    hdc = float(h @ dc)
+    quad = (hdc ** 2 - theta * R / N.sum() * dc.sum() ** 2
+            + theta * R * float(dc @ (dc / N)))
+    return quad - 2.0 * g00 * hdc + g00 * g00
+
+
+def feedthrough(net, M, theta) -> tuple[float, float]:
+    """Diagonal of delta = diag(rho2^2 M / (2 theta), rho3^2 / (2 theta))."""
+    rho = net.noise
+    return 0.5 * rho.rho2 ** 2 * M / theta, 0.5 * rho.rho3 ** 2 / theta
+
+
+def availability(S_star, pi_star, x_star, S, x) -> float:
+    """A(x) = S(x*) - S(x) + pi*^T (x - x*)."""
+    return S_star - S + float(pi_star @ (x - x_star))
+
+
+def availability_gradient(T_star, mu_star_over_T, T, mu_over_T):
+    """grad A = (1/T* - 1/T, mu/T - mu*/T*), as (U part, N part)."""
+    return 1.0 / T_star - 1.0 / T, mu_over_T - mu_star_over_T
+
+
+def feedback_terms(net, N, T, T_star, mu_star_over_T):
+    """(d1, d2, o1, o2): delta = diag(d1, d2) and g^T grad A = (o1, o2) in
+    the feedback u = -(I + K delta)^(-1) K g^T grad A."""
+    h, mu_over_T, _, theta = closures(net, N, T)
+    g00, dc = flow_column(net, N, h)
+    d1, d2 = feedthrough(net, mixing_scale(net, N, h, theta, g00, dc), theta)
+    grad_U, grad_N = availability_gradient(T_star, mu_star_over_T, T, mu_over_T)
+    return d1, d2, g00 * grad_U + float(dc @ grad_N), grad_U
+
+
+def sde_terms(net, N, T, q, Qdot):
+    """Drift (dU, dN) and diffusion entries (a, b_U, b_N, c_U) under inputs
+    (q, Qdot): reaction noise a = rho1 flux on N, flow noise rho2 q (g00, dc),
+    heat noise c_U = rho3 Qdot."""
+    g00, dc = flow_column(net, N, enthalpy(net, T))
+    forward, backward = mass_action(net, N / net.reactor.V, T)
+    flux = reaction_flux(net, forward - backward)
+    rho = net.noise
+    return ((g00 * q + Qdot, flux + q * dc),
+            (rho.rho1 * flux, rho.rho2 * q * g00, rho.rho2 * q * dc,
+             rho.rho3 * Qdot))
+
+
+def em_update(net, U, N, T, q, Qdot, dt, dW=None):
+    """One Euler-Maruyama update of (U, N); noise-free when dW is None."""
+    (dU, dN), (a, b_U, b_N, c_U) = sde_terms(net, N, T, q, Qdot)
+    U_new, N_new = U + dU * dt, N + dN * dt
+    if dW is not None:
+        U_new += b_U * dW[1] + c_U * dW[2]
+        N_new = N_new + a * dW[0] + b_N * dW[1]
+    return U_new, N_new
+
+
+def jacket_temperature(net, Qdot, T) -> float:
+    """T_w = Qdot / lambda + T, NaN without a heat transfer path."""
+    lam = net.reactor.lam
+    return Qdot / lam + T if lam > 0 else math.nan

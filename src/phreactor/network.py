@@ -37,6 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import kernel
+
 R_GAS_DEFAULT = 8.314
 
 _SECTION_ORDER = ("species", "reactions", "reactor", "inlet", "noise")
@@ -138,12 +140,6 @@ class ReactionNetwork:
     def n_reactions(self) -> int:
         return len(self.reactions)
 
-    def species_index(self, name: str) -> int:
-        for i, sp in enumerate(self.species):
-            if sp.name == name:
-                return i
-        raise KeyError(name)
-
     @cached_property
     def species_names(self) -> tuple[str, ...]:
         return tuple(sp.name for sp in self.species)
@@ -183,6 +179,11 @@ class ReactionNetwork:
     @cached_property
     def c_in(self) -> np.ndarray:
         return np.array(self.inlet.c_in)
+
+    @cached_property
+    def inlet_enthalpy_density(self) -> float:
+        """c_in^T h(T_in): enthalpy carried by the feed per unit volume, J/m^3."""
+        return float(self.c_in @ kernel.enthalpy(self, self.inlet.T_in))
 
     @cached_property
     def k0f(self) -> np.ndarray:

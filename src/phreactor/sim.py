@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import control, kernel
+from .control import ControllerGains, Q_MAX_DEFAULT
 from .network import ReactionNetwork
-from .thermo import ThermoState
-from .transform import Setpoint, availability
-from .control import ControllerGains, Q_MAX_DEFAULT, solve_feedback
-from .structure import inlet_enthalpy_density, sde_fields
+from .thermo import ThermoState, as_state
+from .transform import Setpoint
 
 #: Trajectory mole floor (mol): components are clamped here, above the
 #: thermodynamic domain floor, so the closures stay evaluable.
@@ -50,7 +50,8 @@ class SimConfig:
     (constant ``u_open``, noise on), ``isolated`` (zero inputs, noise
     off).  With ``open_loop_until > 0`` the first part of a feedback run
     applies ``u_open`` instead.  ``eps`` is the scaled ball radius used
-    for the ensemble stabilization estimate.
+    for the ensemble stabilization estimate.  ``t_end`` must be a whole
+    number of steps ``dt``.
     """
 
     dt: float = 1e-3
@@ -68,14 +69,25 @@ class SimConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.dt <= 0 or self.t_end <= 0:
+        if not (self.dt > 0 and self.t_end > 0):
             raise ValueError("dt and t_end must be positive")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        if not abs(self.n_steps * self.dt - self.t_end) <= 1e-9 * self.t_end:
+            raise ValueError(f"t_end={self.t_end} is not a whole number of "
+                             f"steps dt={self.dt}")
+        if self.record_every < 1 or self.n_traj < 1:
+            raise ValueError("record_every and n_traj must be >= 1")
+        if not (self.q_max > 0 and self.eps > 0):
+            raise ValueError("q_max and eps must be positive")
 
     @property
     def n_steps(self) -> int:
-        return max(1, round(self.t_end / self.dt))
+        return round(self.t_end / self.dt)
+
+    @property
+    def record_steps(self) -> list[int]:
+        """The recorded steps: every ``record_every``-th, and the last."""
+        n = self.n_steps
+        return sorted({n, *range(0, n + 1, self.record_every)})
 
     @property
     def noise_on(self) -> bool:
@@ -115,6 +127,22 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
                                                         spawn_key=(index,)))
 
 
+def _guarded_update(net: ReactionNetwork, U, N, T, q, Qdot, dt, dW,
+                    events=None, step_no=0):
+    """:func:`kernel.em_update` with the non-finite abort and the mole floor
+    clamp, whose hits go to ``events``.  The caller judges a T <= 0."""
+    U_new, N_new = kernel.em_update(net, U, N, T, q, Qdot, dt, dW)
+    if not (math.isfinite(U_new) and np.all(np.isfinite(N_new))):
+        raise SimulationAbort("non-finite state update")
+    low = N_new < N_TRAJ_FLOOR
+    if low.any():
+        if events is not None:
+            events.extend((step_no, f"floor_{net.species_names[j]}")
+                          for j in np.flatnonzero(low))
+        N_new = np.maximum(N_new, N_TRAJ_FLOOR)
+    return U_new, N_new, kernel.temperature(net, U_new, N_new)
+
+
 def euler_maruyama_step(net: ReactionNetwork, x, u, dt: float, dW) -> np.ndarray:
     """One explicit Euler-Maruyama update of (U, N).
 
@@ -123,22 +151,11 @@ def euler_maruyama_step(net: ReactionNetwork, x, u, dt: float, dW) -> np.ndarray
     loop in :func:`simulate` adds the halving retry on top of this.
     """
     st = ThermoState.from_vector(net, x)
-    fields = sde_fields(net, st, u)
-    x_new = st.x + fields.drift * dt + fields.diffusion @ np.asarray(dW, dtype=float)
-    if not np.all(np.isfinite(x_new)):
-        raise SimulationAbort("non-finite state update")
-    np.clip(x_new[1:], N_TRAJ_FLOOR, None, out=x_new[1:])
-    _temperature_of(net, x_new)
-    return x_new
-
-
-def _temperature_of(net: ReactionNetwork, x: np.ndarray) -> float:
-    N = x[1:]
-    T = net.reactor.T_ref + (x[0] + net.reactor.P * net.reactor.V
-                             - float(N @ net.h_ref)) / float(N @ net.cp)
+    U, N, T = _guarded_update(net, st.U, st.N, st.T, float(u[0]), float(u[1]),
+                              dt, np.asarray(dW, dtype=float))
     if not T > 0:
         raise SimulationAbort(f"temperature left the domain ({T} K)")
-    return T
+    return np.concatenate(([U], N))
 
 
 def simulate(net: ReactionNetwork, sp: Setpoint | None,
@@ -150,94 +167,34 @@ def simulate(net: ReactionNetwork, sp: Setpoint | None,
     a setpoint and gains.  On abort the recorded prefix is returned with
     ``aborted`` set and the reason attached.
     """
-    if cfg.mode in ("closed_loop", "deterministic") and (sp is None or gains is None):
+    feedback = cfg.mode in ("closed_loop", "deterministic")
+    if feedback and (sp is None or gains is None):
         raise ValueError(f"mode {cfg.mode!r} needs a setpoint and gains")
     rng = trajectory_rng(cfg.seed, traj_index) if cfg.noise_on else None
-    noise_on = cfg.noise_on
-
-    # Hoisted network constants.  The step below fuses the feedback law and
-    # the SDE fields with the exact same scalar operations as control_law
-    # and sde_fields, so deterministic runs reproduce the public functions
-    # bit for bit (locked by a test); it just avoids re-deriving them
-    # through the per-state objects ten thousand times per trajectory.
-    rx = net.reactor
-    V, P, T_ref, lam, R = rx.V, rx.P, rx.T_ref, rx.lam, rx.R_gas
-    PV = P * V
-    cp, h_ref, s_ref, c_in = net.cp, net.h_ref, net.s_ref, net.c_in
-    nu, zr, zp = net.stoich_net, net.stoich_reactants, net.stoich_products
-    k0f, k0b, Ef, Eb = net.k0f, net.k0b, net.Ef, net.Eb
-    rho1, rho2, rho3 = net.noise.rho1, net.noise.rho2, net.noise.rho3
-    cinh = inlet_enthalpy_density(net)
-    sqrt_dt_cache: dict[float, float] = {}
-    if sp is not None:
-        inv_T_star = 1.0 / sp.T_star
-        mu_star = sp.mu_star_over_T
-    K = gains.K if gains is not None else None
-    u_fixed = (float(cfg.u_open[0]), float(cfg.u_open[1]))
-    feedback = cfg.mode in ("closed_loop", "deterministic")
-
+    u_fixed = ((0.0, 0.0) if cfg.mode == "isolated"
+               else (float(cfg.u_open[0]), float(cfg.u_open[1])))
     events: list[tuple[int, str]] = []
     step_no = 0
 
-    def input_at(U: float, N: np.ndarray, T: float, t: float,
-                 log: bool = True) -> tuple[float, float]:
-        if cfg.mode == "isolated":
-            return 0.0, 0.0
+    def input_at(N, T, t, log=True):
         if not feedback or t < cfg.open_loop_until:
             return u_fixed
-        h = cp * (T - T_ref) + h_ref
-        g00 = cinh - float(N @ h) / V
-        dc = c_in - N / V
-        grad_U = inv_T_star - 1.0 / T
-        x_frac = N / N.sum()
-        mu_over_T = -cp * np.log(T / T_ref) + R * np.log(x_frac) - s_ref + h / T
-        o1 = g00 * grad_U + float(dc @ (mu_over_T - mu_star))
-        o2 = grad_U
-        theta = T * T * float(N @ cp)
-        hdc = float(h @ dc)
-        quad = (hdc ** 2 - theta * R / N.sum() * dc.sum() ** 2
-                + theta * R * float(dc @ (dc / N)))
-        M = quad - 2.0 * g00 * hdc + g00 * g00
-        d1 = 0.5 * rho2 ** 2 * M / theta
-        d2 = 0.5 * rho3 ** 2 / theta
-        q_raw, Qdot = solve_feedback(K, d1, d2, o1, o2)
-        q = q_raw
-        if cfg.clamp:
-            q = min(max(q_raw, 0.0), cfg.q_max)
-            if log and q != q_raw:
-                events.append((step_no, "q_clamp"))
+        q_raw, Qdot = control.solve_feedback(gains.K, *kernel.feedback_terms(
+            net, N, T, sp.T_star, sp.mu_star_over_T))
+        if not cfg.clamp:
+            return q_raw, Qdot
+        q = min(max(q_raw, 0.0), cfg.q_max)
+        if log and q != q_raw:
+            events.append((step_no, "q_clamp"))
         return q, Qdot
 
-    def advance(U: float, N: np.ndarray, T: float, t: float, dt: float,
-                depth: int) -> tuple[float, np.ndarray, float]:
-        q, Qdot = input_at(U, N, T, t)
-        h = cp * (T - T_ref) + h_ref
-        g00 = cinh - float(N @ h) / V
-        dc = c_in - N / V
-        RT = R * T
-        c = N / V
-        kf = k0f * np.exp(-Ef / RT)
-        kb = k0b * np.exp(-Eb / RT)
-        rate_net = (kf * np.prod(c[:, None] ** zr, axis=0)
-                    - kb * np.prod(c[:, None] ** zp, axis=0))
-        flux = V * (nu @ rate_net)
-        U_new = U + (g00 * q + Qdot) * dt
-        N_new = N + (flux + q * dc) * dt
-        if noise_on:
-            sqdt = sqrt_dt_cache.get(dt)
-            if sqdt is None:
-                sqdt = sqrt_dt_cache[dt] = math.sqrt(dt)
-            dW = rng.standard_normal(3) * sqdt
-            U_new += rho2 * q * g00 * dW[1] + rho3 * Qdot * dW[2]
-            N_new = N_new + (rho1 * flux) * dW[0] + (rho2 * q * dc) * dW[1]
-        if not (math.isfinite(U_new) and np.all(np.isfinite(N_new))):
-            raise SimulationAbort("non-finite state update")
-        low = N_new < N_TRAJ_FLOOR
-        if np.any(low):
-            for j in np.flatnonzero(low):
-                events.append((step_no, f"floor_{net.species_names[j]}"))
-            N_new = np.maximum(N_new, N_TRAJ_FLOOR)
-        T_new = T_ref + (U_new + PV - float(N_new @ h_ref)) / float(N_new @ cp)
+    def advance(U, N, T, t, dt, depth):
+        q, Qdot = input_at(N, T, t)
+        dW = None
+        if rng is not None:
+            dW = rng.standard_normal(3) * math.sqrt(dt)
+        U_new, N_new, T_new = _guarded_update(net, U, N, T, q, Qdot, dt, dW,
+                                              events, step_no)
         if not T_new > 0:
             if depth >= MAX_HALVINGS:
                 raise SimulationAbort(
@@ -248,31 +205,35 @@ def simulate(net: ReactionNetwork, sp: Setpoint | None,
             return advance(U_h, N_h, T_h, t + 0.5 * dt, 0.5 * dt, depth + 1)
         return U_new, N_new, T_new
 
-    n_steps = cfg.n_steps
-    record_steps = sorted({0, n_steps} | set(range(0, n_steps + 1,
-                                                   cfg.record_every)))
+    record_steps = cfg.record_steps
+    x_star = sp.x_star if sp is not None else None
     times, states, Ts, Ss, avs, qs, Qs, Tws = ([] for _ in range(8))
 
-    def record(U: float, N: np.ndarray, T: float, t: float):
-        st = ThermoState.from_energy(net, U, N)
-        q, Qdot = input_at(U, N, T, t, log=False)
+    def record(U, N, T, t):
+        q, Qdot = input_at(N, T, t, log=False)
+        # The recorded T is T(U, N), which can differ from a given initial
+        # T in the last bit.
+        T = kernel.temperature(net, U, N)
+        x = np.concatenate(([U], N))
+        S = kernel.closures(net, N, T)[2]
         times.append(t)
-        states.append(st.x)
-        Ts.append(st.T)
-        Ss.append(st.S)
-        avs.append(availability(net, sp, st.x) if sp is not None else math.nan)
+        states.append(x)
+        Ts.append(T)
+        Ss.append(S)
+        avs.append(kernel.availability(sp.S_star, sp.pi_star, x_star, S, x)
+                   if sp is not None else math.nan)
         qs.append(q)
         Qs.append(Qdot)
-        Tws.append(Qdot / lam + st.T if lam > 0 else math.nan)
+        Tws.append(kernel.jacket_temperature(net, Qdot, T))
 
-    st0 = x0 if isinstance(x0, ThermoState) else ThermoState.from_vector(net, x0)
+    st0 = as_state(net, x0)
     U_cur, N_cur, T_cur = st0.U, st0.N.copy(), st0.T
     aborted = False
     reason = None
     record(U_cur, N_cur, T_cur, 0.0)
     rec_idx = 1
     try:
-        for k in range(n_steps):
+        for k in range(cfg.n_steps):
             step_no = k + 1
             U_cur, N_cur, T_cur = advance(U_cur, N_cur, T_cur, k * cfg.dt,
                                           cfg.dt, 0)
@@ -319,12 +280,6 @@ class EnsembleStats:
     trajectories: list[Trajectory]
 
 
-def _series_matrix(trajs: list[Trajectory], name: str) -> np.ndarray:
-    if name == "N":
-        return np.stack([tr.N for tr in trajs])
-    return np.stack([getattr(tr, name) for tr in trajs])
-
-
 def scaled_errors(traj: Trajectory, sp: Setpoint) -> np.ndarray:
     """Per-checkpoint relative distance to the setpoint: the 2-norm of
     (x - x*) scaled componentwise by (|U*|, N*)."""
@@ -355,7 +310,7 @@ def ensemble(net: ReactionNetwork, sp: Setpoint | None,
     mean: dict[str, np.ndarray] = {}
     std: dict[str, np.ndarray] = {}
     for name in SERIES:
-        stack = _series_matrix(ok, name)
+        stack = np.stack([getattr(tr, name) for tr in ok])
         mean[name] = stack.mean(axis=0)
         std[name] = stack.std(axis=0)
     if sp is not None:

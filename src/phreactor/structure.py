@@ -32,13 +32,18 @@ which is again a dissipative structure pair (J, R).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Protocol
 
 import numpy as np
 
+from . import kernel
 from .network import ReactionNetwork
-from .thermo import ThermoState, neg_entropy_gradient, neg_entropy_hessian
+from .thermo import (
+    ThermoState,
+    as_state,
+    neg_entropy_gradient,
+    neg_entropy_hessian,
+)
 
 
 @dataclass(frozen=True)
@@ -53,28 +58,16 @@ class RateVector:
         return self.forward - self.backward
 
 
-def _state(net: ReactionNetwork, state) -> ThermoState:
-    if isinstance(state, ThermoState):
-        return state
-    return ThermoState.from_vector(net, state)
-
-
 def mass_action_rates(net: ReactionNetwork, c, T: float) -> RateVector:
     """Arrhenius mass-action rates at concentrations c (mol/m^3) and
     temperature T.  Accepts zero concentrations."""
-    c = np.asarray(c, dtype=float)
-    RT = net.reactor.R_gas * T
-    kf = net.k0f * np.exp(-net.Ef / RT)
-    kb = net.k0b * np.exp(-net.Eb / RT)
-    forward = kf * np.prod(c[:, None] ** net.stoich_reactants, axis=0)
-    backward = kb * np.prod(c[:, None] ** net.stoich_products, axis=0)
-    return RateVector(forward, backward)
+    return RateVector(*kernel.mass_action(net, np.asarray(c, dtype=float), T))
 
 
 def reaction_rates(net: ReactionNetwork, state) -> RateVector:
     """Arrhenius mass-action rates at the state's composition and
     temperature."""
-    st = _state(net, state)
+    st = as_state(net, state)
     return mass_action_rates(net, st.N / net.reactor.V, st.T)
 
 
@@ -110,13 +103,13 @@ def damping_coefficients(net: ReactionNetwork, state,
     when the kinetics are thermodynamically consistent; it falls back to
     the logmean weight when |dz^T mu| < 1e-9.
     """
-    st = _state(net, state)
+    st = as_state(net, state)
     rates = reaction_rates(net, st)
     RT = net.reactor.R_gas * st.T
     lm = np.array([log_mean(f, b) for f, b in zip(rates.forward, rates.backward)])
     coef = lm / RT
     if mode == "strict":
-        affinity = -(net.stoich_net.T @ (st.mu_over_T * st.T))
+        affinity = kernel.affinity(net, st.mu_over_T, st.T)
         for i in range(net.n_reactions):
             if abs(affinity[i]) > AFFINITY_GUARD:
                 coef[i] = (rates.forward[i] - rates.backward[i]) / affinity[i]
@@ -132,7 +125,7 @@ def damping_matrix(net: ReactionNetwork, state,
     The energy row and column are zero; reactions dissipate only through
     composition.  See :func:`damping_coefficients` for the two weightings.
     """
-    st = _state(net, state)
+    st = as_state(net, state)
     p = net.n_species
     R = np.zeros((p + 1, p + 1))
     coef = damping_coefficients(net, st, mode)
@@ -143,12 +136,9 @@ def damping_matrix(net: ReactionNetwork, state,
     return R
 
 
-@lru_cache(maxsize=128)
 def inlet_enthalpy_density(net: ReactionNetwork) -> float:
     """c_in^T h(T_in): enthalpy carried by the feed per unit volume, J/m^3."""
-    from .thermo import enthalpy
-
-    return float(net.c_in @ enthalpy(net, net.inlet.T_in))
+    return net.inlet_enthalpy_density
 
 
 def input_matrix(net: ReactionNetwork, state) -> np.ndarray:
@@ -158,11 +148,9 @@ def input_matrix(net: ReactionNetwork, state) -> np.ndarray:
     feed and vessel contents, then concentration differences); column two
     feeds heat straight into U.
     """
-    st = _state(net, state)
-    V = net.reactor.V
+    st = as_state(net, state)
     g = np.zeros((net.n_species + 1, 2))
-    g[0, 0] = inlet_enthalpy_density(net) - float(st.N @ st.h) / V
-    g[1:, 0] = net.c_in - st.N / V
+    g[0, 0], g[1:, 0] = kernel.flow_column(net, st.N, st.h)
     g[0, 1] = 1.0
     return g
 
@@ -170,10 +158,9 @@ def input_matrix(net: ReactionNetwork, state) -> np.ndarray:
 def reaction_noise_column(net: ReactionNetwork, state) -> np.ndarray:
     """Diffusion column a(x) = rho1 * (0, V nu (r_f - r_b)): the reaction
     flux scaled by the flux-noise intensity.  Vanishes at r_f = r_b."""
-    st = _state(net, state)
-    rates = reaction_rates(net, st)
+    st = as_state(net, state)
     a = np.zeros(net.n_species + 1)
-    a[1:] = net.noise.rho1 * net.reactor.V * (net.stoich_net @ rates.net)
+    a[1:] = net.noise.rho1 * kernel.reaction_flux(net, reaction_rates(net, st).net)
     return a
 
 
@@ -188,16 +175,9 @@ def mixing_noise_scale(net: ReactionNetwork, state) -> float:
 
     which equals theta * g_q^T Hess(-S) g_q for the flow column g_q.
     """
-    st = _state(net, state)
-    R = net.reactor.R_gas
-    V = net.reactor.V
-    dc = net.c_in - st.N / V
-    g00 = inlet_enthalpy_density(net) - float(st.N @ st.h) / V
-    n_tot = st.N.sum()
-    quad = (float(st.h @ dc) ** 2
-            - st.theta * R / n_tot * dc.sum() ** 2
-            + st.theta * R * float(dc @ (dc / st.N)))
-    return quad - 2.0 * g00 * float(st.h @ dc) + g00 * g00
+    st = as_state(net, state)
+    return kernel.mixing_scale(net, st.N, st.h, st.theta,
+                               *kernel.flow_column(net, st.N, st.h))
 
 
 @dataclass(frozen=True)
@@ -232,15 +212,13 @@ class SdeFields:
 def structure_matrices(net: ReactionNetwork, state,
                        mode: str = "logmean") -> StructureMatrices:
     """Evaluate every structure matrix at a state (input-independent)."""
-    st = _state(net, state)
+    st = as_state(net, state)
     p = net.n_species
     g = input_matrix(net, st)
     a = reaction_noise_column(net, st)
     M = mixing_noise_scale(net, st)
-    rho = net.noise
-    sigma = np.diag([rho.rho2, rho.rho3])
-    delta = np.diag([0.5 * rho.rho2 ** 2 * M / st.theta,
-                     0.5 * rho.rho3 ** 2 / st.theta])
+    sigma = np.diag([net.noise.rho2, net.noise.rho3])
+    delta = np.diag(kernel.feedthrough(net, M, st.theta))
     return StructureMatrices(
         J=np.zeros((p + 1, p + 1)),
         R=damping_matrix(net, st, mode),
@@ -263,35 +241,14 @@ def sde_fields(net: ReactionNetwork, state, u,
     rate weights.  The diffusion has one column per Wiener channel:
     reaction-flux noise, flow-input noise, heat-input noise.
     """
-    st = _state(net, state)
+    st = as_state(net, state)
     q, Qdot = float(u[0]), float(u[1])
-    V = net.reactor.V
-    rates = reaction_rates(net, st)
-    flux = V * (net.stoich_net @ rates.net)  # mol/s
-    g00 = inlet_enthalpy_density(net) - float(st.N @ st.h) / V
-    dc = net.c_in - st.N / V
-
     drift = np.empty(net.n_species + 1)
-    drift[0] = g00 * q + Qdot
-    drift[1:] = flux + q * dc
-
-    if not include_noise:
-        return SdeFields(drift, np.zeros((net.n_species + 1, 3)))
-
-    rho = net.noise
     D = np.zeros((net.n_species + 1, 3))
-    D[1:, 0] = rho.rho1 * flux
-    D[0, 1] = rho.rho2 * q * g00
-    D[1:, 1] = rho.rho2 * q * dc
-    D[0, 2] = rho.rho3 * Qdot
+    (drift[0], drift[1:]), noise = kernel.sde_terms(net, st.N, st.T, q, Qdot)
+    if include_noise:
+        D[1:, 0], D[0, 1], D[1:, 1], D[0, 2] = noise
     return SdeFields(drift, D)
-
-
-def assemble(net: ReactionNetwork, state, u,
-             mode: str = "logmean") -> tuple[StructureMatrices, SdeFields]:
-    """Structure matrices plus SDE fields at (state, u)."""
-    st = _state(net, state)
-    return structure_matrices(net, st, mode), sde_fields(net, st, u)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +285,7 @@ class NegEntropy:
 def ito_generator(net: ReactionNetwork, field: ScalarField, state, u,
                   include_noise: bool = True) -> float:
     """Ito generator L[field] = grad^T drift + (1/2) tr(Hess D D^T)."""
-    st = _state(net, state)
+    st = as_state(net, state)
     fields = sde_fields(net, st, u, include_noise=include_noise)
     x = st.x
     value = float(field.gradient(x) @ fields.drift)
@@ -355,7 +312,7 @@ class InputNoiseReport:
 
 
 def check_input_noise_bound(net: ReactionNetwork, state) -> InputNoiseReport:
-    st = _state(net, state)
+    st = as_state(net, state)
     M = mixing_noise_scale(net, st)
     rho = net.noise
     lhs = rho.rho2 ** 4 * M * M + rho.rho3 ** 4
@@ -385,7 +342,7 @@ class PassivityReport:
 
 def check_passivity(net: ReactionNetwork, state, field: ScalarField,
                     mode: str = "logmean") -> PassivityReport:
-    st = _state(net, state)
+    st = as_state(net, state)
     x = st.x
     grad = field.gradient(x)
     H = field.hessian(x)
@@ -424,20 +381,14 @@ class ReactionNoiseReport:
 
 def check_reaction_noise_bound(net: ReactionNetwork, state,
                                V_star: float | None = None) -> ReactionNoiseReport:
-    st = _state(net, state)
-    R = net.reactor.R_gas
+    st = as_state(net, state)
     rates = reaction_rates(net, st)
     flux_dir = net.stoich_net @ rates.net  # mol/(m^3 s)
-    n_tot = st.N.sum()
-    curvature = (np.outer(st.h, st.h) / st.theta
-                 - (R / n_tot) * np.ones((net.n_species, net.n_species))
-                 + np.diag(R / st.N))
+    curvature = kernel.neg_entropy_hessian(net, st.N, st.h, st.theta)[1:, 1:]
     W = curvature * np.outer(flux_dir, flux_dir)
     V_star = net.reactor.V if V_star is None else float(V_star)
     lhs = 0.5 * net.noise.rho1 ** 2 * V_star * float(W.sum())
-    mu = st.mu_over_T * st.T
-    affinity = -(net.stoich_net.T @ mu)
-    rhs = float(rates.net @ affinity) / st.T
+    rhs = float(rates.net @ kernel.affinity(net, st.mu_over_T, st.T)) / st.T
     return ReactionNoiseReport(bool(lhs <= rhs), lhs, rhs, W)
 
 

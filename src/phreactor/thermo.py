@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .network import ReactionNetwork
 
 #: Mole numbers at or below this floor (mol) are outside the domain of the
@@ -46,15 +47,15 @@ def _as_moles(net: ReactionNetwork, N) -> np.ndarray:
     return N
 
 
-def temperature(net: ReactionNetwork, U: float, N) -> float:
-    """Invert U(N, T) for T.  Raises if the result is not positive."""
-    N = _as_moles(net, N)
-    heat_capacity = float(N @ net.cp)
-    T = net.reactor.T_ref + (U + net.reactor.P * net.reactor.V
-                             - float(N @ net.h_ref)) / heat_capacity
+def _positive(T: float) -> float:
     if not T > 0:
         raise ThermoDomainError(f"temperature {T} K is not positive")
     return T
+
+
+def temperature(net: ReactionNetwork, U: float, N) -> float:
+    """Invert U(N, T) for T.  Raises if the result is not positive."""
+    return _positive(kernel.temperature(net, U, _as_moles(net, N)))
 
 
 def internal_energy(net: ReactionNetwork, N, T: float) -> float:
@@ -65,28 +66,17 @@ def internal_energy(net: ReactionNetwork, N, T: float) -> float:
 
 def enthalpy(net: ReactionNetwork, T: float) -> np.ndarray:
     """Molar enthalpies h_j(T) in J/mol."""
-    if not T > 0:
-        raise ThermoDomainError(f"temperature {T} K is not positive")
-    return net.cp * (T - net.reactor.T_ref) + net.h_ref
+    return kernel.enthalpy(net, _positive(T))
 
 
 def chem_potential_over_T(net: ReactionNetwork, N, T: float) -> np.ndarray:
     """mu_j(N, T) / T in J/(mol K)."""
-    N = _as_moles(net, N)
-    R = net.reactor.R_gas
-    log_tau = np.log(T / net.reactor.T_ref)
-    x_frac = N / N.sum()
-    return (-net.cp * log_tau + R * np.log(x_frac) - net.s_ref
-            + enthalpy(net, T) / T)
+    return kernel.closures(net, _as_moles(net, N), _positive(T))[1]
 
 
 def entropy(net: ReactionNetwork, N, T: float) -> float:
     """Mixture entropy S(N, T) in J/K."""
-    N = _as_moles(net, N)
-    R = net.reactor.R_gas
-    log_tau = np.log(T / net.reactor.T_ref)
-    x_frac = N / N.sum()
-    return float(N @ (net.cp * log_tau + net.s_ref - R * np.log(x_frac)))
+    return kernel.closures(net, _as_moles(net, N), T)[2]
 
 
 @dataclass(frozen=True)
@@ -119,11 +109,7 @@ class ThermoState:
 
     @classmethod
     def _build(cls, net, U, N, T):
-        h = enthalpy(net, T)
-        mu_over_T = chem_potential_over_T(net, N, T)
-        S = entropy(net, N, T)
-        theta = T * T * float(N @ net.cp)
-        return cls(U, N, T, h, mu_over_T, S, theta)
+        return cls(U, N, T, *kernel.closures(net, N, T))
 
     @property
     def x(self) -> np.ndarray:
@@ -131,7 +117,8 @@ class ThermoState:
         return np.concatenate(([self.U], self.N))
 
 
-def _state(net: ReactionNetwork, state) -> ThermoState:
+def as_state(net: ReactionNetwork, state) -> ThermoState:
+    """The :class:`ThermoState` itself, or one built from (U, N_1, ..., N_p)."""
     if isinstance(state, ThermoState):
         return state
     return ThermoState.from_vector(net, state)
@@ -139,20 +126,11 @@ def _state(net: ReactionNetwork, state) -> ThermoState:
 
 def neg_entropy_gradient(net: ReactionNetwork, state) -> np.ndarray:
     """Gradient of -S with respect to (U, N): (-1/T, (mu/T)^T)."""
-    st = _state(net, state)
+    st = as_state(net, state)
     return np.concatenate(([-1.0 / st.T], st.mu_over_T))
 
 
 def neg_entropy_hessian(net: ReactionNetwork, state) -> np.ndarray:
     """Hessian of -S with respect to (U, N); positive semidefinite."""
-    st = _state(net, state)
-    R = net.reactor.R_gas
-    p = net.n_species
-    H = np.empty((p + 1, p + 1))
-    H[0, 0] = 1.0 / st.theta
-    H[0, 1:] = -st.h / st.theta
-    H[1:, 0] = H[0, 1:]
-    H[1:, 1:] = (np.outer(st.h, st.h) / st.theta
-                 - (R / st.N.sum()) * np.ones((p, p))
-                 + np.diag(R / st.N))
-    return H
+    st = as_state(net, state)
+    return kernel.neg_entropy_hessian(net, st.N, st.h, st.theta)

@@ -22,19 +22,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
+from .equilibrium import drift_residual, mass_balance_steady
 from .network import ReactionNetwork
-from .thermo import ThermoState, entropy, neg_entropy_hessian
-from .structure import damping_matrix, inlet_enthalpy_density
+from .thermo import ThermoState, neg_entropy_hessian
+from .structure import damping_matrix, structure_matrices
 
 
 @dataclass(frozen=True)
 class Setpoint:
     """A target state and the constant inputs that hold it.
 
-    ``pi_star`` is the costate (1/T*, -(mu*/T*)^T) entering the
-    availability; ``drift_residual`` records the scaled norm of the
-    deterministic drift at (x*, u*), which is zero for an exactly solved
-    setpoint and small-but-nonzero for a rounded one.
+    ``pi_star`` is the costate (1/T*, -(mu*/T*)^T) and ``S_star`` the
+    entropy S(x*), both entering the availability; ``drift_residual``
+    records the scaled norm of the deterministic drift at (x*, u*), which
+    is zero for an exactly solved setpoint and small-but-nonzero for a
+    rounded one.
     """
 
     U_star: float
@@ -46,6 +49,7 @@ class Setpoint:
     mu_star_over_T: np.ndarray
     V_star: float
     drift_residual: float
+    S_star: float
 
     @property
     def x_star(self) -> np.ndarray:
@@ -58,11 +62,8 @@ class Setpoint:
 
 def _finish_setpoint(net: ReactionNetwork, N_star: np.ndarray, T_star: float,
                      q_star: float) -> Setpoint:
-    from .equilibrium import drift_residual
-
     st = ThermoState.from_temperature(net, N_star, T_star)
-    g00 = inlet_enthalpy_density(net) - float(st.N @ st.h) / net.reactor.V
-    Qdot_star = -q_star * g00
+    Qdot_star = -q_star * kernel.flow_column(net, st.N, st.h)[0]
     pi_star = np.concatenate(([1.0 / T_star], -st.mu_over_T))
     residual = drift_residual(net, st.x, (q_star, Qdot_star))
     return Setpoint(
@@ -75,6 +76,7 @@ def _finish_setpoint(net: ReactionNetwork, N_star: np.ndarray, T_star: float,
         mu_star_over_T=st.mu_over_T.copy(),
         V_star=net.reactor.V,
         drift_residual=residual,
+        S_star=st.S,
     )
 
 
@@ -85,8 +87,6 @@ def make_setpoint(net: ReactionNetwork, T_star: float, q_star: float) -> Setpoin
     exactly; the heat input Qdot* then balances the energy equation.  The
     returned ``drift_residual`` is at rounding level.
     """
-    from .equilibrium import mass_balance_steady
-
     N_star = mass_balance_steady(net, T_star, q_star)
     return _finish_setpoint(net, N_star, T_star, q_star)
 
@@ -107,15 +107,15 @@ def setpoint_from_state(net: ReactionNetwork, N_star, T_star: float,
 def availability(net: ReactionNetwork, sp: Setpoint, x) -> float:
     """A(x) = S(x*) - S(x) + pi*^T (x - x*); nonnegative, zero at x*."""
     st = ThermoState.from_vector(net, x)
-    S_star = entropy(net, sp.N_star, sp.T_star)
-    return S_star - st.S + float(sp.pi_star @ (st.x - sp.x_star))
+    return kernel.availability(sp.S_star, sp.pi_star, sp.x_star, st.S, st.x)
 
 
 def availability_gradient(net: ReactionNetwork, sp: Setpoint, x) -> np.ndarray:
     """grad A = (1/T* - 1/T, (mu/T - mu*/T*)^T)."""
     st = ThermoState.from_vector(net, x)
-    return np.concatenate(([1.0 / sp.T_star - 1.0 / st.T],
-                           st.mu_over_T - sp.mu_star_over_T))
+    grad_U, grad_N = kernel.availability_gradient(
+        sp.T_star, sp.mu_star_over_T, st.T, st.mu_over_T)
+    return np.concatenate(([grad_U], grad_N))
 
 
 def availability_hessian(net: ReactionNetwork, sp: Setpoint, x) -> np.ndarray:
@@ -143,12 +143,8 @@ class AvailabilityHamiltonian:
 
 def transformed_output(net: ReactionNetwork, sp: Setpoint, x, u) -> np.ndarray:
     """Passive output for the shifted system: y = g^T grad A + delta u."""
-    from .structure import structure_matrices
-
-    st = ThermoState.from_vector(net, x)
-    S = structure_matrices(net, st)
-    grad = np.concatenate(([1.0 / sp.T_star - 1.0 / st.T],
-                           st.mu_over_T - sp.mu_star_over_T))
+    S = structure_matrices(net, ThermoState.from_vector(net, x))
+    grad = availability_gradient(net, sp, x)
     return S.g.T @ grad + S.delta @ np.asarray(u, dtype=float)
 
 

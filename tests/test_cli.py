@@ -6,8 +6,9 @@ import pytest
 
 from conftest import NO_REACTION
 from phreactor import presets
-from phreactor.cli import main
+from phreactor.cli import _event_cells, main
 from phreactor.network import parse_network
+from phreactor.sim import Trajectory
 
 SINGLE_SPECIES = """\
 [species]
@@ -56,6 +57,16 @@ def test_check_benchmark_state(cfg_path, tmp_path, capsys):
         0.08414477214381652, rel=1e-12)
     assert float(row["input_noise_lhs"]) < float(row["input_noise_rhs"])
     assert float(row["trace_lhs"]) < float(row["trace_rhs"])
+
+
+def test_check_without_network_uses_bundled_network(cfg_path, tmp_path):
+    args = ["--T", "342", "--N", "1,1", "--setpoint-T", "331.9",
+            "--setpoint-q", "9.15e-6"]
+    assert main(["check", "--out", str(tmp_path / "a")] + args) == 0
+    assert main(["check", "--network", str(cfg_path),
+                 "--out", str(tmp_path / "b")] + args) == 0
+    assert (tmp_path / "a" / "check.csv").read_bytes() == \
+        (tmp_path / "b" / "check.csv").read_bytes()
 
 
 def test_check_strict_exits_2_when_condition_fails(cfg_path, tmp_path, capsys):
@@ -196,6 +207,20 @@ def test_simulate_events_column_aggregates_floor_hits(tmp_path):
     assert cell == "floor_B:10"
     assert rows[0][header.index("events")] == ""
 
+    # an aborted path recorded at steps 0, 10, 20 of the grid 0, 10, 20, 30
+    n = 3
+    traj = Trajectory(index=0, times=np.arange(n) * 0.01,
+                      states=np.ones((n, 3)), T=np.ones(n), S=np.ones(n),
+                      avail=np.ones(n), q=np.ones(n), Qdot=np.ones(n),
+                      T_w=np.ones(n), aborted=True, abort_reason="test",
+                      events=[(3, "q_clamp"), (5, "halve"), (5, "halve"),
+                              (10, "floor_A"), (15, "floor_B"), (22, "halve")])
+    assert _event_cells(traj, [0, 10, 20, 30]) == [
+        "",                                    # no events
+        "floor_A:1;halve:2;q_clamp:1",         # sorted; step 10 on the boundary
+        "abort:1;floor_B:1;halve:1",           # aborted: everything after step 10
+    ]
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulate_abort_exits_3(cfg_path, tmp_path, capsys):
@@ -248,6 +273,13 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
                "--setpoint-T", "331.9", "--setpoint-q", "9.15e-6"])
     assert rc == 1
     assert "cannot read network config" in capsys.readouterr().err
+
+
+def test_invalid_sim_config_exits_1(tmp_path, capsys):
+    rc = main(["casestudy", "--out", str(tmp_path), "--n-traj", "0",
+               "--t-end", "0.01"])
+    assert rc == 1
+    assert "n_traj" in capsys.readouterr().err
 
 
 def test_wrong_species_count_exits_1(cfg_path, capsys):

@@ -31,6 +31,14 @@ def test_config_validation():
         SimConfig(t_end=-1.0)
     with pytest.raises(ValueError):
         SimConfig(record_every=0)
+    for bad in (dict(n_traj=0), dict(eps=0.0), dict(eps=-0.1),
+                dict(q_max=0.0), dict(q_max=-1e-6),
+                dict(dt=1e-3, t_end=0.0105), dict(dt=1e-3, t_end=1e-4)):
+        with pytest.raises(ValueError):
+            SimConfig(**bad)
+    # horizons written as repr(n * dt) are whole numbers of steps
+    for n in (1, 100, 300, 2000):
+        assert SimConfig(dt=1e-3, t_end=float(repr(n * 1e-3))).n_steps == n
     assert SimConfig(dt=1e-3, t_end=10.0).n_steps == 10000
     assert SimConfig(mode="closed_loop").noise_on
     assert SimConfig(mode="open_loop").noise_on
@@ -90,9 +98,8 @@ def test_noisy_loop_matches_public_functions(net, sp, gains, x0):
         x = euler_maruyama_step(net, x, a.u, cfg.dt, dW)
         if (k + 1) % cfg.record_every == 0:
             states.append(x.copy())
-    # identical draws; only float summation order may differ
-    np.testing.assert_allclose(tr.states, np.array(states), rtol=1e-12,
-                               atol=1e-14)
+    # identical draws through the same update
+    np.testing.assert_array_equal(tr.states, np.array(states))
 
 
 # ---------------------------------------------------------- reproducibility

@@ -77,7 +77,8 @@ def jacket_temperature(net: ReactionNetwork, Qdot: float, T: float) -> float:
 
 def solve_feedback(K: np.ndarray, d1: float, d2: float, o1: float,
                    o2: float) -> tuple[float, float]:
-    """Closed-form 2x2 solve of u = -(I + K diag(d1, d2))^(-1) K (o1, o2)."""
+    """Closed-form 2x2 solve of u = -(I + K diag(d1, d2))^(-1) K (o1, o2),
+    elementwise over arrays of (d1, d2, o1, o2)."""
     k00, k01 = K[0, 0], K[0, 1]
     k10, k11 = K[1, 0], K[1, 1]
     b1 = -(k00 * o1 + k01 * o2)
@@ -88,6 +89,11 @@ def solve_feedback(K: np.ndarray, d1: float, d2: float, o1: float,
     a22 = 1.0 + k11 * d2
     det = a11 * a22 - a12 * a21
     return (a22 * b1 - a12 * b2) / det, (a11 * b2 - a21 * b1) / det
+
+
+def clamp_flow(q_raw, q_max: float):
+    """The flow limited to [0, q_max]; NaN stays NaN.  Elementwise."""
+    return np.minimum(np.maximum(q_raw, 0.0), q_max)
 
 
 def control_law(net: ReactionNetwork, sp: Setpoint, gains: ControllerGains, x,
@@ -103,7 +109,7 @@ def control_law(net: ReactionNetwork, sp: Setpoint, gains: ControllerGains, x,
     q_raw, Qdot = solve_feedback(gains.K, *kernel.feedback_terms(
         net, st.N, st.T, sp.T_star, sp.mu_star_over_T))
     q_raw, Qdot = float(q_raw), float(Qdot)
-    q = min(max(q_raw, 0.0), q_max) if clamp else q_raw
+    q = float(clamp_flow(q_raw, q_max)) if clamp else q_raw
     return ControlAction(q=q, Qdot=Qdot,
                          T_w=kernel.jacket_temperature(net, Qdot, st.T),
                          saturated=clamp and q != q_raw, q_raw=q_raw)

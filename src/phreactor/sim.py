@@ -12,6 +12,17 @@ floor (logged as an event), and a step whose energy update would push the
 temperature nonpositive is retried as two half steps, recursively up to
 20 halvings, after which the trajectory aborts.  Non-finite arithmetic
 aborts immediately with a diagnostic.
+
+:func:`simulate` steps one trajectory with a scalar loop.  An ensemble of
+more than one trajectory is stepped as one batch: the states of all
+active trajectories form arrays U (B,) and N (B, p), and each grid step
+makes one feedback solve and one update for the whole batch, each row
+drawing its increments from its own substream.  The guards act per row: a
+row whose update leaves the temperature domain is redone by the scalar
+halving retry from its own state and stream position, and a row that
+aborts leaves the batch and keeps its recorded prefix.  The kernel is
+row-safe, so a row has the bits :func:`simulate` gives that trajectory,
+whatever the batch size.
 """
 
 from __future__ import annotations
@@ -97,7 +108,8 @@ class SimConfig:
 @dataclass
 class Trajectory:
     """One recorded path: the state series, the derived series used for
-    reporting, and the event log (list of (step, code))."""
+    reporting, and the event log (list of (step, code)).  The series of
+    the trajectories of one ensemble are views into shared arrays."""
 
     index: int
     times: np.ndarray
@@ -127,18 +139,26 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
                                                         spawn_key=(index,)))
 
 
+_NON_FINITE = "non-finite state update"
+
+
+def _floor_events(net: ReactionNetwork, step_no: int, low) -> list:
+    """One ``floor_<species>`` event per species a row's update clamped."""
+    return [(step_no, f"floor_{net.species_names[j]}")
+            for j in np.flatnonzero(low)]
+
+
 def _guarded_update(net: ReactionNetwork, U, N, T, q, Qdot, dt, dW,
                     events=None, step_no=0):
     """:func:`kernel.em_update` with the non-finite abort and the mole floor
     clamp, whose hits go to ``events``.  The caller judges a T <= 0."""
     U_new, N_new = kernel.em_update(net, U, N, T, q, Qdot, dt, dW)
     if not (math.isfinite(U_new) and np.all(np.isfinite(N_new))):
-        raise SimulationAbort("non-finite state update")
+        raise SimulationAbort(_NON_FINITE)
     low = N_new < N_TRAJ_FLOOR
     if low.any():
         if events is not None:
-            events.extend((step_no, f"floor_{net.species_names[j]}")
-                          for j in np.flatnonzero(low))
+            events.extend(_floor_events(net, step_no, low))
         N_new = np.maximum(N_new, N_TRAJ_FLOOR)
     return U_new, N_new, kernel.temperature(net, U_new, N_new)
 
@@ -158,6 +178,118 @@ def euler_maruyama_step(net: ReactionNetwork, x, u, dt: float, dW) -> np.ndarray
     return np.concatenate(([U], N))
 
 
+def _inputs(net: ReactionNetwork, sp, gains, cfg: SimConfig, N, T, t: float):
+    """The inputs (q, Qdot) at states (N, T) and time t, and whether the
+    flow clamp engaged; row-safe."""
+    if cfg.mode == "isolated":
+        return 0.0, 0.0, False
+    if cfg.mode == "open_loop" or t < cfg.open_loop_until:
+        return float(cfg.u_open[0]), float(cfg.u_open[1]), False
+    q_raw, Qdot = control.solve_feedback(gains.K, *kernel.feedback_terms(
+        net, N, T, sp.T_star, sp.mu_star_over_T))
+    if not cfg.clamp:
+        return q_raw, Qdot, False
+    q = control.clamp_flow(q_raw, cfg.q_max)
+    return q, Qdot, q != q_raw
+
+
+class _Path:
+    """The scalar stepper of one trajectory: its noise substream, its event
+    log, and the halving retry of a step that leaves the temperature
+    domain.  ``step_no`` is the grid step the events are logged at."""
+
+    def __init__(self, net: ReactionNetwork, sp: Setpoint | None,
+                 gains: ControllerGains | None, cfg: SimConfig, index: int):
+        if (cfg.mode in ("closed_loop", "deterministic")
+                and (sp is None or gains is None)):
+            raise ValueError(f"mode {cfg.mode!r} needs a setpoint and gains")
+        self.net, self.sp, self.gains, self.cfg = net, sp, gains, cfg
+        self.index = index
+        self.rng = trajectory_rng(cfg.seed, index) if cfg.noise_on else None
+        self.events: list[tuple[int, str]] = []
+        self.step_no = 0
+        self.abort_reason: str | None = None
+
+    def inputs(self, N, T, t, log=True):
+        q, Qdot, clamped = _inputs(self.net, self.sp, self.gains, self.cfg,
+                                   N, T, t)
+        if log and clamped:
+            self.events.append((self.step_no, "q_clamp"))
+        return q, Qdot
+
+    def step(self, U, N, T, q, Qdot, t, dt, depth=0):
+        """One step of length dt from (U, N, T) at time t under (q, Qdot)."""
+        dW = None
+        if self.rng is not None:
+            dW = self.rng.standard_normal(3) * math.sqrt(dt)
+        U_new, N_new, T_new = _guarded_update(self.net, U, N, T, q, Qdot, dt,
+                                              dW, self.events, self.step_no)
+        if not T_new > 0:
+            return self.halve(U, N, T, t, dt, depth)
+        return U_new, N_new, T_new
+
+    def halve(self, U, N, T, t, dt, depth):
+        """Redo a step whose update left the temperature domain as two
+        half steps, each with inputs evaluated at its own start."""
+        if depth >= MAX_HALVINGS:
+            raise SimulationAbort(
+                f"temperature stayed nonpositive after {MAX_HALVINGS} "
+                f"step halvings at t={t:.6g}")
+        self.events.append((self.step_no, "halve"))
+        for t_half in (t, t + 0.5 * dt):
+            U, N, T = self.step(U, N, T, *self.inputs(N, T, t_half), t_half,
+                                0.5 * dt, depth + 1)
+        return U, N, T
+
+
+class _Records:
+    """The recorded series of B trajectories in preallocated arrays of
+    shape (B, n_records) ((B, n_records, 1 + p) for the states); row i
+    holds ``count[i]`` records, the rest stay NaN."""
+
+    FIELDS = ("states", "T", "S", "avail", "q", "Qdot", "T_w")
+
+    def __init__(self, net: ReactionNetwork, sp: Setpoint | None,
+                 cfg: SimConfig, n_rows: int):
+        self.net, self.sp = net, sp
+        self.x_star = sp.x_star if sp is not None else None
+        steps = cfg.record_steps
+        self.times = np.array(steps) * cfg.dt
+        self.states = np.full((n_rows, len(steps), 1 + net.n_species), np.nan)
+        self.T, self.S, self.avail, self.q, self.Qdot, self.T_w = (
+            np.full((n_rows, len(steps)), np.nan) for _ in range(6))
+        self.count = np.zeros(n_rows, dtype=int)
+
+    def write(self, rows, j: int, U, N, q, Qdot) -> None:
+        """Record ``j`` of ``rows`` (an index or an index array): the states
+        (U, N) and the inputs (q, Qdot) applied from them."""
+        net, sp = self.net, self.sp
+        # The recorded T is T(U, N), which can differ from a given initial
+        # T in the last bit.
+        T = kernel.temperature(net, U, N)
+        S = kernel.closures(net, N, T)[2]
+        self.states[rows, j, 0] = U
+        self.states[rows, j, 1:] = N
+        self.T[rows, j] = T
+        self.S[rows, j] = S
+        if sp is not None:
+            self.avail[rows, j] = kernel.availability(
+                sp.S_star, sp.pi_star, self.x_star, S, self.states[rows, j])
+        self.q[rows, j] = q
+        self.Qdot[rows, j] = Qdot
+        self.T_w[rows, j] = kernel.jacket_temperature(net, Qdot, T)
+        self.count[rows] = j + 1
+
+    def trajectory(self, row: int, path: _Path) -> Trajectory:
+        """Row ``row`` as a :class:`Trajectory` of views into the arrays."""
+        n = self.count[row]
+        return Trajectory(path.index, self.times[:n],
+                          *(getattr(self, f)[row, :n] for f in self.FIELDS),
+                          events=path.events,
+                          aborted=path.abort_reason is not None,
+                          abort_reason=path.abort_reason)
+
+
 def simulate(net: ReactionNetwork, sp: Setpoint | None,
              gains: ControllerGains | None, cfg: SimConfig, x0,
              traj_index: int = 0) -> Trajectory:
@@ -167,97 +299,89 @@ def simulate(net: ReactionNetwork, sp: Setpoint | None,
     a setpoint and gains.  On abort the recorded prefix is returned with
     ``aborted`` set and the reason attached.
     """
-    feedback = cfg.mode in ("closed_loop", "deterministic")
-    if feedback and (sp is None or gains is None):
-        raise ValueError(f"mode {cfg.mode!r} needs a setpoint and gains")
-    rng = trajectory_rng(cfg.seed, traj_index) if cfg.noise_on else None
-    u_fixed = ((0.0, 0.0) if cfg.mode == "isolated"
-               else (float(cfg.u_open[0]), float(cfg.u_open[1])))
-    events: list[tuple[int, str]] = []
-    step_no = 0
-
-    def input_at(N, T, t, log=True):
-        if not feedback or t < cfg.open_loop_until:
-            return u_fixed
-        q_raw, Qdot = control.solve_feedback(gains.K, *kernel.feedback_terms(
-            net, N, T, sp.T_star, sp.mu_star_over_T))
-        if not cfg.clamp:
-            return q_raw, Qdot
-        q = min(max(q_raw, 0.0), cfg.q_max)
-        if log and q != q_raw:
-            events.append((step_no, "q_clamp"))
-        return q, Qdot
-
-    def advance(U, N, T, t, dt, depth):
-        q, Qdot = input_at(N, T, t)
-        dW = None
-        if rng is not None:
-            dW = rng.standard_normal(3) * math.sqrt(dt)
-        U_new, N_new, T_new = _guarded_update(net, U, N, T, q, Qdot, dt, dW,
-                                              events, step_no)
-        if not T_new > 0:
-            if depth >= MAX_HALVINGS:
-                raise SimulationAbort(
-                    f"temperature stayed nonpositive after {MAX_HALVINGS} "
-                    f"step halvings at t={t:.6g}")
-            events.append((step_no, "halve"))
-            U_h, N_h, T_h = advance(U, N, T, t, 0.5 * dt, depth + 1)
-            return advance(U_h, N_h, T_h, t + 0.5 * dt, 0.5 * dt, depth + 1)
-        return U_new, N_new, T_new
-
-    record_steps = cfg.record_steps
-    x_star = sp.x_star if sp is not None else None
-    times, states, Ts, Ss, avs, qs, Qs, Tws = ([] for _ in range(8))
-
-    def record(U, N, T, t):
-        q, Qdot = input_at(N, T, t, log=False)
-        # The recorded T is T(U, N), which can differ from a given initial
-        # T in the last bit.
-        T = kernel.temperature(net, U, N)
-        x = np.concatenate(([U], N))
-        S = kernel.closures(net, N, T)[2]
-        times.append(t)
-        states.append(x)
-        Ts.append(T)
-        Ss.append(S)
-        avs.append(kernel.availability(sp.S_star, sp.pi_star, x_star, S, x)
-                   if sp is not None else math.nan)
-        qs.append(q)
-        Qs.append(Qdot)
-        Tws.append(kernel.jacket_temperature(net, Qdot, T))
-
+    path = _Path(net, sp, gains, cfg, traj_index)
+    rec = _Records(net, sp, cfg, 1)
     st0 = as_state(net, x0)
-    U_cur, N_cur, T_cur = st0.U, st0.N.copy(), st0.T
-    aborted = False
-    reason = None
-    record(U_cur, N_cur, T_cur, 0.0)
-    rec_idx = 1
+    U, N, T = st0.U, st0.N, st0.T
+    dt, steps, j = cfg.dt, cfg.record_steps, 0
     try:
         for k in range(cfg.n_steps):
-            step_no = k + 1
-            U_cur, N_cur, T_cur = advance(U_cur, N_cur, T_cur, k * cfg.dt,
-                                          cfg.dt, 0)
-            if rec_idx < len(record_steps) and step_no == record_steps[rec_idx]:
-                record(U_cur, N_cur, T_cur, step_no * cfg.dt)
-                rec_idx += 1
+            path.step_no = k + 1
+            q, Qdot = path.inputs(N, T, k * dt)
+            if k == steps[j]:
+                rec.write(0, j, U, N, q, Qdot)
+                j += 1
+            U, N, T = path.step(U, N, T, q, Qdot, k * dt, dt)
     except SimulationAbort as exc:
-        aborted = True
-        reason = str(exc)
+        path.abort_reason = str(exc)
+    else:
+        rec.write(0, j, U, N, *path.inputs(N, T, cfg.n_steps * dt, log=False))
+    return rec.trajectory(0, path)
 
-    return Trajectory(
-        index=traj_index,
-        times=np.array(times),
-        states=np.array(states),
-        T=np.array(Ts),
-        S=np.array(Ss),
-        avail=np.array(avs),
-        q=np.array(qs),
-        Qdot=np.array(Qs),
-        T_w=np.array(Tws),
-        events=events,
-        aborted=aborted,
-        abort_reason=reason,
-    )
+
+def _simulate_batch(net: ReactionNetwork, sp: Setpoint | None,
+                    gains: ControllerGains | None, cfg: SimConfig,
+                    x0) -> tuple[list[Trajectory], _Records]:
+    """Step trajectories 0..n_traj-1 together as one batch of states.
+
+    Each step solves the feedback and updates every active row at once,
+    with the guards of :func:`simulate` applied per row; a row whose update
+    leaves the temperature domain is redone by its scalar stepper.  Row i
+    has the bits of ``simulate(..., traj_index=i)``.
+    """
+    paths = [_Path(net, sp, gains, cfg, i) for i in range(cfg.n_traj)]
+    rec = _Records(net, sp, cfg, cfg.n_traj)
+    st0 = as_state(net, x0)
+    rows = np.arange(cfg.n_traj)  # the trajectory of each active row
+    U, T = np.full(rows.size, st0.U), np.full(rows.size, st0.T)
+    N = np.tile(st0.N, (rows.size, 1))
+    dt, steps, j = cfg.dt, cfg.record_steps, 0
+    for k in range(cfg.n_steps):
+        t, step_no = k * dt, k + 1
+        q, Qdot, clamped = _inputs(net, sp, gains, cfg, N, T, t)
+        for i in np.flatnonzero(clamped):
+            paths[rows[i]].events.append((step_no, "q_clamp"))
+        if k == steps[j]:
+            rec.write(rows, j, U, N, q, Qdot)
+            j += 1
+        dW = None
+        if cfg.noise_on:
+            dW = (np.array([paths[r].rng.standard_normal(3) for r in rows])
+                  * math.sqrt(dt))
+        U_new, N_new = kernel.em_update(net, U, N, T, q, Qdot, dt, dW)
+        ok = np.isfinite(U_new) & np.isfinite(N_new).all(-1)
+        if not ok.all():
+            for i in np.flatnonzero(~ok):
+                paths[rows[i]].abort_reason = _NON_FINITE
+            rows, U, N, T, U_new, N_new = (
+                a[ok] for a in (rows, U, N, T, U_new, N_new))
+        low = N_new < N_TRAJ_FLOOR
+        if low.any():
+            for i in np.flatnonzero(low.any(-1)):
+                paths[rows[i]].events.extend(
+                    _floor_events(net, step_no, low[i]))
+            N_new = np.maximum(N_new, N_TRAJ_FLOOR)
+        T_new = kernel.temperature(net, U_new, N_new)
+        ok = T_new > 0
+        for i in np.flatnonzero(~ok):
+            path = paths[rows[i]]
+            path.step_no = step_no
+            try:
+                U_new[i], N_new[i], T_new[i] = path.halve(U[i], N[i], T[i],
+                                                          t, dt, 0)
+                ok[i] = True
+            except SimulationAbort as exc:
+                path.abort_reason = str(exc)
+        if not ok.all():
+            rows, U_new, N_new, T_new = (a[ok] for a in (rows, U_new, N_new,
+                                                         T_new))
+        U, N, T = U_new, N_new, T_new
+        if not rows.size:
+            break
+    else:
+        q, Qdot, _ = _inputs(net, sp, gains, cfg, N, T, cfg.n_steps * dt)
+        rec.write(rows, j, U, N, q, Qdot)
+    return [rec.trajectory(i, path) for i, path in enumerate(paths)], rec
 
 
 SERIES = ("U", "N", "T", "S", "avail", "q", "Qdot", "T_w")
@@ -280,11 +404,20 @@ class EnsembleStats:
     trajectories: list[Trajectory]
 
 
+def _scaled_errors(states: np.ndarray, sp: Setpoint) -> np.ndarray:
+    """:func:`scaled_errors` of states (..., 1 + p), over the last axis."""
+    scale = np.concatenate(([max(abs(sp.U_star), 1.0)], sp.N_star))
+    return np.linalg.norm((states - sp.x_star) / scale, axis=-1)
+
+
+def _inside_fraction(sup_errors: np.ndarray, eps: float) -> float:
+    return np.count_nonzero(sup_errors < eps) / len(sup_errors)
+
+
 def scaled_errors(traj: Trajectory, sp: Setpoint) -> np.ndarray:
     """Per-checkpoint relative distance to the setpoint: the 2-norm of
     (x - x*) scaled componentwise by (|U*|, N*)."""
-    scale = np.concatenate(([max(abs(sp.U_star), 1.0)], sp.N_star))
-    return np.linalg.norm((traj.states - sp.x_star) / scale, axis=1)
+    return _scaled_errors(traj.states, sp)
 
 
 def stability_estimate(trajs: list[Trajectory], sp: Setpoint,
@@ -293,43 +426,49 @@ def stability_estimate(trajs: list[Trajectory], sp: Setpoint,
     stays strictly inside eps over the whole recorded window."""
     if not trajs:
         return 0.0
-    inside = [float(np.max(scaled_errors(tr, sp))) < eps for tr in trajs]
-    return sum(inside) / len(trajs)
+    return _inside_fraction(
+        np.array([scaled_errors(tr, sp).max() for tr in trajs]), eps)
 
 
 def ensemble(net: ReactionNetwork, sp: Setpoint | None,
              gains: ControllerGains | None, cfg: SimConfig, x0) -> EnsembleStats:
     """Run cfg.n_traj trajectories on substreams 0..n_traj-1 and
-    aggregate checkpoint statistics."""
-    trajs = [simulate(net, sp, gains, cfg, x0, traj_index=i)
-             for i in range(cfg.n_traj)]
-    ok = [tr for tr in trajs if not tr.aborted]
-    if not ok:
-        raise SimulationAbort("every trajectory aborted")
-    times = ok[0].times
-    mean: dict[str, np.ndarray] = {}
-    std: dict[str, np.ndarray] = {}
-    for name in SERIES:
-        stack = np.stack([getattr(tr, name) for tr in ok])
-        mean[name] = stack.mean(axis=0)
-        std[name] = stack.std(axis=0)
-    if sp is not None:
-        terminal_T = np.array([abs(tr.T[-1] - sp.T_star) for tr in ok])
-        terminal_N = np.array([float(np.linalg.norm(tr.N[-1] - sp.N_star))
-                               for tr in ok])
-        sup_err = np.array([float(np.max(scaled_errors(tr, sp))) for tr in ok])
-        prob = stability_estimate(ok, sp, cfg.eps)
+    aggregate checkpoint statistics.
+
+    One trajectory runs through :func:`simulate`; more are stepped as one
+    batch, trajectory i identical to ``simulate(..., traj_index=i)``.
+    """
+    if cfg.n_traj == 1:
+        trajs = [simulate(net, sp, gains, cfg, x0)]
+        table = {f: getattr(trajs[0], f)[None] for f in _Records.FIELDS}
     else:
-        terminal_T = terminal_N = sup_err = np.full(len(ok), math.nan)
+        trajs, rec = _simulate_batch(net, sp, gains, cfg, x0)
+        table = {f: getattr(rec, f) for f in _Records.FIELDS}
+    ok = np.array([not tr.aborted for tr in trajs])
+    if not ok.any():
+        raise SimulationAbort("every trajectory aborted")
+    table = {f: a[ok] for f, a in table.items()}
+    states = table["states"]
+    table["U"], table["N"] = states[..., 0], states[..., 1:]
+    mean = {name: table[name].mean(axis=0) for name in SERIES}
+    std = {name: table[name].std(axis=0) for name in SERIES}
+    if sp is not None:
+        terminal_T = np.abs(table["T"][:, -1] - sp.T_star)
+        dN = table["N"][:, -1] - sp.N_star
+        terminal_N = np.sqrt(np.vecdot(dN, dN))  # each row's np.linalg.norm
+        sup_err = _scaled_errors(states, sp).max(axis=-1)
+        prob = _inside_fraction(sup_err, cfg.eps)
+    else:
+        terminal_T = terminal_N = sup_err = np.full(len(states), math.nan)
         prob = math.nan
     return EnsembleStats(
-        times=times,
+        times=trajs[int(np.argmax(ok))].times,
         mean=mean,
         std=std,
         stabilization_probability=prob,
         terminal_T_error=terminal_T,
         terminal_N_error=terminal_N,
         sup_scaled_error=sup_err,
-        n_aborted=len(trajs) - len(ok),
+        n_aborted=len(trajs) - int(ok.sum()),
         trajectories=trajs,
     )

@@ -1,9 +1,13 @@
 """Trajectory integration: bit-reproducibility, fused-loop equivalence with
-the public step functions, guard events, and ensemble aggregation."""
+the public step functions, batched-ensemble equivalence with single paths,
+guard events, and ensemble aggregation."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from phreactor import sim
 from phreactor.control import ControllerGains, control_law
 from phreactor.sim import (
     N_TRAJ_FLOOR,
@@ -130,6 +134,85 @@ def test_ensemble_reuses_per_trajectory_substreams(net, sp, gains, x0):
         np.testing.assert_array_equal(tr.states, solo.states)
     assert not np.array_equal(stats.trajectories[0].states,
                               stats.trajectories[1].states)
+
+
+# ------------------------------------ batched ensemble vs single trajectories
+
+_FIELDS = ("index", "times", "states", "T", "S", "avail", "q", "Qdot", "T_w",
+           "events", "aborted", "abort_reason")
+
+#: name -> (SimConfig fields, uses the no-reaction network, MAX_HALVINGS)
+_BATCH_CASES = {
+    "closed_loop": (dict(mode="closed_loop", seed=5), False, None),
+    "deterministic": (dict(mode="deterministic"), False, None),
+    "isolated": (dict(mode="isolated"), False, None),
+    # rows 0-3 start halving at steps 43/50/34/43: refined and unrefined
+    # rows in one batch step
+    "halving": (dict(mode="open_loop", seed=0, u_open=(0.0, -1e6)), False,
+                None),
+    "open_loop_until": (dict(mode="closed_loop", seed=2, open_loop_until=0.05,
+                             u_open=(0.0, 0.0)), False, None),
+    "q_clamp": (dict(mode="closed_loop", seed=4, q_max=5e-6), False, None),
+    "washout": (dict(mode="open_loop", seed=3, u_open=(0.5, 0.0)), True,
+                None),
+    # with at most 4 halvings rows 0 and 2 abort at different steps while
+    # rows 1 and 3 run to the end
+    "rows_abort": (dict(mode="open_loop", seed=0, u_open=(0.0, -1e6),
+                        t_end=0.07, record_every=1), False, 4),
+}
+
+
+def _assert_same_path(a, b):
+    for name in _FIELDS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name),
+                                      err_msg=name)
+
+
+@pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+def test_batched_rows_match_simulate(case, net, sp, gains, x0, plain_net,
+                                     monkeypatch):
+    fields, washout, max_halvings = _BATCH_CASES[case]
+    if max_halvings is not None:
+        monkeypatch.setattr(sim, "MAX_HALVINGS", max_halvings)
+    if washout:
+        net, sp, gains = plain_net, None, None
+        x0 = ThermoState.from_temperature(net, np.array([1.0, 1.0]), 342.0).x
+    cfg = SimConfig(**{"dt": 1e-3, "t_end": 0.1, "n_traj": 4, **fields})
+    stats = ensemble(net, sp, gains, cfg, x0)
+    for i, tr in enumerate(stats.trajectories):
+        _assert_same_path(tr, simulate(net, sp, gains, cfg, x0, traj_index=i))
+    # a row does not depend on the batch size
+    for n in (2, 5):
+        other = ensemble(net, sp, gains, replace(cfg, n_traj=n), x0)
+        _assert_same_path(other.trajectories[1], stats.trajectories[1])
+    codes = [{c.split("_")[0] for _, c in tr.events}
+             for tr in stats.trajectories]
+    if case == "halving":
+        first = [min(s for s, c in tr.events if c == "halve")
+                 for tr in stats.trajectories]
+        assert first == [43, 50, 34, 43]
+    if case == "q_clamp":
+        assert all(c == {"q"} for c in codes)
+    if case == "washout":
+        assert all("floor" in c for c in codes)
+    if case == "rows_abort":
+        aborted = [tr.aborted for tr in stats.trajectories]
+        assert aborted == [True, False, True, False]
+        assert len({len(tr.times) for tr in stats.trajectories}) == 3
+        assert stats.n_aborted == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("u_open, max_halvings", [((-1e9, 0.0), None),
+                                                  ((0.0, -1e6), 2)])
+def test_batched_ensemble_raises_when_every_row_aborts(net, x0, monkeypatch,
+                                                       u_open, max_halvings):
+    if max_halvings is not None:
+        monkeypatch.setattr(sim, "MAX_HALVINGS", max_halvings)
+    cfg = SimConfig(dt=1e-3, t_end=0.1, seed=1, n_traj=4, mode="open_loop",
+                    u_open=u_open)
+    with pytest.raises(SimulationAbort):
+        ensemble(net, None, None, cfg, x0)
 
 
 # ------------------------------------------------------- physics invariants

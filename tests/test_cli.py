@@ -133,6 +133,24 @@ def test_equilibria_empty_window(cfg_path, tmp_path, capsys):
     assert "no steady states" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--Tmin", "400", "--Tmax", "300"],
+    ["--Tmin", "-10"],
+    ["--Tmax", "inf"],
+    ["--grid", "0"],
+    ["--grid", "1"],
+])
+def test_equilibria_rejects_bad_scan(cfg_path, tmp_path, capsys, flags):
+    out = tmp_path / "eq"
+    rc = main(["equilibria", "--network", str(cfg_path), "--out", str(out),
+               "--q", "9.15e-6", "--Tw", "299.49"] + flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "grid >= 2 and 0 < Tmin < Tmax, both finite" in err
+    assert "did not converge" not in err
+    assert not (out / "equilibria.csv").exists()
+
+
 # ---------------------------------------------------------------- simulate
 
 

@@ -13,7 +13,8 @@ point, and bisects, all brackets in lockstep, every sign change of
 
 the stationary energy residual under a jacket at T_w; exothermic networks
 can have several roots.  Each is classified by the eigenvalues of a
-finite-difference Jacobian of the deterministic drift."""
+finite-difference Jacobian of the deterministic drift.
+"""
 
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ def _balance(net: ReactionNetwork, N, T, q):
     forward, backward = kernel.mass_action(net, N / net.reactor.V, T)
     f = kernel.reaction_flux(net, forward - backward) + q * kernel.feed_gap(net, N)
     turnover = net.reactor.V * np.add.reduce(forward + backward, -1)
-    floor = max(q * float(net.c_in.max()), 1e-300)
+    floor = max(q * max(net.inlet.c_in), 1e-300)
     return np.sqrt(np.vecdot(f, f)), f, np.maximum(turnover, floor)
 
 
@@ -72,27 +73,26 @@ def mass_balance_steady(net: ReactionNetwork, T, q: float,
     naming the first T not converged in ``max_iter`` iterations, and
     :class:`ValueError` if a solution has a negative component.
     """
-    p, k = net.n_species, np.arange(net.n_species)
-    Ts = np.atleast_1d(np.asarray(T, dtype=float))
-    start = net.reactor.V * net.c_in if N0 is None else N0
-    N = np.array(np.broadcast_to(start, (Ts.size, p)), dtype=float)
+    p = net.n_species
+    Ts = np.asarray(T, dtype=float).reshape(-1)
+    N = np.empty((Ts.size, p))
+    N[...] = net.reactor.V * net.c_in if N0 is None else N0
     best, f, scale = _balance(net, N, Ts, q)
     done = np.zeros(Ts.size, dtype=bool)
     for _ in range(max_iter):
-        done = np.abs(f).max(-1) <= tol * scale
-        rows = np.flatnonzero(~done)
+        done = np.maximum.reduce(np.abs(f), -1) <= tol * scale
+        rows = (~done).nonzero()[0]
         if not rows.size:
             break
         # the 2p perturbed states of every row in one evaluation
         h = 1e-7 * np.maximum(np.abs(N[rows]), 1e-6)
-        X = np.repeat(N[rows, None, :], 2 * p, axis=1)
-        X[:, k, k] += h
-        X[:, p + k, k] -= h
-        F = _balance(net, X.reshape(-1, p), np.repeat(Ts[rows], 2 * p), q)[1]
+        E = np.eye(p)
+        X = N[rows][:, None, :] + np.concatenate((E, -E)) * h[:, None, :]
+        F = _balance(net, X.reshape(-1, p), Ts[rows].repeat(2 * p), q)[1]
         F = F.reshape(X.shape)
         J = ((F[:, :p] - F[:, p:]) / (2.0 * h)[..., None]).transpose(0, 2, 1)
         try:
-            step = np.linalg.solve(J, -f[rows, :, None])[..., 0]
+            step = np.linalg.solve(J, -f[rows][..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             T_bad = Ts[rows][np.argmin(np.abs(np.linalg.det(J)))]
             raise ConvergenceError(f"singular Jacobian at T={T_bad}", N, done) from exc

@@ -142,17 +142,19 @@ def test_batch_rows_equal_scalar_solves(net):
         [mass_balance_steady(net, T, q, N0=[1.0, 1.0]) for T in Ts[:3]])
 
 
-def _serial_roots(net, q, T_w, Ts):
+def _serial_roots(net, q, T_w, Ts, comps=None):
     """The scan as a serial continuation: every grid point warm-started
-    from the previous one, every bracket bisected on its own."""
+    from the previous one (unless the grid compositions are given), every
+    bracket bisected on its own."""
     def energy(T, N):
         g00, _ = kernel.flow_column(net, N, kernel.enthalpy(net, T))
         return q * g00 + net.reactor.lam * (T_w - T)
 
-    comps, N = [], None
-    for T in Ts:
-        N = mass_balance_steady(net, T, q, N0=N)
-        comps.append(N)
+    if comps is None:
+        comps, N = [], None
+        for T in Ts:
+            N = mass_balance_steady(net, T, q, N0=N)
+            comps.append(N)
     E = [energy(T, N) for T, N in zip(Ts, comps)]
     roots = []
     for i in range(len(Ts) - 1):
@@ -190,6 +192,14 @@ def test_failed_cold_starts_are_retried_warm():
     # the default window, where the failed points bracket no root
     assert [r.classification for r in steady_states(net, q, 299.4922)] == [
         "stable"]
+
+
+def test_lockstep_bisection_equals_bracket_by_bracket(net, roots):
+    q, T_w = roots[0].q, roots[0].T_w
+    Ts = np.linspace(250.0, 500.0, 2000)
+    serial = _serial_roots(net, q, T_w, Ts, mass_balance_steady(net, Ts, q))
+    assert [r.T for r in roots] == [T for T, _ in serial]
+    np.testing.assert_array_equal([r.N for r in roots], [N for _, N in serial])
 
 
 def test_three_steady_states_under_benchmark_jacket(roots):
@@ -271,7 +281,7 @@ def _classify_by_columns(net, x, u, jacket=None):
     return np.linalg.eigvals(J)
 
 
-def test_batched_classify_equals_column_loop(net, roots):
+def test_batched_classify_equals_column_loop(net, cnet, roots):
     for r in roots:
         x, u = np.concatenate([[r.U], r.N]), np.array([r.q, r.Qdot])
         for jacket in (None, (net.reactor.lam, r.T_w)):
@@ -281,6 +291,11 @@ def test_batched_classify_equals_column_loop(net, roots):
         np.testing.assert_array_equal(
             r.eigenvalues,
             _classify_by_columns(net, x, u, (net.reactor.lam, r.T_w)))
+    # the isolated reactor at reaction equilibrium, with zero eigenvalues
+    x = ThermoState.from_temperature(
+        cnet, equilibrium_composition(cnet, 330.0), 330.0).x
+    np.testing.assert_array_equal(classify(cnet, x, np.zeros(2))[1],
+                                  _classify_by_columns(cnet, x, np.zeros(2)))
 
 
 def test_classify_checks_every_perturbed_state(net):

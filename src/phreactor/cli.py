@@ -63,15 +63,21 @@ class CliError(Exception):
     """Input error surfaced as exit code 1."""
 
 
-def _fmt(value: float) -> str:
-    """17-significant-digit decimal rendering used in every CSV cell."""
-    return format(float(value), ".17g")
+def _num(values) -> list[str]:
+    """A numeric column as the 17-significant-digit cells of every CSV."""
+    return [format(v, ".17g") for v in np.asarray(values, dtype=float).tolist()]
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]],
+def _flag(value: bool) -> list[str]:
+    """A one-row boolean column, ``true`` or ``false``."""
+    return [str(value).lower()]
+
+
+def _write_csv(path: Path, columns: dict[str, list[str]],
                footer: list[str] | None = None) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+    """Write equal-length columns of cells under their names as header."""
+    lines = [",".join(columns)]
+    lines.extend(map(",".join, zip(*columns.values())))
     if footer is not None:
         lines.append(",".join(footer))
     path.write_text("\n".join(lines) + "\n", newline="\n")
@@ -148,22 +154,22 @@ def cmd_check(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    header = ["all_hold",
-              "input_noise_holds", "input_noise_lhs", "input_noise_rhs",
-              "feedthrough_norm",
-              "trace_holds", "trace_lhs", "trace_rhs",
-              "feedthrough_psd_holds", "feedthrough_min_eig",
-              "reaction_noise_holds", "reaction_noise_lhs",
-              "reaction_noise_rhs", "equivalence_residual"]
-    row = [str(all_hold).lower(),
-           str(norm.holds).lower(), _fmt(norm.lhs), _fmt(norm.rhs),
-           _fmt(norm.delta_frobenius),
-           str(pas.trace_holds).lower(), _fmt(pas.trace_lhs),
-           _fmt(pas.trace_rhs),
-           str(pas.feedthrough_holds).lower(), _fmt(pas.feedthrough_min_eig),
-           str(rxn.holds).lower(), _fmt(rxn.lhs), _fmt(rxn.rhs),
-           _fmt(residual)]
-    _write_csv(out / "check.csv", header, [row])
+    _write_csv(out / "check.csv", {
+        "all_hold": _flag(all_hold),
+        "input_noise_holds": _flag(norm.holds),
+        "input_noise_lhs": _num([norm.lhs]),
+        "input_noise_rhs": _num([norm.rhs]),
+        "feedthrough_norm": _num([norm.delta_frobenius]),
+        "trace_holds": _flag(pas.trace_holds),
+        "trace_lhs": _num([pas.trace_lhs]),
+        "trace_rhs": _num([pas.trace_rhs]),
+        "feedthrough_psd_holds": _flag(pas.feedthrough_holds),
+        "feedthrough_min_eig": _num([pas.feedthrough_min_eig]),
+        "reaction_noise_holds": _flag(rxn.holds),
+        "reaction_noise_lhs": _num([rxn.lhs]),
+        "reaction_noise_rhs": _num([rxn.rhs]),
+        "equivalence_residual": _num([residual]),
+    })
 
     if args.strict and not all_hold:
         return 2
@@ -179,21 +185,22 @@ def cmd_equilibria(args) -> int:
     roots = steady_states(net, args.q, args.Tw,
                           T_range=(args.Tmin, args.Tmax), grid=args.grid)
 
-    header = (["T"] + [f"N_{name}" for name in net.species_names]
-              + ["U", "Qdot_required", "classification", "max_re_lambda",
-                 "residual"])
-    rows = []
-    for ss in roots:
-        x = np.concatenate(([ss.U], ss.N))
-        res = drift_residual(net, x, (ss.q, ss.Qdot))
-        max_re = float(np.max(ss.eigenvalues.real))
-        rows.append([_fmt(ss.T)] + [_fmt(n) for n in ss.N]
-                    + [_fmt(ss.U), _fmt(ss.Qdot), ss.classification,
-                       _fmt(max_re), _fmt(res)])
+    N = np.array([ss.N for ss in roots]).reshape(len(roots), net.n_species)
+    columns = {"T": _num([ss.T for ss in roots])}
+    columns.update((f"N_{name}", _num(N[:, i]))
+                   for i, name in enumerate(net.species_names))
+    columns.update({
+        "U": _num([ss.U for ss in roots]),
+        "Qdot_required": _num([ss.Qdot for ss in roots]),
+        "classification": [ss.classification for ss in roots],
+        "max_re_lambda": _num([np.max(ss.eigenvalues.real) for ss in roots]),
+        "residual": _num([drift_residual(net, np.concatenate(([ss.U], ss.N)),
+                                         (ss.q, ss.Qdot)) for ss in roots]),
+    })
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "equilibria.csv", header, rows)
+    _write_csv(out / "equilibria.csv", columns)
 
     if not roots:
         print(f"no steady states in [{args.Tmin}, {args.Tmax}] K")
@@ -224,44 +231,35 @@ def _event_cells(traj: Trajectory, steps: list[int]) -> list[str]:
             for c in counts]
 
 
+def _series(net: ReactionNetwork, get) -> dict[str, np.ndarray]:
+    """The numeric trajectory columns after ``t`` by CSV name, each read as
+    ``get(series)`` for a name of :data:`sim.SERIES`."""
+    N = get("N")
+    return {"U": get("U"),
+            **{f"N_{name}": N[:, i] for i, name in enumerate(net.species_names)},
+            "T": get("T"), "S": get("S"), "H_bar": get("avail"),
+            "q": get("q"), "Qdot": get("Qdot"), "T_w": get("T_w")}
+
+
 def _write_trajectory(path: Path, net: ReactionNetwork, traj: Trajectory,
                       steps: list[int]) -> None:
-    header = (["t", "U"] + [f"N_{name}" for name in net.species_names]
-              + ["T", "S", "H_bar", "q", "Qdot", "T_w", "events"])
-    cells = _event_cells(traj, steps)
-    rows = []
-    for i in range(len(traj.times)):
-        rows.append([_fmt(traj.times[i]), _fmt(traj.U[i])]
-                    + [_fmt(v) for v in traj.N[i]]
-                    + [_fmt(traj.T[i]), _fmt(traj.S[i]), _fmt(traj.avail[i]),
-                       _fmt(traj.q[i]), _fmt(traj.Qdot[i]), _fmt(traj.T_w[i]),
-                       cells[i]])
-    _write_csv(path, header, rows)
+    columns = {"t": _num(traj.times)}
+    columns.update((name, _num(v)) for name, v in
+                   _series(net, lambda f: getattr(traj, f)).items())
+    columns["events"] = _event_cells(traj, steps)
+    _write_csv(path, columns)
 
 
 def _write_summary(path: Path, net: ReactionNetwork,
                    stats: EnsembleStats) -> None:
-    cols = (["U"] + [f"N_{name}" for name in net.species_names]
-            + ["T", "S", "H_bar", "q", "Qdot", "T_w"])
-    header = ["t"]
-    for col in cols:
-        header += [f"mean_{col}", f"std_{col}"]
-
-    def series(store: dict[str, np.ndarray], i: int) -> list[float]:
-        values = [store["U"][i]]
-        values += list(store["N"][i])
-        values += [store[name][i] for name in ("T", "S", "avail", "q",
-                                               "Qdot", "T_w")]
-        return values
-
-    rows = []
-    for i in range(len(stats.times)):
-        row = [_fmt(stats.times[i])]
-        for m, s in zip(series(stats.mean, i), series(stats.std, i)):
-            row += [_fmt(m), _fmt(s)]
-        rows.append(row)
-    footer = ["stabilization_probability", _fmt(stats.stabilization_probability)]
-    _write_csv(path, header, rows, footer=footer)
+    columns = {"t": _num(stats.times)}
+    mean, std = _series(net, stats.mean.get), _series(net, stats.std.get)
+    for name in mean:
+        columns[f"mean_{name}"] = _num(mean[name])
+        columns[f"std_{name}"] = _num(std[name])
+    footer = ["stabilization_probability",
+              *_num([stats.stabilization_probability])]
+    _write_csv(path, columns, footer=footer)
 
 
 def _run_ensemble(net: ReactionNetwork, sp: Setpoint | None,

@@ -174,13 +174,19 @@ def steady_states(net: ReactionNetwork, q: float, T_w: float,
     Scans the stationary energy residual E(T) over ``grid`` temperatures
     spanning ``T_range``, bisects each sign change to |dT| < 1e-6 K, and
     classifies each root under the jacket-law linearization.  Returns the
-    roots ordered by temperature.  Raises :class:`ValueError` unless
-    grid >= 2 and 0 < T_lo < T_hi, both finite.
+    roots ordered by temperature.  Raises :class:`ValueError`, naming the
+    bad inputs, unless q > 0 and T_w are finite, grid >= 2 and
+    0 < T_lo < T_hi, both finite.
     """
     T_lo, T_hi = T_range
+    bad = [f"q={q}"] if not 0.0 < q < math.inf else []
+    if not math.isfinite(T_w):
+        bad.append(f"T_w={T_w}")
     if not (grid >= 2 and 0.0 < T_lo < T_hi < math.inf):
-        raise ValueError("the scan needs grid >= 2 and 0 < Tmin < Tmax, both "
-                         f"finite; got grid={grid}, T_range={T_range}")
+        bad.append(f"grid={grid}, T_range={T_range}")
+    if bad:
+        raise ValueError("the scan needs finite q > 0 and T_w, grid >= 2 and "
+                         "0 < Tmin < Tmax, both finite; got " + ", ".join(bad))
     lam, Ts = net.reactor.lam, np.linspace(T_lo, T_hi, grid)
 
     def energy(T, N):

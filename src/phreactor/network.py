@@ -311,14 +311,24 @@ def _parse_pairs(tokens, line: int) -> dict[str, float]:
     return pairs
 
 
-def _require(pairs: dict[str, float], keys: tuple[str, ...], what: str, line: int) -> None:
+def _require(pairs: dict[str, float], keys: tuple[str, ...], what: str, line: int,
+             optional: tuple[str, ...] = ()) -> None:
     for key in keys:
         if key not in pairs:
             raise NetworkFormatError(f"{what} is missing mandatory key {key!r}", line)
-    extra = set(pairs) - set(keys)
+    extra = set(pairs) - set(keys) - set(optional)
     if extra:
         raise NetworkFormatError(
             f"{what} has unknown key {sorted(extra)[0]!r}", line)
+
+
+def _section_pairs(lines) -> tuple[dict[str, float], int]:
+    """The key=value pairs of all lines of a section, merged, and the
+    number of its first line (1 for an empty section)."""
+    pairs: dict[str, float] = {}
+    for line_no, tokens in lines:
+        pairs.update(_parse_pairs(tokens, line_no))
+    return pairs, lines[0][0] if lines else 1
 
 
 def _parse_side(text: str, names: list[str], line: int, col: int) -> list[int]:
@@ -421,52 +431,19 @@ def parse_network(text: str) -> ReactionNetwork:
                                   pairs["k0f"], pairs["Ef"],
                                   pairs["k0b"], pairs["Eb"]))
 
-    # reactor
-    rx_pairs: dict[str, float] = {}
-    for line_no, tokens in sections["reactor"]:
-        rx_pairs.update(_parse_pairs(tokens, line_no))
-    rx_line = sections["reactor"][0][0] if sections["reactor"] else 1
-    for key in ("V", "P", "T_ref", "lambda"):
-        if key not in rx_pairs:
-            raise NetworkFormatError(f"[reactor] is missing mandatory key {key!r}",
-                                     rx_line)
-    known = {"V", "P", "T_ref", "lambda", "R_gas"}
-    extra = set(rx_pairs) - known
-    if extra:
-        raise NetworkFormatError(f"[reactor] has unknown key {sorted(extra)[0]!r}",
-                                 rx_line)
+    # reactor, inlet, noise
+    rx_pairs, line = _section_pairs(sections["reactor"])
+    _require(rx_pairs, ("V", "P", "T_ref", "lambda"), "[reactor]", line,
+             optional=("R_gas",))
     reactor = ReactorSpec(rx_pairs["V"], rx_pairs["P"], rx_pairs["T_ref"],
                           rx_pairs["lambda"], rx_pairs.get("R_gas", R_GAS_DEFAULT))
-
-    # inlet
-    in_pairs: dict[str, float] = {}
-    for line_no, tokens in sections["inlet"]:
-        in_pairs.update(_parse_pairs(tokens, line_no))
-    in_line = sections["inlet"][0][0] if sections["inlet"] else 1
-    if "T_in" not in in_pairs:
-        raise NetworkFormatError("[inlet] is missing mandatory key 'T_in'", in_line)
-    c_in = [0.0] * len(names)
-    for key, value in in_pairs.items():
-        if key == "T_in":
-            continue
-        if not key.startswith("c_") or key[2:] not in names:
-            raise NetworkFormatError(f"[inlet] has unknown key {key!r}", in_line)
-        c_in[names.index(key[2:])] = value
-    inlet = InletSpec(in_pairs["T_in"], tuple(c_in))
-
-    # noise
-    no_pairs: dict[str, float] = {}
-    for line_no, tokens in sections["noise"]:
-        no_pairs.update(_parse_pairs(tokens, line_no))
-    no_line = sections["noise"][0][0] if sections["noise"] else 1
-    for key in ("rho1", "rho2", "rho3"):
-        if key not in no_pairs:
-            raise NetworkFormatError(f"[noise] is missing mandatory key {key!r}",
-                                     no_line)
-    extra = set(no_pairs) - {"rho1", "rho2", "rho3"}
-    if extra:
-        raise NetworkFormatError(f"[noise] has unknown key {sorted(extra)[0]!r}",
-                                 no_line)
+    in_pairs, line = _section_pairs(sections["inlet"])
+    _require(in_pairs, ("T_in",), "[inlet]", line,
+             optional=tuple(f"c_{name}" for name in names))
+    inlet = InletSpec(in_pairs["T_in"],
+                      tuple(in_pairs.get(f"c_{name}", 0.0) for name in names))
+    no_pairs, line = _section_pairs(sections["noise"])
+    _require(no_pairs, ("rho1", "rho2", "rho3"), "[noise]", line)
     noise = NoiseSpec(no_pairs["rho1"], no_pairs["rho2"], no_pairs["rho3"])
 
     net = ReactionNetwork(tuple(species), tuple(reactions), reactor, inlet, noise)

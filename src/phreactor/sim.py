@@ -22,7 +22,9 @@ row whose update leaves the temperature domain is redone by the scalar
 halving retry from its own state and stream position, and a row that
 aborts leaves the batch and keeps its recorded prefix.  The kernel is
 row-safe, so a row has the bits :func:`simulate` gives that trajectory,
-whatever the batch size.
+whatever the batch size.  Both loops record only the states (U, N) and the
+applied inputs (q, Qdot); T, S, the availability and T_w of every record
+are derived from them after stepping.
 """
 
 from __future__ import annotations
@@ -245,40 +247,41 @@ class _Path:
 class _Records:
     """The recorded series of B trajectories in preallocated arrays of
     shape (B, n_records) ((B, n_records, 1 + p) for the states); row i
-    holds ``count[i]`` records, the rest stay NaN."""
+    holds ``count[i]`` records, the rest stay NaN.  Stepping writes the
+    states and the inputs; :meth:`derive` computes the other series."""
 
     FIELDS = ("states", "T", "S", "avail", "q", "Qdot", "T_w")
 
-    def __init__(self, net: ReactionNetwork, sp: Setpoint | None,
-                 cfg: SimConfig, n_rows: int):
-        self.net, self.sp = net, sp
-        self.x_star = sp.x_star if sp is not None else None
+    def __init__(self, net: ReactionNetwork, cfg: SimConfig, n_rows: int):
         steps = cfg.record_steps
         self.times = np.array(steps) * cfg.dt
         self.states = np.full((n_rows, len(steps), 1 + net.n_species), np.nan)
-        self.T, self.S, self.avail, self.q, self.Qdot, self.T_w = (
-            np.full((n_rows, len(steps)), np.nan) for _ in range(6))
+        self.q, self.Qdot = (np.full((n_rows, len(steps)), np.nan)
+                             for _ in range(2))
         self.count = np.zeros(n_rows, dtype=int)
 
     def write(self, rows, j: int, U, N, q, Qdot) -> None:
         """Record ``j`` of ``rows`` (an index or an index array): the states
         (U, N) and the inputs (q, Qdot) applied from them."""
-        net, sp = self.net, self.sp
-        # The recorded T is T(U, N), which can differ from a given initial
-        # T in the last bit.
-        T = kernel.temperature(net, U, N)
-        S = kernel.closures(net, N, T)[2]
         self.states[rows, j, 0] = U
         self.states[rows, j, 1:] = N
-        self.T[rows, j] = T
-        self.S[rows, j] = S
-        if sp is not None:
-            self.avail[rows, j] = kernel.availability(
-                sp.S_star, sp.pi_star, self.x_star, S, self.states[rows, j])
         self.q[rows, j] = q
         self.Qdot[rows, j] = Qdot
-        self.T_w[rows, j] = kernel.jacket_temperature(net, Qdot, T)
         self.count[rows] = j + 1
+
+    def derive(self, net: ReactionNetwork, sp: Setpoint | None) -> None:
+        """T, S, the availability relative to ``sp`` (NaN without one) and
+        T_w of every record, in one row-safe kernel call each; unrecorded
+        slots stay NaN.  T is T(U, N), which can differ from a given
+        initial T in the last bit."""
+        U, N = self.states[..., 0], self.states[..., 1:]
+        self.T = kernel.temperature(net, U, N)
+        self.S = kernel.closures(net, N, self.T)[2]
+        self.avail, self.T_w = (np.full_like(self.T, np.nan) for _ in range(2))
+        if sp is not None:
+            self.avail[...] = kernel.availability(
+                sp.S_star, sp.pi_star, sp.x_star, self.S, self.states)
+        self.T_w[...] = kernel.jacket_temperature(net, self.Qdot, self.T)
 
     def trajectory(self, row: int, path: _Path) -> Trajectory:
         """Row ``row`` as a :class:`Trajectory` of views into the arrays."""
@@ -300,7 +303,7 @@ def simulate(net: ReactionNetwork, sp: Setpoint | None,
     ``aborted`` set and the reason attached.
     """
     path = _Path(net, sp, gains, cfg, traj_index)
-    rec = _Records(net, sp, cfg, 1)
+    rec = _Records(net, cfg, 1)
     st0 = as_state(net, x0)
     U, N, T = st0.U, st0.N, st0.T
     dt, steps, j = cfg.dt, cfg.record_steps, 0
@@ -316,12 +319,13 @@ def simulate(net: ReactionNetwork, sp: Setpoint | None,
         path.abort_reason = str(exc)
     else:
         rec.write(0, j, U, N, *path.inputs(N, T, cfg.n_steps * dt, log=False))
+    rec.derive(net, sp)
     return rec.trajectory(0, path)
 
 
 def _simulate_batch(net: ReactionNetwork, sp: Setpoint | None,
                     gains: ControllerGains | None, cfg: SimConfig,
-                    x0) -> tuple[list[Trajectory], _Records]:
+                    x0) -> list[Trajectory]:
     """Step trajectories 0..n_traj-1 together as one batch of states.
 
     Each step solves the feedback and updates every active row at once,
@@ -330,7 +334,7 @@ def _simulate_batch(net: ReactionNetwork, sp: Setpoint | None,
     has the bits of ``simulate(..., traj_index=i)``.
     """
     paths = [_Path(net, sp, gains, cfg, i) for i in range(cfg.n_traj)]
-    rec = _Records(net, sp, cfg, cfg.n_traj)
+    rec = _Records(net, cfg, cfg.n_traj)
     st0 = as_state(net, x0)
     rows = np.arange(cfg.n_traj)  # the trajectory of each active row
     U, T = np.full(rows.size, st0.U), np.full(rows.size, st0.T)
@@ -381,7 +385,8 @@ def _simulate_batch(net: ReactionNetwork, sp: Setpoint | None,
     else:
         q, Qdot, _ = _inputs(net, sp, gains, cfg, N, T, cfg.n_steps * dt)
         rec.write(rows, j, U, N, q, Qdot)
-    return [rec.trajectory(i, path) for i, path in enumerate(paths)], rec
+    rec.derive(net, sp)
+    return [rec.trajectory(i, path) for i, path in enumerate(paths)]
 
 
 SERIES = ("U", "N", "T", "S", "avail", "q", "Qdot", "T_w")
@@ -438,16 +443,13 @@ def ensemble(net: ReactionNetwork, sp: Setpoint | None,
     One trajectory runs through :func:`simulate`; more are stepped as one
     batch, trajectory i identical to ``simulate(..., traj_index=i)``.
     """
-    if cfg.n_traj == 1:
-        trajs = [simulate(net, sp, gains, cfg, x0)]
-        table = {f: getattr(trajs[0], f)[None] for f in _Records.FIELDS}
-    else:
-        trajs, rec = _simulate_batch(net, sp, gains, cfg, x0)
-        table = {f: getattr(rec, f) for f in _Records.FIELDS}
-    ok = np.array([not tr.aborted for tr in trajs])
-    if not ok.any():
+    trajs = ([simulate(net, sp, gains, cfg, x0)] if cfg.n_traj == 1
+             else _simulate_batch(net, sp, gains, cfg, x0))
+    kept = [tr for tr in trajs if not tr.aborted]
+    if not kept:
         raise SimulationAbort("every trajectory aborted")
-    table = {f: a[ok] for f, a in table.items()}
+    table = {f: np.stack([getattr(tr, f) for tr in kept])
+             for f in _Records.FIELDS}
     states = table["states"]
     table["U"], table["N"] = states[..., 0], states[..., 1:]
     mean = {name: table[name].mean(axis=0) for name in SERIES}
@@ -462,13 +464,13 @@ def ensemble(net: ReactionNetwork, sp: Setpoint | None,
         terminal_T = terminal_N = sup_err = np.full(len(states), math.nan)
         prob = math.nan
     return EnsembleStats(
-        times=trajs[int(np.argmax(ok))].times,
+        times=kept[0].times,
         mean=mean,
         std=std,
         stabilization_probability=prob,
         terminal_T_error=terminal_T,
         terminal_N_error=terminal_N,
         sup_scaled_error=sup_err,
-        n_aborted=len(trajs) - int(ok.sum()),
+        n_aborted=len(trajs) - len(kept),
         trajectories=trajs,
     )

@@ -42,6 +42,8 @@ def _as_moles(net: ReactionNetwork, N) -> np.ndarray:
     if N.shape != (net.n_species,):
         raise ThermoDomainError(
             f"N must have shape ({net.n_species},), got {N.shape}")
+    if not np.isfinite(N).all():
+        raise ThermoDomainError(f"mole numbers must be finite, got {N.tolist()}")
     if np.any(N <= N_FLOOR):
         raise ThermoDomainError(f"mole numbers must exceed {N_FLOOR} mol")
     return N

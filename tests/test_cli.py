@@ -139,6 +139,11 @@ def test_equilibria_empty_window(cfg_path, tmp_path, capsys):
     ["--Tmax", "inf"],
     ["--grid", "0"],
     ["--grid", "1"],
+    ["--q", "0"],
+    ["--q=-1e-6"],
+    ["--q", "nan"],
+    ["--Tw", "nan"],
+    ["--Tw", "inf"],
 ])
 def test_equilibria_rejects_bad_scan(cfg_path, tmp_path, capsys, flags):
     out = tmp_path / "eq"
@@ -298,6 +303,20 @@ def test_invalid_sim_config_exits_1(tmp_path, capsys):
                "--t-end", "0.01"])
     assert rc == 1
     assert "n_traj" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["check", "--T", "342", "--N", "nan,1"],
+    ["check", "--T", "342", "--N", "inf,1"],
+    ["simulate", "--T0", "342", "--N0", "inf,1", "--t-end", "0.01"],
+    ["simulate", "--T0", "342", "--N0", "1,nan", "--t-end", "0.01"],
+])
+def test_nonfinite_mole_numbers_exit_1(cfg_path, tmp_path, capsys, argv):
+    rc = main(argv + ["--network", str(cfg_path), "--out", str(tmp_path),
+                      "--setpoint-T", "331.9", "--setpoint-q", "9.15e-6"])
+    assert rc == 1
+    assert "mole numbers must be finite" in capsys.readouterr().err
 
 
 def test_wrong_species_count_exits_1(cfg_path, capsys):

@@ -245,14 +245,27 @@ def test_empty_window_has_no_roots(net, sp_exact, jacket_Tw):
                          T_range=(400.0, 420.0)) == []
 
 
-@pytest.mark.parametrize("T_range, grid", [
+_BAD_RANGES = [
     ((400.0, 300.0), 2000), ((300.0, 300.0), 2000), ((-10.0, 500.0), 2000),
     ((0.0, 500.0), 2000), ((250.0, np.inf), 2000), ((np.nan, 500.0), 2000),
     ((250.0, 500.0), 1), ((250.0, 500.0), 0), ((250.0, 500.0), -5),
+]
+_BAD_INPUTS = [(0.0, 299.4922, "q=0.0"), (-1e-6, 299.4922, "q=-1e-06"),
+               (np.nan, 299.4922, "q=nan"), (np.inf, 299.4922, "q=inf"),
+               (9.15e-6, np.nan, "T_w=nan"), (9.15e-6, -np.inf, "T_w=-inf")]
+
+
+@pytest.mark.parametrize("T_range, grid, q, T_w, named", [
+    *(pytest.param(T_range, grid, 9.15e-6, 299.4922, "T_range=",
+                   id=f"T_range{i}-{grid}")
+      for i, (T_range, grid) in enumerate(_BAD_RANGES)),
+    *(pytest.param((250.0, 500.0), 2000, q, T_w, named, id=named)
+      for q, T_w, named in _BAD_INPUTS),
 ])
-def test_scan_range_is_validated(net, T_range, grid):
-    with pytest.raises(ValueError, match="grid >= 2 and 0 < Tmin < Tmax"):
-        steady_states(net, 9.15e-6, 299.4922, T_range=T_range, grid=grid)
+def test_scan_range_is_validated(net, T_range, grid, q, T_w, named):
+    with pytest.raises(ValueError, match="grid >= 2 and 0 < Tmin < Tmax") as err:
+        steady_states(net, q, T_w, T_range=T_range, grid=grid)
+    assert named in str(err.value)
 
 
 def test_two_point_grid_scans(net, roots):

@@ -81,6 +81,14 @@ def test_round_trip_awkward_floats():
     assert parse_network(serialize_network(net)) == net
 
 
+def _pinned(old, new, message):
+    """A mangle replacing ``old`` by ``new`` whose full error is ``message``."""
+    def mangle(text):
+        return text.replace(old, new)
+    mangle.message = message
+    return mangle
+
+
 @pytest.mark.parametrize("mangle, line", [
     (lambda t: t.replace("[species]", "[species] extra"), 2),
     (lambda t: t.replace("A -> B", "A => B"), 6),
@@ -89,12 +97,29 @@ def test_round_trip_awkward_floats():
     (lambda t: t.replace(" Ef=72331.8", ""), 6),
     (lambda t: t.replace("T_in=310.0", "T_in=310.0 c_X=1"), 10),
     (lambda t: "junk\n" + t, 1),
+    pytest.param(_pinned(" lambda=0.05808", "", "line 8, column 1: [reactor] "
+                         "is missing mandatory key 'lambda'"), 8,
+                 id="reactor-missing-key"),
+    pytest.param(_pinned("R_gas=8.314", "R_gas=8.314 Cp=1", "line 8, column 1: "
+                         "[reactor] has unknown key 'Cp'"), 8,
+                 id="reactor-unknown-key"),
+    pytest.param(_pinned("T_in=310.0 ", "", "line 10, column 1: [inlet] is "
+                         "missing mandatory key 'T_in'"), 10,
+                 id="inlet-missing-key"),
+    pytest.param(_pinned("rho1=0.1 ", "", "line 12, column 1: [noise] is "
+                         "missing mandatory key 'rho1'"), 12,
+                 id="noise-missing-key"),
+    pytest.param(_pinned("rho3=0.05", "rho3=0.05 rho4=1", "line 12, column 1: "
+                         "[noise] has unknown key 'rho4'"), 12,
+                 id="noise-unknown-key"),
 ])
 def test_format_errors_carry_line(mangle, line):
     with pytest.raises(NetworkFormatError) as err:
         parse_network(mangle(GOOD))
     assert err.value.line == line
     assert f"line {line}" in str(err.value)
+    if hasattr(mangle, "message"):
+        assert str(err.value) == mangle.message
 
 
 def test_duplicate_species_rejected():

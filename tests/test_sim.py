@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from phreactor import sim
+from phreactor import kernel, presets, sim, thermo, transform
 from phreactor.control import ControllerGains, control_law
 from phreactor.sim import (
     N_TRAJ_FLOOR,
@@ -20,6 +20,7 @@ from phreactor.sim import (
     stability_estimate,
     trajectory_rng,
 )
+from phreactor.network import parse_network
 from phreactor.thermo import ThermoState
 
 
@@ -213,6 +214,61 @@ def test_batched_ensemble_raises_when_every_row_aborts(net, x0, monkeypatch,
                     u_open=u_open)
     with pytest.raises(SimulationAbort):
         ensemble(net, None, None, cfg, x0)
+
+
+# ------------------------------------------- series derived after stepping
+
+#: name -> (SimConfig fields, lambda = 0 network, MAX_HALVINGS)
+_DERIVED_CASES = {
+    "B1": (dict(mode="closed_loop", seed=4, q_max=5e-6, n_traj=1), False,
+           None),
+    "B4": (dict(mode="closed_loop", seed=5, n_traj=4), False, None),
+    # rows 0 and 2 abort, leaving unrecorded slots behind their last record
+    "rows_abort": (dict(mode="open_loop", seed=0, u_open=(0.0, -1e6),
+                        t_end=0.07, n_traj=4), False, 4),
+    "lambda0": (dict(mode="closed_loop", seed=6, n_traj=2), True, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DERIVED_CASES))
+def test_recorded_series_equal_public_functions(case, net, gains, x0,
+                                                monkeypatch):
+    fields, no_jacket, max_halvings = _DERIVED_CASES[case]
+    if max_halvings is not None:
+        monkeypatch.setattr(sim, "MAX_HALVINGS", max_halvings)
+    if no_jacket:
+        net = parse_network(presets.CONFIG_TEXT.replace("lambda=0.05808",
+                                                        "lambda=0"))
+    sp = presets.benchmark_setpoint(net)
+    records = []
+    derive = sim._Records.derive
+
+    def keep(rec, *args):
+        derive(rec, *args)
+        records.append(rec)
+
+    monkeypatch.setattr(sim._Records, "derive", keep)
+    cfg = SimConfig(**{"dt": 1e-3, "t_end": 0.05, "record_every": 1, **fields})
+    stats = ensemble(net, sp, gains, cfg, x0)
+    [rec] = records
+    for i, tr in enumerate(stats.trajectories):
+        for j, x in enumerate(tr.states):
+            T = thermo.temperature(net, x[0], x[1:])
+            assert tr.T[j] == T
+            assert tr.S[j] == thermo.entropy(net, x[1:], T)
+            assert tr.avail[j] == transform.availability(net, sp, x)
+            np.testing.assert_array_equal(
+                tr.T_w[j], kernel.jacket_temperature(net, tr.Qdot[j], T))
+        if no_jacket:
+            assert np.isnan(tr.T_w).all()
+        if tr.aborted:
+            assert len(tr.times) < len(rec.times)
+        for name in sim._Records.FIELDS:
+            tail = getattr(rec, name)[i, len(tr.times):]
+            assert np.isnan(tail).all(), name
+    if case == "rows_abort":
+        assert [tr.aborted for tr in stats.trajectories] == [True, False,
+                                                              True, False]
 
 
 # ------------------------------------------------------- physics invariants

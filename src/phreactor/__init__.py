@@ -60,7 +60,6 @@ from .structure import (
     damping_matrix,
     input_matrix,
     reaction_noise_column,
-    inlet_enthalpy_density,
     structure_matrices,
     sde_fields,
     mixing_noise_scale,

@@ -38,6 +38,8 @@ class ControllerGains:
     def __post_init__(self):
         K = np.atleast_2d(np.asarray(self.K, dtype=float))
         object.__setattr__(self, "K", K)
+        if not np.all(np.isfinite(K)):
+            raise ValueError("gain matrix must be finite")
         if K.shape[0] != K.shape[1]:
             raise ValueError("gain matrix must be square")
         if not np.allclose(K, K.T):
@@ -135,10 +137,8 @@ def control_law_diagonal(net: ReactionNetwork, sp: Setpoint, k_flow: float,
 
 
 def closed_loop_drift(net: ReactionNetwork, sp: Setpoint, gains: ControllerGains,
-                      x, clamp: bool = True,
-                      q_max: float = Q_MAX_DEFAULT):
+                      x):
     """Drift and diffusion of the closed loop at a state (inputs from the
-    feedback law)."""
+    clamped feedback law)."""
     st = as_state(net, x)
-    action = control_law(net, sp, gains, st, clamp=clamp, q_max=q_max)
-    return sde_fields(net, st, action.u)
+    return sde_fields(net, st, control_law(net, sp, gains, st).u)

@@ -11,20 +11,21 @@ Domain guards keep paths physical: mole numbers are clamped at a small
 floor (logged as an event), and a step whose energy update would push the
 temperature nonpositive is retried as two half steps, recursively up to
 20 halvings, after which the trajectory aborts.  Non-finite arithmetic
-aborts immediately with a diagnostic.
+aborts immediately with a diagnostic.  One guard serves both steppers:
+``_Path.settle`` applies all three to one raw update.
 
 :func:`simulate` steps one trajectory with a scalar loop.  An ensemble of
 more than one trajectory is stepped as one batch: the states of all
 active trajectories form arrays U (B,) and N (B, p), and each grid step
 makes one feedback solve and one update for the whole batch, each row
-drawing its increments from its own substream.  The guards act per row: a
-row whose update leaves the temperature domain is redone by the scalar
-halving retry from its own state and stream position, and a row that
-aborts leaves the batch and keeps its recorded prefix.  The kernel is
-row-safe, so a row has the bits :func:`simulate` gives that trajectory,
-whatever the batch size.  Both loops record only the states (U, N) and the
-applied inputs (q, Qdot); T, S, the availability and T_w of every record
-are derived from them after stepping.
+drawing its increments from its own substream.  Only a row whose update
+is non-finite, below the mole floor or at T <= 0 goes through that guard,
+from its own state and stream position; a row whose guard aborts leaves
+the batch and keeps its recorded prefix.  The kernel is row-safe, so a
+row has the bits :func:`simulate` gives that trajectory, whatever the
+batch size.  Both loops record only the states (U, N) and the applied
+inputs (q, Qdot); T, S, the availability and T_w of every record are
+derived from them after stepping.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ class SimConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not (self.dt > 0 and self.t_end > 0):
-            raise ValueError("dt and t_end must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
+            raise ValueError("dt and t_end must be finite and positive")
         if not abs(self.n_steps * self.dt - self.t_end) <= 1e-9 * self.t_end:
             raise ValueError(f"t_end={self.t_end} is not a whole number of "
                              f"steps dt={self.dt}")
@@ -141,26 +142,19 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
                                                         spawn_key=(index,)))
 
 
-_NON_FINITE = "non-finite state update"
-
-
-def _floor_events(net: ReactionNetwork, step_no: int, low) -> list:
-    """One ``floor_<species>`` event per species a row's update clamped."""
-    return [(step_no, f"floor_{net.species_names[j]}")
-            for j in np.flatnonzero(low)]
-
-
-def _guarded_update(net: ReactionNetwork, U, N, T, q, Qdot, dt, dW,
-                    events=None, step_no=0):
-    """:func:`kernel.em_update` with the non-finite abort and the mole floor
-    clamp, whose hits go to ``events``.  The caller judges a T <= 0."""
-    U_new, N_new = kernel.em_update(net, U, N, T, q, Qdot, dt, dW)
+def _guarded_update(net: ReactionNetwork, U_new, N_new, events=None,
+                    step_no=0):
+    """The guards on one raw update (U_new, N_new) of :func:`kernel.em_update`:
+    the non-finite abort and the mole floor clamp, which logs one
+    ``floor_<species>`` event per clamped species to ``events``; returns
+    the guarded (U, N, T).  The caller judges a T <= 0."""
     if not (math.isfinite(U_new) and np.all(np.isfinite(N_new))):
-        raise SimulationAbort(_NON_FINITE)
+        raise SimulationAbort("non-finite state update")
     low = N_new < N_TRAJ_FLOOR
     if low.any():
         if events is not None:
-            events.extend(_floor_events(net, step_no, low))
+            events.extend((step_no, f"floor_{net.species_names[j]}")
+                          for j in np.flatnonzero(low))
         N_new = np.maximum(N_new, N_TRAJ_FLOOR)
     return U_new, N_new, kernel.temperature(net, U_new, N_new)
 
@@ -173,8 +167,9 @@ def euler_maruyama_step(net: ReactionNetwork, x, u, dt: float, dW) -> np.ndarray
     loop in :func:`simulate` adds the halving retry on top of this.
     """
     st = ThermoState.from_vector(net, x)
-    U, N, T = _guarded_update(net, st.U, st.N, st.T, float(u[0]), float(u[1]),
-                              dt, np.asarray(dW, dtype=float))
+    U, N, T = _guarded_update(net, *kernel.em_update(
+        net, st.U, st.N, st.T, float(u[0]), float(u[1]), dt,
+        np.asarray(dW, dtype=float)))
     if not T > 0:
         raise SimulationAbort(f"temperature left the domain ({T} K)")
     return np.concatenate(([U], N))
@@ -197,8 +192,9 @@ def _inputs(net: ReactionNetwork, sp, gains, cfg: SimConfig, N, T, t: float):
 
 class _Path:
     """The scalar stepper of one trajectory: its noise substream, its event
-    log, and the halving retry of a step that leaves the temperature
-    domain.  ``step_no`` is the grid step the events are logged at."""
+    log, and the guards of its steps (:meth:`settle`), with the halving
+    retry of a step that leaves the temperature domain.  ``step_no`` is the
+    grid step the events are logged at."""
 
     def __init__(self, net: ReactionNetwork, sp: Setpoint | None,
                  gains: ControllerGains | None, cfg: SimConfig, index: int):
@@ -224,8 +220,16 @@ class _Path:
         dW = None
         if self.rng is not None:
             dW = self.rng.standard_normal(3) * math.sqrt(dt)
-        U_new, N_new, T_new = _guarded_update(self.net, U, N, T, q, Qdot, dt,
-                                              dW, self.events, self.step_no)
+        return self.settle(U, N, T, *kernel.em_update(
+            self.net, U, N, T, q, Qdot, dt, dW), t, dt, depth)
+
+    def settle(self, U, N, T, U_new, N_new, t, dt, depth=0):
+        """The guarded end of the step of length dt from (U, N, T) at time t
+        whose raw update is (U_new, N_new): :func:`_guarded_update`, then
+        the halving retry if the temperature left the domain.  Raises
+        :class:`SimulationAbort` when the path cannot go on."""
+        U_new, N_new, T_new = _guarded_update(self.net, U_new, N_new,
+                                              self.events, self.step_no)
         if not T_new > 0:
             return self.halve(U, N, T, t, dt, depth)
         return U_new, N_new, T_new
@@ -329,10 +333,9 @@ def _simulate_batch(net: ReactionNetwork, sp: Setpoint | None,
                     x0) -> list[Trajectory]:
     """Step trajectories 0..n_traj-1 together as one batch of states.
 
-    Each step solves the feedback and updates every active row at once,
-    with the guards of :func:`simulate` applied per row; a row whose update
-    leaves the temperature domain is redone by its scalar stepper.  Row i
-    has the bits of ``simulate(..., traj_index=i)``.
+    Each step solves the feedback and updates every active row at once;
+    each row the guards must see goes to :meth:`_Path.settle`, as in
+    :func:`simulate`.  Row i has the bits of ``simulate(..., traj_index=i)``.
     """
     paths = [_Path(net, sp, gains, cfg, i) for i in range(cfg.n_traj)]
     rec = _Records(net, cfg, cfg.n_traj)
@@ -354,29 +357,21 @@ def _simulate_batch(net: ReactionNetwork, sp: Setpoint | None,
             dW = (np.array([paths[r].rng.standard_normal(3) for r in rows])
                   * math.sqrt(dt))
         U_new, N_new = kernel.em_update(net, U, N, T, q, Qdot, dt, dW)
-        ok = np.isfinite(U_new) & np.isfinite(N_new).all(-1)
-        if not ok.all():
-            for i in np.flatnonzero(~ok):
-                paths[rows[i]].abort_reason = _NON_FINITE
-            rows, U, N, T, U_new, N_new = (
-                a[ok] for a in (rows, U, N, T, U_new, N_new))
-        low = N_new < N_TRAJ_FLOOR
-        if low.any():
-            for i in np.flatnonzero(low.any(-1)):
-                paths[rows[i]].events.extend(
-                    _floor_events(net, step_no, low[i]))
-            N_new = np.maximum(N_new, N_TRAJ_FLOOR)
-        T_new = kernel.temperature(net, U_new, N_new)
-        ok = T_new > 0
-        for i in np.flatnonzero(~ok):
+        # T of the finite rows above the floor; every other row, and every
+        # row at T <= 0, is left to its path's guard
+        sound = np.isfinite(U_new) & (np.isfinite(N_new)
+                                      & (N_new >= N_TRAJ_FLOOR)).all(-1)
+        T_new = np.full_like(U_new, np.nan)
+        T_new[sound] = kernel.temperature(net, U_new[sound], N_new[sound])
+        for i in np.flatnonzero(~(T_new > 0)):
             path = paths[rows[i]]
             path.step_no = step_no
             try:
-                U_new[i], N_new[i], T_new[i] = path.halve(U[i], N[i], T[i],
-                                                          t, dt, 0)
-                ok[i] = True
+                U_new[i], N_new[i], T_new[i] = path.settle(
+                    U[i], N[i], T[i], U_new[i], N_new[i], t, dt)
             except SimulationAbort as exc:
                 path.abort_reason = str(exc)
+        ok = T_new > 0
         if not ok.all():
             rows, U_new, N_new, T_new = (a[ok] for a in (rows, U_new, N_new,
                                                          T_new))

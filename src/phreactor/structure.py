@@ -136,11 +136,6 @@ def damping_matrix(net: ReactionNetwork, state,
     return R
 
 
-def inlet_enthalpy_density(net: ReactionNetwork) -> float:
-    """c_in^T h(T_in): enthalpy carried by the feed per unit volume, J/m^3."""
-    return net.inlet_enthalpy_density
-
-
 def input_matrix(net: ReactionNetwork, state) -> np.ndarray:
     """Input map g on (U, N) for u = (q, Qdot).
 
@@ -340,13 +335,13 @@ class PassivityReport:
         return self.trace_holds and self.feedthrough_holds
 
 
-def check_passivity(net: ReactionNetwork, state, field: ScalarField,
-                    mode: str = "logmean") -> PassivityReport:
+def check_passivity(net: ReactionNetwork, state,
+                    field: ScalarField) -> PassivityReport:
     st = as_state(net, state)
     x = st.x
     grad = field.gradient(x)
     H = field.hessian(x)
-    S = structure_matrices(net, st, mode)
+    S = structure_matrices(net, st)
     trace_lhs = 0.5 * float(S.a @ H @ S.a)
     trace_rhs = float(grad @ S.R @ grad)
     sig2 = S.sigma @ S.sigma.T

@@ -245,6 +245,18 @@ def test_simulate_events_column_aggregates_floor_hits(tmp_path):
     ]
 
 
+def test_simulate_no_clamp_lets_flow_exceed_q_max(cfg_path, tmp_path):
+    # with the clamp this run holds q at q_max on every step
+    rc = main(["simulate", "--network", str(cfg_path), "--out", str(tmp_path),
+               "--T0", "342", "--N0", "1,1", "--setpoint-T", "331.9",
+               "--setpoint-q", "9.15e-6", "--q-max", "5e-6", "--no-clamp",
+               "--t-end", "0.1", "--seed", "3"])
+    assert rc == 0
+    header, rows = read_csv(tmp_path / "traj_000.csv")
+    assert max(float(r[header.index("q")]) for r in rows) > 5e-6
+    assert not any("q_clamp" in r[header.index("events")] for r in rows)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulate_abort_exits_3(cfg_path, tmp_path, capsys):
     out = tmp_path / "boom"
@@ -350,9 +362,18 @@ def test_nonfinite_mole_numbers_exit_1(cfg_path, tmp_path, capsys, argv):
      "--setpoint-q must be finite and nonnegative, got nan"),
     (["check", "--T", "342", "--N", "1,1", "--setpoint-q=-1e-6"],
      "--setpoint-q must be finite and nonnegative, got -1e-06"),
+    (["simulate", "--T0", "342", "--N0", "1,1", "--t-end", "inf"],
+     "phreactor: error: dt and t_end must be finite and positive"),
+    (["simulate", "--T0", "342", "--N0", "1,1", "--dt", "inf"],
+     "phreactor: error: dt and t_end must be finite and positive"),
+    (["simulate", "--T0", "342", "--N0", "1,1", "--t-end", "0.01",
+      "--k-flow", "inf"], "phreactor: error: gain matrix must be finite"),
+    (["simulate", "--T0", "342", "--N0", "1,1", "--t-end", "0.01",
+      "--k-flow", "nan"], "phreactor: error: gain matrix must be finite"),
 ], ids=["check-T-inf", "check-setpoint-T-inf", "simulate-T0-inf",
         "setpoint-T-nan", "setpoint-T-negative", "setpoint-q-nan",
-        "setpoint-q-negative"])
+        "setpoint-q-negative", "simulate-t-end-inf", "simulate-dt-inf",
+        "simulate-k-flow-inf", "simulate-k-flow-nan"])
 def test_bad_temperatures_and_setpoints_exit_1(cfg_path, tmp_path, capsys,
                                                argv, message):
     # the valid setpoint comes first, so a later flag in argv overrides it

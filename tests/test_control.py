@@ -31,6 +31,11 @@ def test_gains_validation():
         ControllerGains(np.diag([1.0, -1.0]))
     with pytest.raises(ValueError):
         ControllerGains(np.zeros((2, 2)))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="gain matrix must be finite"):
+            ControllerGains.diagonal(bad, 27430.0)
+        with pytest.raises(ValueError, match="gain matrix must be finite"):
+            ControllerGains(np.array([[1.0, bad], [bad, 1.0]]))
     K = ControllerGains.diagonal(1.64e-7, 27430.0).K
     np.testing.assert_array_equal(K, np.diag([1.64e-7, 27430.0]))
 

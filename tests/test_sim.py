@@ -34,6 +34,10 @@ def test_config_validation():
         SimConfig(dt=0.0)
     with pytest.raises(ValueError):
         SimConfig(t_end=-1.0)
+    for bad in (dict(t_end=np.inf), dict(dt=np.inf), dict(t_end=np.nan),
+                dict(dt=np.nan)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SimConfig(**bad)
     with pytest.raises(ValueError):
         SimConfig(record_every=0)
     for bad in (dict(n_traj=0), dict(eps=0.0), dict(eps=-0.1),
@@ -201,6 +205,35 @@ def test_batched_rows_match_simulate(case, net, sp, gains, x0, plain_net,
         assert aborted == [True, False, True, False]
         assert len({len(tr.times) for tr in stats.trajectories}) == 3
         assert stats.n_aborted == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("poisoned", ["U", "N"])
+def test_batched_row_with_nonfinite_update_aborts_alone(net, sp, gains, x0,
+                                                        monkeypatch, poisoned):
+    cfg = SimConfig(dt=1e-3, t_end=0.1, seed=5, n_traj=4, mode="closed_loop")
+    solo = [simulate(net, sp, gains, cfg, x0, traj_index=i) for i in range(4)]
+    real, batch_calls = kernel.em_update, []
+
+    def em_update(net, U, N, *args):
+        U_new, N_new = real(net, U, N, *args)
+        if np.ndim(U):  # a batch call; scalar calls pass through
+            batch_calls.append(len(U))
+            if len(batch_calls) == 30:  # step 30: row 1 blows up
+                (U_new if poisoned == "U" else N_new[:, 0])[1] = np.inf
+        return U_new, N_new
+
+    monkeypatch.setattr(kernel, "em_update", em_update)
+    stats = ensemble(net, sp, gains, cfg, x0)
+    assert batch_calls == [4] * 30 + [3] * 70
+    bad = stats.trajectories[1]
+    assert bad.aborted and bad.abort_reason == "non-finite state update"
+    # records at steps 0, 10 and 20 were written before step 30's update
+    np.testing.assert_array_equal(bad.states, solo[1].states[:3])
+    assert bad.events == [e for e in solo[1].events if e[0] <= 30]
+    for i in (0, 2, 3):
+        _assert_same_path(stats.trajectories[i], solo[i])
+    assert stats.n_aborted == 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -34,6 +34,7 @@ column, with a final ``stabilization_probability,<value>`` footer row.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from bisect import bisect_left
 from pathlib import Path
@@ -84,11 +85,16 @@ def _write_csv(path: Path, columns: dict[str, list[str]],
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _parse_floats(text: str, flag: str) -> np.ndarray:
+def _moles(net: ReactionNetwork, text: str, flag: str) -> np.ndarray:
+    """The mole numbers of a comma-separated flag value, one per species."""
     try:
-        return np.array([float(part) for part in text.split(",")])
+        N = np.array([float(part) for part in text.split(",")])
     except ValueError:
         raise CliError(f"{flag} expects comma-separated numbers, got {text!r}")
+    if N.size != net.n_species:
+        raise CliError(f"{flag} must list {net.n_species} mole numbers, "
+                       f"got {N.size}")
+    return N
 
 
 def _load_network(path: str | None) -> ReactionNetwork:
@@ -101,15 +107,6 @@ def _load_network(path: str | None) -> ReactionNetwork:
     return parse_network(text)
 
 
-def _state_from_flags(net: ReactionNetwork, T: float, N_text: str,
-                      flag: str) -> ThermoState:
-    N = _parse_floats(N_text, flag)
-    if N.size != net.n_species:
-        raise CliError(f"{flag} must list {net.n_species} mole numbers, "
-                       f"got {N.size}")
-    return ThermoState.from_temperature(net, N, T)
-
-
 def _setpoint_from_flags(net: ReactionNetwork, args) -> Setpoint:
     if args.setpoint_T is None or args.setpoint_q is None:
         raise CliError("--setpoint-T and --setpoint-q are required")
@@ -120,11 +117,9 @@ def _setpoint_from_flags(net: ReactionNetwork, args) -> Setpoint:
         raise CliError(f"--setpoint-q must be finite and nonnegative, "
                        f"got {args.setpoint_q}")
     if args.setpoint_N is not None:
-        N = _parse_floats(args.setpoint_N, "--setpoint-N")
-        if N.size != net.n_species:
-            raise CliError(f"--setpoint-N must list {net.n_species} mole "
-                           f"numbers, got {N.size}")
-        return setpoint_from_state(net, N, args.setpoint_T, args.setpoint_q)
+        return setpoint_from_state(net, _moles(net, args.setpoint_N,
+                                               "--setpoint-N"),
+                                   args.setpoint_T, args.setpoint_q)
     return make_setpoint(net, args.setpoint_T, args.setpoint_q)
 
 
@@ -134,7 +129,8 @@ def _setpoint_from_flags(net: ReactionNetwork, args) -> Setpoint:
 
 def cmd_check(args) -> int:
     net = _load_network(args.network)
-    state = _state_from_flags(net, args.T, args.N, "--N")
+    state = ThermoState.from_temperature(net, _moles(net, args.N, "--N"),
+                                         args.T)
     sp = _setpoint_from_flags(net, args)
     field = AvailabilityHamiltonian(net, sp)
 
@@ -309,11 +305,11 @@ def cmd_simulate(args) -> int:
         open_loop_until=args.open_until,
         clamp=not args.no_clamp, q_max=args.q_max, eps=args.eps,
     )
-    x0 = _state_from_flags(net, args.T0, args.N0, "--N0")
+    x0 = ThermoState.from_temperature(net, _moles(net, args.N0, "--N0"),
+                                      args.T0)
 
     needs_feedback = cfg.mode in ("closed_loop", "deterministic")
-    sp = None
-    gains = None
+    sp = gains = None
     if needs_feedback or args.setpoint_T is not None:
         sp = _setpoint_from_flags(net, args)
         gains = ControllerGains.diagonal(args.k_flow, args.k_heat)
@@ -351,6 +347,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--out", metavar="DIR", default=".",
@@ -453,8 +450,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, ValueError, ConvergenceError, OSError) as exc:

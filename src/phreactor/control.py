@@ -93,9 +93,14 @@ def solve_feedback(K: np.ndarray, d1: float, d2: float, o1: float,
     return (a22 * b1 - a12 * b2) / det, (a11 * b2 - a21 * b1) / det
 
 
-def clamp_flow(q_raw, q_max: float):
-    """The flow limited to [0, q_max]; NaN stays NaN.  Elementwise."""
-    return np.minimum(np.maximum(q_raw, 0.0), q_max)
+def _clamped_feedback(net, sp, K, N, T, clamp: bool, q_max: float):
+    """The feedback (q, Qdot) at states (N, T) with the flow limited to
+    [0, q_max] when ``clamp`` (NaN stays NaN), whether that limit engaged,
+    and the raw flow; row-safe."""
+    q_raw, Qdot = solve_feedback(K, *kernel.feedback_terms(
+        net, N, T, sp.T_star, sp.mu_star_over_T))
+    q = np.minimum(np.maximum(q_raw, 0.0), q_max) if clamp else q_raw
+    return q, Qdot, clamp and q != q_raw, q_raw
 
 
 def control_law(net: ReactionNetwork, sp: Setpoint, gains: ControllerGains, x,
@@ -108,13 +113,11 @@ def control_law(net: ReactionNetwork, sp: Setpoint, gains: ControllerGains, x,
     else it is NaN.
     """
     st = as_state(net, x)
-    q_raw, Qdot = solve_feedback(gains.K, *kernel.feedback_terms(
-        net, st.N, st.T, sp.T_star, sp.mu_star_over_T))
-    q_raw, Qdot = float(q_raw), float(Qdot)
-    q = float(clamp_flow(q_raw, q_max)) if clamp else q_raw
-    return ControlAction(q=q, Qdot=Qdot,
+    q, Qdot, saturated, q_raw = _clamped_feedback(net, sp, gains.K, st.N,
+                                                  st.T, clamp, q_max)
+    return ControlAction(q=float(q), Qdot=float(Qdot),
                          T_w=kernel.jacket_temperature(net, Qdot, st.T),
-                         saturated=clamp and q != q_raw, q_raw=q_raw)
+                         saturated=bool(saturated), q_raw=float(q_raw))
 
 
 def control_law_diagonal(net: ReactionNetwork, sp: Setpoint, k_flow: float,

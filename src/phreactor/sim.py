@@ -7,25 +7,24 @@ Each trajectory draws from its own counter-derived substream of the
 master seed, so ensembles are reproducible draw for draw regardless of
 how trajectories are scheduled.
 
-Domain guards keep paths physical: mole numbers are clamped at a small
-floor (logged as an event), and a step whose energy update would push the
-temperature nonpositive is retried as two half steps, recursively up to
-20 halvings, after which the trajectory aborts.  Non-finite arithmetic
-aborts immediately with a diagnostic.  One guard serves both steppers:
-``_Path.settle`` applies all three to one raw update.
+Domain guards keep paths physical: a non-finite update aborts the
+trajectory with a diagnostic, mole numbers are clamped at a small floor
+(logged as an event), and a step whose update leaves T <= 0 is redone as
+two half steps, recursively up to 20 halvings, after which the trajectory
+aborts.  One routine, ``_Stepper.settle``, applies them to a batch of raw
+updates at once and redoes the rows at T <= 0 as one sub-batch.
 
-:func:`simulate` steps one trajectory with a scalar loop.  An ensemble of
-more than one trajectory is stepped as one batch: the states of all
-active trajectories form arrays U (B,) and N (B, p), and each grid step
-makes one feedback solve and one update for the whole batch, each row
-drawing its increments from its own substream.  Only a row whose update
-is non-finite, below the mole floor or at T <= 0 goes through that guard,
-from its own state and stream position; a row whose guard aborts leaves
-the batch and keeps its recorded prefix.  The kernel is row-safe, so a
-row has the bits :func:`simulate` gives that trajectory, whatever the
-batch size.  Both loops record only the states (U, N) and the applied
-inputs (q, Qdot); T, S, the availability and T_w of every record are
-derived from them after stepping.
+:func:`simulate` steps one trajectory with a scalar loop and hands
+``settle`` only a step that fails its cheap check, as a one-row batch.
+An ensemble of more than one trajectory is stepped as one batch: the
+states of all active trajectories form arrays U (B,) and N (B, p), and
+each grid step makes one feedback solve, one update and one ``settle``
+for the whole batch, each row drawing its increments from its own
+substream.  A row that aborts keeps its recorded prefix.  The kernel is
+row-safe, so a row has the bits :func:`simulate` gives that trajectory,
+whatever the batch size.  Both loops record only the states (U, N) and
+the applied inputs (q, Qdot); T, S, the availability and T_w of every
+record are derived from them after stepping.
 """
 
 from __future__ import annotations
@@ -142,110 +141,124 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
                                                         spawn_key=(index,)))
 
 
-def _guarded_update(net: ReactionNetwork, U_new, N_new, events=None,
-                    step_no=0):
-    """The guards on one raw update (U_new, N_new) of :func:`kernel.em_update`:
-    the non-finite abort and the mole floor clamp, which logs one
-    ``floor_<species>`` event per clamped species to ``events``; returns
-    the guarded (U, N, T).  The caller judges a T <= 0."""
-    if not (math.isfinite(U_new) and np.all(np.isfinite(N_new))):
-        raise SimulationAbort("non-finite state update")
-    low = N_new < N_TRAJ_FLOOR
-    if low.any():
-        if events is not None:
-            events.extend((step_no, f"floor_{net.species_names[j]}")
-                          for j in np.flatnonzero(low))
-        N_new = np.maximum(N_new, N_TRAJ_FLOOR)
-    return U_new, N_new, kernel.temperature(net, U_new, N_new)
-
-
 def euler_maruyama_step(net: ReactionNetwork, x, u, dt: float, dW) -> np.ndarray:
     """One explicit Euler-Maruyama update of (U, N).
 
     Applies the mole floor clamp; raises :class:`SimulationAbort` if the
     update is non-finite or leaves the temperature domain.  The stepping
-    loop in :func:`simulate` adds the halving retry on top of this.
+    loops add the halving retry on top of this.
     """
     st = ThermoState.from_vector(net, x)
-    U, N, T = _guarded_update(net, *kernel.em_update(
-        net, st.U, st.N, st.T, float(u[0]), float(u[1]), dt,
-        np.asarray(dW, dtype=float)))
+    U, N = kernel.em_update(net, st.U, st.N, st.T, float(u[0]), float(u[1]),
+                            dt, np.asarray(dW, dtype=float))
+    if not (math.isfinite(U) and np.all(np.isfinite(N))):
+        raise SimulationAbort("non-finite state update")
+    N = np.maximum(N, N_TRAJ_FLOOR)
+    T = kernel.temperature(net, U, N)
     if not T > 0:
         raise SimulationAbort(f"temperature left the domain ({T} K)")
     return np.concatenate(([U], N))
 
 
-def _inputs(net: ReactionNetwork, sp, gains, cfg: SimConfig, N, T, t: float):
-    """The inputs (q, Qdot) at states (N, T) and time t, and whether the
-    flow clamp engaged; row-safe."""
-    if cfg.mode == "isolated":
-        return 0.0, 0.0, False
-    if cfg.mode == "open_loop" or t < cfg.open_loop_until:
-        return float(cfg.u_open[0]), float(cfg.u_open[1]), False
-    q_raw, Qdot = control.solve_feedback(gains.K, *kernel.feedback_terms(
-        net, N, T, sp.T_star, sp.mu_star_over_T))
-    if not cfg.clamp:
-        return q_raw, Qdot, False
-    q = control.clamp_flow(q_raw, cfg.q_max)
-    return q, Qdot, q != q_raw
-
-
+@dataclass
 class _Path:
-    """The scalar stepper of one trajectory: its noise substream, its event
-    log, and the guards of its steps (:meth:`settle`), with the halving
-    retry of a step that leaves the temperature domain.  ``step_no`` is the
-    grid step the events are logged at."""
+    """The bookkeeping of one trajectory: its noise substream, its event log
+    of (grid step, code) pairs, and why it aborted, if it did."""
+
+    index: int
+    rng: np.random.Generator | None
+    events: list[tuple[int, str]] = field(default_factory=list)
+    abort_reason: str | None = None
+
+
+class _Stepper:
+    """What both stepping loops share: the paths of their trajectories, and
+    the inputs, steps and guards of a batch of rows.  ``rows`` holds each
+    row's index into ``paths``; events are logged at grid step
+    ``step_no``."""
 
     def __init__(self, net: ReactionNetwork, sp: Setpoint | None,
-                 gains: ControllerGains | None, cfg: SimConfig, index: int):
+                 gains: ControllerGains | None, cfg: SimConfig, indices):
         if (cfg.mode in ("closed_loop", "deterministic")
                 and (sp is None or gains is None)):
             raise ValueError(f"mode {cfg.mode!r} needs a setpoint and gains")
         self.net, self.sp, self.gains, self.cfg = net, sp, gains, cfg
-        self.index = index
-        self.rng = trajectory_rng(cfg.seed, index) if cfg.noise_on else None
-        self.events: list[tuple[int, str]] = []
+        self.paths = [_Path(i, trajectory_rng(cfg.seed, i) if cfg.noise_on
+                            else None) for i in indices]
         self.step_no = 0
-        self.abort_reason: str | None = None
 
-    def inputs(self, N, T, t):
-        q, Qdot, clamped = _inputs(self.net, self.sp, self.gains, self.cfg,
-                                   N, T, t)
-        if clamped:
-            self.events.append((self.step_no, "q_clamp"))
+    def law(self, N, T, t: float):
+        """The inputs (q, Qdot) at states (N, T) and time t, and whether the
+        flow clamp engaged; row-safe."""
+        cfg = self.cfg
+        if cfg.mode == "isolated":
+            return 0.0, 0.0, False
+        if cfg.mode == "open_loop" or t < cfg.open_loop_until:
+            return float(cfg.u_open[0]), float(cfg.u_open[1]), False
+        return control._clamped_feedback(self.net, self.sp, self.gains.K, N,
+                                         T, cfg.clamp, cfg.q_max)[:3]
+
+    def inputs(self, rows, N, T, t: float):
+        """:meth:`law` of the rows, logging ``q_clamp`` where the clamp
+        engaged."""
+        q, Qdot, clamped = self.law(N, T, t)
+        for r in rows[np.flatnonzero(clamped)]:
+            self.paths[r].events.append((self.step_no, "q_clamp"))
         return q, Qdot
 
-    def step(self, U, N, T, q, Qdot, t, dt, depth=0):
-        """One step of length dt from (U, N, T) at time t under (q, Qdot)."""
+    def step(self, rows, U, N, T, q, Qdot, t: float, dt: float, depth=0):
+        """The guarded steps of length dt from the rows' states at time t
+        under (q, Qdot), each row drawing from its own substream."""
         dW = None
-        if self.rng is not None:
-            dW = self.rng.standard_normal(3) * math.sqrt(dt)
-        return self.settle(U, N, T, *kernel.em_update(
+        if self.cfg.noise_on:
+            dW = (np.array([self.paths[r].rng.standard_normal(3) for r in rows])
+                  * math.sqrt(dt))
+        return self.settle(rows, U, N, T, *kernel.em_update(
             self.net, U, N, T, q, Qdot, dt, dW), t, dt, depth)
 
-    def settle(self, U, N, T, U_new, N_new, t, dt, depth=0):
-        """The guarded end of the step of length dt from (U, N, T) at time t
-        whose raw update is (U_new, N_new): :func:`_guarded_update`, then
-        the halving retry if the temperature left the domain.  Raises
-        :class:`SimulationAbort` when the path cannot go on."""
-        U_new, N_new, T_new = _guarded_update(self.net, U_new, N_new,
-                                              self.events, self.step_no)
-        if not T_new > 0:
-            return self.halve(U, N, T, t, dt, depth)
-        return U_new, N_new, T_new
-
-    def halve(self, U, N, T, t, dt, depth):
-        """Redo a step whose update left the temperature domain as two
-        half steps, each with inputs evaluated at its own start."""
-        if depth >= MAX_HALVINGS:
-            raise SimulationAbort(
-                f"temperature stayed nonpositive after {MAX_HALVINGS} "
-                f"step halvings at t={t:.6g}")
-        self.events.append((self.step_no, "halve"))
+    def settle(self, rows, U, N, T, U_new, N_new, t: float, dt: float,
+               depth=0):
+        """The guarded ends (U, N, T) of the steps of length dt from the
+        rows' states (U, N, T) at time t whose raw updates are
+        (U_new, N_new).  A non-finite update aborts its row; mole numbers
+        below the floor are clamped and logged; the rows at T <= 0 redo
+        their step as two half steps, each with inputs evaluated at its own
+        start, as one sub-batch that recurses on the rows that fail again.
+        T is NaN on every row that aborted."""
+        finite = np.isfinite(U_new) & np.isfinite(N_new).all(-1)
+        for r in rows[~finite]:
+            self.paths[r].abort_reason = "non-finite state update"
+        low = finite[:, None] & (N_new < N_TRAJ_FLOOR)
+        for i, j in zip(*np.nonzero(low)):
+            self.paths[rows[i]].events.append(
+                (self.step_no, f"floor_{self.net.species_names[j]}"))
+        N_new = np.where(low, N_TRAJ_FLOOR, N_new)
+        T_new = np.full_like(U_new, np.nan)
+        T_new[finite] = kernel.temperature(self.net, U_new[finite],
+                                           N_new[finite])
+        redo = finite & ~(T_new > 0)
+        if not redo.any():
+            return U_new, N_new, T_new
+        sub, U, N, T = rows[redo], U[redo], N[redo], T[redo]
+        if depth < MAX_HALVINGS:
+            for r in sub:
+                self.paths[r].events.append((self.step_no, "halve"))
+        else:
+            for r in sub:
+                self.paths[r].abort_reason = (
+                    f"temperature stayed nonpositive after {MAX_HALVINGS} "
+                    f"step halvings at t={t:.6g}")
+            T[:] = np.nan
         for t_half in (t, t + 0.5 * dt):
-            U, N, T = self.step(U, N, T, *self.inputs(N, T, t_half), t_half,
-                                0.5 * dt, depth + 1)
-        return U, N, T
+            go = T > 0  # a row that aborted in the first half stops there
+            if not go.any():
+                break
+            r, U_go, N_go, T_go = sub[go], U[go], N[go], T[go]
+            U[go], N[go], T[go] = self.step(
+                r, U_go, N_go, T_go, *self.inputs(r, N_go, T_go, t_half),
+                t_half, 0.5 * dt, depth + 1)
+        U_new[redo], N_new[redo], T_new[redo] = U, N, T
+        return U_new, N_new, T_new
 
 
 class _Records:
@@ -306,26 +319,37 @@ def simulate(net: ReactionNetwork, sp: Setpoint | None,
     a setpoint and gains.  On abort the recorded prefix is returned with
     ``aborted`` set and the reason attached.
     """
-    path = _Path(net, sp, gains, cfg, traj_index)
+    run = _Stepper(net, sp, gains, cfg, [traj_index])
+    rng, row = run.paths[0].rng, np.zeros(1, dtype=int)
     rec = _Records(net, cfg, 1)
     st0 = as_state(net, x0)
     U, N, T = st0.U, st0.N, st0.T
     dt, steps, j = cfg.dt, cfg.record_steps, 0
-    try:
-        for k in range(cfg.n_steps):
-            path.step_no = k + 1
-            q, Qdot = path.inputs(N, T, k * dt)
-            if k == steps[j]:
-                rec.write(0, j, U, N, q, Qdot)
-                j += 1
-            U, N, T = path.step(U, N, T, q, Qdot, k * dt, dt)
-    except SimulationAbort as exc:
-        path.abort_reason = str(exc)
+    for k in range(cfg.n_steps):
+        t, run.step_no = k * dt, k + 1
+        q, Qdot, clamped = run.law(N, T, t)
+        if clamped:
+            run.paths[0].events.append((k + 1, "q_clamp"))
+        if k == steps[j]:
+            rec.write(0, j, U, N, q, Qdot)
+            j += 1
+        dW = None if rng is None else rng.standard_normal(3) * math.sqrt(dt)
+        U_new, N_new = kernel.em_update(net, U, N, T, q, Qdot, dt, dW)
+        # only a step that fails the cheap check goes to the guards
+        if (math.isfinite(U_new) and np.isfinite(N_new).all()
+                and N_new.min() >= N_TRAJ_FLOOR
+                and (T_new := kernel.temperature(net, U_new, N_new)) > 0):
+            U, N, T = U_new, N_new, T_new
+            continue
+        U, N, T = (a[0] for a in run.settle(row, *(
+            np.asarray(a)[None] for a in (U, N, T, U_new, N_new)), t, dt))
+        if not T > 0:
+            break
     else:
-        q, Qdot, _ = _inputs(net, sp, gains, cfg, N, T, cfg.n_steps * dt)
+        q, Qdot, _ = run.law(N, T, cfg.n_steps * dt)
         rec.write(0, j, U, N, q, Qdot)
     rec.derive(net, sp)
-    return rec.trajectory(0, path)
+    return rec.trajectory(0, run.paths[0])
 
 
 def _simulate_batch(net: ReactionNetwork, sp: Setpoint | None,
@@ -333,11 +357,10 @@ def _simulate_batch(net: ReactionNetwork, sp: Setpoint | None,
                     x0) -> list[Trajectory]:
     """Step trajectories 0..n_traj-1 together as one batch of states.
 
-    Each step solves the feedback and updates every active row at once;
-    each row the guards must see goes to :meth:`_Path.settle`, as in
-    :func:`simulate`.  Row i has the bits of ``simulate(..., traj_index=i)``.
+    Each step solves the feedback, updates and guards every active row at
+    once.  Row i has the bits of ``simulate(..., traj_index=i)``.
     """
-    paths = [_Path(net, sp, gains, cfg, i) for i in range(cfg.n_traj)]
+    run = _Stepper(net, sp, gains, cfg, range(cfg.n_traj))
     rec = _Records(net, cfg, cfg.n_traj)
     st0 = as_state(net, x0)
     rows = np.arange(cfg.n_traj)  # the trajectory of each active row
@@ -345,44 +368,22 @@ def _simulate_batch(net: ReactionNetwork, sp: Setpoint | None,
     N = np.tile(st0.N, (rows.size, 1))
     dt, steps, j = cfg.dt, cfg.record_steps, 0
     for k in range(cfg.n_steps):
-        t, step_no = k * dt, k + 1
-        q, Qdot, clamped = _inputs(net, sp, gains, cfg, N, T, t)
-        for i in np.flatnonzero(clamped):
-            paths[rows[i]].events.append((step_no, "q_clamp"))
+        t, run.step_no = k * dt, k + 1
+        q, Qdot = run.inputs(rows, N, T, t)
         if k == steps[j]:
             rec.write(rows, j, U, N, q, Qdot)
             j += 1
-        dW = None
-        if cfg.noise_on:
-            dW = (np.array([paths[r].rng.standard_normal(3) for r in rows])
-                  * math.sqrt(dt))
-        U_new, N_new = kernel.em_update(net, U, N, T, q, Qdot, dt, dW)
-        # T of the finite rows above the floor; every other row, and every
-        # row at T <= 0, is left to its path's guard
-        sound = np.isfinite(U_new) & (np.isfinite(N_new)
-                                      & (N_new >= N_TRAJ_FLOOR)).all(-1)
-        T_new = np.full_like(U_new, np.nan)
-        T_new[sound] = kernel.temperature(net, U_new[sound], N_new[sound])
-        for i in np.flatnonzero(~(T_new > 0)):
-            path = paths[rows[i]]
-            path.step_no = step_no
-            try:
-                U_new[i], N_new[i], T_new[i] = path.settle(
-                    U[i], N[i], T[i], U_new[i], N_new[i], t, dt)
-            except SimulationAbort as exc:
-                path.abort_reason = str(exc)
-        ok = T_new > 0
+        U, N, T = run.step(rows, U, N, T, q, Qdot, t, dt)
+        ok = T > 0
         if not ok.all():
-            rows, U_new, N_new, T_new = (a[ok] for a in (rows, U_new, N_new,
-                                                         T_new))
-        U, N, T = U_new, N_new, T_new
-        if not rows.size:
-            break
+            rows, U, N, T = (a[ok] for a in (rows, U, N, T))
+            if not rows.size:
+                break
     else:
-        q, Qdot, _ = _inputs(net, sp, gains, cfg, N, T, cfg.n_steps * dt)
+        q, Qdot, _ = run.law(N, T, cfg.n_steps * dt)
         rec.write(rows, j, U, N, q, Qdot)
     rec.derive(net, sp)
-    return [rec.trajectory(i, path) for i, path in enumerate(paths)]
+    return [rec.trajectory(i, path) for i, path in enumerate(run.paths)]
 
 
 SERIES = ("U", "N", "T", "S", "avail", "q", "Qdot", "T_w")

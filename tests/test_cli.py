@@ -6,7 +6,7 @@ import pytest
 
 from conftest import NO_REACTION
 from phreactor import presets
-from phreactor.cli import _event_cells, main
+from phreactor.cli import _build_parser, _event_cells, main
 from phreactor.network import parse_network
 from phreactor.sim import Trajectory
 
@@ -194,6 +194,18 @@ def test_simulate_seeded_rerun_is_byte_identical(cfg_path, tmp_path):
         assert b1 == (out2 / name).read_bytes()
         assert b"\r" not in b1
         assert b1.endswith(b"\n")
+
+
+def test_parser_is_built_once_and_keeps_no_flag_values(cfg_path, tmp_path):
+    assert _build_parser() is _build_parser()
+    # SIM_ARGS without its --seed 9 --n-traj 2 tail
+    argv = ["simulate", "--network", str(cfg_path)] + SIM_ARGS[:-4]
+    for name, seed in (("five", ["--seed", "5"]), ("default", []),
+                       ("zero", ["--seed", "0"])):
+        assert main(argv + seed + ["--out", str(tmp_path / name)]) == 0
+    five, default, zero = ((tmp_path / name / "traj_000.csv").read_bytes()
+                           for name in ("five", "default", "zero"))
+    assert default == zero != five
 
 
 def test_simulate_deterministic_trajectories_coincide(cfg_path, tmp_path):

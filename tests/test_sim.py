@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phreactor import kernel, presets, sim, thermo, transform
 from phreactor.control import ControllerGains, control_law
@@ -247,6 +249,87 @@ def test_batched_ensemble_raises_when_every_row_aborts(net, x0, monkeypatch,
                     u_open=u_open)
     with pytest.raises(SimulationAbort):
         ensemble(net, None, None, cfg, x0)
+
+
+def test_floored_rows_are_guarded_as_one_batch(plain_net, monkeypatch):
+    x0 = ThermoState.from_temperature(plain_net, np.array([1.0, 1.0]), 342.0).x
+    real, calls = kernel.temperature, []
+
+    def temperature(net, U, N):
+        calls.append(np.shape(U))
+        return real(net, U, N)
+
+    monkeypatch.setattr(kernel, "temperature", temperature)
+    cfg = SimConfig(dt=1e-3, t_end=0.1, seed=3, n_traj=64, mode="open_loop",
+                    u_open=(0.5, 0.0))
+    stats = ensemble(plain_net, None, None, cfg, x0)
+    floored = [sum(c == "floor_B" for _, c in tr.events)
+               for tr in stats.trajectories]
+    assert min(floored) > 10
+    # the initial state, one call per grid step, and one to derive the
+    # records: never one call per floored row
+    assert len(calls) <= cfg.n_steps + 2
+
+
+def test_rows_refined_together_where_one_aborts(net, x0, monkeypatch):
+    monkeypatch.setattr(sim, "MAX_HALVINGS", 5)
+    cfg = SimConfig(dt=1e-3, t_end=0.1, seed=1, n_traj=4, mode="open_loop",
+                    u_open=(0.0, -1e6), record_every=1)
+    solo = [simulate(net, None, None, cfg, x0, traj_index=i) for i in (0, 2)]
+    real, calls = sim._Stepper.settle, []
+
+    def settle(self, rows, U, N, T, U_new, N_new, t, dt, depth=0):
+        calls.append((self.step_no, depth, rows.tolist()))
+        return real(self, rows, U, N, T, U_new, N_new, t, dt, depth)
+
+    monkeypatch.setattr(sim._Stepper, "settle", settle)
+    stats = ensemble(net, None, None, cfg, x0)
+    kept, lost = stats.trajectories[0], stats.trajectories[2]
+    # rows 0 and 2 redo grid step 89 as one sub-batch; row 2 exhausts its
+    # halvings there, row 0 goes on to the end
+    assert (89, 1, [0, 2]) in calls
+    assert [c for s, c in kept.events if s == 89] == ["halve"] * 4
+    assert [c for s, c in lost.events if s == 89] == ["halve"] * 5
+    assert lost.abort_reason == ("temperature stayed nonpositive after 5 "
+                                 "step halvings at t=0.0885")
+    assert max(s for s, _ in lost.events) == 89 and len(lost.times) == 89
+    assert not kept.aborted
+    _assert_same_path(kept, solo[0])
+    _assert_same_path(lost, solo[1])
+
+
+def _rows(draw, B, lo, hi, *shape):
+    return draw(arrays(float, (B, *shape), elements=st.floats(lo, hi)))
+
+
+@st.composite
+def _kernel_batches(draw):
+    B = draw(st.integers(1, 5))
+    return (_rows(draw, B, -2e4, 2e4), 10.0 ** _rows(draw, B, -9.0, 1.0, 2),
+            _rows(draw, B, 250.0, 500.0), _rows(draw, B, 0.0, 1e-4),
+            _rows(draw, B, -10.0, 10.0), _rows(draw, B, -0.1, 0.1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=_kernel_batches())
+def test_kernel_batch_rows_equal_single_state_calls(net, sp, batch):
+    """Row-safety, B = 1 included: the one-row refinement of a scalar path
+    and every batch row keep the bits of the single-state call."""
+    calls = {
+        "em_update": lambda U, N, T, q, Qdot, dW: kernel.em_update(
+            net, U, N, T, q, Qdot, 1e-3, dW),
+        "em_update noise-free, shared inputs": lambda U, N, T, *_:
+            kernel.em_update(net, U, N, T, 2e-5, -3.0, 1e-3),
+        "temperature": lambda U, N, *_: (kernel.temperature(net, U, N),),
+        "closures": lambda U, N, T, *_: kernel.closures(net, N, T),
+        "feedback_terms": lambda U, N, T, *_: kernel.feedback_terms(
+            net, N, T, sp.T_star, sp.mu_star_over_T),
+    }
+    for name, call in calls.items():
+        rows = call(*batch)
+        for i in range(len(batch[0])):
+            for row, single in zip(rows, call(*(a[i] for a in batch))):
+                np.testing.assert_array_equal(row[i], single, err_msg=name)
 
 
 # ------------------------------------------- series derived after stepping

@@ -96,11 +96,12 @@ def solve_feedback(K: np.ndarray, d1: float, d2: float, o1: float,
 def _clamped_feedback(net, sp, K, N, T, clamp: bool, q_max: float):
     """The feedback (q, Qdot) at states (N, T) with the flow limited to
     [0, q_max] when ``clamp`` (NaN stays NaN), whether that limit engaged,
-    and the raw flow; row-safe."""
-    q_raw, Qdot = solve_feedback(K, *kernel.feedback_terms(
-        net, N, T, sp.T_star, sp.mu_star_over_T))
+    the flow column (g00, dc) at (N, T), and the raw flow; row-safe."""
+    d1, d2, o1, o2, *column = kernel.feedback_terms(net, N, T, sp.T_star,
+                                                     sp.mu_star_over_T)
+    q_raw, Qdot = solve_feedback(K, d1, d2, o1, o2)
     q = np.minimum(np.maximum(q_raw, 0.0), q_max) if clamp else q_raw
-    return q, Qdot, clamp and q != q_raw, q_raw
+    return q, Qdot, clamp and q != q_raw, column, q_raw
 
 
 def control_law(net: ReactionNetwork, sp: Setpoint, gains: ControllerGains, x,
@@ -113,8 +114,8 @@ def control_law(net: ReactionNetwork, sp: Setpoint, gains: ControllerGains, x,
     else it is NaN.
     """
     st = as_state(net, x)
-    q, Qdot, saturated, q_raw = _clamped_feedback(net, sp, gains.K, st.N,
-                                                  st.T, clamp, q_max)
+    q, Qdot, saturated, _, q_raw = _clamped_feedback(net, sp, gains.K, st.N,
+                                                     st.T, clamp, q_max)
     return ControlAction(q=float(q), Qdot=float(Qdot),
                          T_w=kernel.jacket_temperature(net, Qdot, st.T),
                          saturated=bool(saturated), q_raw=float(q_raw))
@@ -134,8 +135,8 @@ def control_law_diagonal(net: ReactionNetwork, sp: Setpoint, k_flow: float,
     :func:`control_law`.
     """
     st = as_state(net, x)
-    d1, d2, o1, o2 = kernel.feedback_terms(net, st.N, st.T, sp.T_star,
-                                           sp.mu_star_over_T)
+    d1, d2, o1, o2, *_ = kernel.feedback_terms(net, st.N, st.T, sp.T_star,
+                                               sp.mu_star_over_T)
     return -k_flow / (1.0 + k_flow * d1) * o1, -k_heat / (1.0 + k_heat * d2) * o2
 
 

@@ -135,20 +135,22 @@ def availability_gradient(T_star, mu_star_over_T, T, mu_over_T):
 
 
 def feedback_terms(net, N, T, T_star, mu_star_over_T):
-    """(d1, d2, o1, o2): delta = diag(d1, d2) and g^T grad A = (o1, o2) in
-    the feedback u = -(I + K delta)^(-1) K g^T grad A."""
+    """(d1, d2, o1, o2, g00, dc): delta = diag(d1, d2) and g^T grad A =
+    (o1, o2) in the feedback u = -(I + K delta)^(-1) K g^T grad A, and the
+    flow column (g00, dc) they use, which :func:`em_update` takes too."""
     h, mu_over_T, _, theta = closures(net, N, T)
     g00, dc = flow_column(net, N, h)
     d1, d2 = feedthrough(net, mixing_scale(net, N, h, theta, g00, dc), theta)
     grad_U, grad_N = availability_gradient(T_star, mu_star_over_T, T, mu_over_T)
-    return d1, d2, g00 * grad_U + _dot(dc, grad_N), grad_U
+    return d1, d2, g00 * grad_U + _dot(dc, grad_N), grad_U, g00, dc
 
 
-def sde_terms(net, N, T, q, Qdot):
+def sde_terms(net, N, T, q, Qdot, column=None):
     """Drift (dU, dN) and diffusion entries (a, b_U, b_N, c_U) under inputs
     (q, Qdot): reaction noise a = rho1 flux on N, flow noise rho2 q (g00, dc),
-    heat noise c_U = rho3 Qdot."""
-    g00, dc = flow_column(net, N, enthalpy(net, T))
+    heat noise c_U = rho3 Qdot.  ``column`` is the flow column (g00, dc) at
+    (N, T) if the caller has it."""
+    g00, dc = column or flow_column(net, N, enthalpy(net, T))
     forward, backward = mass_action(net, N / net.reactor.V, T)
     flux = reaction_flux(net, forward - backward)
     rho, q_col = net.noise, _col(q)
@@ -157,10 +159,11 @@ def sde_terms(net, N, T, q, Qdot):
              rho.rho3 * Qdot))
 
 
-def em_update(net, U, N, T, q, Qdot, dt, dW=None):
+def em_update(net, U, N, T, q, Qdot, dt, dW=None, column=None):
     """One Euler-Maruyama update of (U, N); noise-free when dW is None.
-    dW holds the three channel increments on its last axis."""
-    (dU, dN), (a, b_U, b_N, c_U) = sde_terms(net, N, T, q, Qdot)
+    dW holds the three channel increments on its last axis; ``column`` is
+    passed to :func:`sde_terms`."""
+    (dU, dN), (a, b_U, b_N, c_U) = sde_terms(net, N, T, q, Qdot, column)
     U_new, N_new = U + dU * dt, N + dN * dt
     if dW is not None:
         U_new = U_new + (b_U * dW[..., 1] + c_U * dW[..., 2])

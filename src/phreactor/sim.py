@@ -14,17 +14,17 @@ two half steps, recursively up to 20 halvings, after which the trajectory
 aborts.  One routine, ``_Stepper.settle``, applies them to a batch of raw
 updates at once and redoes the rows at T <= 0 as one sub-batch.
 
-:func:`simulate` steps one trajectory with a scalar loop and hands
-``settle`` only a step that fails its cheap check, as a one-row batch.
-An ensemble of more than one trajectory is stepped as one batch: the
-states of all active trajectories form arrays U (B,) and N (B, p), and
-each grid step makes one feedback solve, one update and one ``settle``
-for the whole batch, each row drawing its increments from its own
-substream.  A row that aborts keeps its recorded prefix.  The kernel is
-row-safe, so a row has the bits :func:`simulate` gives that trajectory,
-whatever the batch size.  Both loops record only the states (U, N) and
-the applied inputs (q, Qdot); T, S, the availability and T_w of every
-record are derived from them after stepping.
+One stepping loop serves every trajectory count.  The states of the
+active trajectories form arrays U (B,) and N (B, p), and each grid step
+makes one feedback solve and one update for the whole batch, each row
+drawing its increments from its own substream; a lone trajectory, as in
+:func:`simulate`, steps on scalar U and T and N of shape (p,), which costs
+about half a one-row batch.  A step whose every row is finite, at or above
+the floor and at T > 0 passes without ``settle``.  A row that aborts keeps
+its recorded prefix.  The kernel is row-safe, so a row has the bits
+:func:`simulate` gives that trajectory, whatever the batch size.  The loop
+records only the states (U, N) and the applied inputs (q, Qdot); T, S, the
+availability and T_w of every record are derived from them after stepping.
 """
 
 from __future__ import annotations
@@ -145,8 +145,9 @@ def euler_maruyama_step(net: ReactionNetwork, x, u, dt: float, dW) -> np.ndarray
     """One explicit Euler-Maruyama update of (U, N).
 
     Applies the mole floor clamp; raises :class:`SimulationAbort` if the
-    update is non-finite or leaves the temperature domain.  The stepping
-    loops add the halving retry on top of this.
+    update is non-finite or leaves the temperature domain.  The public
+    single-step reference of the stepping loop, which adds the halving
+    retry on top of this.
     """
     st = ThermoState.from_vector(net, x)
     U, N = kernel.em_update(net, st.U, st.N, st.T, float(u[0]), float(u[1]),
@@ -172,10 +173,11 @@ class _Path:
 
 
 class _Stepper:
-    """What both stepping loops share: the paths of their trajectories, and
-    the inputs, steps and guards of a batch of rows.  ``rows`` holds each
-    row's index into ``paths``; events are logged at grid step
-    ``step_no``."""
+    """The stepping of a set of trajectories: their paths, and the inputs,
+    updates and guards of a batch of rows.  ``rows`` holds each row's index
+    into ``paths``; it has the batch shape, () for a lone path stepped on
+    scalar U and T and N of shape (p,), else (b,).  Events are logged at
+    grid step ``step_no``."""
 
     def __init__(self, net: ReactionNetwork, sp: Setpoint | None,
                  gains: ControllerGains | None, cfg: SimConfig, indices):
@@ -188,33 +190,35 @@ class _Stepper:
         self.step_no = 0
 
     def law(self, N, T, t: float):
-        """The inputs (q, Qdot) at states (N, T) and time t, and whether the
-        flow clamp engaged; row-safe."""
+        """The inputs (q, Qdot) at states (N, T) and time t, whether the
+        flow clamp engaged, and the flow column at (N, T) if the feedback
+        computed it (else None); row-safe."""
         cfg = self.cfg
         if cfg.mode == "isolated":
-            return 0.0, 0.0, False
+            return 0.0, 0.0, False, None
         if cfg.mode == "open_loop" or t < cfg.open_loop_until:
-            return float(cfg.u_open[0]), float(cfg.u_open[1]), False
+            return float(cfg.u_open[0]), float(cfg.u_open[1]), False, None
         return control._clamped_feedback(self.net, self.sp, self.gains.K, N,
-                                         T, cfg.clamp, cfg.q_max)[:3]
+                                         T, cfg.clamp, cfg.q_max)[:4]
 
     def inputs(self, rows, N, T, t: float):
         """:meth:`law` of the rows, logging ``q_clamp`` where the clamp
-        engaged."""
-        q, Qdot, clamped = self.law(N, T, t)
-        for r in rows[np.flatnonzero(clamped)]:
+        engaged: (q, Qdot, column)."""
+        q, Qdot, clamped, column = self.law(N, T, t)
+        for r in rows[clamped].tolist():
             self.paths[r].events.append((self.step_no, "q_clamp"))
-        return q, Qdot
+        return q, Qdot, column
 
-    def step(self, rows, U, N, T, q, Qdot, t: float, dt: float, depth=0):
-        """The guarded steps of length dt from the rows' states at time t
-        under (q, Qdot), each row drawing from its own substream."""
+    def update(self, rows, U, N, T, q, Qdot, column, dt: float):
+        """The raw updates of the steps of length dt from the rows' states
+        under (q, Qdot), each row drawing from its own substream; ``column``
+        is the flow column from :meth:`inputs`."""
         dW = None
         if self.cfg.noise_on:
             dW = (np.array([self.paths[r].rng.standard_normal(3) for r in rows])
-                  * math.sqrt(dt))
-        return self.settle(rows, U, N, T, *kernel.em_update(
-            self.net, U, N, T, q, Qdot, dt, dW), t, dt, depth)
+                  if rows.ndim else self.paths[rows].rng.standard_normal(3)
+                  ) * math.sqrt(dt)
+        return kernel.em_update(self.net, U, N, T, q, Qdot, dt, dW, column)
 
     def settle(self, rows, U, N, T, U_new, N_new, t: float, dt: float,
                depth=0):
@@ -223,14 +227,16 @@ class _Stepper:
         (U_new, N_new).  A non-finite update aborts its row; mole numbers
         below the floor are clamped and logged; the rows at T <= 0 redo
         their step as two half steps, each with inputs evaluated at its own
-        start, as one sub-batch that recurses on the rows that fail again.
-        T is NaN on every row that aborted."""
+        start, as one sub-batch that recurses on the rows that fail again
+        (a lone path's is a one-row batch).  T is NaN on every row that
+        aborted."""
         finite = np.isfinite(U_new) & np.isfinite(N_new).all(-1)
         for r in rows[~finite]:
             self.paths[r].abort_reason = "non-finite state update"
-        low = finite[:, None] & (N_new < N_TRAJ_FLOOR)
-        for i, j in zip(*np.nonzero(low)):
-            self.paths[rows[i]].events.append(
+        low = finite[..., None] & (N_new < N_TRAJ_FLOOR)
+        for r, j in zip(np.broadcast_to(rows[..., None], low.shape)[low],
+                        np.nonzero(low)[-1]):
+            self.paths[r].events.append(
                 (self.step_no, f"floor_{self.net.species_names[j]}"))
         N_new = np.where(low, N_TRAJ_FLOOR, N_new)
         T_new = np.full_like(U_new, np.nan)
@@ -238,7 +244,7 @@ class _Stepper:
                                            N_new[finite])
         redo = finite & ~(T_new > 0)
         if not redo.any():
-            return U_new, N_new, T_new
+            return U_new, N_new, T_new[()]
         sub, U, N, T = rows[redo], U[redo], N[redo], T[redo]
         if depth < MAX_HALVINGS:
             for r in sub:
@@ -254,11 +260,13 @@ class _Stepper:
             if not go.any():
                 break
             r, U_go, N_go, T_go = sub[go], U[go], N[go], T[go]
-            U[go], N[go], T[go] = self.step(
-                r, U_go, N_go, T_go, *self.inputs(r, N_go, T_go, t_half),
-                t_half, 0.5 * dt, depth + 1)
+            U[go], N[go], T[go] = self.settle(
+                r, U_go, N_go, T_go, *self.update(
+                    r, U_go, N_go, T_go, *self.inputs(r, N_go, T_go, t_half),
+                    0.5 * dt), t_half, 0.5 * dt, depth + 1)
+        U_new = np.array(U_new)  # writable, 0-d for a lone path
         U_new[redo], N_new[redo], T_new[redo] = U, N, T
-        return U_new, N_new, T_new
+        return U_new[()], N_new, T_new[()]
 
 
 class _Records:
@@ -310,6 +318,52 @@ class _Records:
                           abort_reason=path.abort_reason)
 
 
+@np.errstate(over="ignore")  # an overflowing update aborts its row
+def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
+                    gains: ControllerGains | None, cfg: SimConfig, x0,
+                    indices) -> list[Trajectory]:
+    """Step the trajectories ``indices`` from x0 together, one row each.
+
+    Each grid step solves the feedback and updates every active row at
+    once; only a step that fails the cheap check below goes to the guards.
+    """
+    run = _Stepper(net, sp, gains, cfg, indices)
+    n = len(run.paths)
+    rec = _Records(net, cfg, n)
+    st0 = as_state(net, x0)
+    rows = np.arange(n) if n > 1 else np.array(0)  # a lone path: scalars
+    every = np.ndarray.all if rows.ndim else bool  # a scalar .all() is slow
+    U, T = (np.full(rows.shape, a)[()] for a in (st0.U, st0.T))
+    N = np.tile(st0.N, (*rows.shape, 1))
+    dt, steps, j = cfg.dt, cfg.record_steps, 0
+    for k in range(cfg.n_steps):
+        t, run.step_no = k * dt, k + 1
+        q, Qdot, column = run.inputs(rows, N, T, t)
+        if k == steps[j]:
+            rec.write(rows, j, U, N, q, Qdot)
+            j += 1
+        U_new, N_new = run.update(rows, U, N, T, q, Qdot, column, dt)
+        # settle passes a step whose rows are all finite, at or above the
+        # floor and at T > 0 as it is.  N is tested first: T of an infinite
+        # N is NaN with a warning, and with N finite, T is finite where U is.
+        if (N_TRAJ_FLOOR <= N_new.min() and N_new.max() < math.inf and every(
+                (0 < (T_new := kernel.temperature(net, U_new, N_new)))
+                & (T_new < math.inf))):
+            U, N, T = U_new, N_new, T_new
+            continue
+        U, N, T = run.settle(rows, U, N, T, U_new, N_new, t, dt)
+        ok = T > 0
+        if not every(ok):
+            rows, U, N, T = (a[ok] for a in (rows, U, N, T))
+            if not rows.size:
+                break
+    else:
+        q, Qdot, *_ = run.law(N, T, cfg.n_steps * dt)
+        rec.write(rows, j, U, N, q, Qdot)
+    rec.derive(net, sp)
+    return [rec.trajectory(i, path) for i, path in enumerate(run.paths)]
+
+
 def simulate(net: ReactionNetwork, sp: Setpoint | None,
              gains: ControllerGains | None, cfg: SimConfig, x0,
              traj_index: int = 0) -> Trajectory:
@@ -317,73 +371,10 @@ def simulate(net: ReactionNetwork, sp: Setpoint | None,
 
     Uses substream ``traj_index`` of ``cfg.seed``.  Feedback modes require
     a setpoint and gains.  On abort the recorded prefix is returned with
-    ``aborted`` set and the reason attached.
+    ``aborted`` set and the reason attached.  The stepping loop run on
+    this one path, stepped on scalar states.
     """
-    run = _Stepper(net, sp, gains, cfg, [traj_index])
-    rng, row = run.paths[0].rng, np.zeros(1, dtype=int)
-    rec = _Records(net, cfg, 1)
-    st0 = as_state(net, x0)
-    U, N, T = st0.U, st0.N, st0.T
-    dt, steps, j = cfg.dt, cfg.record_steps, 0
-    for k in range(cfg.n_steps):
-        t, run.step_no = k * dt, k + 1
-        q, Qdot, clamped = run.law(N, T, t)
-        if clamped:
-            run.paths[0].events.append((k + 1, "q_clamp"))
-        if k == steps[j]:
-            rec.write(0, j, U, N, q, Qdot)
-            j += 1
-        dW = None if rng is None else rng.standard_normal(3) * math.sqrt(dt)
-        U_new, N_new = kernel.em_update(net, U, N, T, q, Qdot, dt, dW)
-        # only a step that fails the cheap check goes to the guards
-        if (math.isfinite(U_new) and np.isfinite(N_new).all()
-                and N_new.min() >= N_TRAJ_FLOOR
-                and (T_new := kernel.temperature(net, U_new, N_new)) > 0):
-            U, N, T = U_new, N_new, T_new
-            continue
-        U, N, T = (a[0] for a in run.settle(row, *(
-            np.asarray(a)[None] for a in (U, N, T, U_new, N_new)), t, dt))
-        if not T > 0:
-            break
-    else:
-        q, Qdot, _ = run.law(N, T, cfg.n_steps * dt)
-        rec.write(0, j, U, N, q, Qdot)
-    rec.derive(net, sp)
-    return rec.trajectory(0, run.paths[0])
-
-
-def _simulate_batch(net: ReactionNetwork, sp: Setpoint | None,
-                    gains: ControllerGains | None, cfg: SimConfig,
-                    x0) -> list[Trajectory]:
-    """Step trajectories 0..n_traj-1 together as one batch of states.
-
-    Each step solves the feedback, updates and guards every active row at
-    once.  Row i has the bits of ``simulate(..., traj_index=i)``.
-    """
-    run = _Stepper(net, sp, gains, cfg, range(cfg.n_traj))
-    rec = _Records(net, cfg, cfg.n_traj)
-    st0 = as_state(net, x0)
-    rows = np.arange(cfg.n_traj)  # the trajectory of each active row
-    U, T = np.full(rows.size, st0.U), np.full(rows.size, st0.T)
-    N = np.tile(st0.N, (rows.size, 1))
-    dt, steps, j = cfg.dt, cfg.record_steps, 0
-    for k in range(cfg.n_steps):
-        t, run.step_no = k * dt, k + 1
-        q, Qdot = run.inputs(rows, N, T, t)
-        if k == steps[j]:
-            rec.write(rows, j, U, N, q, Qdot)
-            j += 1
-        U, N, T = run.step(rows, U, N, T, q, Qdot, t, dt)
-        ok = T > 0
-        if not ok.all():
-            rows, U, N, T = (a[ok] for a in (rows, U, N, T))
-            if not rows.size:
-                break
-    else:
-        q, Qdot, _ = run.law(N, T, cfg.n_steps * dt)
-        rec.write(rows, j, U, N, q, Qdot)
-    rec.derive(net, sp)
-    return [rec.trajectory(i, path) for i, path in enumerate(run.paths)]
+    return _simulate_paths(net, sp, gains, cfg, x0, [traj_index])[0]
 
 
 SERIES = ("U", "N", "T", "S", "avail", "q", "Qdot", "T_w")
@@ -437,14 +428,16 @@ def ensemble(net: ReactionNetwork, sp: Setpoint | None,
     """Run cfg.n_traj trajectories on substreams 0..n_traj-1 and
     aggregate checkpoint statistics.
 
-    One trajectory runs through :func:`simulate`; more are stepped as one
-    batch, trajectory i identical to ``simulate(..., traj_index=i)``.
+    The trajectories are stepped together in one loop, trajectory i
+    identical to ``simulate(..., traj_index=i)``.  Raises
+    :class:`SimulationAbort`, naming the first trajectory's reason, when
+    every trajectory aborted.
     """
-    trajs = ([simulate(net, sp, gains, cfg, x0)] if cfg.n_traj == 1
-             else _simulate_batch(net, sp, gains, cfg, x0))
+    trajs = _simulate_paths(net, sp, gains, cfg, x0, range(cfg.n_traj))
     kept = [tr for tr in trajs if not tr.aborted]
     if not kept:
-        raise SimulationAbort("every trajectory aborted")
+        raise SimulationAbort(f"every trajectory aborted (trajectory "
+                              f"{trajs[0].index}: {trajs[0].abort_reason})")
     table = {f: np.stack([getattr(tr, f) for tr in kept])
              for f in _Records.FIELDS}
     states = table["states"]

@@ -269,14 +269,19 @@ def test_simulate_no_clamp_lets_flow_exceed_q_max(cfg_path, tmp_path):
     assert not any("q_clamp" in r[header.index("events")] for r in rows)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_simulate_abort_exits_3(cfg_path, tmp_path, capsys):
-    out = tmp_path / "boom"
-    rc = main(["simulate", "--network", str(cfg_path), "--out", str(out),
-               "--mode", "open_loop", "--q-open=-1e9",
-               "--T0", "342", "--N0", "1,1", "--t-end", "0.1", "--seed", "1"])
-    assert rc == 3
-    assert "aborted" in capsys.readouterr().err
+    # the update overflows: every trajectory aborts, and no numpy warning
+    # reaches stderr before the reason
+    for n_traj in ("1", "3"):
+        rc = main(["simulate", "--network", str(cfg_path), "--out",
+                   str(tmp_path / n_traj), "--mode", "open_loop",
+                   "--q-open=-1e9", "--T0", "342", "--N0", "1,1", "--t-end",
+                   "0.1", "--seed", "1", "--n-traj", n_traj])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "phreactor: simulation aborted: every trajectory aborted "
+            "(trajectory 0: non-finite state update)\n")
 
 
 # --------------------------------------------------------------- casestudy

@@ -238,7 +238,7 @@ def test_batched_row_with_nonfinite_update_aborts_alone(net, sp, gains, x0,
     assert stats.n_aborted == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("u_open, max_halvings", [((-1e9, 0.0), None),
                                                   ((0.0, -1e6), 2)])
 def test_batched_ensemble_raises_when_every_row_aborts(net, x0, monkeypatch,
@@ -249,6 +249,29 @@ def test_batched_ensemble_raises_when_every_row_aborts(net, x0, monkeypatch,
                     u_open=u_open)
     with pytest.raises(SimulationAbort):
         ensemble(net, None, None, cfg, x0)
+
+
+@pytest.mark.parametrize("washout", [False, True])
+def test_lone_path_steps_on_scalar_states(net, sp, gains, x0, plain_net,
+                                          monkeypatch, washout):
+    """One trajectory steps on scalar U and T and N of shape (p,), never as
+    a one-row batch, also through the floor clamp of a washout."""
+    cfg = SimConfig(dt=1e-3, t_end=0.1, seed=3, mode="closed_loop")
+    if washout:
+        net, sp, gains = plain_net, None, None
+        x0 = ThermoState.from_temperature(net, np.array([1.0, 1.0]), 342.0).x
+        cfg = replace(cfg, mode="open_loop", u_open=(0.5, 0.0))
+    real, shapes = kernel.em_update, []
+
+    def em_update(net, U, N, *args):
+        shapes.append((np.shape(U), np.shape(N)))
+        return real(net, U, N, *args)
+
+    monkeypatch.setattr(kernel, "em_update", em_update)
+    tr = ensemble(net, sp, gains, cfg, x0).trajectories[0]
+    codes = {c for _, c in tr.events}
+    assert ("floor_B" in codes) == washout and "halve" not in codes
+    assert shapes == [((), (2,))] * cfg.n_steps
 
 
 def test_floored_rows_are_guarded_as_one_batch(plain_net, monkeypatch):
@@ -440,7 +463,7 @@ def test_halving_retry_keeps_temperature_positive(net, x0):
     assert np.all(tr.T > 0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blowup_aborts_and_keeps_prefix(net, x0):
     cfg = SimConfig(dt=1e-3, t_end=0.1, seed=1, mode="open_loop",
                     u_open=(-1e9, 0.0))
@@ -472,8 +495,10 @@ def test_step_guards(net, x0):
 def test_ensemble_raises_when_every_trajectory_aborts(net, x0):
     cfg = SimConfig(dt=1e-3, t_end=0.1, seed=1, n_traj=2, mode="open_loop",
                     u_open=(0.0, float("nan")))
-    with pytest.raises(SimulationAbort):
+    with pytest.raises(SimulationAbort) as err:
         ensemble(net, None, None, cfg, x0)
+    assert str(err.value) == ("every trajectory aborted (trajectory 0: "
+                              "non-finite state update)")
 
 
 # -------------------------------------------------------------- aggregation

@@ -5,7 +5,9 @@ Integration uses the Ito interpretation on a fixed grid with three
 independent Wiener channels (reaction flux, flow input, heat input).
 Each trajectory draws from its own counter-derived substream of the
 master seed, so ensembles are reproducible draw for draw regardless of
-how trajectories are scheduled.
+how trajectories are scheduled.  A trajectory draws its increments k at
+a time into a block that its own cursor reads in stream order, so its
+path has the same bits for every block length k, refined or not.
 
 Domain guards keep paths physical: a non-finite update aborts the
 trajectory with a diagnostic, mole numbers are clamped at a small floor
@@ -46,6 +48,11 @@ N_TRAJ_FLOOR = 1e-9
 
 #: Maximum recursive step halvings before a trajectory aborts.
 MAX_HALVINGS = 20
+
+#: Noise increments pre-drawn across a batch of B trajectories: each draws
+#: k = max(1, min(n_steps, NOISE_BLOCK // B)) increments of its three
+#: channels at a time, about 768 KB in all for up to 2**15 trajectories.
+NOISE_BLOCK = 2 ** 15
 
 _MODES = ("closed_loop", "open_loop", "deterministic", "isolated")
 
@@ -91,6 +98,12 @@ class SimConfig:
             raise ValueError("record_every and n_traj must be >= 1")
         if not (self.q_max > 0 and self.eps > 0):
             raise ValueError("q_max and eps must be positive")
+        if not all(map(math.isfinite, self.u_open)):
+            raise ValueError(f"open-loop inputs (q, Qdot) must be finite, "
+                             f"got {tuple(self.u_open)}")
+        if not math.isfinite(self.open_loop_until):
+            raise ValueError(f"open_loop_until must be finite, "
+                             f"got {self.open_loop_until}")
 
     @property
     def n_steps(self) -> int:
@@ -177,7 +190,9 @@ class _Stepper:
     updates and guards of a batch of rows.  ``rows`` holds each row's index
     into ``paths``; it has the batch shape, () for a lone path stepped on
     scalar U and T and N of shape (p,), else (b,).  Events are logged at
-    grid step ``step_no``."""
+    grid step ``step_no``.  With noise on, ``noise`` (paths, k, 3) holds
+    each path's block of standard normals and ``cursor`` its next unread
+    one."""
 
     def __init__(self, net: ReactionNetwork, sp: Setpoint | None,
                  gains: ControllerGains | None, cfg: SimConfig, indices):
@@ -188,6 +203,10 @@ class _Stepper:
         self.paths = [_Path(i, trajectory_rng(cfg.seed, i) if cfg.noise_on
                             else None) for i in indices]
         self.step_no = 0
+        if cfg.noise_on:  # every block starts used up: drawn on first use
+            k = max(1, min(cfg.n_steps, NOISE_BLOCK // len(self.paths)))
+            self.noise = np.empty((len(self.paths), k, 3))
+            self.cursor = np.full(len(self.paths), k)
 
     def law(self, N, T, t: float):
         """The inputs (q, Qdot) at states (N, T) and time t, whether the
@@ -211,13 +230,24 @@ class _Stepper:
 
     def update(self, rows, U, N, T, q, Qdot, column, dt: float):
         """The raw updates of the steps of length dt from the rows' states
-        under (q, Qdot), each row drawing from its own substream; ``column``
-        is the flow column from :meth:`inputs`."""
+        under (q, Qdot); ``column`` is the flow column from :meth:`inputs`.
+
+        Each row takes the next increment of its noise block at its own
+        cursor; a row whose block is used up first refills it with one
+        (k, 3) draw from its substream.  A block holds the bits of k
+        sequential (3,) draws, so a row's increments are its stream in
+        order, however many of them its refinements take."""
         dW = None
         if self.cfg.noise_on:
-            dW = (np.array([self.paths[r].rng.standard_normal(3) for r in rows])
-                  if rows.ndim else self.paths[rows].rng.standard_normal(3)
-                  ) * math.sqrt(dt)
+            at = self.cursor[rows]
+            used_up = at == len(self.noise[0])  # a scalar .any() is slow:
+            if used_up.any() if rows.ndim else used_up:
+                for r in rows[used_up].tolist():
+                    self.noise[r] = self.paths[r].rng.standard_normal(
+                        self.noise[r].shape)
+                at = np.where(used_up, 0, at)
+            dW = self.noise[rows, at] * math.sqrt(dt)
+            self.cursor[rows] = at + 1
         return kernel.em_update(self.net, U, N, T, q, Qdot, dt, dW, column)
 
     def settle(self, rows, U, N, T, U_new, N_new, t: float, dt: float,

@@ -1,6 +1,9 @@
 """Command-line front end: exit codes, CSV schemas, and byte-stable seeded
 artifacts, all exercised in-process through ``main``."""
 
+import runpy
+import sys
+
 import numpy as np
 import pytest
 
@@ -400,6 +403,37 @@ def test_bad_temperatures_and_setpoints_exit_1(cfg_path, tmp_path, capsys,
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "check.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, message", [
+    ("--q-open=nan",
+     "open-loop inputs (q, Qdot) must be finite, got (nan, 0.0)"),
+    ("--Qdot-open=inf",
+     "open-loop inputs (q, Qdot) must be finite, got (0.0, inf)"),
+    ("--open-until=nan", "open_loop_until must be finite, got nan"),
+])
+def test_nonfinite_open_loop_inputs_exit_1(cfg_path, tmp_path, capsys, flag,
+                                           message):
+    # rejected before the model is stepped or the output directory made
+    out = tmp_path / "out"
+    rc = main(["simulate", "--network", str(cfg_path), "--out", str(out),
+               "--mode", "open_loop", "--T0", "342", "--N0", "1,1",
+               "--t-end", "0.01", flag])
+    assert rc == 1
+    assert capsys.readouterr().err == f"phreactor: error: {message}\n"
+    assert not out.exists()
+
+
+def test_module_runs_as_the_command(cfg_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [
+        "phreactor", "check", "--network", str(cfg_path), "--out",
+        str(tmp_path), "--T", "342", "--N", "1,1", "--setpoint-T", "331.9",
+        "--setpoint-q", "9.15e-6"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("phreactor", run_name="__main__")
+    assert done.value.code == 0
+    assert (tmp_path / "check.csv").exists()
 
 
 def test_zero_setpoint_flow_with_composition_runs(cfg_path, tmp_path):

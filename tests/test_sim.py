@@ -2,6 +2,7 @@
 the public step functions, batched-ensemble equivalence with single paths,
 guard events, and ensemble aggregation."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,14 @@ def test_config_validation():
     assert SimConfig(mode="open_loop").noise_on
     assert not SimConfig(mode="deterministic").noise_on
     assert not SimConfig(mode="isolated").noise_on
+    # the open-loop inputs and switch time are checked before any stepping
+    for bad in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError, match=r"open-loop inputs \(q, Qdot\) "
+                           "must be finite"):
+            SimConfig(mode="open_loop", u_open=bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="open_loop_until must be finite"):
+            SimConfig(open_loop_until=bad)
 
 
 def test_feedback_modes_require_setpoint_and_gains(net, x0):
@@ -95,10 +104,15 @@ def test_deterministic_loop_matches_public_functions(net, sp, gains, x0):
         assert tr.Qdot[i] == a.Qdot
 
 
-def test_noisy_loop_matches_public_functions(net, sp, gains, x0):
+def test_noisy_loop_matches_public_functions(net, sp, gains, x0,
+                                            monkeypatch):
     cfg = SimConfig(dt=1e-3, t_end=0.2, seed=123, mode="closed_loop",
                     record_every=10)
     tr = simulate(net, sp, gains, cfg, x0)
+    # noise blocks of 64 steps: the path refills three times, the last
+    # block only partly used
+    monkeypatch.setattr(sim, "NOISE_BLOCK", 64)
+    refilled = simulate(net, sp, gains, cfg, x0)
     rng = trajectory_rng(cfg.seed, 0)
     sq = np.sqrt(cfg.dt)
     x = x0.copy()
@@ -111,6 +125,7 @@ def test_noisy_loop_matches_public_functions(net, sp, gains, x0):
             states.append(x.copy())
     # identical draws through the same update
     np.testing.assert_array_equal(tr.states, np.array(states))
+    np.testing.assert_array_equal(refilled.states, np.array(states))
 
 
 # ---------------------------------------------------------- reproducibility
@@ -192,6 +207,16 @@ def test_batched_rows_match_simulate(case, net, sp, gains, x0, plain_net,
     for n in (2, 5):
         other = ensemble(net, sp, gains, replace(cfg, n_traj=n), x0)
         _assert_same_path(other.trajectories[1], stats.trajectories[1])
+    # nor on the noise block length (k = 1, 1, 7 here; 1, 7, 28 for a lone
+    # path): refining rows use up their blocks unevenly and refill in the
+    # middle of a refinement
+    for block in (1, 7, 28):
+        monkeypatch.setattr(sim, "NOISE_BLOCK", block)
+        other = ensemble(net, sp, gains, cfg, x0)
+        for i, tr in enumerate(stats.trajectories):
+            _assert_same_path(other.trajectories[i], tr)
+            _assert_same_path(simulate(net, sp, gains, cfg, x0, traj_index=i),
+                              tr)
     codes = [{c.split("_")[0] for _, c in tr.events}
              for tr in stats.trajectories]
     if case == "halving":
@@ -207,6 +232,28 @@ def test_batched_rows_match_simulate(case, net, sp, gains, x0, plain_net,
         assert aborted == [True, False, True, False]
         assert len({len(tr.times) for tr in stats.trajectories}) == 3
         assert stats.n_aborted == 2
+
+
+def test_each_trajectory_draws_its_noise_in_one_block(net, sp, gains, x0,
+                                                     monkeypatch):
+    calls = []
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(self.rng, name)
+
+    real = sim.trajectory_rng
+    monkeypatch.setattr(sim, "trajectory_rng",
+                        lambda seed, index: Counted(real(seed, index)))
+    cfg = SimConfig(dt=1e-3, t_end=0.1, seed=42, n_traj=64, mode="closed_loop")
+    stats = ensemble(net, sp, gains, cfg, x0)
+    assert stats.n_aborted == 0
+    # one (100, 3) draw per trajectory, not one (3,) draw per row and step
+    assert calls == ["standard_normal"] * 64
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -423,6 +470,24 @@ def test_isolated_run_conserves_energy_and_grows_entropy(net, x0):
     assert np.all(np.isnan(tr.avail))  # no setpoint given
 
 
+def test_reaction_noise_alone_conserves_energy_and_total_moles(
+        net, x0, monkeypatch):
+    # open loop at zero inputs keeps only the reaction noise.  Every U term
+    # is a multiple of q or Qdot, so U keeps every bit; A <-> B conserves
+    # N_A + N_B, which stays constant to rounding while no floor clamp fires
+    monkeypatch.setattr(sim, "NOISE_BLOCK", 8 * 300)  # seven blocks a path
+    cfg = SimConfig(dt=1e-3, t_end=2.0, seed=4, n_traj=8, mode="open_loop",
+                    u_open=(0.0, 0.0))
+    stats = ensemble(net, None, None, cfg, x0)
+    assert stats.n_aborted == 0
+    for tr in stats.trajectories:
+        assert tr.events == []
+        np.testing.assert_array_equal(tr.U, np.full_like(tr.U, x0[0]))
+        total = tr.N.sum(axis=1)
+        assert np.abs(total / x0[1:].sum() - 1).max() <= 1e-13
+        assert np.ptp(tr.N[:, 0]) > 1e-3  # while the noise moves N
+
+
 def test_closed_loop_stays_near_setpoint_started_there(net, sp, gains):
     cfg = SimConfig(dt=1e-3, t_end=2.0, mode="deterministic")
     tr = simulate(net, sp, gains, cfg, sp.x_star)
@@ -475,8 +540,10 @@ def test_blowup_aborts_and_keeps_prefix(net, x0):
 
 
 def test_nonfinite_input_aborts_immediately(net, x0):
-    cfg = SimConfig(dt=1e-3, t_end=0.1, seed=1, mode="open_loop",
-                    u_open=(0.0, float("nan")))
+    # SimConfig rejects a non-finite u_open; set after validation, it still
+    # meets the stepper's guard at the first step
+    cfg = SimConfig(dt=1e-3, t_end=0.1, seed=1, mode="open_loop")
+    cfg.u_open = (0.0, float("nan"))
     tr = simulate(net, None, None, cfg, x0)
     assert tr.aborted
     assert tr.abort_reason == "non-finite state update"
@@ -492,9 +559,11 @@ def test_step_guards(net, x0):
         euler_maruyama_step(net, x0, np.array([0.0, -1e9]), 1.0, np.zeros(3))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ensemble_raises_when_every_trajectory_aborts(net, x0):
+    # the update overflows on every row
     cfg = SimConfig(dt=1e-3, t_end=0.1, seed=1, n_traj=2, mode="open_loop",
-                    u_open=(0.0, float("nan")))
+                    u_open=(-1e9, 0.0))
     with pytest.raises(SimulationAbort) as err:
         ensemble(net, None, None, cfg, x0)
     assert str(err.value) == ("every trajectory aborted (trajectory 0: "

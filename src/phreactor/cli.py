@@ -308,9 +308,8 @@ def cmd_simulate(args) -> int:
     x0 = ThermoState.from_temperature(net, _moles(net, args.N0, "--N0"),
                                       args.T0)
 
-    needs_feedback = cfg.mode in ("closed_loop", "deterministic")
     sp = gains = None
-    if needs_feedback or args.setpoint_T is not None:
+    if cfg.feedback_on or args.setpoint_T is not None:
         sp = _setpoint_from_flags(net, args)
         gains = ControllerGains.diagonal(args.k_flow, args.k_heat)
     return _run_ensemble(net, sp, gains, cfg, x0, Path(args.out))

@@ -6,15 +6,15 @@ the mole floor and T > 0 at their boundary (see :mod:`thermo`), and the
 stepper in :mod:`sim` adds its own guards.  ``net`` is only read for its
 parameters, so this module imports nothing from the package.
 
-Every function except :func:`neg_entropy_hessian` is row-safe: it takes
-one state (U and T scalars, N of shape (p,)) or a batch of B states (U and
-T of shape (B,), N of shape (B, p)), and each row of a batch result has
-the same bits as the result for that row alone.  So per-row values get a
-trailing axis (:func:`_col`), every dot product over species is one
-``np.vecdot`` per row (:func:`_dot`), never a matrix product, whose
-summation order depends on the operand shapes, and squares are written
-``x * x``, since a scalar ``x ** 2`` calls ``pow`` where an array's
-multiplies.
+Every function is row-safe: it takes one state (U and T scalars, N of
+shape (p,)) or a batch of B states (U and T of shape (B,), N of shape
+(B, p)), and each row of a batch result has the same bits as the result
+for that row alone.  So per-row values get a trailing axis (:func:`_col`),
+every dot product over species is one ``np.vecdot`` per row
+(:func:`_dot`), never a matrix product, whose summation order depends on
+the operand shapes, and squares are written ``x * x``, since a scalar
+``x ** 2`` calls ``pow`` where an array's multiplies.  The dense Hessian
+of -S, which is not row-safe, lives in :mod:`thermo`.
 """
 
 from __future__ import annotations
@@ -63,19 +63,6 @@ def closures(net, N, T):
     return h, mu_over_T, S, T * T * _dot(N, net.cp)
 
 
-def neg_entropy_hessian(net, N, h, theta) -> np.ndarray:
-    """Hessian of -S in (U, N); see :mod:`thermo` for the block form."""
-    R = net.reactor.R_gas
-    p = N.size
-    H = np.empty((p + 1, p + 1))
-    H[0, 0] = 1.0 / theta
-    H[0, 1:] = -h / theta
-    H[1:, 0] = H[0, 1:]
-    H[1:, 1:] = (np.outer(h, h) / theta - (R / N.sum()) * np.ones((p, p))
-                 + np.diag(R / N))
-    return H
-
-
 def mass_action(net, c, T) -> tuple[np.ndarray, np.ndarray]:
     """Arrhenius mass-action rates (r_f, r_b) at concentrations c."""
     RT = _col(net.reactor.R_gas * T)
@@ -109,7 +96,13 @@ def flow_column(net, N, h):
 
 
 def mixing_scale(net, N, h, theta, g00, dc):
-    """M = theta g_q^T Hess(-S) g_q for the flow column g_q = (g00, dc)."""
+    """theta (g00, dc)^T Hess(-S) (g00, dc) for a direction (g00, dc) on
+    (U, N), explicitly
+
+        dc^T (h h^T - (theta R / sum N) 11^T + diag(theta R / N_j)) dc
+        - 2 g00 h^T dc + g00^2;
+
+    the mixing scale M when (g00, dc) is the flow column of g."""
     R = net.reactor.R_gas
     hdc = _dot(h, dc)
     dc_sum = _sum(dc)

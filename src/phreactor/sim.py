@@ -61,7 +61,7 @@ class SimulationAbort(RuntimeError):
     """Raised internally when a trajectory cannot be continued."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Integration settings.
 
@@ -71,7 +71,8 @@ class SimConfig:
     off).  With ``open_loop_until > 0`` the first part of a feedback run
     applies ``u_open`` instead.  ``eps`` is the scaled ball radius used
     for the ensemble stabilization estimate.  ``t_end`` must be a whole
-    number of steps ``dt``.
+    number of steps ``dt``.  A config is frozen, so every instance has
+    passed these checks; ``dataclasses.replace`` makes a checked copy.
     """
 
     dt: float = 1e-3
@@ -118,6 +119,10 @@ class SimConfig:
     @property
     def noise_on(self) -> bool:
         return self.mode in ("closed_loop", "open_loop")
+
+    @property
+    def feedback_on(self) -> bool:
+        return self.mode in ("closed_loop", "deterministic")
 
 
 @dataclass
@@ -196,8 +201,7 @@ class _Stepper:
 
     def __init__(self, net: ReactionNetwork, sp: Setpoint | None,
                  gains: ControllerGains | None, cfg: SimConfig, indices):
-        if (cfg.mode in ("closed_loop", "deterministic")
-                and (sp is None or gains is None)):
+        if cfg.feedback_on and (sp is None or gains is None):
             raise ValueError(f"mode {cfg.mode!r} needs a setpoint and gains")
         self.net, self.sp, self.gains, self.cfg = net, sp, gains, cfg
         self.paths = [_Path(i, trajectory_rng(cfg.seed, i) if cfg.noise_on

@@ -25,6 +25,10 @@ conditions under which the noisy system remains passive:
 * a reaction-noise bound sufficient for the trace condition at the
   natural storage.
 
+The checks read the closed forms of :mod:`kernel` and assemble no
+:class:`StructureMatrices`: the corrected feedthrough is diagonal, and the
+reaction-noise curvature is :func:`kernel.mixing_scale` along the flux.
+
 It also forms the negative-feedback interconnection of two such systems,
 which is again a dissipative structure pair (J, R).
 """
@@ -110,9 +114,8 @@ def damping_coefficients(net: ReactionNetwork, state,
     coef = lm / RT
     if mode == "strict":
         affinity = kernel.affinity(net, st.mu_over_T, st.T)
-        for i in range(net.n_reactions):
-            if abs(affinity[i]) > AFFINITY_GUARD:
-                coef[i] = (rates.forward[i] - rates.backward[i]) / affinity[i]
+        strict = np.abs(affinity) > AFFINITY_GUARD
+        coef[strict] = rates.net[strict] / affinity[strict]
     elif mode != "logmean":
         raise ValueError(f"unknown damping mode {mode!r}")
     return coef
@@ -160,16 +163,8 @@ def reaction_noise_column(net: ReactionNetwork, state) -> np.ndarray:
 
 
 def mixing_noise_scale(net: ReactionNetwork, state) -> float:
-    """Curvature scale M >= 0 of the storage along the flow column of g.
-
-    Explicitly, with dc = c_in - N/V and g00 the enthalpy-density
-    difference,
-
-        M = dc^T (h h^T - (theta R / sum N) 11^T + diag(theta R / N_j)) dc
-            - 2 g00 h^T dc + g00^2,
-
-    which equals theta * g_q^T Hess(-S) g_q for the flow column g_q.
-    """
+    """Curvature scale M = theta g_q^T Hess(-S) g_q >= 0 of the storage
+    along the flow column g_q of g; see :func:`kernel.mixing_scale`."""
     st = as_state(net, state)
     return kernel.mixing_scale(net, st.N, st.h, st.theta,
                                *kernel.flow_column(net, st.N, st.h))
@@ -321,8 +316,9 @@ class PassivityReport:
     """Sufficient passivity conditions for a storage field under the full
     noise: the curvature injected by reaction noise must not exceed the
     dissipation (trace condition), and the corrected feedthrough
-    delta - (1/2) sigma sigma^T o (gamma^T Hess gamma) must be positive
-    semidefinite."""
+    F = delta - (1/2) sigma sigma^T o (gamma^T Hess gamma) must be positive
+    semidefinite.  sigma sigma^T is diagonal, so F is diagonal and its
+    smallest eigenvalue is its smallest diagonal entry."""
 
     trace_holds: bool
     feedthrough_holds: bool
@@ -338,23 +334,23 @@ class PassivityReport:
 def check_passivity(net: ReactionNetwork, state,
                     field: ScalarField) -> PassivityReport:
     st = as_state(net, state)
-    x = st.x
-    grad = field.gradient(x)
-    H = field.hessian(x)
-    S = structure_matrices(net, st)
-    trace_lhs = 0.5 * float(S.a @ H @ S.a)
-    trace_rhs = float(grad @ S.R @ grad)
-    sig2 = S.sigma @ S.sigma.T
-    F = S.delta - 0.5 * sig2 * (S.gamma.T @ H @ S.gamma)
-    F = 0.5 * (F + F.T)
-    eigs = np.linalg.eigvalsh(F)
-    scale = max(1.0, float(np.linalg.norm(S.delta)))
+    grad = field.gradient(st.x)
+    H = field.hessian(st.x)
+    a = reaction_noise_column(net, st)
+    trace_lhs = 0.5 * float(a @ H @ a)
+    trace_rhs = float(grad @ damping_matrix(net, st) @ grad)
+    g = input_matrix(net, st)
+    delta = np.array(kernel.feedthrough(net, mixing_noise_scale(net, st),
+                                        st.theta))
+    sig2 = np.array([net.noise.rho2 ** 2, net.noise.rho3 ** 2])
+    min_eig = float((delta - 0.5 * sig2 * np.diag(g.T @ H @ g)).min())
+    scale = max(1.0, float(np.linalg.norm(delta)))
     return PassivityReport(
         trace_holds=bool(trace_lhs <= trace_rhs + 1e-12 * max(1.0, abs(trace_rhs))),
-        feedthrough_holds=bool(eigs[0] >= -1e-12 * scale),
+        feedthrough_holds=bool(min_eig >= -1e-12 * scale),
         trace_lhs=trace_lhs,
         trace_rhs=trace_rhs,
-        feedthrough_min_eig=float(eigs[0]),
+        feedthrough_min_eig=min_eig,
     )
 
 
@@ -363,15 +359,14 @@ class ReactionNoiseReport:
     """Whether the reaction-noise intensity is small enough for the trace
     condition at the natural storage:
 
-        (1/2) rho1^2 V sum_jk W_jk  <=  sum_i (r_f - r_b)_i dz_i^T mu / T
+        (1/2) rho1^2 V f^T Hess_NN(-S) f  <=  sum_i (r_f - r_b)_i dz_i^T mu / T
 
-    with W the composition curvature weighted by the squared reaction
-    flux direction."""
+    with f = nu (r_f - r_b) the reaction flux direction and Hess_NN(-S)
+    the composition block of the Hessian."""
 
     holds: bool
     lhs: float
     rhs: float
-    W: np.ndarray
 
 
 def check_reaction_noise_bound(net: ReactionNetwork, state,
@@ -379,12 +374,11 @@ def check_reaction_noise_bound(net: ReactionNetwork, state,
     st = as_state(net, state)
     rates = reaction_rates(net, st)
     flux_dir = net.stoich_net @ rates.net  # mol/(m^3 s)
-    curvature = kernel.neg_entropy_hessian(net, st.N, st.h, st.theta)[1:, 1:]
-    W = curvature * np.outer(flux_dir, flux_dir)
+    quad = kernel.mixing_scale(net, st.N, st.h, st.theta, 0.0, flux_dir)
     V_star = net.reactor.V if V_star is None else float(V_star)
-    lhs = 0.5 * net.noise.rho1 ** 2 * V_star * float(W.sum())
+    lhs = 0.5 * net.noise.rho1 ** 2 * V_star * float(quad) / st.theta
     rhs = float(rates.net @ kernel.affinity(net, st.mu_over_T, st.T)) / st.T
-    return ReactionNoiseReport(bool(lhs <= rhs), lhs, rhs, W)
+    return ReactionNoiseReport(bool(lhs <= rhs), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

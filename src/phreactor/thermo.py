@@ -135,4 +135,11 @@ def neg_entropy_gradient(net: ReactionNetwork, state) -> np.ndarray:
 def neg_entropy_hessian(net: ReactionNetwork, state) -> np.ndarray:
     """Hessian of -S with respect to (U, N); positive semidefinite."""
     st = as_state(net, state)
-    return kernel.neg_entropy_hessian(net, st.N, st.h, st.theta)
+    p, R = net.n_species, net.reactor.R_gas
+    H = np.empty((p + 1, p + 1))
+    H[0, 0] = 1.0 / st.theta
+    H[0, 1:] = -st.h / st.theta
+    H[1:, 0] = H[0, 1:]
+    H[1:, 1:] = (np.outer(st.h, st.h) / st.theta
+                 - (R / st.N.sum()) * np.ones((p, p)) + np.diag(R / st.N))
+    return H

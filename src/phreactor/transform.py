@@ -26,7 +26,7 @@ from . import kernel
 from .equilibrium import drift_residual, mass_balance_steady
 from .network import ReactionNetwork
 from .thermo import ThermoState, neg_entropy_hessian
-from .structure import damping_matrix, structure_matrices
+from .structure import damping_matrix, input_matrix, mixing_noise_scale
 
 
 @dataclass(frozen=True)
@@ -143,9 +143,10 @@ class AvailabilityHamiltonian:
 
 def transformed_output(net: ReactionNetwork, sp: Setpoint, x, u) -> np.ndarray:
     """Passive output for the shifted system: y = g^T grad A + delta u."""
-    S = structure_matrices(net, ThermoState.from_vector(net, x))
-    grad = availability_gradient(net, sp, x)
-    return S.g.T @ grad + S.delta @ np.asarray(u, dtype=float)
+    st = ThermoState.from_vector(net, x)
+    delta = kernel.feedthrough(net, mixing_noise_scale(net, st), st.theta)
+    return (input_matrix(net, st).T @ availability_gradient(net, sp, x)
+            + np.array(delta) * np.asarray(u, dtype=float))
 
 
 def equivalence_residual(net: ReactionNetwork, sp: Setpoint, x) -> float:

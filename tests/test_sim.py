@@ -3,7 +3,7 @@ the public step functions, batched-ensemble equivalence with single paths,
 guard events, and ensemble aggregation."""
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -56,6 +56,10 @@ def test_config_validation():
     assert SimConfig(mode="open_loop").noise_on
     assert not SimConfig(mode="deterministic").noise_on
     assert not SimConfig(mode="isolated").noise_on
+    assert SimConfig(mode="closed_loop").feedback_on
+    assert SimConfig(mode="deterministic").feedback_on
+    assert not SimConfig(mode="open_loop").feedback_on
+    assert not SimConfig(mode="isolated").feedback_on
     # the open-loop inputs and switch time are checked before any stepping
     for bad in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)):
         with pytest.raises(ValueError, match=r"open-loop inputs \(q, Qdot\) "
@@ -64,6 +68,16 @@ def test_config_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="open_loop_until must be finite"):
             SimConfig(open_loop_until=bad)
+
+
+def test_sim_config_is_frozen_and_replace_validates():
+    cfg = SimConfig(dt=1e-3, t_end=0.1)
+    with pytest.raises(FrozenInstanceError):
+        cfg.dt = 0.0
+    assert cfg.n_steps == 100
+    with pytest.raises(ValueError, match="finite and positive"):
+        replace(cfg, dt=0.0)
+    assert replace(cfg, t_end=0.2).n_steps == 200
 
 
 def test_feedback_modes_require_setpoint_and_gains(net, x0):
@@ -380,6 +394,12 @@ def _kernel_batches(draw):
             _rows(draw, B, -10.0, 10.0), _rows(draw, B, -0.1, 0.1, 3))
 
 
+def _mixing_scale_along(net, N, T, v0, v):
+    """theta (v0, v)^T Hess(-S) (v0, v) for a general direction (v0, v)."""
+    h, _, _, theta = kernel.closures(net, N, T)
+    return kernel.mixing_scale(net, N, h, theta, v0, v)
+
+
 @settings(max_examples=60, deadline=None)
 @given(batch=_kernel_batches())
 def test_kernel_batch_rows_equal_single_state_calls(net, sp, batch):
@@ -394,6 +414,8 @@ def test_kernel_batch_rows_equal_single_state_calls(net, sp, batch):
         "closures": lambda U, N, T, *_: kernel.closures(net, N, T),
         "feedback_terms": lambda U, N, T, *_: kernel.feedback_terms(
             net, N, T, sp.T_star, sp.mu_star_over_T),
+        "mixing_scale along (Qdot, dW[1:])": lambda U, N, T, q, Qdot, dW: (
+            _mixing_scale_along(net, N, T, Qdot, dW[..., 1:]),),
     }
     for name, call in calls.items():
         rows = call(*batch)
@@ -540,10 +562,10 @@ def test_blowup_aborts_and_keeps_prefix(net, x0):
 
 
 def test_nonfinite_input_aborts_immediately(net, x0):
-    # SimConfig rejects a non-finite u_open; set after validation, it still
-    # meets the stepper's guard at the first step
+    # SimConfig rejects a non-finite u_open; forced past validation, it
+    # still meets the stepper's guard at the first step
     cfg = SimConfig(dt=1e-3, t_end=0.1, seed=1, mode="open_loop")
-    cfg.u_open = (0.0, float("nan"))
+    object.__setattr__(cfg, "u_open", (0.0, float("nan")))
     tr = simulate(net, None, None, cfg, x0)
     assert tr.aborted
     assert tr.abort_reason == "non-finite state update"

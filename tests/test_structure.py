@@ -360,6 +360,33 @@ def test_passivity_report_at_initial_state(net, sp, x0):
     assert abs(report.feedthrough_min_eig) < 1e-15
 
 
+def test_feedthrough_min_eig_is_eigvalsh_of_assembled_F(net, sp):
+    """The closed-form diagonal F keeps the bits of the eigensolve of
+    F = delta - (1/2) sigma sigma^T o (gamma^T Hess gamma), assembled here
+    from the structure matrices, for fields with and without cancellation."""
+    from phreactor.transform import AvailabilityHamiltonian
+
+    rng = np.random.default_rng(32)
+    B = rng.normal(size=(3, 3))
+    fields = [NegEntropy(net), AvailabilityHamiltonian(net, sp),
+              _Quadratic(1e-8 * (B + B.T)), _Quadratic(-1e-8 * B @ B.T)]
+    signs = set()
+    for T, N in zip(*random_states(net, 30, rng)):
+        st = ThermoState.from_temperature(net, N, T)
+        S = structure_matrices(net, st)
+        for field in fields:
+            H = field.hessian(st.x)
+            F = (S.delta - 0.5 * (S.sigma @ S.sigma.T)
+                 * (S.gamma.T @ H @ S.gamma))
+            want = np.linalg.eigvalsh(0.5 * (F + F.T))[0]
+            report = check_passivity(net, st, field)
+            assert report.feedthrough_min_eig == want
+            assert report.feedthrough_holds == (
+                want >= -1e-12 * max(1.0, float(np.linalg.norm(S.delta))))
+            signs.add(report.feedthrough_holds)
+    assert signs == {True, False}
+
+
 def test_passivity_fails_under_huge_reaction_noise(net, sp, x0):
     from phreactor.transform import AvailabilityHamiltonian
 

@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 from conftest import equilibrium_composition, random_states
+from phreactor import kernel
+from phreactor.control import control_law
 from phreactor.equilibrium import ConvergenceError
-from phreactor.structure import sde_fields, structure_matrices
+from phreactor.structure import (
+    damping_matrix,
+    ito_generator,
+    mixing_noise_scale,
+    sde_fields,
+    structure_matrices,
+)
 from phreactor.thermo import (
     ThermoDomainError,
     ThermoState,
@@ -154,6 +162,45 @@ def test_transformed_output_composition(net, sp, x0):
 def test_transformed_output_zero_at_setpoint_with_zero_input(net, sp_exact):
     y = transformed_output(net, sp_exact, sp_exact.x_star, np.zeros(2))
     assert np.abs(y).max() < 1e-12
+
+
+def _supply_gap_terms(net, sp, st, u):
+    """(L0[A], y^T u, grad A^T R pi*, -grad A^T R grad A, -u^T delta u)
+    with L0 the noise-free generator and R the strict damping matrix."""
+    rate = ito_generator(net, AvailabilityHamiltonian(net, sp), st, u,
+                         include_noise=False)
+    grad = availability_gradient(net, sp, st.x)
+    R = damping_matrix(net, st, mode="strict")
+    delta = np.array(kernel.feedthrough(net, mixing_noise_scale(net, st),
+                                        st.theta))
+    return (rate, float(transformed_output(net, sp, st.x, u) @ u),
+            grad @ R @ sp.pi_star, -(grad @ R @ grad), -(u @ (delta * u)))
+
+
+def test_supply_gap_is_the_setpoint_shift_coupling(net, sp, gains, x0):
+    # grad A = grad(-S) + pi* and the reaction drift is -R grad(-S), so the
+    # noise-free availability rate minus the supply y^T u is the coupling
+    # grad A^T R pi* of the setpoint shift, less the dissipation and the
+    # feedthrough power: criterion 11's gap is this coupling
+    rng = np.random.default_rng(1111)
+    cases = [(ThermoState.from_vector(net, x0),
+              control_law(net, sp, gains, x0).u)]
+    cases += [(ThermoState.from_temperature(net, N, T),
+               np.array([10.0 ** rng.uniform(-7, -3), rng.uniform(-50, 50)]))
+              for T, N in zip(*random_states(net, 40, rng))]
+    worst = 0.0
+    for st, u in cases:
+        rate, supply, *terms = _supply_gap_terms(net, sp, st, u)
+        scale = max(abs(rate), abs(supply), *map(abs, terms))
+        worst = max(worst, abs(rate - supply - sum(terms)) / scale)
+    assert worst <= 1e-12
+    # the start of criterion 11's deterministic path, where its gap peaks
+    rate, supply, coupling, dissipation, feedthrough = _supply_gap_terms(
+        net, sp, *cases[0])
+    assert rate - supply == pytest.approx(0.05745, rel=1e-3)
+    assert coupling == pytest.approx(0.05971, rel=1e-3)
+    assert dissipation == pytest.approx(-0.00225, rel=1e-2)
+    assert feedthrough == pytest.approx(-4.7e-10, rel=1e-2)
 
 
 # ---------------------------------------------- damping-equivalence residual

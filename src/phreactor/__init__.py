@@ -44,7 +44,6 @@ from .thermo import (
     neg_entropy_hessian,
 )
 from .structure import (
-    RateVector,
     StructureMatrices,
     SdeFields,
     PortSystem,
@@ -53,9 +52,6 @@ from .structure import (
     InputNoiseReport,
     PassivityReport,
     ReactionNoiseReport,
-    mass_action_rates,
-    reaction_rates,
-    log_mean,
     damping_coefficients,
     damping_matrix,
     input_matrix,

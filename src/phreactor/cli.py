@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from bisect import bisect_left
 from pathlib import Path
@@ -139,6 +140,21 @@ def cmd_check(args) -> int:
     rxn = check_reaction_noise_bound(net, state, V_star=sp.V_star)
     residual = equivalence_residual(net, sp, state.x)
     all_hold = norm.holds and pas.holds and rxn.holds
+    row = {  # the check.csv columns, in order
+        "all_hold": all_hold,
+        "input_noise_holds": norm.holds, "input_noise_lhs": norm.lhs,
+        "input_noise_rhs": norm.rhs, "feedthrough_norm": norm.delta_frobenius,
+        "trace_holds": pas.trace_holds, "trace_lhs": pas.trace_lhs,
+        "trace_rhs": pas.trace_rhs,
+        "feedthrough_psd_holds": pas.feedthrough_holds,
+        "feedthrough_min_eig": pas.feedthrough_min_eig,
+        "reaction_noise_holds": rxn.holds, "reaction_noise_lhs": rxn.lhs,
+        "reaction_noise_rhs": rxn.rhs, "equivalence_residual": residual,
+    }
+    for name, value in row.items():
+        if not math.isfinite(value):
+            raise CliError(f"{name} = {value} is not finite at "
+                           f"T={args.T} K, N={args.N}")
 
     def verdict(flag: bool) -> str:
         return "holds" if flag else "FAILS"
@@ -158,21 +174,8 @@ def cmd_check(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "check.csv", {
-        "all_hold": _flag(all_hold),
-        "input_noise_holds": _flag(norm.holds),
-        "input_noise_lhs": _num([norm.lhs]),
-        "input_noise_rhs": _num([norm.rhs]),
-        "feedthrough_norm": _num([norm.delta_frobenius]),
-        "trace_holds": _flag(pas.trace_holds),
-        "trace_lhs": _num([pas.trace_lhs]),
-        "trace_rhs": _num([pas.trace_rhs]),
-        "feedthrough_psd_holds": _flag(pas.feedthrough_holds),
-        "feedthrough_min_eig": _num([pas.feedthrough_min_eig]),
-        "reaction_noise_holds": _flag(rxn.holds),
-        "reaction_noise_lhs": _num([rxn.lhs]),
-        "reaction_noise_rhs": _num([rxn.rhs]),
-        "equivalence_residual": _num([residual]),
-    })
+        name: _flag(value) if isinstance(value, bool) else _num([value])
+        for name, value in row.items()})
 
     if args.strict and not all_hold:
         return 2

@@ -84,6 +84,47 @@ def affinity(net, mu_over_T, T) -> np.ndarray:
     return -_dot(net.stoich_net.T, (mu_over_T * _col(T))[..., None, :])
 
 
+#: Affinities smaller than this (J/mol) fall back to the logarithmic-mean
+#: weight in strict mode.
+AFFINITY_GUARD = 1e-9
+
+
+def log_mean(a, b):
+    """Elementwise logarithmic mean (a - b) / ln(a / b), continuously
+    extended: 0 where an argument is nonpositive (an absent rate carries no
+    dissipation weight), the midpoint within 1e-9 relative.  Unselected
+    quotients see safe stand-in operands, so only selected ones can warn."""
+    d = a - b
+    absent = (a <= 0.0) | (b <= 0.0)
+    mid = np.abs(d) <= 1e-9 * (a + b)
+    quotient = ~(absent | mid)
+    ratio = np.where(quotient, a, 2.0) / np.where(quotient, b, 1.0)
+    return np.where(quotient, d / np.log(ratio),
+                    np.where(absent, 0.0, 0.5 * (a + b)))
+
+
+def damping_weights(net, forward, backward, T, affinity=None):
+    """Per-reaction weights c_i of the damping matrix (see
+    :func:`damping_apply`) from the rates (r_f, r_b): logmean(r_f, r_b) / (R T)
+    >= 0 or, given the affinities, the strict (r_f - r_b) / affinity wherever
+    |affinity| > :data:`AFFINITY_GUARD`, the log-mean weight elsewhere."""
+    coef = log_mean(forward, backward) / _col(net.reactor.R_gas * T)
+    if affinity is None:
+        return coef
+    strict = np.abs(affinity) > AFFINITY_GUARD
+    return np.where(strict,
+                    (forward - backward) / np.where(strict, affinity, 1.0),
+                    coef)
+
+
+def damping_apply(net, c, T, v):
+    """R_NN v for the composition block R_NN = V T sum_i c_i dz_i dz_i^T of
+    the damping matrix, dz_i = -nu_i (reactants minus products), weights c."""
+    nu = net.stoich_net
+    weighted = c * _dot(nu.T, v[..., None, :])
+    return _col(net.reactor.V * T) * _dot(nu, weighted[..., None, :])
+
+
 def feed_gap(net, N) -> np.ndarray:
     """dc = c_in - N / V, mol/m^3."""
     return net.c_in - N / net.reactor.V

@@ -50,51 +50,6 @@ from .thermo import (
 )
 
 
-@dataclass(frozen=True)
-class RateVector:
-    """Forward and backward mass-action rates per unit volume, mol/(m^3 s)."""
-
-    forward: np.ndarray
-    backward: np.ndarray
-
-    @property
-    def net(self) -> np.ndarray:
-        return self.forward - self.backward
-
-
-def mass_action_rates(net: ReactionNetwork, c, T: float) -> RateVector:
-    """Arrhenius mass-action rates at concentrations c (mol/m^3) and
-    temperature T.  Accepts zero concentrations."""
-    return RateVector(*kernel.mass_action(net, np.asarray(c, dtype=float), T))
-
-
-def reaction_rates(net: ReactionNetwork, state) -> RateVector:
-    """Arrhenius mass-action rates at the state's composition and
-    temperature."""
-    st = as_state(net, state)
-    return mass_action_rates(net, st.N / net.reactor.V, st.T)
-
-
-def log_mean(a: float, b: float) -> float:
-    """Logarithmic mean (a - b)/ln(a/b), continuously extended.
-
-    Returns 0 when either argument is nonpositive (an absent rate carries
-    no dissipation weight) and the midpoint when the arguments are within
-    1e-9 relative of each other.
-    """
-    if a <= 0.0 or b <= 0.0:
-        return 0.0
-    d = a - b
-    if abs(d) <= 1e-9 * (a + b):
-        return 0.5 * (a + b)
-    return d / np.log(a / b)
-
-
-#: Affinities smaller than this (J/mol) fall back to the logarithmic-mean
-#: weight in strict mode.
-AFFINITY_GUARD = 1e-9
-
-
 def damping_coefficients(net: ReactionNetwork, state,
                          mode: str = "logmean") -> np.ndarray:
     """Per-reaction dissipation weights c_i >= 0 such that the damping
@@ -105,20 +60,15 @@ def damping_coefficients(net: ReactionNetwork, state,
     any rate constants.  ``"strict"`` uses the literal quotient
     (r_f - r_b) / (dz^T mu), which agrees with the logmean form exactly
     when the kinetics are thermodynamically consistent; it falls back to
-    the logmean weight when |dz^T mu| < 1e-9.
+    the logmean weight when |dz^T mu| < 1e-9.  See
+    :func:`kernel.damping_weights`.
     """
-    st = as_state(net, state)
-    rates = reaction_rates(net, st)
-    RT = net.reactor.R_gas * st.T
-    lm = np.array([log_mean(f, b) for f, b in zip(rates.forward, rates.backward)])
-    coef = lm / RT
-    if mode == "strict":
-        affinity = kernel.affinity(net, st.mu_over_T, st.T)
-        strict = np.abs(affinity) > AFFINITY_GUARD
-        coef[strict] = rates.net[strict] / affinity[strict]
-    elif mode != "logmean":
+    if mode not in ("logmean", "strict"):
         raise ValueError(f"unknown damping mode {mode!r}")
-    return coef
+    st = as_state(net, state)
+    return kernel.damping_weights(
+        net, *kernel.mass_action(net, st.N / net.reactor.V, st.T), st.T,
+        kernel.affinity(net, st.mu_over_T, st.T) if mode == "strict" else None)
 
 
 def damping_matrix(net: ReactionNetwork, state,
@@ -129,13 +79,10 @@ def damping_matrix(net: ReactionNetwork, state,
     composition.  See :func:`damping_coefficients` for the two weightings.
     """
     st = as_state(net, state)
-    p = net.n_species
-    R = np.zeros((p + 1, p + 1))
-    coef = damping_coefficients(net, st, mode)
-    VT = net.reactor.V * st.T
+    R = np.zeros((net.n_species + 1, net.n_species + 1))
     dz = -net.stoich_net  # reactants minus products, one column per reaction
-    for i in range(net.n_reactions):
-        R[1:, 1:] += VT * coef[i] * np.outer(dz[:, i], dz[:, i])
+    R[1:, 1:] = (dz[:, None] * dz) @ (net.reactor.V * st.T
+                                       * damping_coefficients(net, st, mode))
     return R
 
 
@@ -153,13 +100,19 @@ def input_matrix(net: ReactionNetwork, state) -> np.ndarray:
     return g
 
 
+def _noise_column(net: ReactionNetwork, forward, backward) -> np.ndarray:
+    """(0, rho1 V nu (r_f - r_b)) from the mass-action rates."""
+    a = np.zeros(net.n_species + 1)
+    a[1:] = net.noise.rho1 * kernel.reaction_flux(net, forward - backward)
+    return a
+
+
 def reaction_noise_column(net: ReactionNetwork, state) -> np.ndarray:
     """Diffusion column a(x) = rho1 * (0, V nu (r_f - r_b)): the reaction
     flux scaled by the flux-noise intensity.  Vanishes at r_f = r_b."""
     st = as_state(net, state)
-    a = np.zeros(net.n_species + 1)
-    a[1:] = net.noise.rho1 * kernel.reaction_flux(net, reaction_rates(net, st).net)
-    return a
+    return _noise_column(net, *kernel.mass_action(net, st.N / net.reactor.V,
+                                                   st.T))
 
 
 def mixing_noise_scale(net: ReactionNetwork, state) -> float:
@@ -336,9 +289,12 @@ def check_passivity(net: ReactionNetwork, state,
     st = as_state(net, state)
     grad = field.gradient(st.x)
     H = field.hessian(st.x)
-    a = reaction_noise_column(net, st)
+    rates = kernel.mass_action(net, st.N / net.reactor.V, st.T)
+    a = _noise_column(net, *rates)
     trace_lhs = 0.5 * float(a @ H @ a)
-    trace_rhs = float(grad @ damping_matrix(net, st) @ grad)
+    # R's energy row and column vanish: grad^T R grad = grad_N^T R_NN grad_N
+    trace_rhs = float(grad[1:] @ kernel.damping_apply(
+        net, kernel.damping_weights(net, *rates, st.T), st.T, grad[1:]))
     g = input_matrix(net, st)
     delta = np.array(kernel.feedthrough(net, mixing_noise_scale(net, st),
                                         st.theta))
@@ -372,12 +328,13 @@ class ReactionNoiseReport:
 def check_reaction_noise_bound(net: ReactionNetwork, state,
                                V_star: float | None = None) -> ReactionNoiseReport:
     st = as_state(net, state)
-    rates = reaction_rates(net, st)
-    flux_dir = net.stoich_net @ rates.net  # mol/(m^3 s)
+    forward, backward = kernel.mass_action(net, st.N / net.reactor.V, st.T)
+    rate_net = forward - backward
+    flux_dir = net.stoich_net @ rate_net  # mol/(m^3 s)
     quad = kernel.mixing_scale(net, st.N, st.h, st.theta, 0.0, flux_dir)
     V_star = net.reactor.V if V_star is None else float(V_star)
     lhs = 0.5 * net.noise.rho1 ** 2 * V_star * float(quad) / st.theta
-    rhs = float(rates.net @ kernel.affinity(net, st.mu_over_T, st.T)) / st.T
+    rhs = float(rate_net @ kernel.affinity(net, st.mu_over_T, st.T)) / st.T
     return ReactionNoiseReport(bool(lhs <= rhs), lhs, rhs)
 
 

@@ -26,7 +26,7 @@ from . import kernel
 from .equilibrium import drift_residual, mass_balance_steady
 from .network import ReactionNetwork
 from .thermo import ThermoState, neg_entropy_hessian
-from .structure import damping_matrix, input_matrix, mixing_noise_scale
+from .structure import damping_coefficients
 
 
 @dataclass(frozen=True)
@@ -144,19 +144,20 @@ class AvailabilityHamiltonian:
 def transformed_output(net: ReactionNetwork, sp: Setpoint, x, u) -> np.ndarray:
     """Passive output for the shifted system: y = g^T grad A + delta u."""
     st = ThermoState.from_vector(net, x)
-    delta = kernel.feedthrough(net, mixing_noise_scale(net, st), st.theta)
-    return (input_matrix(net, st).T @ availability_gradient(net, sp, x)
-            + np.array(delta) * np.asarray(u, dtype=float))
+    d1, d2, o1, o2, *_ = kernel.feedback_terms(net, st.N, st.T, sp.T_star,
+                                               sp.mu_star_over_T)
+    return np.array([o1, o2]) + np.array([d1, d2]) * np.asarray(u, dtype=float)
 
 
 def equivalence_residual(net: ReactionNetwork, sp: Setpoint, x) -> float:
-    """Norm of R(x) pi*: the obstruction to carrying the dissipation
-    structure through the setpoint shift unchanged.
+    """Norm of R(x) pi*, that is of R_NN pi*_N (log-mean weights): the
+    obstruction to carrying the dissipation structure through the setpoint
+    shift unchanged.
 
     Zero (to rounding) when the target composition has zero net affinity,
     strictly positive for flow-sustained targets away from reaction
     equilibrium.
     """
     st = ThermoState.from_vector(net, x)
-    R = damping_matrix(net, st)
-    return float(np.linalg.norm(R @ sp.pi_star))
+    return float(np.linalg.norm(kernel.damping_apply(
+        net, damping_coefficients(net, st), st.T, sp.pi_star[1:])))

@@ -308,13 +308,17 @@ def test_criterion_11_generator_passivity(net, sp, det_traj):
            f"dissipation inequality held at {held}/{checked} "
            f"checked states ({frac:.1%}, need 99%); worst gap "
            f"{worst_gap:.3g}")
-    # expected failure with the bundled benchmark data.  Without noise the
-    # gap is grad A^T R pi* - grad A^T R grad A - u^T delta u (R the strict
-    # damping matrix; tests/test_transform.py pins the identity): the
-    # setpoint shift couples the dissipation to pi*, and R pi* != 0 at this
-    # flow-sustained target (see the transform module).  At t = 0 that is
-    # 0.05971 - 0.00225 - 4.7e-10, and the Ito trace adds only 9.6e-6, so
-    # the inequality fails at every checkpoint through the shift coupling
+    # expected failure with the bundled benchmark data.  Whatever the input,
+    # the gap L[A] - y^T u is (1/2) rho1^2 M_flux / theta
+    # + (mu/T - mu*/T*)^T flux, M_flux the storage curvature along the
+    # reaction flux, because delta u cancels the Ito trace of the input
+    # noise exactly (tests/test_transform.py pins the identity).  The flux
+    # term is the setpoint-shift coupling grad A^T R pi* less the
+    # dissipation grad A^T R grad A (R the strict damping matrix), and
+    # R pi* != 0 at this flow-sustained target (see the transform module).
+    # At t = 0 that is 0.05971 - 0.00225, and the reaction-noise trace adds
+    # only 9.6e-6, so the inequality fails at every checkpoint through the
+    # shift coupling
     assert ok, (
         f"storage rate exceeded the supplied power at "
         f"{checked - held}/{checked} states; worst gap {worst_gap:.3g}")

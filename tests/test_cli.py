@@ -105,6 +105,29 @@ def test_check_single_species_network(tmp_path):
     assert float(row["equivalence_residual"]) == 0.0
 
 
+@pytest.mark.parametrize("T, N, message", [
+    ("342", "1e160,1", "input_noise_lhs = nan is not finite at T=342.0 K, "
+                       "N=1e160,1"),
+    ("1e150", "1,1", "input_noise_lhs = inf is not finite at T=1e+150 K, "
+                     "N=1,1"),
+])
+def test_check_overflowing_condition_exits_1(cfg_path, tmp_path, capsys, T, N,
+                                             message):
+    # a finite state where a condition side overflows: the evaluation warns,
+    # and the command names the quantity and writes nothing
+    out = tmp_path / "o"
+    args = ["check", "--network", str(cfg_path), "--out", str(out),
+            "--T", T, "--N", N,
+            "--setpoint-T", "331.9", "--setpoint-q", "9.15e-6"]
+    for strict in ([], ["--strict"]):
+        with pytest.warns(RuntimeWarning):
+            assert main(args + strict) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 # -------------------------------------------------------------- equilibria
 
 

@@ -15,7 +15,7 @@ from phreactor.equilibrium import (
     steady_states,
 )
 from phreactor.network import parse_network
-from phreactor.structure import mass_action_rates, sde_fields
+from phreactor.structure import sde_fields
 from phreactor.thermo import ThermoDomainError, ThermoState
 
 #: The benchmark network with a second-order forward reaction, whose
@@ -83,12 +83,13 @@ def _newton_by_columns(net, T, q, N0=None, tol=1e-12):
     V = net.reactor.V
 
     def balance(N):
-        rates = mass_action_rates(net, N / V, T)
-        return kernel.reaction_flux(net, rates.net) + q * kernel.feed_gap(net, N)
+        forward, backward = kernel.mass_action(net, N / V, T)
+        return (kernel.reaction_flux(net, forward - backward)
+                + q * kernel.feed_gap(net, N))
 
     def scale(N):
-        rates = mass_action_rates(net, N / V, T)
-        turnover = V * float(np.sum(rates.forward + rates.backward))
+        forward, backward = kernel.mass_action(net, N / V, T)
+        turnover = V * float(np.sum(forward + backward))
         return max(q * float(np.max(net.c_in)), turnover, 1e-300)
 
     N = np.array(N0, dtype=float) if N0 is not None else V * net.c_in

@@ -400,6 +400,15 @@ def _mixing_scale_along(net, N, T, v0, v):
     return kernel.mixing_scale(net, N, h, theta, v0, v)
 
 
+def _damping_weights(net, N, T, strict):
+    """The log-mean or strict dissipation weights at states (N, T)."""
+    forward, backward = kernel.mass_action(net, N / net.reactor.V, T)
+    mu_over_T = kernel.closures(net, N, T)[1]
+    return kernel.damping_weights(
+        net, forward, backward, T,
+        kernel.affinity(net, mu_over_T, T) if strict else None)
+
+
 @settings(max_examples=60, deadline=None)
 @given(batch=_kernel_batches())
 def test_kernel_batch_rows_equal_single_state_calls(net, sp, batch):
@@ -416,6 +425,17 @@ def test_kernel_batch_rows_equal_single_state_calls(net, sp, batch):
             net, N, T, sp.T_star, sp.mu_star_over_T),
         "mixing_scale along (Qdot, dW[1:])": lambda U, N, T, q, Qdot, dW: (
             _mixing_scale_along(net, N, T, Qdot, dW[..., 1:]),),
+        # N + dW takes the quotient, midpoint and absent-rate branches
+        "log_mean": lambda U, N, T, q, Qdot, dW: (
+            kernel.log_mean(N, N + dW[..., :2]),),
+        "damping_weights logmean": lambda U, N, T, *_: (
+            _damping_weights(net, N, T, strict=False),),
+        "damping_weights strict": lambda U, N, T, *_: (
+            _damping_weights(net, N, T, strict=True),),
+        "damping_apply along dW[1:]": lambda U, N, T, q, Qdot, dW: (
+            kernel.damping_apply(
+                net, _damping_weights(net, N, T, strict=False), T,
+                dW[..., 1:]),),
     }
     for name, call in calls.items():
         rows = call(*batch)

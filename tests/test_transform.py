@@ -177,23 +177,44 @@ def _supply_gap_terms(net, sp, st, u):
             grad @ R @ sp.pi_star, -(grad @ R @ grad), -(u @ (delta * u)))
 
 
+def _noisy_supply_gap(net, sp, st):
+    """(1/2) rho1^2 M_flux / theta + (mu/T - mu*/T*)^T flux: the reaction
+    noise's Ito trace plus the reaction flux against grad_N A, with M_flux
+    the storage curvature along the flux."""
+    forward, backward = kernel.mass_action(net, st.N / net.reactor.V, st.T)
+    flux = kernel.reaction_flux(net, forward - backward)
+    curvature = kernel.mixing_scale(net, st.N, st.h, st.theta, 0.0, flux)
+    return (0.5 * net.noise.rho1 ** 2 * curvature / st.theta
+            + float((st.mu_over_T - sp.mu_star_over_T) @ flux))
+
+
 def test_supply_gap_is_the_setpoint_shift_coupling(net, sp, gains, x0):
     # grad A = grad(-S) + pi* and the reaction drift is -R grad(-S), so the
     # noise-free availability rate minus the supply y^T u is the coupling
     # grad A^T R pi* of the setpoint shift, less the dissipation and the
-    # feedthrough power: criterion 11's gap is this coupling
+    # feedthrough power: criterion 11's gap is this coupling.  With noise,
+    # delta u cancels the input channels' Ito trace exactly, so L[A] - y^T u
+    # is the u-free gap of _noisy_supply_gap
     rng = np.random.default_rng(1111)
     cases = [(ThermoState.from_vector(net, x0),
               control_law(net, sp, gains, x0).u)]
     cases += [(ThermoState.from_temperature(net, N, T),
                np.array([10.0 ** rng.uniform(-7, -3), rng.uniform(-50, 50)]))
               for T, N in zip(*random_states(net, 40, rng))]
-    worst = 0.0
+    field = AvailabilityHamiltonian(net, sp)
+    worst = noisy_worst = 0.0
     for st, u in cases:
         rate, supply, *terms = _supply_gap_terms(net, sp, st, u)
         scale = max(abs(rate), abs(supply), *map(abs, terms))
         worst = max(worst, abs(rate - supply - sum(terms)) / scale)
+        gap = _noisy_supply_gap(net, sp, st)
+        for v in (u, np.zeros(2), u * [10.0, -3.0]):
+            rate = ito_generator(net, field, st, v)
+            supply = float(transformed_output(net, sp, st.x, v) @ v)
+            scale = max(abs(rate), abs(supply), abs(gap))
+            noisy_worst = max(noisy_worst, abs(rate - supply - gap) / scale)
     assert worst <= 1e-12
+    assert noisy_worst <= 1e-12
     # the start of criterion 11's deterministic path, where its gap peaks
     rate, supply, coupling, dissipation, feedthrough = _supply_gap_terms(
         net, sp, *cases[0])

@@ -3,7 +3,7 @@ that serialize -> parse reproduces the network exactly."""
 
 import numpy as np
 
-from phreactor import parse_network, serialize_network, validate
+from phreactor import NetworkValidationError, parse_network, serialize_network
 from phreactor.presets import CONFIG_TEXT
 
 # Parse the benchmark configuration
@@ -31,6 +31,8 @@ text = serialize_network(net)
 again = parse_network(text)
 print("\nserialize -> parse identity:", again == net)
 
-# validate() collects diagnostics instead of raising
-bad = net.with_noise(net.noise.scaled(f2=-1.0))
-print("diagnostics for a negated noise weight:", validate(bad))
+# with_noise() validates the copy; the error carries validate()'s diagnostics
+try:
+    net.with_noise(net.noise.scaled(f2=-1.0))
+except NetworkValidationError as err:
+    print("diagnostics for a negated noise weight:", err.diagnostics)

@@ -135,10 +135,12 @@ def cmd_check(args) -> int:
     sp = _setpoint_from_flags(net, args)
     field = AvailabilityHamiltonian(net, sp)
 
-    norm = check_input_noise_bound(net, state)
-    pas = check_passivity(net, state, field)
-    rxn = check_reaction_noise_bound(net, state, V_star=sp.V_star)
-    residual = equivalence_residual(net, sp, state.x)
+    # a side that overflows at a finite state is named below, not warned of
+    with np.errstate(all="ignore"):
+        norm = check_input_noise_bound(net, state)
+        pas = check_passivity(net, state, field)
+        rxn = check_reaction_noise_bound(net, state, V_star=sp.V_star)
+        residual = equivalence_residual(net, sp, state)
     all_hold = norm.holds and pas.holds and rxn.holds
     row = {  # the check.csv columns, in order
         "all_hold": all_hold,

@@ -28,6 +28,9 @@ from .network import ReactionNetwork
 from .thermo import N_FLOOR, ThermoDomainError, ThermoState, internal_energy
 from .structure import sde_fields
 
+#: Newton iterations :func:`mass_balance_steady` takes before it gives up.
+MAX_NEWTON_ITER = 200
+
 
 class ConvergenceError(RuntimeError):
     """A steady-state solve failed to converge.  ``N`` holds the last
@@ -62,15 +65,15 @@ def _balance(net: ReactionNetwork, N, T, q):
 
 
 def mass_balance_steady(net: ReactionNetwork, T, q: float,
-                        max_iter: int = 200, N0=None) -> np.ndarray:
+                        N0=None) -> np.ndarray:
     """Solve the stationary mole balance at (T, q) for the composition N.
 
     Damped Newton from N = V c_in (or the warm start N0) with a central
     finite-difference Jacobian and step halving on residual increase.  T of
     shape (B,) solves B rows as one batch, each with the bits of its scalar
     solve, and gives N of shape (B, p).  Raises :class:`ConvergenceError`
-    naming the first T not converged in ``max_iter`` iterations, and
-    :class:`ValueError` if a solution has a negative component.
+    naming the first T not converged in ``MAX_NEWTON_ITER`` iterations,
+    and :class:`ValueError` if a solution has a negative component.
     """
     p = net.n_species
     Ts = np.asarray(T, dtype=float).reshape(-1)
@@ -78,7 +81,7 @@ def mass_balance_steady(net: ReactionNetwork, T, q: float,
     N[...] = net.reactor.V * net.c_in if N0 is None else N0
     best, f, scale = _balance(net, N, Ts, q)
     done = np.zeros(Ts.size, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON_ITER):
         done = np.maximum.reduce(np.abs(f), -1) <= 1e-12 * scale
         rows = (~done).nonzero()[0]
         if not rows.size:

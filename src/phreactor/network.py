@@ -31,6 +31,7 @@ energies J/mol, heat transfer coefficient J/(K s).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -202,9 +203,19 @@ class ReactionNetwork:
         return np.array([r.Eb for r in self.reactions])
 
     def with_noise(self, noise: NoiseSpec) -> "ReactionNetwork":
-        """Copy of this network with a different noise block."""
-        return ReactionNetwork(self.species, self.reactions, self.reactor,
-                               self.inlet, noise)
+        """Copy of this network with a different noise block; raises
+        :class:`NetworkValidationError` if the copy fails :func:`validate`."""
+        return _validated(ReactionNetwork(self.species, self.reactions,
+                                          self.reactor, self.inlet, noise))
+
+
+def _numeric(diags: list[str], name: str, value: float, bound: str = "") -> None:
+    """Diagnose one numeric field: it must be finite and, given ``bound``
+    ("> 0" or ">= 0"), compare so with zero."""
+    if not math.isfinite(value):
+        diags.append(f"{name} must be finite")
+    elif bound and (value < 0 or bound == "> 0" and value == 0):
+        diags.append(f"{name} must be {bound}")
 
 
 def validate(net: ReactionNetwork) -> list[str]:
@@ -222,12 +233,9 @@ def validate(net: ReactionNetwork) -> list[str]:
         if sp.name in seen:
             diags.append(f"species.{sp.name} duplicated")
         seen.add(sp.name)
-        if not sp.cp > 0:
-            diags.append(f"species.{sp.name}.cp must be > 0")
-        if not np.isfinite(sp.h_ref):
-            diags.append(f"species.{sp.name}.h_ref must be finite")
-        if not np.isfinite(sp.s_ref):
-            diags.append(f"species.{sp.name}.s_ref must be finite")
+        _numeric(diags, f"species.{sp.name}.cp", sp.cp, "> 0")
+        _numeric(diags, f"species.{sp.name}.h_ref", sp.h_ref)
+        _numeric(diags, f"species.{sp.name}.s_ref", sp.s_ref)
     if not net.species:
         diags.append("species must contain at least one entry")
 
@@ -241,40 +249,37 @@ def validate(net: ReactionNetwork) -> list[str]:
             diags.append(f"reaction {i} has a negative multiplicity")
         if rxn.reactants == rxn.products:
             diags.append(f"reaction {i} has zero net stoichiometry")
-        for attr in ("k0f", "k0b"):
-            if not getattr(rxn, attr) >= 0:
-                diags.append(f"reactions[{i}].{attr} must be >= 0")
-        for attr in ("Ef", "Eb"):
-            if not getattr(rxn, attr) >= 0:
-                diags.append(f"reactions[{i}].{attr} must be >= 0")
+        for attr in ("k0f", "k0b", "Ef", "Eb"):
+            _numeric(diags, f"reactions[{i}].{attr}", getattr(rxn, attr), ">= 0")
 
     r = net.reactor
-    if not r.V > 0:
-        diags.append("reactor.V must be > 0")
-    if not r.P >= 0:
-        diags.append("reactor.P must be >= 0")
-    if not r.T_ref > 0:
-        diags.append("reactor.T_ref must be > 0")
-    if not r.lam >= 0:
-        diags.append("reactor.lambda must be >= 0")
-    if not r.R_gas > 0:
-        diags.append("reactor.R_gas must be > 0")
+    for name, value, bound in (("V", r.V, "> 0"), ("P", r.P, ">= 0"),
+                               ("T_ref", r.T_ref, "> 0"),
+                               ("lambda", r.lam, ">= 0"),
+                               ("R_gas", r.R_gas, "> 0")):
+        _numeric(diags, f"reactor.{name}", value, bound)
 
-    if not net.inlet.T_in > 0:
-        diags.append("inlet.T_in must be > 0")
+    _numeric(diags, "inlet.T_in", net.inlet.T_in, "> 0")
     if len(net.inlet.c_in) != p:
         diags.append(f"inlet.c_in length must equal the species count {p}")
     else:
         for name, c in zip(net.species_names, net.inlet.c_in):
-            if not c >= 0:
-                diags.append(f"inlet.c_{name} must be >= 0")
+            _numeric(diags, f"inlet.c_{name}", c, ">= 0")
         if p and not any(c > 0 for c in net.inlet.c_in):
             diags.append("inlet.c_in must have at least one positive entry")
 
     for attr in ("rho1", "rho2", "rho3"):
-        if not getattr(net.noise, attr) >= 0:
-            diags.append(f"noise.{attr} must be >= 0")
+        _numeric(diags, f"noise.{attr}", getattr(net.noise, attr), ">= 0")
     return diags
+
+
+def _validated(net: ReactionNetwork) -> ReactionNetwork:
+    """``net`` itself; raises :class:`NetworkValidationError` with the
+    diagnostics of :func:`validate` if there are any."""
+    diags = validate(net)
+    if diags:
+        raise NetworkValidationError(diags)
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +451,8 @@ def parse_network(text: str) -> ReactionNetwork:
     _require(no_pairs, ("rho1", "rho2", "rho3"), "[noise]", line)
     noise = NoiseSpec(no_pairs["rho1"], no_pairs["rho2"], no_pairs["rho3"])
 
-    net = ReactionNetwork(tuple(species), tuple(reactions), reactor, inlet, noise)
-    diags = validate(net)
-    if diags:
-        raise NetworkValidationError(diags)
-    return net
+    return _validated(ReactionNetwork(tuple(species), tuple(reactions),
+                                      reactor, inlet, noise))
 
 
 # ---------------------------------------------------------------------------

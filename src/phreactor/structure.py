@@ -20,14 +20,15 @@ the Ito generator of scalar fields along the dynamics, and checks the
 conditions under which the noisy system remains passive:
 
 * an input-noise bound (the feedthrough correction stays contractive),
-* a trace condition (reaction-noise curvature is paid for by dissipation)
-  together with positive semidefiniteness of the corrected feedthrough,
+* a trace condition (reaction-noise curvature is paid for by dissipation);
+  the corrected feedthrough it comes with is zero by the definition of
+  delta for the storages with Hessian Hess(-S),
 * a reaction-noise bound sufficient for the trace condition at the
   natural storage.
 
 The checks read the closed forms of :mod:`kernel` and assemble no
-:class:`StructureMatrices`: the corrected feedthrough is diagonal, and the
-reaction-noise curvature is :func:`kernel.mixing_scale` along the flux.
+:class:`StructureMatrices`: the reaction-noise curvature is
+:func:`kernel.mixing_scale` along the flux.
 
 It also forms the negative-feedback interconnection of two such systems,
 which is again a dissipative structure pair (J, R).
@@ -42,12 +43,7 @@ import numpy as np
 
 from . import kernel
 from .network import ReactionNetwork
-from .thermo import (
-    ThermoState,
-    as_state,
-    neg_entropy_gradient,
-    neg_entropy_hessian,
-)
+from .thermo import as_state, neg_entropy_gradient, neg_entropy_hessian
 
 
 def damping_coefficients(net: ReactionNetwork, state,
@@ -100,19 +96,14 @@ def input_matrix(net: ReactionNetwork, state) -> np.ndarray:
     return g
 
 
-def _noise_column(net: ReactionNetwork, forward, backward) -> np.ndarray:
-    """(0, rho1 V nu (r_f - r_b)) from the mass-action rates."""
-    a = np.zeros(net.n_species + 1)
-    a[1:] = net.noise.rho1 * kernel.reaction_flux(net, forward - backward)
-    return a
-
-
 def reaction_noise_column(net: ReactionNetwork, state) -> np.ndarray:
     """Diffusion column a(x) = rho1 * (0, V nu (r_f - r_b)): the reaction
     flux scaled by the flux-noise intensity.  Vanishes at r_f = r_b."""
     st = as_state(net, state)
-    return _noise_column(net, *kernel.mass_action(net, st.N / net.reactor.V,
-                                                   st.T))
+    forward, backward = kernel.mass_action(net, st.N / net.reactor.V, st.T)
+    a = np.zeros(net.n_species + 1)
+    a[1:] = net.noise.rho1 * kernel.reaction_flux(net, forward - backward)
+    return a
 
 
 def mixing_noise_scale(net: ReactionNetwork, state) -> float:
@@ -215,8 +206,7 @@ class NegEntropy:
         self.net = net
 
     def value(self, x) -> float:
-        st = ThermoState.from_vector(self.net, x)
-        return -st.S
+        return -as_state(self.net, x).S
 
     def gradient(self, x) -> np.ndarray:
         return neg_entropy_gradient(self.net, x)
@@ -266,48 +256,46 @@ def check_input_noise_bound(net: ReactionNetwork, state) -> InputNoiseReport:
 
 @dataclass(frozen=True)
 class PassivityReport:
-    """Sufficient passivity conditions for a storage field under the full
-    noise: the curvature injected by reaction noise must not exceed the
-    dissipation (trace condition), and the corrected feedthrough
-    F = delta - (1/2) sigma sigma^T o (gamma^T Hess gamma) must be positive
-    semidefinite.  sigma sigma^T is diagonal, so F is diagonal and its
-    smallest eigenvalue is its smallest diagonal entry."""
+    """Sufficient passivity conditions for a storage with Hessian Hess(-S)
+    (-S itself or the availability) under the full noise: the curvature
+    (1/2) a^T Hess a injected by reaction noise must not exceed the
+    dissipation grad^T R grad (trace condition).
+
+    The corrected feedthrough F = delta - (1/2) sigma sigma^T o
+    (gamma^T Hess gamma) is zero for these storages, since delta is defined
+    as exactly that correction; so ``feedthrough_holds`` is always true and
+    ``feedthrough_min_eig`` always 0."""
 
     trace_holds: bool
-    feedthrough_holds: bool
     trace_lhs: float
     trace_rhs: float
-    feedthrough_min_eig: float
+    feedthrough_holds = True
+    feedthrough_min_eig = 0.0
 
     @property
     def holds(self) -> bool:
-        return self.trace_holds and self.feedthrough_holds
+        return self.trace_holds
 
 
 def check_passivity(net: ReactionNetwork, state,
                     field: ScalarField) -> PassivityReport:
+    """The conditions of :class:`PassivityReport` at a state.  ``field`` is
+    a storage with Hessian Hess(-S) whose ``gradient`` takes a
+    :class:`ThermoState`; nothing else of it is read."""
     st = as_state(net, state)
-    grad = field.gradient(st.x)
-    H = field.hessian(st.x)
+    grad = field.gradient(st)
     rates = kernel.mass_action(net, st.N / net.reactor.V, st.T)
-    a = _noise_column(net, *rates)
-    trace_lhs = 0.5 * float(a @ H @ a)
+    # a = rho1 (0, flux): theta a^T Hess(-S) a is rho1^2 times the mixing
+    # scale along (0, flux)
+    flux = kernel.reaction_flux(net, rates[0] - rates[1])
+    trace_lhs = float(0.5 * net.noise.rho1 ** 2 * kernel.mixing_scale(
+        net, st.N, st.h, st.theta, 0.0, flux) / st.theta)
     # R's energy row and column vanish: grad^T R grad = grad_N^T R_NN grad_N
     trace_rhs = float(grad[1:] @ kernel.damping_apply(
         net, kernel.damping_weights(net, *rates, st.T), st.T, grad[1:]))
-    g = input_matrix(net, st)
-    delta = np.array(kernel.feedthrough(net, mixing_noise_scale(net, st),
-                                        st.theta))
-    sig2 = np.array([net.noise.rho2 ** 2, net.noise.rho3 ** 2])
-    min_eig = float((delta - 0.5 * sig2 * np.diag(g.T @ H @ g)).min())
-    scale = max(1.0, float(np.linalg.norm(delta)))
     return PassivityReport(
-        trace_holds=bool(trace_lhs <= trace_rhs + 1e-12 * max(1.0, abs(trace_rhs))),
-        feedthrough_holds=bool(min_eig >= -1e-12 * scale),
-        trace_lhs=trace_lhs,
-        trace_rhs=trace_rhs,
-        feedthrough_min_eig=min_eig,
-    )
+        bool(trace_lhs <= trace_rhs + 1e-12 * max(1.0, abs(trace_rhs))),
+        trace_lhs, trace_rhs)
 
 
 @dataclass(frozen=True)

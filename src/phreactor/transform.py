@@ -25,7 +25,7 @@ import numpy as np
 from . import kernel
 from .equilibrium import drift_residual, mass_balance_steady
 from .network import ReactionNetwork
-from .thermo import ThermoState, neg_entropy_hessian
+from .thermo import ThermoState, as_state, neg_entropy_hessian
 from .structure import damping_coefficients
 
 
@@ -106,13 +106,13 @@ def setpoint_from_state(net: ReactionNetwork, N_star, T_star: float,
 
 def availability(net: ReactionNetwork, sp: Setpoint, x) -> float:
     """A(x) = S(x*) - S(x) + pi*^T (x - x*); nonnegative, zero at x*."""
-    st = ThermoState.from_vector(net, x)
+    st = as_state(net, x)
     return kernel.availability(sp.S_star, sp.pi_star, sp.x_star, st.S, st.x)
 
 
 def availability_gradient(net: ReactionNetwork, sp: Setpoint, x) -> np.ndarray:
     """grad A = (1/T* - 1/T, (mu/T - mu*/T*)^T)."""
-    st = ThermoState.from_vector(net, x)
+    st = as_state(net, x)
     grad_U, grad_N = kernel.availability_gradient(
         sp.T_star, sp.mu_star_over_T, st.T, st.mu_over_T)
     return np.concatenate(([grad_U], grad_N))
@@ -143,7 +143,7 @@ class AvailabilityHamiltonian:
 
 def transformed_output(net: ReactionNetwork, sp: Setpoint, x, u) -> np.ndarray:
     """Passive output for the shifted system: y = g^T grad A + delta u."""
-    st = ThermoState.from_vector(net, x)
+    st = as_state(net, x)
     d1, d2, o1, o2, *_ = kernel.feedback_terms(net, st.N, st.T, sp.T_star,
                                                sp.mu_star_over_T)
     return np.array([o1, o2]) + np.array([d1, d2]) * np.asarray(u, dtype=float)
@@ -158,6 +158,6 @@ def equivalence_residual(net: ReactionNetwork, sp: Setpoint, x) -> float:
     strictly positive for flow-sustained targets away from reaction
     equilibrium.
     """
-    st = ThermoState.from_vector(net, x)
+    st = as_state(net, x)
     return float(np.linalg.norm(kernel.damping_apply(
         net, damping_coefficients(net, st), st.T, sp.pi_star[1:])))

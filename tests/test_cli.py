@@ -62,6 +62,38 @@ def test_check_benchmark_state(cfg_path, tmp_path, capsys):
     assert float(row["trace_lhs"]) < float(row["trace_rhs"])
 
 
+CHECK_ARGS = ["--T", "342", "--N", "1,1",
+              "--setpoint-T", "331.9", "--setpoint-q", "9.15e-6"]
+
+
+def test_check_reads_no_storage_hessian(cfg_path, tmp_path, monkeypatch):
+    from phreactor.transform import AvailabilityHamiltonian
+
+    def hessian(self, x):
+        raise AssertionError("check reads no dense Hessian")
+
+    monkeypatch.setattr(AvailabilityHamiltonian, "hessian", hessian)
+    assert main(["check", "--network", str(cfg_path),
+                 "--out", str(tmp_path / "o")] + CHECK_ARGS) == 0
+
+
+def test_check_builds_each_state_once(cfg_path, tmp_path, monkeypatch):
+    """The checked state, the setpoint and the setpoint's drift residual:
+    three ThermoState builds, the checked one handed down to every check."""
+    from phreactor.thermo import ThermoState
+
+    real, builds = ThermoState._build.__func__, []
+
+    def build(cls, *args):
+        builds.append(args)
+        return real(cls, *args)
+
+    monkeypatch.setattr(ThermoState, "_build", classmethod(build))
+    assert main(["check", "--network", str(cfg_path),
+                 "--out", str(tmp_path / "o")] + CHECK_ARGS) == 0
+    assert len(builds) <= 3
+
+
 def test_check_without_network_uses_bundled_network(cfg_path, tmp_path):
     args = ["--T", "342", "--N", "1,1", "--setpoint-T", "331.9",
             "--setpoint-q", "9.15e-6"]
@@ -111,17 +143,17 @@ def test_check_single_species_network(tmp_path):
     ("1e150", "1,1", "input_noise_lhs = inf is not finite at T=1e+150 K, "
                      "N=1,1"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_check_overflowing_condition_exits_1(cfg_path, tmp_path, capsys, T, N,
                                              message):
-    # a finite state where a condition side overflows: the evaluation warns,
-    # and the command names the quantity and writes nothing
+    # a finite state where a condition side overflows: the command warns of
+    # nothing, names the quantity and writes nothing
     out = tmp_path / "o"
     args = ["check", "--network", str(cfg_path), "--out", str(out),
             "--T", T, "--N", N,
             "--setpoint-T", "331.9", "--setpoint-q", "9.15e-6"]
     for strict in ([], ["--strict"]):
-        with pytest.warns(RuntimeWarning):
-            assert main(args + strict) == 1
+        assert main(args + strict) == 1
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""

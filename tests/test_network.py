@@ -170,6 +170,42 @@ def test_parse_rejects_invalid_network():
     assert "noise.rho2 must be >= 0" in err.value.diagnostics
 
 
+@pytest.mark.parametrize("old, new, diagnostic", [
+    ("V=0.001", "V=inf", "reactor.V must be finite"),
+    ("P=1e5", "P=inf", "reactor.P must be finite"),
+    ("T_ref=300.0", "T_ref=inf", "reactor.T_ref must be finite"),
+    ("lambda=0.05808", "lambda=inf", "reactor.lambda must be finite"),
+    ("R_gas=8.314", "R_gas=nan", "reactor.R_gas must be finite"),
+    ("A cp=75.24", "A cp=inf", "species.A.cp must be finite"),
+    ("k0f=1.2e9", "k0f=inf", "reactions[0].k0f must be finite"),
+    ("Ef=72331.8", "Ef=inf", "reactions[0].Ef must be finite"),
+    ("k0b=1.33e8", "k0b=nan", "reactions[0].k0b must be finite"),
+    ("Eb=74826.0", "Eb=inf", "reactions[0].Eb must be finite"),
+    ("T_in=310.0", "T_in=inf", "inlet.T_in must be finite"),
+    ("c_A=2000.0", "c_A=inf", "inlet.c_A must be finite"),
+    ("rho1=0.1", "rho1=inf", "noise.rho1 must be finite"),
+    ("rho2=5e-7", "rho2=-inf", "noise.rho2 must be finite"),
+    ("rho3=0.05", "rho3=nan", "noise.rho3 must be finite"),
+])
+def test_parse_rejects_non_finite_values(old, new, diagnostic):
+    assert old in GOOD
+    with pytest.raises(NetworkValidationError) as err:
+        parse_network(GOOD.replace(old, new))
+    assert err.value.diagnostics == [diagnostic]
+
+
+@pytest.mark.parametrize("factors, diagnostic", [
+    ({"f1": -1.0}, "noise.rho1 must be >= 0"),
+    ({"f2": float("nan")}, "noise.rho2 must be finite"),
+    ({"f3": float("inf")}, "noise.rho3 must be finite"),
+])
+def test_with_noise_validates(factors, diagnostic):
+    net = parse_network(GOOD)
+    with pytest.raises(NetworkValidationError) as err:
+        net.with_noise(net.noise.scaled(**factors))
+    assert err.value.diagnostics == [diagnostic]
+
+
 def test_with_noise_copies():
     net = parse_network(GOOD)
     net2 = net.with_noise(net.noise.scaled(f2=1e6))

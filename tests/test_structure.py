@@ -347,35 +347,43 @@ def test_passivity_report_at_initial_state(net, sp, x0):
     assert report.holds
     assert report.trace_lhs == pytest.approx(9.6433180564641757e-06, rel=1e-9)
     assert report.trace_rhs == pytest.approx(0.012585829189033237, rel=1e-9)
-    # the feedthrough exactly cancels the Hadamard correction here
-    assert abs(report.feedthrough_min_eig) < 1e-15
+    # delta is defined as the Hadamard correction, so F is zero
+    assert report.feedthrough_min_eig == 0.0
 
 
 def test_feedthrough_min_eig_is_eigvalsh_of_assembled_F(net, sp):
-    """The closed-form diagonal F keeps the bits of the eigensolve of
+    """For the storages with Hessian Hess(-S) the corrected feedthrough
     F = delta - (1/2) sigma sigma^T o (gamma^T Hess gamma), assembled here
-    from the structure matrices, for fields with and without cancellation."""
+    from the structure matrices, is zero by the definition of delta: its
+    eigensolve gives 0 to rounding, and the report gives exactly 0.  The
+    trace lhs is the dense (1/2) a^T Hess(-S) a."""
     from phreactor.transform import AvailabilityHamiltonian
 
     rng = np.random.default_rng(32)
-    B = rng.normal(size=(3, 3))
-    fields = [NegEntropy(net), AvailabilityHamiltonian(net, sp),
-              _Quadratic(1e-8 * (B + B.T)), _Quadratic(-1e-8 * B @ B.T)]
-    signs = set()
+    fields = [NegEntropy(net), AvailabilityHamiltonian(net, sp)]
     for T, N in zip(*random_states(net, 30, rng)):
         st = ThermoState.from_temperature(net, N, T)
         S = structure_matrices(net, st)
+        H = neg_entropy_hessian(net, st)
+        F = S.delta - 0.5 * (S.sigma @ S.sigma.T) * (S.gamma.T @ H @ S.gamma)
+        want = np.linalg.eigvalsh(0.5 * (F + F.T))[0]
+        assert abs(want) <= 1e-12 * max(1.0, float(np.linalg.norm(S.delta)))
         for field in fields:
-            H = field.hessian(st.x)
-            F = (S.delta - 0.5 * (S.sigma @ S.sigma.T)
-                 * (S.gamma.T @ H @ S.gamma))
-            want = np.linalg.eigvalsh(0.5 * (F + F.T))[0]
             report = check_passivity(net, st, field)
-            assert report.feedthrough_min_eig == want
-            assert report.feedthrough_holds == (
-                want >= -1e-12 * max(1.0, float(np.linalg.norm(S.delta))))
-            signs.add(report.feedthrough_holds)
-    assert signs == {True, False}
+            assert report.feedthrough_min_eig == 0.0
+            assert report.feedthrough_holds
+            assert report.trace_lhs == pytest.approx(0.5 * float(S.a @ H @ S.a),
+                                                     rel=1e-12)
+
+
+class _NoHessian(NegEntropy):
+    def hessian(self, x):
+        raise AssertionError("the passivity check reads no dense Hessian")
+
+
+def test_passivity_reads_no_field_hessian(net, x0):
+    want = check_passivity(net, x0, NegEntropy(net))
+    assert check_passivity(net, x0, _NoHessian(net)) == want
 
 
 def test_passivity_evaluates_the_rates_once(net, sp, x0, monkeypatch):

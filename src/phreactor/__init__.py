@@ -54,8 +54,6 @@ from .structure import (
     ReactionNoiseReport,
     damping_coefficients,
     damping_matrix,
-    input_matrix,
-    reaction_noise_column,
     structure_matrices,
     sde_fields,
     mixing_noise_scale,
@@ -72,7 +70,6 @@ from .transform import (
     setpoint_from_state,
     availability,
     availability_gradient,
-    availability_hessian,
     transformed_output,
     equivalence_residual,
 )
@@ -84,7 +81,6 @@ from .control import (
     control_law_diagonal,
     solve_feedback,
     jacket_temperature,
-    closed_loop_drift,
 )
 from .sim import (
     SimConfig,
@@ -95,8 +91,6 @@ from .sim import (
     euler_maruyama_step,
     simulate,
     ensemble,
-    scaled_errors,
-    stability_estimate,
 )
 from .equilibrium import (
     SteadyState,

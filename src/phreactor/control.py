@@ -23,7 +23,6 @@ from . import kernel
 from .network import ReactionNetwork
 from .thermo import as_state
 from .transform import Setpoint
-from .structure import sde_fields
 
 #: Default upper clamp on the flow input, m^3/s.
 Q_MAX_DEFAULT = 1e-2
@@ -138,11 +137,3 @@ def control_law_diagonal(net: ReactionNetwork, sp: Setpoint, k_flow: float,
     d1, d2, o1, o2, *_ = kernel.feedback_terms(net, st.N, st.T, sp.T_star,
                                                sp.mu_star_over_T)
     return -k_flow / (1.0 + k_flow * d1) * o1, -k_heat / (1.0 + k_heat * d2) * o2
-
-
-def closed_loop_drift(net: ReactionNetwork, sp: Setpoint, gains: ControllerGains,
-                      x):
-    """Drift and diffusion of the closed loop at a state (inputs from the
-    clamped feedback law)."""
-    st = as_state(net, x)
-    return sde_fields(net, st, control_law(net, sp, gains, st).u)

@@ -26,7 +26,6 @@ import numpy as np
 from . import kernel
 from .network import ReactionNetwork
 from .thermo import N_FLOOR, ThermoDomainError, ThermoState, internal_energy
-from .structure import sde_fields
 
 #: Newton iterations :func:`mass_balance_steady` takes before it gives up.
 MAX_NEWTON_ITER = 200
@@ -49,8 +48,8 @@ def drift_residual(net: ReactionNetwork, x, u) -> float:
     it below 1e-8.
     """
     st = ThermoState.from_vector(net, x)
-    drift = sde_fields(net, st, np.asarray(u, dtype=float),
-                       include_noise=False).drift
+    dU, dN = kernel.sde_terms(net, st.N, st.T, float(u[0]), float(u[1]))[0]
+    drift = np.concatenate(([dU], dN))
     scale = np.concatenate(([max(abs(st.U), 1.0)], np.maximum(st.N, 1e-6)))
     return float(np.linalg.norm(drift / scale))
 

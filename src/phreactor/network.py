@@ -247,6 +247,8 @@ def validate(net: ReactionNetwork) -> list[str]:
             continue
         if any(k < 0 for k in rxn.reactants + rxn.products):
             diags.append(f"reaction {i} has a negative multiplicity")
+        if not (any(rxn.reactants) and any(rxn.products)):
+            diags.append(f"reaction {i} has a side with no species")
         if rxn.reactants == rxn.products:
             diags.append(f"reaction {i} has zero net stoichiometry")
         for attr in ("k0f", "k0b", "Ef", "Eb"):
@@ -327,19 +329,26 @@ def _require(pairs: dict[str, float], keys: tuple[str, ...], what: str, line: in
             f"{what} has unknown key {sorted(extra)[0]!r}", line)
 
 
-def _section_pairs(lines) -> tuple[dict[str, float], int]:
+def _section_pairs(lines, header: int) -> tuple[dict[str, float], int]:
     """The key=value pairs of all lines of a section, merged, and the
-    number of its first line (1 for an empty section)."""
+    number of its first line (``header``, the header's, for an empty one)."""
     pairs: dict[str, float] = {}
     for line_no, tokens in lines:
         pairs.update(_parse_pairs(tokens, line_no))
-    return pairs, lines[0][0] if lines else 1
+    return pairs, lines[0][0] if lines else header
 
 
-def _parse_side(text: str, names: list[str], line: int, col: int) -> list[int]:
-    """Parse one reaction side like ``2A + B`` into per-species counts."""
+def _parse_side(tokens, names: list[str], line: int) -> list[int]:
+    """Parse the (col, token) pairs of one reaction side like ``2A + B``
+    into per-species counts; an error names the column of its term."""
     counts = [0] * len(names)
+    text = " ".join(tok for _, tok in tokens)
+    # the column of each character of text, and of the end
+    cols = [c for col, tok in tokens for c in range(col, col + len(tok) + 1)]
+    start = 0
     for term in text.split("+"):
+        col = cols[start + len(term) - len(term.lstrip())]
+        start += len(term) + 1
         term = term.strip()
         if not term:
             raise NetworkFormatError("empty term in reaction side", line, col)
@@ -348,6 +357,9 @@ def _parse_side(text: str, names: list[str], line: int, col: int) -> list[int]:
             raise NetworkFormatError(f"bad reaction term {term!r}", line, col)
         mult = int(m.group(1)) if m.group(1) else 1
         name = m.group(2)
+        if mult == 0:
+            raise NetworkFormatError(f"zero multiplicity in reaction term "
+                                     f"{term!r}", line, col)
         if name not in names:
             raise NetworkFormatError(f"unknown species {name!r} in reaction",
                                      line, col)
@@ -365,6 +377,7 @@ def parse_network(text: str) -> ReactionNetwork:
     :func:`validate`.
     """
     sections: dict[str, list] = {}
+    headers: dict[str, int] = {}
     current: str | None = None
     order_pos = -1
     for line_no, tokens in _tokenize(text):
@@ -383,6 +396,7 @@ def parse_network(text: str) -> ReactionNetwork:
             order_pos = pos
             current = name
             sections[name] = []
+            headers[name] = line_no
             continue
         if current is None:
             raise NetworkFormatError("content before first section header",
@@ -409,7 +423,8 @@ def parse_network(text: str) -> ReactionNetwork:
         species.append(Species(name, pairs["cp"], pairs["h_ref"], pairs["s_ref"]))
         names.append(name)
     if not species:
-        raise NetworkFormatError("section [species] must not be empty", 1)
+        raise NetworkFormatError("section [species] must not be empty",
+                                 headers["species"])
 
     # reactions
     reactions: list[Reaction] = []
@@ -422,13 +437,12 @@ def parse_network(text: str) -> ReactionNetwork:
         rate_start = next((i for i, t in enumerate(words) if "=" in t), len(words))
         if rate_start <= arrow:
             raise NetworkFormatError("reaction line needs '->'", line_no, tokens[0][0])
-        lhs = " ".join(words[:arrow])
-        rhs = " ".join(words[arrow + 1:rate_start])
-        if not rhs:
-            raise NetworkFormatError("reaction is missing a product side",
+        if arrow == 0 or rate_start == arrow + 1:
+            side = "product" if arrow else "reactant"
+            raise NetworkFormatError(f"reaction is missing a {side} side",
                                      line_no, tokens[arrow][0])
-        reactants = _parse_side(lhs, names, line_no, tokens[0][0])
-        products = _parse_side(rhs, names, line_no, tokens[arrow + 1][0])
+        reactants = _parse_side(tokens[:arrow], names, line_no)
+        products = _parse_side(tokens[arrow + 1:rate_start], names, line_no)
         pairs = _parse_pairs(tokens[rate_start:], line_no)
         _require(pairs, ("k0f", "Ef", "k0b", "Eb"),
                  f"reaction {len(reactions)}", line_no)
@@ -437,17 +451,17 @@ def parse_network(text: str) -> ReactionNetwork:
                                   pairs["k0b"], pairs["Eb"]))
 
     # reactor, inlet, noise
-    rx_pairs, line = _section_pairs(sections["reactor"])
+    rx_pairs, line = _section_pairs(sections["reactor"], headers["reactor"])
     _require(rx_pairs, ("V", "P", "T_ref", "lambda"), "[reactor]", line,
              optional=("R_gas",))
     reactor = ReactorSpec(rx_pairs["V"], rx_pairs["P"], rx_pairs["T_ref"],
                           rx_pairs["lambda"], rx_pairs.get("R_gas", R_GAS_DEFAULT))
-    in_pairs, line = _section_pairs(sections["inlet"])
+    in_pairs, line = _section_pairs(sections["inlet"], headers["inlet"])
     _require(in_pairs, ("T_in",), "[inlet]", line,
              optional=tuple(f"c_{name}" for name in names))
     inlet = InletSpec(in_pairs["T_in"],
                       tuple(in_pairs.get(f"c_{name}", 0.0) for name in names))
-    no_pairs, line = _section_pairs(sections["noise"])
+    no_pairs, line = _section_pairs(sections["noise"], headers["noise"])
     _require(no_pairs, ("rho1", "rho2", "rho3"), "[noise]", line)
     noise = NoiseSpec(no_pairs["rho1"], no_pairs["rho2"], no_pairs["rho3"])
 
@@ -465,12 +479,8 @@ def _fmt(x: float) -> str:
 
 
 def _side_text(counts: tuple[int, ...], names: tuple[str, ...]) -> str:
-    terms = []
-    for mult, name in zip(counts, names):
-        if mult == 0:
-            continue
-        terms.append(name if mult == 1 else f"{mult}{name}")
-    return " + ".join(terms) if terms else "0"
+    return " + ".join(name if mult == 1 else f"{mult}{name}"
+                      for mult, name in zip(counts, names) if mult)
 
 
 def serialize_network(net: ReactionNetwork) -> str:

@@ -10,9 +10,9 @@ wide margins at the nominal intensities.
 
 The target composition and energy are given as the conventional rounded
 operating values; ``benchmark_setpoint`` builds the setpoint from those
-directly (its ``drift_residual`` records the small mismatch), while
-``benchmark_exact_setpoint`` re-solves the stationary composition at the
-same (T*, q*).
+directly (``equilibrium.drift_residual`` there shows the small
+mismatch), while ``benchmark_exact_setpoint`` re-solves the stationary
+composition at the same (T*, q*).
 """
 
 from __future__ import annotations

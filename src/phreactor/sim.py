@@ -97,6 +97,8 @@ class SimConfig:
                              f"steps dt={self.dt}")
         if self.record_every < 1 or self.n_traj < 1:
             raise ValueError("record_every and n_traj must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (self.q_max > 0 and self.eps > 0):
             raise ValueError("q_max and eps must be positive")
         if not all(map(math.isfinite, self.u_open)):
@@ -418,7 +420,9 @@ SERIES = ("U", "N", "T", "S", "avail", "q", "Qdot", "T_w")
 class EnsembleStats:
     """Checkpoint statistics over an ensemble plus per-trajectory terminal
     errors.  Aborted trajectories are kept in ``trajectories`` but are
-    excluded from the statistics."""
+    excluded from the statistics.  ``sup_scaled_error`` is each kept path's
+    largest norm of (x - x*) / (max(|U*|, 1), N*) over its records, and
+    ``stabilization_probability`` the fraction of them below ``cfg.eps``."""
 
     times: np.ndarray
     mean: dict[str, np.ndarray]
@@ -429,32 +433,6 @@ class EnsembleStats:
     sup_scaled_error: np.ndarray
     n_aborted: int
     trajectories: list[Trajectory]
-
-
-def _scaled_errors(states: np.ndarray, sp: Setpoint) -> np.ndarray:
-    """:func:`scaled_errors` of states (..., 1 + p), over the last axis."""
-    scale = np.concatenate(([max(abs(sp.U_star), 1.0)], sp.N_star))
-    return np.linalg.norm((states - sp.x_star) / scale, axis=-1)
-
-
-def _inside_fraction(sup_errors: np.ndarray, eps: float) -> float:
-    return np.count_nonzero(sup_errors < eps) / len(sup_errors)
-
-
-def scaled_errors(traj: Trajectory, sp: Setpoint) -> np.ndarray:
-    """Per-checkpoint relative distance to the setpoint: the 2-norm of
-    (x - x*) scaled componentwise by (|U*|, N*)."""
-    return _scaled_errors(traj.states, sp)
-
-
-def stability_estimate(trajs: list[Trajectory], sp: Setpoint,
-                       eps: float) -> float:
-    """Fraction of trajectories whose scaled distance to the setpoint
-    stays strictly inside eps over the whole recorded window."""
-    if not trajs:
-        return 0.0
-    return _inside_fraction(
-        np.array([scaled_errors(tr, sp).max() for tr in trajs]), eps)
 
 
 def ensemble(net: ReactionNetwork, sp: Setpoint | None,
@@ -482,8 +460,9 @@ def ensemble(net: ReactionNetwork, sp: Setpoint | None,
         terminal_T = np.abs(table["T"][:, -1] - sp.T_star)
         dN = table["N"][:, -1] - sp.N_star
         terminal_N = np.sqrt(np.vecdot(dN, dN))  # each row's np.linalg.norm
-        sup_err = _scaled_errors(states, sp).max(axis=-1)
-        prob = _inside_fraction(sup_err, cfg.eps)
+        scale = np.concatenate(([max(abs(sp.U_star), 1.0)], sp.N_star))
+        sup_err = np.linalg.norm((states - sp.x_star) / scale, axis=-1).max(-1)
+        prob = np.count_nonzero(sup_err < cfg.eps) / len(sup_err)
     else:
         terminal_T = terminal_N = sup_err = np.full(len(states), math.nan)
         prob = math.nan

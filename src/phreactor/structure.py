@@ -82,30 +82,6 @@ def damping_matrix(net: ReactionNetwork, state,
     return R
 
 
-def input_matrix(net: ReactionNetwork, state) -> np.ndarray:
-    """Input map g on (U, N) for u = (q, Qdot).
-
-    Column one is the flow channel (enthalpy-density difference between
-    feed and vessel contents, then concentration differences); column two
-    feeds heat straight into U.
-    """
-    st = as_state(net, state)
-    g = np.zeros((net.n_species + 1, 2))
-    g[0, 0], g[1:, 0] = kernel.flow_column(net, st.N, st.h)
-    g[0, 1] = 1.0
-    return g
-
-
-def reaction_noise_column(net: ReactionNetwork, state) -> np.ndarray:
-    """Diffusion column a(x) = rho1 * (0, V nu (r_f - r_b)): the reaction
-    flux scaled by the flux-noise intensity.  Vanishes at r_f = r_b."""
-    st = as_state(net, state)
-    forward, backward = kernel.mass_action(net, st.N / net.reactor.V, st.T)
-    a = np.zeros(net.n_species + 1)
-    a[1:] = net.noise.rho1 * kernel.reaction_flux(net, forward - backward)
-    return a
-
-
 def mixing_noise_scale(net: ReactionNetwork, state) -> float:
     """Curvature scale M = theta g_q^T Hess(-S) g_q >= 0 of the storage
     along the flow column g_q of g; see :func:`kernel.mixing_scale`."""
@@ -119,8 +95,10 @@ class StructureMatrices:
     """All state-dependent structure pieces at one state.
 
     J and R are the conservative and dissipative matrices on (U, N); g maps
-    the inputs; a is the reaction-noise diffusion column; gamma (= g) and
-    sigma carry the input noise; delta is the induced feedthrough;
+    the inputs u = (q, Qdot) (flow column: feed-minus-vessel enthalpy
+    density, then concentrations; heat column: into U); the reaction-noise
+    column a = rho1 (0, V nu (r_f - r_b)) vanishes at r_f = r_b; gamma (= g)
+    and sigma carry the input noise; delta is the induced feedthrough;
     M and theta are the scalars entering delta.
     """
 
@@ -148,8 +126,12 @@ def structure_matrices(net: ReactionNetwork, state,
     """Evaluate every structure matrix at a state (input-independent)."""
     st = as_state(net, state)
     p = net.n_species
-    g = input_matrix(net, st)
-    a = reaction_noise_column(net, st)
+    g = np.zeros((p + 1, 2))
+    g[0, 0], g[1:, 0] = kernel.flow_column(net, st.N, st.h)
+    g[0, 1] = 1.0
+    forward, backward = kernel.mass_action(net, st.N / net.reactor.V, st.T)
+    a = np.zeros(p + 1)
+    a[1:] = net.noise.rho1 * kernel.reaction_flux(net, forward - backward)
     M = mixing_noise_scale(net, st)
     sigma = np.diag([net.noise.rho2, net.noise.rho3])
     delta = np.diag(kernel.feedthrough(net, M, st.theta))
@@ -339,10 +321,6 @@ class PortSystem:
     R: np.ndarray
     g: np.ndarray
     delta: np.ndarray
-
-    @classmethod
-    def from_structure(cls, S: StructureMatrices) -> "PortSystem":
-        return cls(S.J, S.R, S.g, S.delta)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .equilibrium import drift_residual, mass_balance_steady
+from .equilibrium import mass_balance_steady
 from .network import ReactionNetwork
 from .thermo import ThermoState, as_state, neg_entropy_hessian
-from .structure import damping_coefficients
 
 
 @dataclass(frozen=True)
@@ -34,10 +33,9 @@ class Setpoint:
     """A target state and the constant inputs that hold it.
 
     ``pi_star`` is the costate (1/T*, -(mu*/T*)^T) and ``S_star`` the
-    entropy S(x*), both entering the availability; ``drift_residual``
-    records the scaled norm of the deterministic drift at (x*, u*), which
-    is zero for an exactly solved setpoint and small-but-nonzero for a
-    rounded one.
+    entropy S(x*), both entering the availability.  The drift residual at
+    (x*, u*) (:func:`equilibrium.drift_residual`) is zero to rounding for
+    an exactly solved setpoint and small-but-nonzero for a rounded one.
     """
 
     U_star: float
@@ -48,7 +46,6 @@ class Setpoint:
     pi_star: np.ndarray
     mu_star_over_T: np.ndarray
     V_star: float
-    drift_residual: float
     S_star: float
 
     @property
@@ -65,7 +62,6 @@ def _finish_setpoint(net: ReactionNetwork, N_star: np.ndarray, T_star: float,
     st = ThermoState.from_temperature(net, N_star, T_star)
     Qdot_star = -q_star * kernel.flow_column(net, st.N, st.h)[0]
     pi_star = np.concatenate(([1.0 / T_star], -st.mu_over_T))
-    residual = drift_residual(net, st.x, (q_star, Qdot_star))
     return Setpoint(
         U_star=st.U,
         N_star=st.N.copy(),
@@ -75,7 +71,6 @@ def _finish_setpoint(net: ReactionNetwork, N_star: np.ndarray, T_star: float,
         pi_star=pi_star,
         mu_star_over_T=st.mu_over_T.copy(),
         V_star=net.reactor.V,
-        drift_residual=residual,
         S_star=st.S,
     )
 
@@ -84,8 +79,8 @@ def make_setpoint(net: ReactionNetwork, T_star: float, q_star: float) -> Setpoin
     """Construct the setpoint held by (q*, Qdot*) at temperature T*.
 
     The target composition solves the stationary mole balance at (T*, q*)
-    exactly; the heat input Qdot* then balances the energy equation.  The
-    returned ``drift_residual`` is at rounding level.
+    exactly; the heat input Qdot* then balances the energy equation, so
+    the drift at (x*, u*) is at rounding level.
     """
     N_star = mass_balance_steady(net, T_star, q_star)
     return _finish_setpoint(net, N_star, T_star, q_star)
@@ -96,9 +91,8 @@ def setpoint_from_state(net: ReactionNetwork, N_star, T_star: float,
     """Build a setpoint from a given target composition (e.g. a published
     rounded operating point) instead of solving the mole balance.
 
-    Qdot* still balances the energy equation at (N*, T*, q*); the
-    ``drift_residual`` field then reports how far the given composition is
-    from an exact stationary point.
+    Qdot* still balances the energy equation at (N*, T*, q*); the mole
+    balance is left with the mismatch of the given composition.
     """
     N_star = np.asarray(N_star, dtype=float)
     return _finish_setpoint(net, N_star, T_star, q_star)
@@ -118,11 +112,6 @@ def availability_gradient(net: ReactionNetwork, sp: Setpoint, x) -> np.ndarray:
     return np.concatenate(([grad_U], grad_N))
 
 
-def availability_hessian(net: ReactionNetwork, sp: Setpoint, x) -> np.ndarray:
-    """Hess A = Hess(-S); the shift is affine."""
-    return neg_entropy_hessian(net, x)
-
-
 class AvailabilityHamiltonian:
     """The availability as a scalar field usable with the Ito generator
     and the passivity checks."""
@@ -138,7 +127,8 @@ class AvailabilityHamiltonian:
         return availability_gradient(self.net, self.sp, x)
 
     def hessian(self, x) -> np.ndarray:
-        return availability_hessian(self.net, self.sp, x)
+        """Hess A = Hess(-S); the shift is affine."""
+        return neg_entropy_hessian(self.net, x)
 
 
 def transformed_output(net: ReactionNetwork, sp: Setpoint, x, u) -> np.ndarray:
@@ -159,5 +149,6 @@ def equivalence_residual(net: ReactionNetwork, sp: Setpoint, x) -> float:
     equilibrium.
     """
     st = as_state(net, x)
+    rates = kernel.mass_action(net, st.N / net.reactor.V, st.T)
     return float(np.linalg.norm(kernel.damping_apply(
-        net, damping_coefficients(net, st), st.T, sp.pi_star[1:])))
+        net, kernel.damping_weights(net, *rates, st.T), st.T, sp.pi_star[1:])))

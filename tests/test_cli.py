@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import NO_REACTION
-from phreactor import presets
+from phreactor import presets, sim
 from phreactor.cli import _build_parser, _event_cells, main
 from phreactor.network import parse_network
 from phreactor.sim import Trajectory
@@ -78,8 +78,8 @@ def test_check_reads_no_storage_hessian(cfg_path, tmp_path, monkeypatch):
 
 
 def test_check_builds_each_state_once(cfg_path, tmp_path, monkeypatch):
-    """The checked state, the setpoint and the setpoint's drift residual:
-    three ThermoState builds, the checked one handed down to every check."""
+    """The checked state and the setpoint: two ThermoState builds, the
+    checked one handed down to every check."""
     from phreactor.thermo import ThermoState
 
     real, builds = ThermoState._build.__func__, []
@@ -91,7 +91,7 @@ def test_check_builds_each_state_once(cfg_path, tmp_path, monkeypatch):
     monkeypatch.setattr(ThermoState, "_build", classmethod(build))
     assert main(["check", "--network", str(cfg_path),
                  "--out", str(tmp_path / "o")] + CHECK_ARGS) == 0
-    assert len(builds) <= 3
+    assert len(builds) <= 2
 
 
 def test_check_without_network_uses_bundled_network(cfg_path, tmp_path):
@@ -327,6 +327,27 @@ def test_simulate_no_clamp_lets_flow_exceed_q_max(cfg_path, tmp_path):
     assert not any("q_clamp" in r[header.index("events")] for r in rows)
 
 
+def test_partial_abort_writes_every_trajectory_and_exits_3(cfg_path, tmp_path,
+                                                         capsys, monkeypatch):
+    # with 4 halvings allowed, trajectories 0 and 2 of this cooling run
+    # abort and 1 and 3 finish: all four are written, each abort reported
+    monkeypatch.setattr(sim, "MAX_HALVINGS", 4)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--network", str(cfg_path), "--out", str(out),
+               "--T0", "342", "--N0", "1,1", "--mode", "open_loop",
+               "--Qdot-open=-1e6", "--t-end", "0.07", "--record-every", "1",
+               "--n-traj", "4", "--seed", "0"])
+    assert rc == 3
+    assert sorted(p.name for p in out.iterdir()) == [
+        "summary.csv", "traj_000.csv", "traj_001.csv", "traj_002.csv",
+        "traj_003.csv"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"trajectory {i} aborted: temperature stayed nonpositive after 4 "
+        f"step halvings at t={t}" for i, t in ((0, "0.04925"), (2, "0.0675"))]
+    header, rows = read_csv(out / "traj_002.csv")
+    assert rows[-1][header.index("events")] == "abort:1;halve:4"
+
+
 @pytest.mark.filterwarnings("error")
 def test_simulate_abort_exits_3(cfg_path, tmp_path, capsys):
     # the update overflows: every trajectory aborts, and no numpy warning
@@ -496,6 +517,37 @@ def test_zero_setpoint_flow_with_composition_runs(cfg_path, tmp_path):
                "--T", "342", "--N", "1,1", "--setpoint-T", "331.9",
                "--setpoint-q", "0", "--setpoint-N", "1.3,0.7"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--T0", "342", "--N0", "1,1", "--mode", "isolated",
+     "--t-end", "0.01", "--seed", "-1"],
+    ["simulate", "--T0", "342", "--N0", "1,1", "--mode", "open_loop",
+     "--t-end", "0.01", "--seed", "-1"],
+    ["casestudy", "--t-end", "0.01", "--seed", "-5"],
+], ids=["simulate-isolated", "simulate-noisy", "casestudy"])
+def test_negative_seed_exits_1_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
+    seed = argv[-1]
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"phreactor: error: seed must be >= 0, "
+                                       f"got {seed}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--N", "1,x", "--setpoint-T", "331.9", "--setpoint-q", "9.15e-6"],
+     "--N expects comma-separated numbers, got '1,x'"),
+    (["--N", "1,1", "--setpoint-q", "9.15e-6"],
+     "--setpoint-T and --setpoint-q are required"),
+], ids=["unparseable-N", "no-setpoint-T"])
+def test_check_input_errors_exit_1(cfg_path, tmp_path, capsys, argv, message):
+    rc = main(["check", "--network", str(cfg_path), "--out", str(tmp_path),
+               "--T", "342"] + argv)
+    assert rc == 1
+    assert capsys.readouterr().err == f"phreactor: error: {message}\n"
+    assert not (tmp_path / "check.csv").exists()
 
 
 def test_wrong_species_count_exits_1(cfg_path, capsys):

@@ -11,13 +11,11 @@ from conftest import random_states
 from phreactor.control import (
     Q_MAX_DEFAULT,
     ControllerGains,
-    closed_loop_drift,
     control_law,
     control_law_diagonal,
     jacket_temperature,
     solve_feedback,
 )
-from phreactor.structure import sde_fields
 from phreactor.thermo import ThermoState
 from phreactor.transform import transformed_output
 
@@ -134,12 +132,3 @@ def test_solve_feedback_matches_linear_algebra():
         ref = -np.linalg.solve(np.eye(2) + K @ np.diag([d1, d2]),
                                K @ np.array([o1, o2]))
         np.testing.assert_allclose(u, ref, rtol=1e-11, atol=1e-14)
-
-
-def test_closed_loop_drift_wires_feedback_into_dynamics(net, sp, gains, x0):
-    st = ThermoState.from_vector(net, x0)
-    fields = closed_loop_drift(net, sp, gains, x0)
-    a = control_law(net, sp, gains, st)
-    ref = sde_fields(net, st, a.u)
-    np.testing.assert_array_equal(fields.drift, ref.drift)
-    np.testing.assert_array_equal(fields.diffusion, ref.diffusion)

@@ -112,6 +112,52 @@ def _pinned(old, new, message):
     pytest.param(_pinned("rho3=0.05", "rho3=0.05 rho4=1", "line 12, column 1: "
                          "[noise] has unknown key 'rho4'"), 12,
                  id="noise-unknown-key"),
+    # a zero multiplicity would serialize as the unparseable side '0'
+    pytest.param(_pinned("A -> B", "0A -> B", "line 6, column 1: zero "
+                         "multiplicity in reaction term '0A'"), 6,
+                 id="zero-multiplicity-0A"),
+    pytest.param(_pinned("A -> B", "A + 0B -> B", "line 6, column 5: zero "
+                         "multiplicity in reaction term '0B'"), 6,
+                 id="zero-multiplicity-A+0B"),
+    pytest.param(_pinned("A -> B", "00B -> A", "line 6, column 1: zero "
+                         "multiplicity in reaction term '00B'"), 6,
+                 id="zero-multiplicity-00B"),
+    pytest.param(_pinned("A cp=75.24", "A cp=75.24 junk", "line 3, column 12: "
+                         "expected key=value, got 'junk'"), 3,
+                 id="not-key-value"),
+    pytest.param(_pinned("A cp=75.24", "A cp=75.24 =3", "line 3, column 12: "
+                         "missing key in '=3'"), 3, id="missing-key"),
+    pytest.param(_pinned("A cp=75.24", "A cp=75.24 cp=1", "line 3, column 12: "
+                         "duplicate key 'cp'"), 3, id="duplicate-key"),
+    pytest.param(_pinned("V=0.001", "V=0.001 junk", "line 8, column 9: "
+                         "expected key=value, got 'junk'"), 8,
+                 id="reactor-not-key-value"),
+    pytest.param(_pinned("A -> B", "A + + B -> A", "line 6, column 5: empty "
+                         "term in reaction side"), 6, id="empty-term"),
+    pytest.param(_pinned("A -> B", "A -> B-", "line 6, column 6: bad reaction "
+                         "term 'B-'"), 6, id="bad-term"),
+    pytest.param(_pinned("A -> B", "A -> X", "line 6, column 6: unknown "
+                         "species 'X' in reaction"), 6, id="unknown-species"),
+    pytest.param(_pinned("A cp=75.24", "1A cp=75.24", "line 3, column 1: "
+                         "expected species name, got '1A'"), 3,
+                 id="species-name"),
+    pytest.param(_pinned("A cp=75.24 h_ref=0 s_ref=50.6\nB cp=60.0 "
+                         "h_ref=-4575.0 s_ref=180.2\n", "", "line 2, column 1: "
+                         "section [species] must not be empty"), 2,
+                 id="no-species"),
+    pytest.param(_pinned("V=0.001 P=1e5 T_ref=300.0 lambda=0.05808 "
+                         "R_gas=8.314\n", "", "line 7, column 1: [reactor] "
+                         "is missing mandatory key 'V'"), 7,
+                 id="empty-reactor"),
+    pytest.param(_pinned("A -> B k0f", "A k0f=1 -> B k0f", "line 6, column 1: "
+                         "reaction line needs '->'"), 6,
+                 id="rate-before-arrow"),
+    pytest.param(_pinned("A -> B k0f", "A -> k0f", "line 6, column 3: "
+                         "reaction is missing a product side"), 6,
+                 id="no-product-side"),
+    pytest.param(_pinned("A -> B k0f", "-> B k0f", "line 6, column 1: "
+                         "reaction is missing a reactant side"), 6,
+                 id="no-reactant-side"),
 ])
 def test_format_errors_carry_line(mangle, line):
     with pytest.raises(NetworkFormatError) as err:
@@ -120,6 +166,16 @@ def test_format_errors_carry_line(mangle, line):
     assert f"line {line}" in str(err.value)
     if hasattr(mangle, "message"):
         assert str(err.value) == mangle.message
+
+
+@pytest.mark.parametrize("reactants, products", [
+    ((0, 0), (0, 1)), ((1, 0), (0, 0))])
+def test_validate_reports_a_side_with_no_species(reactants, products):
+    net = parse_network(GOOD)
+    bad = ReactionNetwork(net.species,
+                          (Reaction(reactants, products, 1.0, 1.0, 1.0, 1.0),),
+                          net.reactor, net.inlet, net.noise)
+    assert validate(bad) == ["reaction 0 has a side with no species"]
 
 
 def test_duplicate_species_rejected():
@@ -186,6 +242,7 @@ def test_parse_rejects_invalid_network():
     ("rho1=0.1", "rho1=inf", "noise.rho1 must be finite"),
     ("rho2=5e-7", "rho2=-inf", "noise.rho2 must be finite"),
     ("rho3=0.05", "rho3=nan", "noise.rho3 must be finite"),
+    ("c_A=2000.0", "c_A=0", "inlet.c_in must have at least one positive entry"),
 ])
 def test_parse_rejects_non_finite_values(old, new, diagnostic):
     assert old in GOOD

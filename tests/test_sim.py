@@ -18,9 +18,7 @@ from phreactor.sim import (
     SimulationAbort,
     ensemble,
     euler_maruyama_step,
-    scaled_errors,
     simulate,
-    stability_estimate,
     trajectory_rng,
 )
 from phreactor.network import parse_network
@@ -616,21 +614,24 @@ def test_ensemble_raises_when_every_trajectory_aborts(net, x0):
 
 
 def test_scaled_errors_formula(net, sp, gains, x0):
-    cfg = SimConfig(dt=1e-3, t_end=0.05, mode="deterministic")
-    tr = simulate(net, sp, gains, cfg, x0)
-    err = scaled_errors(tr, sp)
+    """sup_scaled_error is each path's largest scaled distance to x*."""
+    cfg = SimConfig(dt=1e-3, t_end=0.05, seed=2, n_traj=2)
+    stats = ensemble(net, sp, gains, cfg, x0)
     scale = np.concatenate(([abs(sp.U_star)], sp.N_star))
-    want = np.linalg.norm((tr.states[0] - sp.x_star) / scale)
-    assert err[0] == pytest.approx(want, rel=1e-14)
-    assert err.shape == tr.times.shape
+    for tr, err in zip(stats.trajectories, stats.sup_scaled_error, strict=True):
+        want = max(np.linalg.norm((x - sp.x_star) / scale) for x in tr.states)
+        assert err == pytest.approx(want, rel=1e-14)
 
 
 def test_stability_estimate_counts_trajectories_inside_ball(net, sp, gains):
     cfg = SimConfig(dt=1e-3, t_end=0.05, mode="deterministic")
-    tr = simulate(net, sp, gains, cfg, sp.x_star)
-    assert stability_estimate([tr], sp, eps=1.0) == 1.0
-    assert stability_estimate([tr], sp, eps=1e-12) == 0.0
-    assert stability_estimate([], sp, eps=1.0) == 0.0
+
+    def probability(eps):
+        return ensemble(net, sp, gains, replace(cfg, eps=eps),
+                        sp.x_star).stabilization_probability
+
+    assert probability(1.0) == 1.0
+    assert probability(1e-12) == 0.0
 
 
 def test_ensemble_statistics(net, sp, gains, x0):

@@ -26,10 +26,8 @@ from phreactor.structure import (
     damping_coefficients,
     damping_matrix,
     feedback_interconnect,
-    input_matrix,
     ito_generator,
     mixing_noise_scale,
-    reaction_noise_column,
     sde_fields,
     structure_matrices,
 )
@@ -149,7 +147,7 @@ def test_diffusion_columns_are_the_noise_channels(net):
     u = np.array([4e-4, -1.5])
     S = structure_matrices(net, st)
     D = sde_fields(net, st, u).diffusion
-    np.testing.assert_array_equal(D[:, 0], reaction_noise_column(net, st))
+    np.testing.assert_array_equal(D[:, 0], S.a)
     rho = net.noise
     np.testing.assert_allclose(D[:, 1], rho.rho2 * u[0] * S.gamma[:, 0],
                                rtol=1e-14)
@@ -168,14 +166,14 @@ def test_reaction_noise_column_vanishes_at_equilibrium(cnet):
     kf = cnet.k0f[0] * math.exp(-cnet.Ef[0] / RT)
     kb = cnet.k0b[0] * math.exp(-cnet.Eb[0] / RT)
     st = ThermoState.from_temperature(cnet, np.array([kb / kf, 1.0]), T)
-    a = reaction_noise_column(cnet, st)
+    a = structure_matrices(cnet, st).a
     forward, _ = kernel.mass_action(cnet, st.N / cnet.reactor.V, st.T)
     assert np.abs(a).max() < 1e-12 * forward[0] * cnet.reactor.V
 
 
 def test_input_matrix_flow_column(net):
     st = ThermoState.from_temperature(net, np.array([1.0, 1.0]), 342.0)
-    g = input_matrix(net, st)
+    g = structure_matrices(net, st).g
     h_in = net.cp * (310.0 - 300.0) + net.h_ref
     g00 = float(net.c_in @ h_in) - float(st.N @ st.h) / net.reactor.V
     assert g[0, 0] == pytest.approx(g00, rel=1e-13)
@@ -193,7 +191,7 @@ def test_mixing_noise_scale_identity(net):
     for T, N in zip(Ts, Ns):
         st = ThermoState.from_temperature(net, N, T)
         M = mixing_noise_scale(net, st)
-        g_flow = input_matrix(net, st)[:, 0]
+        g_flow = structure_matrices(net, st).g[:, 0]
         H = neg_entropy_hessian(net, st)
         ref = st.theta * float(g_flow @ H @ g_flow)
         assert M == pytest.approx(ref, rel=1e-10)
@@ -330,7 +328,7 @@ def test_reaction_noise_bound_sides_are_trace_and_dissipation(net):
     for T, N in zip(Ts, Ns):
         st = ThermoState.from_temperature(net, N, T)
         report = check_reaction_noise_bound(net, st)
-        a = reaction_noise_column(net, st)
+        a = structure_matrices(net, st).a
         H = neg_entropy_hessian(net, st)
         assert report.lhs * V == pytest.approx(0.5 * float(a @ H @ a),
                                                rel=1e-9)
@@ -445,8 +443,8 @@ def test_interconnect_cstr_with_itself(net, sp, x0):
     S1 = structure_matrices(net, x0)
     S2 = structure_matrices(net, ThermoState.from_temperature(
         net, sp.N_star, sp.T_star))
-    inter = feedback_interconnect(PortSystem.from_structure(S1),
-                                  PortSystem.from_structure(S2))
+    inter = feedback_interconnect(PortSystem(S1.J, S1.R, S1.g, S1.delta),
+                                  PortSystem(S2.J, S2.R, S2.g, S2.delta))
     n = S1.J.shape[0]
     assert inter.J.shape == (2 * n, 2 * n)
     scale = max(1.0, float(np.abs(inter.J).max()))

@@ -46,7 +46,14 @@ from . import presets
 from .control import ControllerGains, Q_MAX_DEFAULT
 from .equilibrium import ConvergenceError, drift_residual, steady_states
 from .network import ReactionNetwork, parse_network, serialize_network
-from .sim import EnsembleStats, SimConfig, SimulationAbort, Trajectory, ensemble
+from .sim import (
+    MODES,
+    EnsembleStats,
+    SimConfig,
+    SimulationAbort,
+    Trajectory,
+    ensemble,
+)
 from .structure import (
     check_input_noise_bound,
     check_passivity,
@@ -403,16 +410,17 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_equilibria)
 
     def sim_flags(p, seed, n_traj):
+        dt, t_end, every = SimConfig.dt, SimConfig.t_end, SimConfig.record_every
         p.add_argument("--seed", type=int, default=seed,
                        help=f"master seed (default: {seed})")
-        p.add_argument("--dt", type=float, default=1e-3,
-                       help="time step (default: 0.001)")
-        p.add_argument("--t-end", type=float, default=10.0,
-                       help="horizon (default: 10.0)")
+        p.add_argument("--dt", type=float, default=dt,
+                       help=f"time step (default: {dt})")
+        p.add_argument("--t-end", type=float, default=t_end,
+                       help=f"horizon (default: {t_end})")
         p.add_argument("--n-traj", type=int, default=n_traj,
                        help=f"ensemble size (default: {n_traj})")
-        p.add_argument("--record-every", type=int, default=10,
-                       help="record every k-th step (default: 10)")
+        p.add_argument("--record-every", type=int, default=every,
+                       help=f"record every k-th step (default: {every})")
 
     p = sub.add_parser("simulate", parents=[networked],
                        help="integrate trajectories and write CSV files")
@@ -420,9 +428,7 @@ def _build_parser() -> _Parser:
                    help="initial temperature")
     p.add_argument("--N0", required=True, metavar="MOLES",
                    help="initial mole numbers (comma separated)")
-    p.add_argument("--mode", default="closed_loop",
-                   choices=("closed_loop", "open_loop", "deterministic",
-                            "isolated"))
+    p.add_argument("--mode", default=SimConfig.mode, choices=MODES)
     sim_flags(p, seed=0, n_traj=1)
     setpoint_flags(p)
     p.add_argument("--k-flow", type=float, default=presets.K_FLOW,
@@ -439,7 +445,7 @@ def _build_parser() -> _Parser:
                    help="flow clamp ceiling")
     p.add_argument("--no-clamp", action="store_true",
                    help="disable the flow clamp")
-    p.add_argument("--eps", type=float, default=0.05,
+    p.add_argument("--eps", type=float, default=SimConfig.eps,
                    help="scaled ball radius of the stabilization estimate")
     p.set_defaults(func=cmd_simulate)
 
@@ -447,7 +453,7 @@ def _build_parser() -> _Parser:
                        help="run the bundled benchmark stabilization "
                             "ensemble")
     sim_flags(p, seed=42, n_traj=64)
-    p.add_argument("--mode", default="closed_loop",
+    p.add_argument("--mode", default=SimConfig.mode,
                    choices=("closed_loop", "deterministic"))
     p.set_defaults(func=cmd_casestudy)
     return parser

@@ -17,11 +17,12 @@ order::
 
 Reaction sides are ``+``-separated terms; a term is a species name with an
 optional positive integer multiplicity prefix (``2A`` means two of ``A``).
+Spacing around ``->`` and ``+`` is free: ``2A->A+B`` reads as ``2A -> A + B``.
 ``R_gas`` defaults to 8.314 J/(mol K); every other key shown is mandatory.
-Within a section the key=value pairs may come in any order, and parsing is
-deterministic.  ``serialize_network`` writes floats with shortest
-round-tripping decimals, so parse -> serialize -> parse reproduces the
-network field for field.
+Within a section the key=value pairs may come in any order and over any
+number of lines, each key at most once; parsing is deterministic.
+``serialize_network`` writes floats with shortest round-tripping decimals,
+so parse -> serialize -> parse reproduces the network field for field.
 
 Units throughout: volume m^3, pressure Pa, temperatures K, heat capacities
 J/(mol K), molar enthalpies J/mol, molar entropies J/(mol K), concentrations
@@ -288,33 +289,22 @@ def _validated(net: ReactionNetwork) -> ReactionNetwork:
 # parsing
 
 
-def _tokenize(text: str):
-    """Yield (line_no, [(col, token), ...]) with comments stripped."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
-        if tokens:
-            yield line_no, tokens
-
-
-def _parse_float(text: str, line: int, col: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise NetworkFormatError(f"expected a number, got {text!r}", line, col) from None
-
-
-def _parse_pairs(tokens, line: int) -> dict[str, float]:
-    pairs = {}
+def _parse_pairs(tokens, line: int, pairs: dict[str, float]) -> dict[str, float]:
+    """Add the key=value (col, token) pairs of one line to ``pairs``, the
+    table of its section or line, and return it."""
     for col, tok in tokens:
-        if "=" not in tok:
+        key, eq, value = tok.partition("=")
+        if not eq:
             raise NetworkFormatError(f"expected key=value, got {tok!r}", line, col)
-        key, _, value = tok.partition("=")
         if not key:
             raise NetworkFormatError(f"missing key in {tok!r}", line, col)
         if key in pairs:
             raise NetworkFormatError(f"duplicate key {key!r}", line, col)
-        pairs[key] = _parse_float(value, line, col + len(key) + 1)
+        try:
+            pairs[key] = float(value)
+        except ValueError:
+            raise NetworkFormatError(f"expected a number, got {value!r}", line,
+                                     col + len(key) + 1) from None
     return pairs
 
 
@@ -325,29 +315,16 @@ def _require(pairs: dict[str, float], keys: tuple[str, ...], what: str, line: in
             raise NetworkFormatError(f"{what} is missing mandatory key {key!r}", line)
     extra = set(pairs) - set(keys) - set(optional)
     if extra:
-        raise NetworkFormatError(
-            f"{what} has unknown key {sorted(extra)[0]!r}", line)
+        raise NetworkFormatError(f"{what} has unknown key {sorted(extra)[0]!r}", line)
 
 
-def _section_pairs(lines, header: int) -> tuple[dict[str, float], int]:
-    """The key=value pairs of all lines of a section, merged, and the
-    number of its first line (``header``, the header's, for an empty one)."""
-    pairs: dict[str, float] = {}
-    for line_no, tokens in lines:
-        pairs.update(_parse_pairs(tokens, line_no))
-    return pairs, lines[0][0] if lines else header
-
-
-def _parse_side(tokens, names: list[str], line: int) -> list[int]:
-    """Parse the (col, token) pairs of one reaction side like ``2A + B``
-    into per-species counts; an error names the column of its term."""
+def _parse_side(text: str, start: int, names: list[str], line: int) -> tuple[int, ...]:
+    """Parse one reaction side like ``2A + B``, found at offset ``start`` of
+    its line, into per-species counts; an error names the column of its
+    term."""
     counts = [0] * len(names)
-    text = " ".join(tok for _, tok in tokens)
-    # the column of each character of text, and of the end
-    cols = [c for col, tok in tokens for c in range(col, col + len(tok) + 1)]
-    start = 0
     for term in text.split("+"):
-        col = cols[start + len(term) - len(term.lstrip())]
+        col = start + len(term) - len(term.lstrip()) + 1
         start += len(term) + 1
         term = term.strip()
         if not term:
@@ -355,8 +332,8 @@ def _parse_side(tokens, names: list[str], line: int) -> list[int]:
         m = re.fullmatch(r"(\d*)\s*([A-Za-z_][A-Za-z0-9_]*)", term)
         if not m:
             raise NetworkFormatError(f"bad reaction term {term!r}", line, col)
-        mult = int(m.group(1)) if m.group(1) else 1
-        name = m.group(2)
+        digits, name = m.groups()
+        mult = int(digits or 1)
         if mult == 0:
             raise NetworkFormatError(f"zero multiplicity in reaction term "
                                      f"{term!r}", line, col)
@@ -364,7 +341,7 @@ def _parse_side(tokens, names: list[str], line: int) -> list[int]:
             raise NetworkFormatError(f"unknown species {name!r} in reaction",
                                      line, col)
         counts[names.index(name)] += mult
-    return counts
+    return tuple(counts)
 
 
 def parse_network(text: str) -> ReactionNetwork:
@@ -372,98 +349,100 @@ def parse_network(text: str) -> ReactionNetwork:
 
     Raises :class:`NetworkFormatError` (with line/column) for syntax
     problems — bad section order, malformed tokens, unknown species,
-    missing mandatory keys, non-numeric values, duplicate species — and
-    :class:`NetworkValidationError` if the parsed network fails
-    :func:`validate`.
+    missing mandatory or duplicate keys, non-numeric values, duplicate
+    species — and :class:`NetworkValidationError` if the parsed network
+    fails :func:`validate`.
     """
-    sections: dict[str, list] = {}
-    headers: dict[str, int] = {}
+    # section name -> (header line, [(line_no, text, [(col, token), ...])])
+    sections: dict[str, tuple[int, list]] = {}
     current: str | None = None
-    order_pos = -1
-    for line_no, tokens in _tokenize(text):
+    last = 1
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        tokens = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
+        if not tokens:
+            continue
+        last = line_no
         col0, tok0 = tokens[0]
         if tok0.startswith("["):
             if len(tokens) > 1:
                 raise NetworkFormatError("section header must be alone on its line",
                                          line_no, tokens[1][0])
-            name = tok0.strip("[]")
-            if not (tok0.startswith("[") and tok0.endswith("]")) or name not in _SECTION_ORDER:
+            name = tok0[1:-1]
+            if not tok0.endswith("]") or name not in _SECTION_ORDER:
                 raise NetworkFormatError(f"unknown section {tok0!r}", line_no, col0)
-            pos = _SECTION_ORDER.index(name)
-            if pos <= order_pos:
+            if current and _SECTION_ORDER.index(name) <= _SECTION_ORDER.index(current):
                 raise NetworkFormatError(
                     f"section [{name}] out of order or repeated", line_no, col0)
-            order_pos = pos
             current = name
-            sections[name] = []
-            headers[name] = line_no
-            continue
-        if current is None:
+            sections[name] = (line_no, [])
+        elif current is None:
             raise NetworkFormatError("content before first section header",
                                      line_no, col0)
-        sections[current].append((line_no, tokens))
+        else:
+            sections[current][1].append((line_no, line, tokens))
 
     missing = [s for s in _SECTION_ORDER if s not in sections]
     if missing:
-        raise NetworkFormatError(f"missing section [{missing[0]}]",
-                                 max((ln for ln, _ in _tokenize(text)), default=1))
+        raise NetworkFormatError(f"missing section [{missing[0]}]", last)
 
     # species
     species: list[Species] = []
     names: list[str] = []
-    for line_no, tokens in sections["species"]:
+    header, lines = sections["species"]
+    for line_no, _, tokens in lines:
         col0, name = tokens[0]
-        if "=" in name or not _NAME_RE.fullmatch(name):
+        if not _NAME_RE.fullmatch(name):
             raise NetworkFormatError(f"expected species name, got {name!r}",
                                      line_no, col0)
         if name in names:
             raise NetworkFormatError(f"duplicate species {name!r}", line_no, col0)
-        pairs = _parse_pairs(tokens[1:], line_no)
+        pairs = _parse_pairs(tokens[1:], line_no, {})
         _require(pairs, ("cp", "h_ref", "s_ref"), f"species {name}", line_no)
         species.append(Species(name, pairs["cp"], pairs["h_ref"], pairs["s_ref"]))
         names.append(name)
     if not species:
-        raise NetworkFormatError("section [species] must not be empty",
-                                 headers["species"])
+        raise NetworkFormatError("section [species] must not be empty", header)
 
-    # reactions
+    # reactions: the sides are the text before and after the first '->'
+    # that precedes the first key=value token
     reactions: list[Reaction] = []
-    for line_no, tokens in sections["reactions"]:
-        words = [t for _, t in tokens]
-        if "->" not in words:
-            raise NetworkFormatError("reaction line needs '->'", line_no,
-                                     tokens[0][0])
-        arrow = words.index("->")
-        rate_start = next((i for i, t in enumerate(words) if "=" in t), len(words))
-        if rate_start <= arrow:
+    for line_no, line, tokens in sections["reactions"][1]:
+        end = next((col - 1 for col, tok in tokens if "=" in tok), len(line))
+        reactant_text, arrow, product_text = line[:end].partition("->")
+        if not arrow:
             raise NetworkFormatError("reaction line needs '->'", line_no, tokens[0][0])
-        if arrow == 0 or rate_start == arrow + 1:
-            side = "product" if arrow else "reactant"
+        col = len(reactant_text) + 1  # the column of the arrow
+        if not (reactant_text.strip() and product_text.strip()):
+            side = "product" if reactant_text.strip() else "reactant"
             raise NetworkFormatError(f"reaction is missing a {side} side",
-                                     line_no, tokens[arrow][0])
-        reactants = _parse_side(tokens[:arrow], names, line_no)
-        products = _parse_side(tokens[arrow + 1:rate_start], names, line_no)
-        pairs = _parse_pairs(tokens[rate_start:], line_no)
+                                     line_no, col)
+        reactants = _parse_side(reactant_text, 0, names, line_no)
+        products = _parse_side(product_text, col + 1, names, line_no)
+        pairs = _parse_pairs([t for t in tokens if t[0] > end], line_no, {})
         _require(pairs, ("k0f", "Ef", "k0b", "Eb"),
                  f"reaction {len(reactions)}", line_no)
-        reactions.append(Reaction(tuple(reactants), tuple(products),
-                                  pairs["k0f"], pairs["Ef"],
+        reactions.append(Reaction(reactants, products, pairs["k0f"], pairs["Ef"],
                                   pairs["k0b"], pairs["Eb"]))
 
-    # reactor, inlet, noise
-    rx_pairs, line = _section_pairs(sections["reactor"], headers["reactor"])
-    _require(rx_pairs, ("V", "P", "T_ref", "lambda"), "[reactor]", line,
-             optional=("R_gas",))
-    reactor = ReactorSpec(rx_pairs["V"], rx_pairs["P"], rx_pairs["T_ref"],
-                          rx_pairs["lambda"], rx_pairs.get("R_gas", R_GAS_DEFAULT))
-    in_pairs, line = _section_pairs(sections["inlet"], headers["inlet"])
-    _require(in_pairs, ("T_in",), "[inlet]", line,
-             optional=tuple(f"c_{name}" for name in names))
-    inlet = InletSpec(in_pairs["T_in"],
-                      tuple(in_pairs.get(f"c_{name}", 0.0) for name in names))
-    no_pairs, line = _section_pairs(sections["noise"], headers["noise"])
-    _require(no_pairs, ("rho1", "rho2", "rho3"), "[noise]", line)
-    noise = NoiseSpec(no_pairs["rho1"], no_pairs["rho2"], no_pairs["rho3"])
+    def table(name: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()):
+        """The one key table of section ``name``; a missing or unknown key
+        names its first line (the header's, for an empty section)."""
+        header, lines = sections[name]
+        pairs: dict[str, float] = {}
+        for line_no, _, tokens in lines:
+            _parse_pairs(tokens, line_no, pairs)
+        _require(pairs, keys, f"[{name}]", lines[0][0] if lines else header,
+                 optional)
+        return pairs
+
+    rx = table("reactor", ("V", "P", "T_ref", "lambda"), ("R_gas",))
+    reactor = ReactorSpec(rx["V"], rx["P"], rx["T_ref"], rx["lambda"],
+                          rx.get("R_gas", R_GAS_DEFAULT))
+    inl = table("inlet", ("T_in",), tuple(f"c_{name}" for name in names))
+    inlet = InletSpec(inl["T_in"], tuple(inl.get(f"c_{name}", 0.0) for name in names))
+    no = table("noise", ("rho1", "rho2", "rho3"))
+    noise = NoiseSpec(no["rho1"], no["rho2"], no["rho3"])
 
     return _validated(ReactionNetwork(tuple(species), tuple(reactions),
                                       reactor, inlet, noise))

@@ -54,7 +54,8 @@ MAX_HALVINGS = 20
 #: channels at a time, about 768 KB in all for up to 2**15 trajectories.
 NOISE_BLOCK = 2 ** 15
 
-_MODES = ("closed_loop", "open_loop", "deterministic", "isolated")
+#: The input and noise wirings ``SimConfig.mode`` accepts.
+MODES = ("closed_loop", "open_loop", "deterministic", "isolated")
 
 
 class SimulationAbort(RuntimeError):
@@ -88,8 +89,8 @@ class SimConfig:
     eps: float = 0.05
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
             raise ValueError("dt and t_end must be finite and positive")
         if not abs(self.n_steps * self.dt - self.t_end) <= 1e-9 * self.t_end:
@@ -422,7 +423,10 @@ class EnsembleStats:
     errors.  Aborted trajectories are kept in ``trajectories`` but are
     excluded from the statistics.  ``sup_scaled_error`` is each kept path's
     largest norm of (x - x*) / (max(|U*|, 1), N*) over its records, and
-    ``stabilization_probability`` the fraction of them below ``cfg.eps``."""
+    ``stabilization_probability`` the fraction of them below ``cfg.eps``.
+    The records include t = 0, so a start outside the ``eps`` ball gives
+    0: the bundled case study starts at scaled error 0.504 against
+    ``eps`` = 0.05."""
 
     times: np.ndarray
     mean: dict[str, np.ndarray]

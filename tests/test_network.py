@@ -67,6 +67,16 @@ def test_multiplicity_prefix_and_multi_term_sides():
     assert net.reactions[0].products == (1, 1)
 
 
+@pytest.mark.parametrize("compact, spaced", [
+    ("A->B", "A -> B"), ("A ->B", "A -> B"), ("A-> B", "A -> B"),
+    ("A\t->\tB", "A -> B"), ("2A->A+B", "2A -> A + B"),
+    ("A+B -> 2B", "A + B -> 2B")])
+def test_spacing_around_arrow_and_plus_is_free(compact, spaced):
+    net = parse_network(GOOD.replace("A -> B", compact))
+    assert net == parse_network(GOOD.replace("A -> B", spaced))
+    assert parse_network(serialize_network(net)) == net
+
+
 def test_round_trip_identity():
     net = parse_network(GOOD)
     assert parse_network(serialize_network(net)) == net
@@ -158,6 +168,20 @@ def _pinned(old, new, message):
     pytest.param(_pinned("A -> B k0f", "-> B k0f", "line 6, column 1: "
                          "reaction is missing a reactant side"), 6,
                  id="no-reactant-side"),
+    # one key table per section: a repeat on a later line is a duplicate too
+    pytest.param(_pinned("R_gas=8.314", "R_gas=8.314\nV=0.002", "line 9, "
+                         "column 1: duplicate key 'V'"), 9,
+                 id="reactor-key-repeated-on-a-later-line"),
+    pytest.param(_pinned("c_A=2000.0", "c_A=2000.0\nc_B=0 T_in=300", "line 11, "
+                         "column 7: duplicate key 'T_in'"), 11,
+                 id="inlet-key-repeated-on-a-later-line"),
+    pytest.param(_pinned("rho2=5e-7 rho3=0.05", "rho2=5e-7\nrho3=0.05 rho1=1",
+                         "line 13, column 11: duplicate key 'rho1'"), 13,
+                 id="noise-key-repeated-on-a-later-line"),
+    # the last content line, comments and blank lines after it not counted
+    pytest.param(_pinned("[noise]\nrho1=0.1 rho2=5e-7 rho3=0.05\n", "\n# end\n",
+                         "line 10, column 1: missing section [noise]"), 10,
+                 id="missing-section-last-content-line"),
 ])
 def test_format_errors_carry_line(mangle, line):
     with pytest.raises(NetworkFormatError) as err:

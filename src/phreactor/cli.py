@@ -20,7 +20,9 @@ checked condition failed under ``check --strict``, 3 a simulation aborted.
 
 Every CSV uses '.' as the decimal mark, 17-significant-digit floats, LF
 line endings, and always carries a header row, so repeated seeded runs
-are byte-identical.  The trajectory schema is
+are byte-identical.  Each row is written with one ``%`` format of its
+cells, ``%.17g`` for a number and ``%s`` for a text cell.  The trajectory
+schema is
 
     t, U, N_<species>..., T, S, H_bar, q, Qdot, T_w, events
 
@@ -73,9 +75,9 @@ class CliError(Exception):
     """Input error surfaced as exit code 1."""
 
 
-def _num(values) -> list[str]:
-    """A numeric column as the 17-significant-digit cells of every CSV."""
-    return [format(v, ".17g") for v in np.asarray(values, dtype=float).tolist()]
+def _num(values) -> list[float]:
+    """A numeric column: its values as Python floats."""
+    return np.asarray(values, dtype=float).tolist()
 
 
 def _flag(value: bool) -> list[str]:
@@ -83,13 +85,20 @@ def _flag(value: bool) -> list[str]:
     return [str(value).lower()]
 
 
-def _write_csv(path: Path, columns: dict[str, list[str]],
-               footer: list[str] | None = None) -> None:
-    """Write equal-length columns of cells under their names as header."""
-    lines = [",".join(columns)]
-    lines.extend(map(",".join, zip(*columns.values())))
+def _row_format(cells) -> str:
+    """The ``%`` format of a CSV row like ``cells``: ``%s`` for a text cell,
+    ``%.17g`` (17 significant digits) for a number."""
+    return ",".join("%s" if isinstance(v, str) else "%.17g" for v in cells)
+
+
+def _write_csv(path: Path, columns: dict[str, list],
+               footer: list | None = None) -> None:
+    """Write equal-length columns under their names as header, each row as
+    one ``%`` format of its cells (:func:`_row_format` of the first row)."""
+    fmt = _row_format([column[0] for column in columns.values() if column])
+    lines = [",".join(columns), *(fmt % row for row in zip(*columns.values()))]
     if footer is not None:
-        lines.append(",".join(footer))
+        lines.append(_row_format(footer) % tuple(footer))
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 

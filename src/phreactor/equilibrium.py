@@ -56,8 +56,10 @@ def drift_residual(net: ReactionNetwork, x, u) -> float:
 
 def _balance(net: ReactionNetwork, N, T, q):
     """Per row: the mole balance's norm, residual and convergence scale."""
-    forward, backward = kernel.mass_action(net, N / net.reactor.V, T)
-    f = kernel.reaction_flux(net, forward - backward) + q * kernel.feed_gap(net, N)
+    c = N / net.reactor.V
+    forward, backward = kernel.mass_action(net, c, T)
+    f = (kernel.reaction_flux(net, forward - backward)
+         + q * kernel.feed_gap(net, c))
     turnover = net.reactor.V * np.add.reduce(forward + backward, -1)
     floor = max(q * max(net.inlet.c_in), 1e-300)
     return np.sqrt(np.vecdot(f, f)), f, np.maximum(turnover, floor)
@@ -191,7 +193,7 @@ def steady_states(net: ReactionNetwork, q: float, T_w: float,
     lam, Ts = net.reactor.lam, np.linspace(T_lo, T_hi, grid)
 
     def energy(T, N):
-        g00, _ = kernel.flow_column(net, N, kernel.enthalpy(net, T))
+        g00 = kernel.flow_column(net, N, kernel.enthalpy(net, T))[0]
         return q * g00 + lam * (T_w - T)
 
     # Solve the points not yet converged, each from its nearest converged

@@ -15,6 +15,12 @@ every dot product over species is one ``np.vecdot`` per row
 the operand shapes, and squares are written ``x * x``, since a scalar
 ``x ** 2`` calls ``pow`` where an array's multiplies.  The dense Hessian
 of -S, which is not row-safe, lives in :mod:`thermo`.
+
+One closed-loop step computes each quantity once: :func:`feedback_terms`
+takes sum N once for the S-free closures (:func:`potentials`) and the
+mixing scale, computes no entropy S (the step never reads it), and hands
+its flow column (g00, dc, c = N / V) to :func:`em_update`, whose rates
+read the concentrations c from it.
 """
 
 from __future__ import annotations
@@ -51,26 +57,46 @@ def temperature(net, U, N):
     return rx.T_ref + (U + rx.P * rx.V - _dot(N, net.h_ref)) / _dot(N, net.cp)
 
 
-def closures(net, N, T):
-    """(h, mu/T, S, theta) at (N, T); see :mod:`thermo` for the formulas."""
+def potentials(net, N, T, N_sum):
+    """The closures other than S at (N, T), given N_sum = sum N:
+    (h, mu/T, theta, log(T / T_ref), log x); :func:`closures` takes S from
+    the last two."""
     h = enthalpy(net, T)
     T_col = _col(T)
     log_tau = np.log(T_col / net.reactor.T_ref)
-    log_x = np.log(N / _col(_sum(N)))
-    R = net.reactor.R_gas
-    mu_over_T = -net.cp * log_tau + R * log_x - net.s_ref + h / T_col
-    S = _dot(N, net.cp * log_tau + net.s_ref - R * log_x)
-    return h, mu_over_T, S, T * T * _dot(N, net.cp)
+    log_x = np.log(N / _col(N_sum))
+    mu_over_T = (-net.cp * log_tau + net.reactor.R_gas * log_x - net.s_ref
+                 + h / T_col)
+    return h, mu_over_T, T * T * _dot(N, net.cp), log_tau, log_x
+
+
+def closures(net, N, T):
+    """(h, mu/T, S, theta) at (N, T); see :mod:`thermo` for the formulas."""
+    h, mu_over_T, theta, log_tau, log_x = potentials(net, N, T, _sum(N))
+    S = _dot(N, net.cp * log_tau + net.s_ref - net.reactor.R_gas * log_x)
+    return h, mu_over_T, S, theta
+
+
+def _species_product(c, stoich):
+    """prod_j c_j ** stoich[j] over the species j, multiplied in species
+    order: the bits of ``np.multiply.reduce(c[..., :, None] ** stoich, -2)``
+    without its strided reduction.  The powers stay one array operation:
+    numpy's vectorised ``pow`` can round a power apart from the scalar one,
+    so a power taken on its own could differ in the last bit."""
+    powers = c[..., :, None] ** stoich
+    product = powers[..., 0, :]
+    for j in range(1, len(stoich)):
+        product = product * powers[..., j, :]
+    return product
 
 
 def mass_action(net, c, T) -> tuple[np.ndarray, np.ndarray]:
     """Arrhenius mass-action rates (r_f, r_b) at concentrations c."""
     RT = _col(net.reactor.R_gas * T)
-    c = c[..., :, None]
     forward = (net.k0f * np.exp(-net.Ef / RT)
-               * np.multiply.reduce(c ** net.stoich_reactants, -2))
+               * _species_product(c, net.stoich_reactants))
     backward = (net.k0b * np.exp(-net.Eb / RT)
-                * np.multiply.reduce(c ** net.stoich_products, -2))
+                * _species_product(c, net.stoich_products))
     return forward, backward
 
 
@@ -125,29 +151,34 @@ def damping_apply(net, c, T, v):
     return _col(net.reactor.V * T) * _dot(nu, weighted[..., None, :])
 
 
-def feed_gap(net, N) -> np.ndarray:
-    """dc = c_in - N / V, mol/m^3."""
-    return net.c_in - N / net.reactor.V
+def feed_gap(net, c) -> np.ndarray:
+    """dc = c_in - c at concentrations c = N / V, mol/m^3."""
+    return net.c_in - c
 
 
 def flow_column(net, N, h):
-    """The flow column (g00, dc) of g, g00 = c_in^T h(T_in) - N^T h / V."""
+    """(g00, dc, c): the flow column (g00, dc) of g,
+    g00 = c_in^T h(T_in) - N^T h / V, and the concentrations c = N / V."""
+    c = N / net.reactor.V
     g00 = net.inlet_enthalpy_density - _dot(N, h) / net.reactor.V
-    return g00, feed_gap(net, N)
+    return g00, feed_gap(net, c), c
 
 
-def mixing_scale(net, N, h, theta, g00, dc):
+def mixing_scale(net, N, h, theta, g00, dc, N_sum=None):
     """theta (g00, dc)^T Hess(-S) (g00, dc) for a direction (g00, dc) on
     (U, N), explicitly
 
         dc^T (h h^T - (theta R / sum N) 11^T + diag(theta R / N_j)) dc
         - 2 g00 h^T dc + g00^2;
 
-    the mixing scale M when (g00, dc) is the flow column of g."""
+    the mixing scale M when (g00, dc) is the flow column of g.  ``N_sum``
+    is sum N if the caller has it."""
     R = net.reactor.R_gas
     hdc = _dot(h, dc)
     dc_sum = _sum(dc)
-    quad = (hdc * hdc - theta * R / _sum(N) * (dc_sum * dc_sum)
+    if N_sum is None:
+        N_sum = _sum(N)
+    quad = (hdc * hdc - theta * R / N_sum * (dc_sum * dc_sum)
             + theta * R * _dot(dc, dc / N))
     return quad - 2.0 * g00 * hdc + g00 * g00
 
@@ -169,23 +200,29 @@ def availability_gradient(T_star, mu_star_over_T, T, mu_over_T):
 
 
 def feedback_terms(net, N, T, T_star, mu_star_over_T):
-    """(d1, d2, o1, o2, g00, dc): delta = diag(d1, d2) and g^T grad A =
+    """(d1, d2, o1, o2, g00, dc, c): delta = diag(d1, d2) and g^T grad A =
     (o1, o2) in the feedback u = -(I + K delta)^(-1) K g^T grad A, and the
-    flow column (g00, dc) they use, which :func:`em_update` takes too."""
-    h, mu_over_T, _, theta = closures(net, N, T)
-    g00, dc = flow_column(net, N, h)
-    d1, d2 = feedthrough(net, mixing_scale(net, N, h, theta, g00, dc), theta)
+    :func:`flow_column` (g00, dc, c) they use, which :func:`em_update`
+    takes too.  Each quantity is computed once: sum N feeds both the
+    potentials and M, and S, which the feedback does not read, is not
+    computed at all."""
+    N_sum = _sum(N)
+    h, mu_over_T, theta, _, _ = potentials(net, N, T, N_sum)
+    g00, dc, c = flow_column(net, N, h)
+    d1, d2 = feedthrough(net, mixing_scale(net, N, h, theta, g00, dc, N_sum),
+                         theta)
     grad_U, grad_N = availability_gradient(T_star, mu_star_over_T, T, mu_over_T)
-    return d1, d2, g00 * grad_U + _dot(dc, grad_N), grad_U, g00, dc
+    return d1, d2, g00 * grad_U + _dot(dc, grad_N), grad_U, g00, dc, c
 
 
 def sde_terms(net, N, T, q, Qdot, column=None):
     """Drift (dU, dN) and diffusion entries (a, b_U, b_N, c_U) under inputs
     (q, Qdot): reaction noise a = rho1 flux on N, flow noise rho2 q (g00, dc),
-    heat noise c_U = rho3 Qdot.  ``column`` is the flow column (g00, dc) at
-    (N, T) if the caller has it."""
-    g00, dc = column or flow_column(net, N, enthalpy(net, T))
-    forward, backward = mass_action(net, N / net.reactor.V, T)
+    heat noise c_U = rho3 Qdot.  ``column`` is the :func:`flow_column`
+    (g00, dc, c) at (N, T) if the caller has it; the rates are taken at
+    its concentrations c."""
+    g00, dc, c = column or flow_column(net, N, enthalpy(net, T))
+    forward, backward = mass_action(net, c, T)
     flux = reaction_flux(net, forward - backward)
     rho, q_col = net.noise, _col(q)
     return ((g00 * q + Qdot, flux + q_col * dc),

@@ -355,7 +355,9 @@ class _Records:
                           abort_reason=path.abort_reason)
 
 
-@np.errstate(over="ignore")  # an overflowing update aborts its row
+# an overflowing or invalid update, or a feedback made NaN by a huge gain,
+# aborts its row without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
                     gains: ControllerGains | None, cfg: SimConfig, x0,
                     indices) -> list[Trajectory]:

@@ -87,7 +87,7 @@ def mixing_noise_scale(net: ReactionNetwork, state) -> float:
     along the flow column g_q of g; see :func:`kernel.mixing_scale`."""
     st = as_state(net, state)
     return kernel.mixing_scale(net, st.N, st.h, st.theta,
-                               *kernel.flow_column(net, st.N, st.h))
+                               *kernel.flow_column(net, st.N, st.h)[:2])
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,9 @@ def structure_matrices(net: ReactionNetwork, state,
     st = as_state(net, state)
     p = net.n_species
     g = np.zeros((p + 1, 2))
-    g[0, 0], g[1:, 0] = kernel.flow_column(net, st.N, st.h)
+    g[0, 0], g[1:, 0], c = kernel.flow_column(net, st.N, st.h)
     g[0, 1] = 1.0
-    forward, backward = kernel.mass_action(net, st.N / net.reactor.V, st.T)
+    forward, backward = kernel.mass_action(net, c, st.T)
     a = np.zeros(p + 1)
     a[1:] = net.noise.rho1 * kernel.reaction_flux(net, forward - backward)
     M = mixing_noise_scale(net, st)

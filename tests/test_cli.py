@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, CSV schemas, and byte-stable seeded
 artifacts, all exercised in-process through ``main``."""
 
+import math
 import runpy
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 
 from conftest import NO_REACTION
 from phreactor import presets, sim
-from phreactor.cli import _build_parser, _event_cells, main
+from phreactor.cli import _build_parser, _event_cells, _num, _write_csv, main
 from phreactor.network import parse_network
 from phreactor.sim import Trajectory
 
@@ -361,6 +362,52 @@ def test_simulate_abort_exits_3(cfg_path, tmp_path, capsys):
         assert capsys.readouterr().err == (
             "phreactor: simulation aborted: every trajectory aborted "
             "(trajectory 0: non-finite state update)\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gain, n_traj, rc", [
+    (["--k-flow", "1e308"], "1", 3), (["--k-flow", "1e308"], "3", 3),
+    (["--k-flow", "1e200"], "1", 0), (["--k-heat", "1e308"], "1", 0)])
+def test_huge_finite_gain_warns_of_nothing(cfg_path, tmp_path, capsys, gain,
+                                           n_traj, rc):
+    # k_flow = 1e308 makes the feedback solve inf * 0 = NaN: the run aborts
+    # with its reason alone on stderr; smaller huge gains still run
+    assert main(["simulate", "--network", str(cfg_path), "--out",
+                 str(tmp_path), "--T0", "342", "--N0", "1,1", "--setpoint-T",
+                 "331.9", "--setpoint-q", "9.15e-6", "--t-end", "0.01",
+                 "--n-traj", n_traj, *gain]) == rc
+    assert capsys.readouterr().err == ("" if rc == 0 else (
+        "phreactor: simulation aborted: every trajectory aborted "
+        "(trajectory 0: non-finite state update)\n"))
+
+
+def test_csv_rows_have_the_bytes_of_per_cell_formatting(tmp_path):
+    # one % format per row gives the bytes of format(v, ".17g") per cell
+    values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 330.0,
+              0.1, -1.0 / 3.0]
+    text = {"events": ["", "floor_A:1", "abort:1;halve:4", "q_clamp:2",
+                        "", "", "", "", ""],
+            "classification": ["stable", "unstable", "", "stable", "", "",
+                               "", "", ""],
+            "all_hold": ["true", "false"] + [""] * 7}
+    columns = {"t": _num(values), "U": _num(values[::-1]), **text,
+               "T": _num(values[3:] + values[:3])}
+    footer = ["stabilization_probability", *_num([math.nan])]
+    _write_csv(tmp_path / "table.csv", columns, footer=footer)
+
+    def cell(v):
+        return v if isinstance(v, str) else format(v, ".17g")
+
+    expected = [",".join(columns), *(",".join(map(cell, row)) for row in
+                                     zip(*columns.values())),
+                ",".join(map(cell, footer))]
+    assert (tmp_path / "table.csv").read_bytes() == (
+        "\n".join(expected) + "\n").encode()
+    assert expected[1] == "nan,-0.33333333333333331,,stable,true,-0"
+    assert expected[-1] == "stabilization_probability,nan"
+    # a table without rows is its header
+    _write_csv(tmp_path / "empty.csv", {"T": _num([]), "classification": []})
+    assert (tmp_path / "empty.csv").read_bytes() == b"T,classification\n"
 
 
 # --------------------------------------------------------------- casestudy

@@ -86,7 +86,7 @@ def _newton_by_columns(net, T, q, N0=None, tol=1e-12):
     def balance(N):
         forward, backward = kernel.mass_action(net, N / V, T)
         return (kernel.reaction_flux(net, forward - backward)
-                + q * kernel.feed_gap(net, N))
+                + q * kernel.feed_gap(net, N / V))
 
     def scale(N):
         forward, backward = kernel.mass_action(net, N / V, T)
@@ -149,7 +149,7 @@ def _serial_roots(net, q, T_w, Ts, comps=None):
     from the previous one (unless the grid compositions are given), every
     bracket bisected on its own."""
     def energy(T, N):
-        g00, _ = kernel.flow_column(net, N, kernel.enthalpy(net, T))
+        g00 = kernel.flow_column(net, N, kernel.enthalpy(net, T))[0]
         return q * g00 + net.reactor.lam * (T_w - T)
 
     if comps is None:

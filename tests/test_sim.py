@@ -442,6 +442,53 @@ def test_kernel_batch_rows_equal_single_state_calls(net, sp, batch):
                 np.testing.assert_array_equal(row[i], single, err_msg=name)
 
 
+@settings(max_examples=60, deadline=None)
+@given(batch=_kernel_batches())
+def test_one_step_shares_its_quantities_bit_for_bit(net, sp, batch):
+    """A closed-loop step computes sum N, N / V and no S, and passes them
+    on: em_update on the column of feedback_terms has the bits of em_update
+    computing its own, M given sum N those of M without it, and the S-free
+    potentials the h, mu/T and theta of the closures; for a lone state and
+    a batch."""
+    lone = tuple(a[0] for a in batch)
+    for U, N, T, q, Qdot, dW in (lone, batch):
+        column = kernel.feedback_terms(net, N, T, sp.T_star,
+                                       sp.mu_star_over_T)[4:]
+        np.testing.assert_array_equal(column[2], N / net.reactor.V)
+        for shared, own in zip(
+                kernel.em_update(net, U, N, T, q, Qdot, 1e-3, dW, column),
+                kernel.em_update(net, U, N, T, q, Qdot, 1e-3, dW)):
+            np.testing.assert_array_equal(shared, own)
+        h, mu_over_T, _, theta = kernel.closures(net, N, T)
+        N_sum = N.sum(-1)
+        for shared, own in zip(kernel.potentials(net, N, T, N_sum)[:3],
+                               (h, mu_over_T, theta)):
+            np.testing.assert_array_equal(shared, own)
+        g00, dc, _ = kernel.flow_column(net, N, h)
+        np.testing.assert_array_equal(
+            kernel.mixing_scale(net, N, h, theta, g00, dc, N_sum),
+            kernel.mixing_scale(net, N, h, theta, g00, dc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_species_product_is_the_strided_reduction(data):
+    """The rates' species product, multiplied in species order, has the bits
+    of np.multiply.reduce over the species axis, for one state and a batch.
+    The bundled A -> B network has multiplicities 0 and 1 only, so it
+    cannot show a product taken in another order."""
+    p, r, B = (data.draw(st.integers(lo, hi)) for lo, hi in
+               ((1, 5), (0, 4), (1, 4)))
+    # (p, r) as a transposed view, the layout of the network's matrices
+    stoich = data.draw(arrays(float, (r, p), elements=st.sampled_from(
+        (0.0, 1.0, 2.0, 3.0)))).T
+    c = data.draw(arrays(float, (B, p), elements=st.floats(1e-3, 1e3)))
+    for conc in (c[0], c):
+        np.testing.assert_array_equal(
+            kernel._species_product(conc, stoich),
+            np.multiply.reduce(conc[..., :, None] ** stoich, -2))
+
+
 # ------------------------------------------- series derived after stepping
 
 #: name -> (SimConfig fields, lambda = 0 network, MAX_HALVINGS)

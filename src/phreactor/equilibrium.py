@@ -4,16 +4,18 @@ At fixed temperature T and flow q the stationary mole balance
 
     0 = V nu (r_f(c, T) - r_b(c, T)) + q (c_in - N/V)
 
-is solved by damped Newton iteration with a finite-difference Jacobian,
-for one T or a batch of them.  The scan solves a temperature grid as one
-batch, retries each point that fails from its nearest converged lower-T
-point, and bisects, all brackets in lockstep, every sign change of
+is solved by damped Newton iteration with its exact Jacobian
+nu (dr_f/dc - dr_b/dc) - (q/V) I, from the kernel's mass-action
+derivatives, for one T or a batch of them.  The scan solves a temperature
+grid as one batch, retries each point that fails from its nearest
+converged lower-T point, and bisects, all brackets in lockstep, every sign
+change of
 
     E(T) = q (c_in^T h(T_in) - N(T)^T h(T)/V) + lambda (T_w - T),
 
 the stationary energy residual under a jacket at T_w; exothermic networks
 can have several roots.  Each is classified by the eigenvalues of a
-finite-difference Jacobian of the deterministic drift.
+finite-difference Jacobian of the deterministic drift (:func:`classify`).
 """
 
 from __future__ import annotations
@@ -65,16 +67,30 @@ def _balance(net: ReactionNetwork, N, T, q):
     return np.sqrt(np.vecdot(f, f)), f, np.maximum(turnover, floor)
 
 
+def _balance_jacobian(net: ReactionNetwork, N, T, q):
+    """Per row: the mole balance's exact Jacobian in N,
+    nu (dr_f/dc - dr_b/dc) - (q / V) I."""
+    V = net.reactor.V
+    dr_f, dr_b = kernel.mass_action_jacobian(net, N / V, T)[2:]
+    # entry (k, j) is row k of nu dotted with column j of dr
+    dr = (dr_f - dr_b).swapaxes(-1, -2)[..., None, :, :]
+    return (np.vecdot(net.stoich_net[:, None, :], dr)
+            - q / V * np.eye(net.n_species))
+
+
 def mass_balance_steady(net: ReactionNetwork, T, q: float,
                         N0=None) -> np.ndarray:
     """Solve the stationary mole balance at (T, q) for the composition N.
 
-    Damped Newton from N = V c_in (or the warm start N0) with a central
-    finite-difference Jacobian and step halving on residual increase.  T of
+    Damped Newton from N = V c_in (or the warm start N0) with the exact
+    Jacobian (:func:`kernel.mass_action_jacobian`, so also at a zero
+    concentration) and step halving on residual increase.  T of
     shape (B,) solves B rows as one batch, each with the bits of its scalar
     solve, and gives N of shape (B, p).  Raises :class:`ConvergenceError`
-    naming the first T not converged in ``MAX_NEWTON_ITER`` iterations,
-    and :class:`ValueError` if a solution has a negative component.
+    naming the first T not converged in ``MAX_NEWTON_ITER`` iterations or
+    a T where the solve meets a singular Jacobian (at q = 0, a network
+    that conserves a combination of mole numbers has one), and
+    :class:`ValueError` if a solution has a negative component.
     """
     p = net.n_species
     Ts = np.asarray(T, dtype=float).reshape(-1)
@@ -87,13 +103,7 @@ def mass_balance_steady(net: ReactionNetwork, T, q: float,
         rows = (~done).nonzero()[0]
         if not rows.size:
             break
-        # the 2p perturbed states of every row in one evaluation
-        h = 1e-7 * np.maximum(np.abs(N[rows]), 1e-6)
-        E = np.eye(p)
-        X = N[rows][:, None, :] + np.concatenate((E, -E)) * h[:, None, :]
-        F = _balance(net, X.reshape(-1, p), Ts[rows].repeat(2 * p), q)[1]
-        F = F.reshape(X.shape)
-        J = ((F[:, :p] - F[:, p:]) / (2.0 * h)[..., None]).transpose(0, 2, 1)
+        J = _balance_jacobian(net, N[rows], Ts[rows], q)
         try:
             step = np.linalg.solve(J, -f[rows][..., None])[..., 0]
         except np.linalg.LinAlgError as exc:

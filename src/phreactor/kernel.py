@@ -83,21 +83,58 @@ def _species_product(c, stoich):
     without its strided reduction.  The powers stay one array operation:
     numpy's vectorised ``pow`` can round a power apart from the scalar one,
     so a power taken on its own could differ in the last bit."""
-    powers = c[..., :, None] ** stoich
-    product = powers[..., 0, :]
-    for j in range(1, len(stoich)):
-        product = product * powers[..., j, :]
+    return _ordered_product(c[..., :, None] ** stoich)
+
+
+def _species_product_gradient(c, stoich):
+    """(:func:`_species_product`, with its bits, and its derivatives in c,
+    shape (..., p, r)): entry (j, i) is stoich[j, i] c_j ** (stoich[j, i] - 1)
+    times the other species' powers of reaction i.  The lowered power is
+    taken as stoich c_j ** max(stoich - 1, 0), so it is exact at c_j = 0."""
+    c_col = c[..., :, None]
+    powers = c_col ** stoich
+    # row j < p: the powers with species j's lowered; row p: the powers
+    p = len(stoich)
+    factors = np.repeat(powers[..., None, :, :], p + 1, axis=-3)
+    j = np.arange(p)
+    factors[..., j, j, :] = stoich * c_col ** np.maximum(stoich - 1.0, 0.0)
+    products = _ordered_product(factors)
+    return products[..., p, :], products[..., :p, :]
+
+
+def _ordered_product(factors):
+    """Product over the species axis (-2) of ``factors``, multiplied in
+    species order."""
+    product = factors[..., 0, :]
+    for j in range(1, factors.shape[-2]):
+        product = product * factors[..., j, :]
     return product
+
+
+def _rate_constants(net, T):
+    """Arrhenius constants (k_f, k_b) = k0 exp(-E / (R T)) per reaction."""
+    RT = _col(net.reactor.R_gas * T)
+    return net.k0f * np.exp(-net.Ef / RT), net.k0b * np.exp(-net.Eb / RT)
 
 
 def mass_action(net, c, T) -> tuple[np.ndarray, np.ndarray]:
     """Arrhenius mass-action rates (r_f, r_b) at concentrations c."""
-    RT = _col(net.reactor.R_gas * T)
-    forward = (net.k0f * np.exp(-net.Ef / RT)
-               * _species_product(c, net.stoich_reactants))
-    backward = (net.k0b * np.exp(-net.Eb / RT)
-                * _species_product(c, net.stoich_products))
-    return forward, backward
+    kf, kb = _rate_constants(net, T)
+    return (kf * _species_product(c, net.stoich_reactants),
+            kb * _species_product(c, net.stoich_products))
+
+
+def mass_action_jacobian(net, c, T):
+    """(r_f, r_b, dr_f/dc, dr_b/dc): the :func:`mass_action` rates, with
+    their bits, and their exact derivatives in c, shape (..., r, p), entry
+    (i, j) = k_i alpha_ij c_j ** (alpha_ij - 1) prod_{l != j} c_l ** alpha_il
+    for the multiplicities alpha of that side; exact at c_j = 0."""
+    kf, kb = _rate_constants(net, T)
+    (pf, gf), (pb, gb) = (_species_product_gradient(c, stoich)
+                          for stoich in (net.stoich_reactants,
+                                         net.stoich_products))
+    return (kf * pf, kb * pb, _col(kf) * gf.swapaxes(-1, -2),
+            _col(kb) * gb.swapaxes(-1, -2))
 
 
 def reaction_flux(net, rate_net) -> np.ndarray:

@@ -566,6 +566,33 @@ def test_zero_setpoint_flow_with_composition_runs(cfg_path, tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("network, conserved", [
+    (presets.CONFIG_TEXT, "N_A + N_B"),
+    (presets.CONFIG_TEXT.replace("A -> B", "2 A -> 3 B"),
+     "N_A + 0.666667 N_B"),
+    (NO_REACTION, "2 independent combinations of mole numbers"),
+], ids=["bundled", "2A-3B", "no-reaction"])
+@pytest.mark.parametrize("command", [
+    ["check", "--T", "342", "--N", "1,1"],
+    ["simulate", "--T0", "342", "--N0", "1,1", "--t-end", "0.01"],
+], ids=["check", "simulate"])
+def test_zero_setpoint_flow_without_composition_names_the_cause(
+        tmp_path, capsys, network, conserved, command):
+    # a closed reactor keeps every conserved combination of its start, so
+    # the mole balance at q* = 0 does not determine N*
+    cfg = tmp_path / "network.cfg"
+    cfg.write_text(network)
+    out = tmp_path / "out"
+    rc = main(command + ["--network", str(cfg), "--out", str(out),
+                         "--setpoint-T", "331.9", "--setpoint-q", "0"])
+    assert rc == 1
+    assert capsys.readouterr() == ("", (
+        f"phreactor: error: at --setpoint-q 0 the closed reactor conserves "
+        f"{conserved}, so (T*, q*) does not determine N*; give it with "
+        f"--setpoint-N\n"))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--T0", "342", "--N0", "1,1", "--mode", "isolated",
      "--t-end", "0.01", "--seed", "-1"],

@@ -4,11 +4,11 @@ middle branch, which is exactly the branch the feedback stabilizes."""
 
 import numpy as np
 
-from phreactor import jacket_temperature, steady_states
-from phreactor.presets import benchmark_exact_setpoint, benchmark_network
+from phreactor import jacket_temperature, make_setpoint, steady_states
+from phreactor.presets import Q_STAR, T_STAR, benchmark_network
 
 net = benchmark_network()
-sp = benchmark_exact_setpoint(net)
+sp = make_setpoint(net, T_STAR, Q_STAR)
 q = sp.q_star
 
 # The jacket temperature that sustains the target operating point

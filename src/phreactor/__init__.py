@@ -52,7 +52,6 @@ from .structure import (
     InputNoiseReport,
     PassivityReport,
     ReactionNoiseReport,
-    damping_coefficients,
     damping_matrix,
     structure_matrices,
     sde_fields,
@@ -68,8 +67,6 @@ from .transform import (
     AvailabilityHamiltonian,
     make_setpoint,
     setpoint_from_state,
-    availability,
-    availability_gradient,
     transformed_output,
     equivalence_residual,
 )

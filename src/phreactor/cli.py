@@ -46,7 +46,8 @@ import numpy as np
 
 from . import presets
 from .control import ControllerGains, Q_MAX_DEFAULT
-from .equilibrium import ConvergenceError, drift_residual, steady_states
+from .equilibrium import (ConvergenceError, conserved_moles, drift_residual,
+                          steady_states)
 from .network import ReactionNetwork, parse_network, serialize_network
 from .sim import (
     MODES,
@@ -137,29 +138,11 @@ def _setpoint_from_flags(net: ReactionNetwork, args) -> Setpoint:
         return setpoint_from_state(net, _moles(net, args.setpoint_N,
                                                "--setpoint-N"),
                                    args.setpoint_T, args.setpoint_q)
-    if args.setpoint_q == 0 and (conserved := _conserved_moles(net)):
+    if args.setpoint_q == 0 and (conserved := conserved_moles(net)):
         raise CliError(f"at --setpoint-q 0 the closed reactor conserves "
                        f"{conserved}, so (T*, q*) does not determine N*; "
                        "give it with --setpoint-N")
     return make_setpoint(net, args.setpoint_T, args.setpoint_q)
-
-
-def _conserved_moles(net: ReactionNetwork) -> str:
-    """The combinations w^T N of mole numbers that no reaction changes
-    (w^T nu = 0), as text: the combination, its first weight scaled to 1,
-    when there is one, else how many there are; empty if none."""
-    nu = net.stoich_net
-    basis = np.linalg.svd(nu)[0][:, np.linalg.matrix_rank(nu):].T
-    if len(basis) != 1:
-        return (f"{len(basis)} independent combinations of mole numbers"
-                if len(basis) else "")
-    w = basis[0] / basis[0][np.abs(basis[0]) > 1e-9][0]
-    terms = []
-    for c, name in zip(w, net.species_names):
-        if abs(c) > 1e-9:
-            weight = "" if abs(abs(c) - 1.0) < 1e-9 else f"{abs(c):.6g} "
-            terms.append(f"{'-' if c < 0 else '+'} {weight}N_{name}")
-    return " ".join(terms).removeprefix("+ ")
 
 
 # ---------------------------------------------------------------------------

@@ -71,11 +71,29 @@ def _balance_jacobian(net: ReactionNetwork, N, T, q):
     """Per row: the mole balance's exact Jacobian in N,
     nu (dr_f/dc - dr_b/dc) - (q / V) I."""
     V = net.reactor.V
-    dr_f, dr_b = kernel.mass_action_jacobian(net, N / V, T)[2:]
+    dr_f, dr_b = kernel.mass_action_jacobian(net, N / V, T)
     # entry (k, j) is row k of nu dotted with column j of dr
     dr = (dr_f - dr_b).swapaxes(-1, -2)[..., None, :, :]
     return (np.vecdot(net.stoich_net[:, None, :], dr)
             - q / V * np.eye(net.n_species))
+
+
+def conserved_moles(net: ReactionNetwork) -> str:
+    """The combinations w^T N of mole numbers that no reaction changes
+    (w^T nu = 0), as text: the combination, its first weight scaled to 1,
+    when there is one, else how many there are; empty if none."""
+    nu = net.stoich_net
+    basis = np.linalg.svd(nu)[0][:, np.linalg.matrix_rank(nu):].T
+    if len(basis) != 1:
+        return (f"{len(basis)} independent combinations of mole numbers"
+                if len(basis) else "")
+    w = basis[0] / basis[0][np.abs(basis[0]) > 1e-9][0]
+    terms = []
+    for c, name in zip(w, net.species_names):
+        if abs(c) > 1e-9:
+            weight = "" if abs(abs(c) - 1.0) < 1e-9 else f"{abs(c):.6g} "
+            terms.append(f"{'-' if c < 0 else '+'} {weight}N_{name}")
+    return " ".join(terms).removeprefix("+ ")
 
 
 def mass_balance_steady(net: ReactionNetwork, T, q: float,
@@ -87,17 +105,22 @@ def mass_balance_steady(net: ReactionNetwork, T, q: float,
     concentration) and step halving on residual increase.  T of
     shape (B,) solves B rows as one batch, each with the bits of its scalar
     solve, and gives N of shape (B, p).  Raises :class:`ConvergenceError`
-    naming the first T not converged in ``MAX_NEWTON_ITER`` iterations or
-    a T where the solve meets a singular Jacobian (at q = 0, a network
-    that conserves a combination of mole numbers has one), and
-    :class:`ValueError` if a solution has a negative component.
+    naming the combination of mole numbers the network conserves at q = 0
+    (:func:`conserved_moles`), which leaves N undetermined, the first T not
+    converged in ``MAX_NEWTON_ITER`` iterations, or a T where the solve
+    meets a singular Jacobian; and :class:`ValueError` if a solution has a
+    negative component.
     """
     p = net.n_species
     Ts = np.asarray(T, dtype=float).reshape(-1)
     N = np.empty((Ts.size, p))
     N[...] = net.reactor.V * net.c_in if N0 is None else N0
-    best, f, scale = _balance(net, N, Ts, q)
     done = np.zeros(Ts.size, dtype=bool)
+    if q == 0 and (conserved := conserved_moles(net)):
+        raise ConvergenceError(f"at q=0 the closed reactor conserves "
+                               f"{conserved}, so the mole balance does not "
+                               "determine N", N, done)
+    best, f, scale = _balance(net, N, Ts, q)
     for _ in range(MAX_NEWTON_ITER):
         done = np.maximum.reduce(np.abs(f), -1) <= 1e-12 * scale
         rows = (~done).nonzero()[0]

@@ -79,27 +79,25 @@ def closures(net, N, T):
 
 def _species_product(c, stoich):
     """prod_j c_j ** stoich[j] over the species j, multiplied in species
-    order: the bits of ``np.multiply.reduce(c[..., :, None] ** stoich, -2)``
-    without its strided reduction.  The powers stay one array operation:
-    numpy's vectorised ``pow`` can round a power apart from the scalar one,
-    so a power taken on its own could differ in the last bit."""
-    return _ordered_product(c[..., :, None] ** stoich)
+    order.  The powers are ``np.float_power``'s, which takes libm's ``pow``
+    element by element: ``**`` runs numpy's vectorised ``pow`` on contiguous
+    operands and the scalar one on broadcast ones, which round apart in the
+    last bit, so a batch row could differ from the row alone."""
+    return _ordered_product(np.float_power(c[..., :, None], stoich))
 
 
 def _species_product_gradient(c, stoich):
-    """(:func:`_species_product`, with its bits, and its derivatives in c,
-    shape (..., p, r)): entry (j, i) is stoich[j, i] c_j ** (stoich[j, i] - 1)
-    times the other species' powers of reaction i.  The lowered power is
-    taken as stoich c_j ** max(stoich - 1, 0), so it is exact at c_j = 0."""
-    c_col = c[..., :, None]
-    powers = c_col ** stoich
-    # row j < p: the powers with species j's lowered; row p: the powers
-    p = len(stoich)
-    factors = np.repeat(powers[..., None, :, :], p + 1, axis=-3)
-    j = np.arange(p)
-    factors[..., j, j, :] = stoich * c_col ** np.maximum(stoich - 1.0, 0.0)
-    products = _ordered_product(factors)
-    return products[..., p, :], products[..., :p, :]
+    """The derivatives of :func:`_species_product` in c, shape (..., p, r):
+    entry (j, i) is stoich[j, i] c_j ** (stoich[j, i] - 1) times the other
+    species' powers of reaction i.  The lowered power is taken as
+    stoich c_j ** max(stoich - 1, 0), so it is exact at c_j = 0."""
+    c_col, j = c[..., :, None], np.arange(len(stoich))
+    # row j: the powers with species j's lowered
+    factors = np.repeat(np.float_power(c_col, stoich)[..., None, :, :],
+                        len(j), axis=-3)
+    lowered = np.float_power(c_col, np.maximum(stoich - 1.0, 0.0))
+    factors[..., j, j, :] = stoich * lowered
+    return _ordered_product(factors)
 
 
 def _ordered_product(factors):
@@ -125,16 +123,14 @@ def mass_action(net, c, T) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mass_action_jacobian(net, c, T):
-    """(r_f, r_b, dr_f/dc, dr_b/dc): the :func:`mass_action` rates, with
-    their bits, and their exact derivatives in c, shape (..., r, p), entry
-    (i, j) = k_i alpha_ij c_j ** (alpha_ij - 1) prod_{l != j} c_l ** alpha_il
-    for the multiplicities alpha of that side; exact at c_j = 0."""
+    """(dr_f/dc, dr_b/dc): the exact derivatives of the :func:`mass_action`
+    rates in c, shape (..., r, p), entry (i, j) = k_i alpha_ij
+    c_j ** (alpha_ij - 1) prod_{l != j} c_l ** alpha_il for the
+    multiplicities alpha of that side; exact at c_j = 0."""
     kf, kb = _rate_constants(net, T)
-    (pf, gf), (pb, gb) = (_species_product_gradient(c, stoich)
-                          for stoich in (net.stoich_reactants,
-                                         net.stoich_products))
-    return (kf * pf, kb * pb, _col(kf) * gf.swapaxes(-1, -2),
-            _col(kb) * gb.swapaxes(-1, -2))
+    return tuple(_col(k) * _species_product_gradient(c, stoich).swapaxes(-1, -2)
+                 for k, stoich in ((kf, net.stoich_reactants),
+                                   (kb, net.stoich_products)))
 
 
 def reaction_flux(net, rate_net) -> np.ndarray:

@@ -11,8 +11,8 @@ wide margins at the nominal intensities.
 The target composition and energy are given as the conventional rounded
 operating values; ``benchmark_setpoint`` builds the setpoint from those
 directly (``equilibrium.drift_residual`` there shows the small
-mismatch), while ``benchmark_exact_setpoint`` re-solves the stationary
-composition at the same (T*, q*).
+mismatch), while ``transform.make_setpoint(net, T_STAR, Q_STAR)``
+re-solves the stationary composition at the same (T*, q*).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .control import ControllerGains
 from .network import ReactionNetwork, parse_network
 from .thermo import ThermoState
-from .transform import Setpoint, make_setpoint, setpoint_from_state
+from .transform import Setpoint, setpoint_from_state
 
 CONFIG_TEXT = """\
 # Reversible first-order A <-> B in a jacketed 1 L stirred tank.
@@ -63,12 +63,6 @@ def benchmark_setpoint(net: ReactionNetwork | None = None) -> Setpoint:
     """Setpoint built from the rounded operating composition N*."""
     net = net or benchmark_network()
     return setpoint_from_state(net, N_STAR, T_STAR, Q_STAR)
-
-
-def benchmark_exact_setpoint(net: ReactionNetwork | None = None) -> Setpoint:
-    """Setpoint with the stationary composition re-solved at (T*, q*)."""
-    net = net or benchmark_network()
-    return make_setpoint(net, T_STAR, Q_STAR)
 
 
 def benchmark_gains() -> ControllerGains:

@@ -46,39 +46,26 @@ from .network import ReactionNetwork
 from .thermo import as_state, neg_entropy_gradient, neg_entropy_hessian
 
 
-def damping_coefficients(net: ReactionNetwork, state,
-                         mode: str = "logmean") -> np.ndarray:
-    """Per-reaction dissipation weights c_i >= 0 such that the damping
-    matrix's composition block is V T sum_i c_i dz_i dz_i^T, with
-    dz_i = reactants - products.
-
-    ``"logmean"`` uses logmean(r_f, r_b) / (R T), which is nonnegative for
-    any rate constants.  ``"strict"`` uses the literal quotient
-    (r_f - r_b) / (dz^T mu), which agrees with the logmean form exactly
-    when the kinetics are thermodynamically consistent; it falls back to
-    the logmean weight when |dz^T mu| < 1e-9.  See
-    :func:`kernel.damping_weights`.
-    """
-    if mode not in ("logmean", "strict"):
-        raise ValueError(f"unknown damping mode {mode!r}")
-    st = as_state(net, state)
-    return kernel.damping_weights(
-        net, *kernel.mass_action(net, st.N / net.reactor.V, st.T), st.T,
-        kernel.affinity(net, st.mu_over_T, st.T) if mode == "strict" else None)
-
-
 def damping_matrix(net: ReactionNetwork, state,
                    mode: str = "logmean") -> np.ndarray:
     """Symmetric positive semidefinite damping matrix R on (U, N).
 
     The energy row and column are zero; reactions dissipate only through
-    composition.  See :func:`damping_coefficients` for the two weightings.
+    composition, as V T sum_i c_i dz_i dz_i^T with dz_i = reactants -
+    products.  ``mode`` picks the weights c_i of :func:`kernel.damping_weights`:
+    ``"logmean"``, nonnegative for any rate constants, or ``"strict"``, the
+    rate over the affinity, equal to the log-mean weight exactly when the
+    kinetics are thermodynamically consistent.
     """
+    if mode not in ("logmean", "strict"):
+        raise ValueError(f"unknown damping mode {mode!r}")
     st = as_state(net, state)
+    weights = kernel.damping_weights(
+        net, *kernel.mass_action(net, st.N / net.reactor.V, st.T), st.T,
+        kernel.affinity(net, st.mu_over_T, st.T) if mode == "strict" else None)
     R = np.zeros((net.n_species + 1, net.n_species + 1))
     dz = -net.stoich_net  # reactants minus products, one column per reaction
-    R[1:, 1:] = (dz[:, None] * dz) @ (net.reactor.V * st.T
-                                       * damping_coefficients(net, st, mode))
+    R[1:, 1:] = (dz[:, None] * dz) @ (net.reactor.V * st.T * weights)
     return R
 
 

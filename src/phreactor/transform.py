@@ -98,20 +98,6 @@ def setpoint_from_state(net: ReactionNetwork, N_star, T_star: float,
     return _finish_setpoint(net, N_star, T_star, q_star)
 
 
-def availability(net: ReactionNetwork, sp: Setpoint, x) -> float:
-    """A(x) = S(x*) - S(x) + pi*^T (x - x*); nonnegative, zero at x*."""
-    st = as_state(net, x)
-    return kernel.availability(sp.S_star, sp.pi_star, sp.x_star, st.S, st.x)
-
-
-def availability_gradient(net: ReactionNetwork, sp: Setpoint, x) -> np.ndarray:
-    """grad A = (1/T* - 1/T, (mu/T - mu*/T*)^T)."""
-    st = as_state(net, x)
-    grad_U, grad_N = kernel.availability_gradient(
-        sp.T_star, sp.mu_star_over_T, st.T, st.mu_over_T)
-    return np.concatenate(([grad_U], grad_N))
-
-
 class AvailabilityHamiltonian:
     """The availability as a scalar field usable with the Ito generator
     and the passivity checks."""
@@ -121,10 +107,16 @@ class AvailabilityHamiltonian:
         self.sp = sp
 
     def value(self, x) -> float:
-        return availability(self.net, self.sp, x)
+        """A(x) = S(x*) - S(x) + pi*^T (x - x*); nonnegative, zero at x*."""
+        sp, st = self.sp, as_state(self.net, x)
+        return kernel.availability(sp.S_star, sp.pi_star, sp.x_star, st.S, st.x)
 
     def gradient(self, x) -> np.ndarray:
-        return availability_gradient(self.net, self.sp, x)
+        """grad A = (1/T* - 1/T, (mu/T - mu*/T*)^T)."""
+        st = as_state(self.net, x)
+        grad_U, grad_N = kernel.availability_gradient(
+            self.sp.T_star, self.sp.mu_star_over_T, st.T, st.mu_over_T)
+        return np.concatenate(([grad_U], grad_N))
 
     def hessian(self, x) -> np.ndarray:
         """Hess A = Hess(-S); the shift is affine."""

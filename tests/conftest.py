@@ -5,6 +5,7 @@ import pytest
 
 from phreactor import presets
 from phreactor.network import parse_network
+from phreactor.transform import make_setpoint
 
 _S_GAP = 25.0  # s_ref difference; makes ln(k0f/k0b) = delta s_ref / R exactly
 CONSISTENT = f"""\
@@ -70,7 +71,7 @@ def sp(net):
 @pytest.fixture(scope="session")
 def sp_exact(net):
     """Setpoint with the stationary composition re-solved at (T*, q*)."""
-    return presets.benchmark_exact_setpoint(net)
+    return make_setpoint(net, presets.T_STAR, presets.Q_STAR)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import equilibrium_composition
+from conftest import NO_REACTION, equilibrium_composition
 from phreactor import equilibrium, kernel, presets
 from phreactor.control import jacket_temperature
 from phreactor.equilibrium import (
@@ -27,6 +27,7 @@ from phreactor.network import (
 )
 from phreactor.structure import sde_fields
 from phreactor.thermo import ThermoDomainError, ThermoState
+from phreactor.transform import make_setpoint
 
 #: The benchmark network with a second-order forward reaction; its forward
 #: rate is quadratic in c_A, so its Jacobian reads a multiplicity-2 power.
@@ -88,6 +89,35 @@ def test_convergence_error_names_the_first_failed_row(net, monkeypatch):
     np.testing.assert_array_equal(info.value.N[[0, 2]], N0[[0, 2]])
 
 
+@pytest.mark.parametrize("network, conserved", [
+    (presets.CONFIG_TEXT, "N_A + N_B"),
+    (presets.CONFIG_TEXT.replace("A -> B", "2 A -> 3 B"),
+     "N_A + 0.666667 N_B"),
+    (NO_REACTION, "2 independent combinations of mole numbers"),
+], ids=["bundled", "2A-3B", "no-reaction"])
+def test_zero_flow_names_the_conserved_combination(network, conserved):
+    # a closed reactor keeps every conserved combination of its start, so
+    # the mole balance at q = 0 does not determine N
+    net = parse_network(network)
+    assert equilibrium.conserved_moles(net) == conserved
+    for solve in (mass_balance_steady, make_setpoint):
+        with pytest.raises(ConvergenceError) as info:
+            solve(net, 331.9, 0.0)
+        assert str(info.value) == (f"at q=0 the closed reactor conserves "
+                                   f"{conserved}, so the mole balance does "
+                                   "not determine N")
+        assert not info.value.converged.any()
+
+
+def test_scan_reraises_when_a_round_converges_nothing(net, monkeypatch):
+    monkeypatch.setattr(equilibrium, "MAX_NEWTON_ITER", 0)
+    with pytest.raises(ConvergenceError,
+                       match="did not converge at T=250.0,") as info:
+        steady_states(net, presets.Q_STAR, 299.4922)
+    assert info.value.converged.shape == (2000,)
+    assert not info.value.converged.any()
+
+
 def _newton_by_columns(net, T, q, N0=None, tol=1e-12):
     """The mole-balance solve as a scalar loop: one rate evaluation per
     residual, the exact Jacobian one column at a time."""
@@ -107,7 +137,7 @@ def _newton_by_columns(net, T, q, N0=None, tol=1e-12):
     f = balance(N)
     best = float(np.linalg.norm(f))
     while np.linalg.norm(f, ord=np.inf) > tol * scale(N):
-        dr_f, dr_b = kernel.mass_action_jacobian(net, N / V, T)[2:]
+        dr_f, dr_b = kernel.mass_action_jacobian(net, N / V, T)
         J = np.empty((N.size, N.size))
         for j in range(N.size):
             J[:, j] = (np.vecdot(net.stoich_net, dr_f[:, j] - dr_b[:, j])
@@ -215,16 +245,13 @@ def test_exact_jacobian_matches_central_differences(net, data):
     T = data.draw(arrays(float, B, elements=st.floats(280.0, 420.0)))
     q = data.draw(st.one_of(st.just(0.0), st.floats(1e-8, 1e-4)))
     J = equilibrium._balance_jacobian(net, N, T, q)
-    rates = kernel.mass_action_jacobian(net, N / net.reactor.V, T)
+    dr_f, dr_b = kernel.mass_action_jacobian(net, N / net.reactor.V, T)
     for b in range(B):
         np.testing.assert_array_equal(
             J[b], equilibrium._balance_jacobian(net, N[b], T[b], q))
-        for batch, lone in zip(rates, kernel.mass_action_jacobian(
+        for batch, lone in zip((dr_f, dr_b), kernel.mass_action_jacobian(
                 net, N[b] / net.reactor.V, T[b])):
             np.testing.assert_array_equal(batch[b], lone)
-    for batch, lone in zip(rates, kernel.mass_action(
-            net, N / net.reactor.V, T)):
-        np.testing.assert_array_equal(batch, lone)
 
     # tolerance: FD_RTOL of the summed magnitudes of each entry's terms,
     # plus the differences' rounding, 1e-13 of the balance's terms at the
@@ -235,7 +262,6 @@ def test_exact_jacobian_matches_central_differences(net, data):
     forward, backward = kernel.mass_action(net, far / V, T)
     sizes = (V * np.vecdot(nu, (forward + backward)[:, None, :])
              + q * (net.c_in + far / V))
-    dr_f, dr_b = rates[2:]
     terms = np.vecdot(nu[:, None, :], (np.abs(dr_f) + np.abs(dr_b)).swapaxes(
         -1, -2)[..., None, :, :]) + q / V * np.eye(p)
     J_fd = _central_differences(net, N, T, q, h)

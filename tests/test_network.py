@@ -1,5 +1,7 @@
 """Config grammar: parsing, diagnostics, and round-trip serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,39 @@ def test_validation_diagnostics_exact_strings():
     assert "species.A.cp must be > 0" in diags
     assert "reaction 0 has zero net stoichiometry" in diags
     assert "noise.rho2 must be >= 0" in diags
+
+
+def _invalid(case):
+    """The benchmark network with one invariant broken, built directly: the
+    parser stops before :func:`validate` could see any of these."""
+    net = parse_network(GOOD)
+    (a, b), (rxn,) = net.species, net.reactions
+    if case == "species-name":
+        return replace(net, species=(replace(a, name="1A"), b))
+    if case == "duplicate-species":
+        return replace(net, species=(a, replace(b, name="A")))
+    if case == "no-species":
+        return replace(net, species=(), reactions=(),
+                       inlet=replace(net.inlet, c_in=()))
+    if case == "stoichiometry-length":
+        return replace(net, reactions=(
+            replace(rxn, reactants=(1, 0, 0), products=(0, 1, 0)),))
+    if case == "negative-multiplicity":
+        return replace(net, reactions=(replace(rxn, reactants=(1, -1)),))
+    return replace(net, inlet=replace(net.inlet, c_in=(2000.0,)))
+
+
+@pytest.mark.parametrize("case, diagnostic", [
+    ("species-name", "species name '1A' is not an identifier"),
+    ("duplicate-species", "species.A duplicated"),
+    ("no-species", "species must contain at least one entry"),
+    ("stoichiometry-length",
+     "reaction 0 stoichiometry length must equal the species count 2"),
+    ("negative-multiplicity", "reaction 0 has a negative multiplicity"),
+    ("c_in-length", "inlet.c_in length must equal the species count 2"),
+])
+def test_validate_diagnostics_the_parser_never_reaches(case, diagnostic):
+    assert validate(_invalid(case)) == [diagnostic]
 
 
 def test_parse_rejects_invalid_network():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from phreactor import kernel, presets, sim, thermo, transform
+from phreactor import kernel, presets, sim, thermo
 from phreactor.control import ControllerGains, control_law
 from phreactor.sim import (
     N_TRAJ_FLOOR,
@@ -23,6 +23,7 @@ from phreactor.sim import (
 )
 from phreactor.network import parse_network
 from phreactor.thermo import ThermoState
+from phreactor.transform import AvailabilityHamiltonian
 
 
 # ------------------------------------------------------------ configuration
@@ -474,9 +475,10 @@ def test_one_step_shares_its_quantities_bit_for_bit(net, sp, batch):
 @given(data=st.data())
 def test_species_product_is_the_strided_reduction(data):
     """The rates' species product, multiplied in species order, has the bits
-    of np.multiply.reduce over the species axis, for one state and a batch.
+    of np.multiply.reduce of libm's powers over the species axis, for one
+    state and a batch, and a batch row has the bits of the row alone.
     The bundled A -> B network has multiplicities 0 and 1 only, so it
-    cannot show a product taken in another order."""
+    cannot show a product taken in another order or a rounded power."""
     p, r, B = (data.draw(st.integers(lo, hi)) for lo, hi in
                ((1, 5), (0, 4), (1, 4)))
     # (p, r) as a transposed view, the layout of the network's matrices
@@ -486,7 +488,9 @@ def test_species_product_is_the_strided_reduction(data):
     for conc in (c[0], c):
         np.testing.assert_array_equal(
             kernel._species_product(conc, stoich),
-            np.multiply.reduce(conc[..., :, None] ** stoich, -2))
+            np.multiply.reduce(np.float_power(conc[..., :, None], stoich), -2))
+    np.testing.assert_array_equal(kernel._species_product(c, stoich)[0],
+                                  kernel._species_product(c[0], stoich))
 
 
 # ------------------------------------------- series derived after stepping
@@ -524,12 +528,13 @@ def test_recorded_series_equal_public_functions(case, net, gains, x0,
     cfg = SimConfig(**{"dt": 1e-3, "t_end": 0.05, "record_every": 1, **fields})
     stats = ensemble(net, sp, gains, cfg, x0)
     [rec] = records
+    field = AvailabilityHamiltonian(net, sp)
     for i, tr in enumerate(stats.trajectories):
         for j, x in enumerate(tr.states):
             T = thermo.temperature(net, x[0], x[1:])
             assert tr.T[j] == T
             assert tr.S[j] == thermo.entropy(net, x[1:], T)
-            assert tr.avail[j] == transform.availability(net, sp, x)
+            assert tr.avail[j] == field.value(x)
             np.testing.assert_array_equal(
                 tr.T_w[j], kernel.jacket_temperature(net, tr.Qdot[j], T))
         if no_jacket:

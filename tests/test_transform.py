@@ -9,6 +9,7 @@ from phreactor import kernel
 from phreactor.control import control_law
 from phreactor.equilibrium import ConvergenceError, drift_residual
 from phreactor.structure import (
+    NegEntropy,
     damping_matrix,
     ito_generator,
     mixing_noise_scale,
@@ -19,12 +20,11 @@ from phreactor.thermo import (
     ThermoDomainError,
     ThermoState,
     internal_energy,
+    neg_entropy_gradient,
     neg_entropy_hessian,
 )
 from phreactor.transform import (
     AvailabilityHamiltonian,
-    availability,
-    availability_gradient,
     equivalence_residual,
     make_setpoint,
     setpoint_from_state,
@@ -100,36 +100,38 @@ def test_setpoint_rejects_bad_inputs(net):
 
 
 def test_availability_zero_at_setpoint_positive_elsewhere(net, sp):
-    assert availability(net, sp, sp.x_star) == pytest.approx(0.0, abs=1e-12)
+    field = AvailabilityHamiltonian(net, sp)
+    assert field.value(sp.x_star) == pytest.approx(0.0, abs=1e-12)
     rng = np.random.default_rng(11)
     Ts, Ns = random_states(net, 60, rng)
     for T, N in zip(Ts, Ns):
         st = ThermoState.from_temperature(net, N, T)
         off = float(np.abs(st.x - sp.x_star).max())
-        val = availability(net, sp, st.x)
+        val = field.value(st.x)
         assert val >= -1e-12
         if off > 1e-2:
             assert val > 0.0
 
 
 def test_availability_at_benchmark_start(net, sp, x0):
-    assert availability(net, sp, x0) == pytest.approx(0.84547554388462487,
-                                                      rel=1e-12)
+    assert AvailabilityHamiltonian(net, sp).value(x0) == pytest.approx(
+        0.84547554388462487, rel=1e-12)
 
 
 def test_availability_gradient_vanishes_at_setpoint(net, sp_exact):
-    g = availability_gradient(net, sp_exact, sp_exact.x_star)
+    g = AvailabilityHamiltonian(net, sp_exact).gradient(sp_exact.x_star)
     assert np.abs(g).max() < 1e-13
 
 
 def test_availability_gradient_matches_finite_differences(net, sp, x0):
-    g = availability_gradient(net, sp, x0)
+    field = AvailabilityHamiltonian(net, sp)
+    g = field.gradient(x0)
     for i in range(x0.size):
         h = 3e-6 * max(abs(x0[i]), 1.0)
         xp, xm = x0.copy(), x0.copy()
         xp[i] += h
         xm[i] -= h
-        fd = (availability(net, sp, xp) - availability(net, sp, xm)) / (2 * h)
+        fd = (field.value(xp) - field.value(xm)) / (2 * h)
         assert g[i] == pytest.approx(fd, rel=2e-6, abs=1e-12)
 
 
@@ -139,11 +141,21 @@ def test_availability_hessian_is_entropy_hessian(net, sp, x0):
                                   neg_entropy_hessian(net, x0))
 
 
-def test_availability_hamiltonian_field(net, sp, x0):
-    field = AvailabilityHamiltonian(net, sp)
-    assert field.value(x0) == availability(net, sp, x0)
-    np.testing.assert_array_equal(field.gradient(x0),
-                                  availability_gradient(net, sp, x0))
+@pytest.mark.parametrize("storage", ["availability", "neg-entropy"])
+def test_storage_field_methods(net, sp, x0, storage):
+    """Each storage field's value and gradient are its definition, and its
+    Hessian is Hess(-S)."""
+    st = ThermoState.from_vector(net, x0)
+    if storage == "availability":
+        field = AvailabilityHamiltonian(net, sp)
+        value = sp.S_star - st.S + sp.pi_star @ (st.x - sp.x_star)
+        grad = np.concatenate(([1.0 / sp.T_star - 1.0 / st.T],
+                               st.mu_over_T - sp.mu_star_over_T))
+    else:
+        field, value = NegEntropy(net), -st.S
+        grad = neg_entropy_gradient(net, st)
+    assert field.value(x0) == pytest.approx(value, rel=1e-12)
+    np.testing.assert_array_equal(field.gradient(x0), grad)
     np.testing.assert_array_equal(field.hessian(x0),
                                   neg_entropy_hessian(net, x0))
 
@@ -154,7 +166,8 @@ def test_availability_hamiltonian_field(net, sp, x0):
 def test_transformed_output_composition(net, sp, x0):
     u = np.array([4e-4, -1.5])
     mats = structure_matrices(net, x0)
-    want = mats.g.T @ availability_gradient(net, sp, x0) + mats.delta @ u
+    want = (mats.g.T @ AvailabilityHamiltonian(net, sp).gradient(x0)
+            + mats.delta @ u)
     np.testing.assert_allclose(transformed_output(net, sp, x0, u), want,
                                rtol=1e-14)
 
@@ -169,7 +182,7 @@ def _supply_gap_terms(net, sp, st, u):
     with L0 the noise-free generator and R the strict damping matrix."""
     rate = ito_generator(net, AvailabilityHamiltonian(net, sp), st, u,
                          include_noise=False)
-    grad = availability_gradient(net, sp, st.x)
+    grad = AvailabilityHamiltonian(net, sp).gradient(st.x)
     R = damping_matrix(net, st, mode="strict")
     delta = np.array(kernel.feedthrough(net, mixing_noise_scale(net, st),
                                         st.theta))

@@ -38,7 +38,6 @@ from .thermo import (
     temperature,
     internal_energy,
     enthalpy,
-    chem_potential_over_T,
     entropy,
     neg_entropy_gradient,
     neg_entropy_hessian,

@@ -81,11 +81,6 @@ def _num(values) -> list[float]:
     return np.asarray(values, dtype=float).tolist()
 
 
-def _flag(value: bool) -> list[str]:
-    """A one-row boolean column, ``true`` or ``false``."""
-    return [str(value).lower()]
-
-
 def _row_format(cells) -> str:
     """The ``%`` format of a CSV row like ``cells``: ``%s`` for a text cell,
     ``%.17g`` (17 significant digits) for a number."""
@@ -197,7 +192,7 @@ def cmd_check(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "check.csv", {
-        name: _flag(value) if isinstance(value, bool) else _num([value])
+        name: [str(value).lower()] if isinstance(value, bool) else _num([value])
         for name, value in row.items()})
 
     if args.strict and not all_hold:
@@ -261,10 +256,11 @@ def _event_cells(traj: Trajectory, steps: list[int]) -> list[str]:
 
 def _series(net: ReactionNetwork, get) -> dict[str, np.ndarray]:
     """The numeric trajectory columns after ``t`` by CSV name, each read as
-    ``get(series)`` for a name of :data:`sim.SERIES`."""
-    N = get("N")
-    return {"U": get("U"),
-            **{f"N_{name}": N[:, i] for i, name in enumerate(net.species_names)},
+    ``get(series)`` for a series of :class:`sim.Trajectory`."""
+    states = get("states")
+    return {"U": states[:, 0],
+            **{f"N_{name}": states[:, 1 + i]
+               for i, name in enumerate(net.species_names)},
             "T": get("T"), "S": get("S"), "H_bar": get("avail"),
             "q": get("q"), "Qdot": get("Qdot"), "T_w": get("T_w")}
 
@@ -299,7 +295,7 @@ def _run_ensemble(net: ReactionNetwork, sp: Setpoint | None,
     except SimulationAbort as exc:
         print(f"phreactor: simulation aborted: {exc}", file=sys.stderr)
         return 3
-    steps = cfg.record_steps
+    steps = cfg.record_steps.tolist()
     for traj in stats.trajectories:
         _write_trajectory(out / f"traj_{traj.index:03d}.csv", net, traj, steps)
     _write_summary(out / "summary.csv", net, stats)
@@ -477,7 +473,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, ConvergenceError, OSError) as exc:
+    except (CliError, ValueError, ConvergenceError, OSError,
+            MemoryError) as exc:
         print(f"phreactor: error: {exc}", file=sys.stderr)
         return 1
 

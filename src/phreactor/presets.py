@@ -59,9 +59,8 @@ def benchmark_network() -> ReactionNetwork:
     return parse_network(CONFIG_TEXT)
 
 
-def benchmark_setpoint(net: ReactionNetwork | None = None) -> Setpoint:
+def benchmark_setpoint(net: ReactionNetwork) -> Setpoint:
     """Setpoint built from the rounded operating composition N*."""
-    net = net or benchmark_network()
     return setpoint_from_state(net, N_STAR, T_STAR, Q_STAR)
 
 
@@ -69,7 +68,6 @@ def benchmark_gains() -> ControllerGains:
     return ControllerGains.diagonal(K_FLOW, K_HEAT)
 
 
-def benchmark_initial_state(net: ReactionNetwork | None = None) -> np.ndarray:
+def benchmark_initial_state(net: ReactionNetwork) -> np.ndarray:
     """x(0) = (U(N0, T0), N0)."""
-    net = net or benchmark_network()
     return ThermoState.from_temperature(net, np.array(N0), T0).x

@@ -114,10 +114,11 @@ class SimConfig:
         return round(self.t_end / self.dt)
 
     @property
-    def record_steps(self) -> list[int]:
+    def record_steps(self) -> np.ndarray:
         """The recorded steps: every ``record_every``-th, and the last."""
         n = self.n_steps
-        return sorted({n, *range(0, n + 1, self.record_every)})
+        steps = np.arange(0, n + 1, self.record_every)
+        return steps if steps[-1] == n else np.append(steps, n)
 
     @property
     def noise_on(self) -> bool:
@@ -316,7 +317,7 @@ class _Records:
 
     def __init__(self, net: ReactionNetwork, cfg: SimConfig, n_rows: int):
         steps = cfg.record_steps
-        self.times = np.array(steps) * cfg.dt
+        self.times = steps * cfg.dt
         self.states = np.full((n_rows, len(steps), 1 + net.n_species), np.nan)
         self.q, self.Qdot = (np.full((n_rows, len(steps)), np.nan)
                              for _ in range(2))
@@ -360,8 +361,9 @@ class _Records:
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
                     gains: ControllerGains | None, cfg: SimConfig, x0,
-                    indices) -> list[Trajectory]:
-    """Step the trajectories ``indices`` from x0 together, one row each.
+                    indices) -> tuple[_Records, list[_Path]]:
+    """Step the trajectories ``indices`` from x0 together, one row each:
+    their records, row i that of ``paths[i]``, and their paths.
 
     Each grid step solves the feedback and updates every active row at
     once; only a step that fails the cheap check below goes to the guards.
@@ -374,11 +376,11 @@ def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
     every = np.ndarray.all if rows.ndim else bool  # a scalar .all() is slow
     U, T = (np.full(rows.shape, a)[()] for a in (st0.U, st0.T))
     N = np.tile(st0.N, (*rows.shape, 1))
-    dt, steps, j = cfg.dt, cfg.record_steps, 0
+    dt, j = cfg.dt, 0
     for k in range(cfg.n_steps):
         t, run.step_no = k * dt, k + 1
         q, Qdot, column = run.inputs(rows, N, T, t)
-        if k == steps[j]:
+        if k % cfg.record_every == 0:
             rec.write(rows, j, U, N, q, Qdot)
             j += 1
         U_new, N_new = run.update(rows, U, N, T, q, Qdot, column, dt)
@@ -400,7 +402,7 @@ def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
         q, Qdot, *_ = run.law(N, T, cfg.n_steps * dt)
         rec.write(rows, j, U, N, q, Qdot)
     rec.derive(net, sp)
-    return [rec.trajectory(i, path) for i, path in enumerate(run.paths)]
+    return rec, run.paths
 
 
 def simulate(net: ReactionNetwork, sp: Setpoint | None,
@@ -413,17 +415,17 @@ def simulate(net: ReactionNetwork, sp: Setpoint | None,
     ``aborted`` set and the reason attached.  The stepping loop run on
     this one path, stepped on scalar states.
     """
-    return _simulate_paths(net, sp, gains, cfg, x0, [traj_index])[0]
-
-
-SERIES = ("U", "N", "T", "S", "avail", "q", "Qdot", "T_w")
+    rec, paths = _simulate_paths(net, sp, gains, cfg, x0, [traj_index])
+    return rec.trajectory(0, paths[0])
 
 
 @dataclass
 class EnsembleStats:
     """Checkpoint statistics over an ensemble plus per-trajectory terminal
-    errors.  Aborted trajectories are kept in ``trajectories`` but are
-    excluded from the statistics.  ``sup_scaled_error`` is each kept path's
+    errors; ``mean`` and ``std`` are keyed by the series names of a
+    :class:`Trajectory` (``states``, ``T``, ..., ``T_w``).  Aborted
+    trajectories are kept in ``trajectories`` but are excluded from the
+    statistics.  ``sup_scaled_error`` is each kept path's
     largest norm of (x - x*) / (max(|U*|, 1), N*) over its records, and
     ``stabilization_probability`` the fraction of them below ``cfg.eps``.
     The records include t = 0, so a start outside the ``eps`` ball gives
@@ -441,6 +443,8 @@ class EnsembleStats:
     trajectories: list[Trajectory]
 
 
+# a spread too wide for a float is an inf std, without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def ensemble(net: ReactionNetwork, sp: Setpoint | None,
              gains: ControllerGains | None, cfg: SimConfig, x0) -> EnsembleStats:
     """Run cfg.n_traj trajectories on substreams 0..n_traj-1 and
@@ -451,20 +455,19 @@ def ensemble(net: ReactionNetwork, sp: Setpoint | None,
     :class:`SimulationAbort`, naming the first trajectory's reason, when
     every trajectory aborted.
     """
-    trajs = _simulate_paths(net, sp, gains, cfg, x0, range(cfg.n_traj))
-    kept = [tr for tr in trajs if not tr.aborted]
-    if not kept:
+    rec, paths = _simulate_paths(net, sp, gains, cfg, x0, range(cfg.n_traj))
+    kept = np.array([path.abort_reason is None for path in paths])
+    if not kept.any():
         raise SimulationAbort(f"every trajectory aborted (trajectory "
-                              f"{trajs[0].index}: {trajs[0].abort_reason})")
-    table = {f: np.stack([getattr(tr, f) for tr in kept])
-             for f in _Records.FIELDS}
+                              f"{paths[0].index}: {paths[0].abort_reason})")
+    # a kept row holds every record
+    table = {f: getattr(rec, f)[kept] for f in _Records.FIELDS}
+    mean = {f: table[f].mean(axis=0) for f in _Records.FIELDS}
+    std = {f: table[f].std(axis=0) for f in _Records.FIELDS}
     states = table["states"]
-    table["U"], table["N"] = states[..., 0], states[..., 1:]
-    mean = {name: table[name].mean(axis=0) for name in SERIES}
-    std = {name: table[name].std(axis=0) for name in SERIES}
     if sp is not None:
         terminal_T = np.abs(table["T"][:, -1] - sp.T_star)
-        dN = table["N"][:, -1] - sp.N_star
+        dN = states[:, -1, 1:] - sp.N_star
         terminal_N = np.sqrt(np.vecdot(dN, dN))  # each row's np.linalg.norm
         scale = np.concatenate(([max(abs(sp.U_star), 1.0)], sp.N_star))
         sup_err = np.linalg.norm((states - sp.x_star) / scale, axis=-1).max(-1)
@@ -473,13 +476,13 @@ def ensemble(net: ReactionNetwork, sp: Setpoint | None,
         terminal_T = terminal_N = sup_err = np.full(len(states), math.nan)
         prob = math.nan
     return EnsembleStats(
-        times=kept[0].times,
+        times=rec.times,
         mean=mean,
         std=std,
         stabilization_probability=prob,
         terminal_T_error=terminal_T,
         terminal_N_error=terminal_N,
         sup_scaled_error=sup_err,
-        n_aborted=len(trajs) - len(kept),
-        trajectories=trajs,
+        n_aborted=np.count_nonzero(~kept),
+        trajectories=[rec.trajectory(i, path) for i, path in enumerate(paths)],
     )

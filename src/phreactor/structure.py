@@ -135,8 +135,7 @@ def structure_matrices(net: ReactionNetwork, state,
     )
 
 
-def sde_fields(net: ReactionNetwork, state, u,
-               include_noise: bool = True) -> SdeFields:
+def sde_fields(net: ReactionNetwork, state, u) -> SdeFields:
     """Drift and diffusion of the balance SDE at (state, u).
 
     The drift is computed from the balance equations directly, which
@@ -149,8 +148,7 @@ def sde_fields(net: ReactionNetwork, state, u,
     drift = np.empty(net.n_species + 1)
     D = np.zeros((net.n_species + 1, 3))
     (drift[0], drift[1:]), noise = kernel.sde_terms(net, st.N, st.T, q, Qdot)
-    if include_noise:
-        D[1:, 0], D[0, 1], D[1:, 1], D[0, 2] = noise
+    D[1:, 0], D[0, 1], D[1:, 1], D[0, 2] = noise
     return SdeFields(drift, D)
 
 
@@ -188,7 +186,7 @@ def ito_generator(net: ReactionNetwork, field: ScalarField, state, u,
                   include_noise: bool = True) -> float:
     """Ito generator L[field] = grad^T drift + (1/2) tr(Hess D D^T)."""
     st = as_state(net, state)
-    fields = sde_fields(net, st, u, include_noise=include_noise)
+    fields = sde_fields(net, st, u)
     x = st.x
     value = float(field.gradient(x) @ fields.drift)
     if include_noise:

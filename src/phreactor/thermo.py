@@ -71,11 +71,6 @@ def enthalpy(net: ReactionNetwork, T: float) -> np.ndarray:
     return kernel.enthalpy(net, _positive(T))
 
 
-def chem_potential_over_T(net: ReactionNetwork, N, T: float) -> np.ndarray:
-    """mu_j(N, T) / T in J/(mol K)."""
-    return kernel.closures(net, _as_moles(net, N), _positive(T))[1]
-
-
 def entropy(net: ReactionNetwork, N, T: float) -> float:
     """Mixture entropy S(N, T) in J/K."""
     return kernel.closures(net, _as_moles(net, N), _positive(T))[2]
@@ -95,11 +90,6 @@ class ThermoState:
     theta: float
 
     @classmethod
-    def from_energy(cls, net: ReactionNetwork, U: float, N) -> "ThermoState":
-        T = temperature(net, U, N)
-        return cls._build(net, float(U), _as_moles(net, N), T)
-
-    @classmethod
     def from_temperature(cls, net: ReactionNetwork, N, T: float) -> "ThermoState":
         N = _as_moles(net, N)
         return cls._build(net, internal_energy(net, N, T), N, float(T))
@@ -107,7 +97,8 @@ class ThermoState:
     @classmethod
     def from_vector(cls, net: ReactionNetwork, x) -> "ThermoState":
         x = np.asarray(x, dtype=float)
-        return cls.from_energy(net, x[0], x[1:])
+        N = _as_moles(net, x[1:])
+        return cls._build(net, float(x[0]), N, temperature(net, x[0], N))
 
     @classmethod
     def _build(cls, net, U, N, T):

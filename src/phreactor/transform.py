@@ -57,8 +57,25 @@ class Setpoint:
         return np.array([self.q_star, self.Qdot_star])
 
 
-def _finish_setpoint(net: ReactionNetwork, N_star: np.ndarray, T_star: float,
-                     q_star: float) -> Setpoint:
+def make_setpoint(net: ReactionNetwork, T_star: float, q_star: float) -> Setpoint:
+    """Construct the setpoint held by (q*, Qdot*) at temperature T*.
+
+    The target composition solves the stationary mole balance at (T*, q*)
+    exactly; the heat input Qdot* then balances the energy equation, so
+    the drift at (x*, u*) is at rounding level.
+    """
+    return setpoint_from_state(net, mass_balance_steady(net, T_star, q_star),
+                               T_star, q_star)
+
+
+def setpoint_from_state(net: ReactionNetwork, N_star, T_star: float,
+                        q_star: float) -> Setpoint:
+    """Build a setpoint from a given target composition (e.g. a published
+    rounded operating point) instead of solving the mole balance.
+
+    Qdot* still balances the energy equation at (N*, T*, q*); the mole
+    balance is left with the mismatch of the given composition.
+    """
     st = ThermoState.from_temperature(net, N_star, T_star)
     Qdot_star = -q_star * kernel.flow_column(net, st.N, st.h)[0]
     pi_star = np.concatenate(([1.0 / T_star], -st.mu_over_T))
@@ -73,29 +90,6 @@ def _finish_setpoint(net: ReactionNetwork, N_star: np.ndarray, T_star: float,
         V_star=net.reactor.V,
         S_star=st.S,
     )
-
-
-def make_setpoint(net: ReactionNetwork, T_star: float, q_star: float) -> Setpoint:
-    """Construct the setpoint held by (q*, Qdot*) at temperature T*.
-
-    The target composition solves the stationary mole balance at (T*, q*)
-    exactly; the heat input Qdot* then balances the energy equation, so
-    the drift at (x*, u*) is at rounding level.
-    """
-    N_star = mass_balance_steady(net, T_star, q_star)
-    return _finish_setpoint(net, N_star, T_star, q_star)
-
-
-def setpoint_from_state(net: ReactionNetwork, N_star, T_star: float,
-                        q_star: float) -> Setpoint:
-    """Build a setpoint from a given target composition (e.g. a published
-    rounded operating point) instead of solving the mole balance.
-
-    Qdot* still balances the energy equation at (N*, T*, q*); the mole
-    balance is left with the mismatch of the given composition.
-    """
-    N_star = np.asarray(N_star, dtype=float)
-    return _finish_setpoint(net, N_star, T_star, q_star)
 
 
 class AvailabilityHamiltonian:

@@ -2,13 +2,18 @@
 artifacts, all exercised in-process through ``main``."""
 
 import math
+import os
+import resource
 import runpy
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import NO_REACTION
+import phreactor
 from phreactor import presets, sim
 from phreactor.cli import _build_parser, _event_cells, _num, _write_csv, main
 from phreactor.network import parse_network
@@ -379,6 +384,44 @@ def test_huge_finite_gain_warns_of_nothing(cfg_path, tmp_path, capsys, gain,
     assert capsys.readouterr().err == ("" if rc == 0 else (
         "phreactor: simulation aborted: every trajectory aborted "
         "(trajectory 0: non-finite state update)\n"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_spread_warns_of_nothing(cfg_path, tmp_path, capsys):
+    # every path stays finite, but the square in the std overflows: the
+    # summary carries inf cells and stderr stays empty
+    assert main(["simulate", "--network", str(cfg_path), "--out",
+                 str(tmp_path), "--mode", "open_loop", "--q-open=-1e3",
+                 "--T0", "342", "--N0", "1,1", "--t-end", "0.1", "--n-traj",
+                 "8", "--seed", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(tmp_path / "summary.csv")
+    assert "inf" in {cell for row in rows for cell in row}
+
+
+def test_unallocatable_record_table_exits_1(tmp_path):
+    # 1e298 steps: the recorded steps cannot be allocated.  The child runs
+    # under a 2 GiB address-space limit, so code that builds them one by one
+    # fails there without exhausting the memory of the host.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(phreactor.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    with open(tmp_path / "stderr", "w+") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "phreactor", "simulate", "--mode",
+             "isolated", "--T0", "342", "--N0", "1,1", "--dt", "1e-300",
+             "--t-end", "0.01", "--out", str(tmp_path)],
+            stdout=subprocess.DEVNULL, stderr=err, env=env, preexec_fn=limit)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        text = err.read()
+    assert child.returncode == 1, text
+    assert text.startswith("phreactor: error: ") and "Traceback" not in text
+    assert usage.ru_maxrss < 300 * 1024  # KiB
 
 
 def test_csv_rows_have_the_bytes_of_per_cell_formatting(tmp_path):

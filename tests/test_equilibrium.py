@@ -60,14 +60,29 @@ def test_mass_balance_residual_is_tiny(net):
     st = ThermoState.from_temperature(net, N, 331.9)
     # mole balance alone (any heat input leaves it unchanged)
     from phreactor.structure import sde_fields
-    d = sde_fields(net, st, np.array([9.15e-6, 0.0]),
-                   include_noise=False).drift
+    d = sde_fields(net, st, np.array([9.15e-6, 0.0])).drift
     assert np.abs(d[1:]).max() < 1e-12 * 9.15e-6 * 2000.0
 
 
 def test_no_reaction_network_washes_to_feed_composition(plain_net):
     N = mass_balance_steady(plain_net, 315.0, 1e-4)
     np.testing.assert_array_equal(N, [2.0, 0.0])
+
+
+def test_negative_root_raises_value_error():
+    # 2 A -> B has a second root of its mole balance with N_A < 0 near
+    # (-1.92693, 1.96347); an unclamped Newton iteration from (-1, 2) finds
+    # it, and passed as N0 it converges at once
+    net2 = parse_network(NONLINEAR)
+    T, q = np.array([331.9]), 9.15e-6
+    N = np.array([[-1.0, 2.0]])
+    for _ in range(50):
+        _, f, _ = equilibrium._balance(net2, N, T, q)
+        J = equilibrium._balance_jacobian(net2, N, T, q)
+        N = N + np.linalg.solve(J, -f[..., None])[..., 0]
+    np.testing.assert_allclose(N[0], [-1.92693, 1.96347], atol=1e-5)
+    with pytest.raises(ValueError, match="negative component"):
+        mass_balance_steady(net2, 331.9, q, N0=N[0])
 
 
 def test_convergence_error_when_iterations_exhausted(net, monkeypatch):
@@ -410,7 +425,7 @@ def _classify_by_columns(net, x, u, jacket=None):
     def drift(xv):
         st = ThermoState.from_vector(net, xv)
         uu = u if jacket is None else [u[0], jacket[0] * (jacket[1] - st.T)]
-        return sde_fields(net, st, uu, include_noise=False).drift
+        return sde_fields(net, st, uu).drift
 
     J = np.empty((x.size, x.size))
     for i in range(x.size):

@@ -245,6 +245,16 @@ def test_batched_rows_match_simulate(case, net, sp, gains, x0, plain_net,
         assert aborted == [True, False, True, False]
         assert len({len(tr.times) for tr in stats.trajectories}) == 3
         assert stats.n_aborted == 2
+        # the statistics are those of the kept trajectories' series alone
+        kept = [tr for tr in stats.trajectories if not tr.aborted]
+        assert stats.mean.keys() == stats.std.keys() == set(
+            sim._Records.FIELDS)
+        for name in sim._Records.FIELDS:
+            stack = np.stack([getattr(tr, name) for tr in kept])
+            np.testing.assert_array_equal(stats.mean[name],
+                                          stack.mean(axis=0), err_msg=name)
+            np.testing.assert_array_equal(stats.std[name], stack.std(axis=0),
+                                          err_msg=name)
 
 
 def test_each_trajectory_draws_its_noise_in_one_block(net, sp, gains, x0,

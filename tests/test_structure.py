@@ -136,7 +136,7 @@ def test_gradient_form_reproduces_balance_drift(net, sp):
         u = np.array([rng.uniform(0.0, 1e-3), rng.uniform(-5.0, 5.0)])
         S = structure_matrices(net, st, mode="strict")
         lhs = (S.J - S.R) @ neg_entropy_gradient(net, st) + S.g @ u
-        rhs = sde_fields(net, st, u, include_noise=False).drift
+        rhs = sde_fields(net, st, u).drift
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-22)
 
 
@@ -151,11 +151,6 @@ def test_diffusion_columns_are_the_noise_channels(net):
                                rtol=1e-14)
     np.testing.assert_allclose(D[:, 2], rho.rho3 * u[1] * S.gamma[:, 1],
                                rtol=1e-14)
-    # no-noise evaluation zeroes the diffusion but not the drift
-    quiet = sde_fields(net, st, u, include_noise=False)
-    np.testing.assert_array_equal(quiet.diffusion, 0.0)
-    np.testing.assert_array_equal(quiet.drift,
-                                  sde_fields(net, st, u).drift)
 
 
 def test_reaction_noise_column_vanishes_at_equilibrium(cnet):

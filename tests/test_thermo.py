@@ -16,7 +16,6 @@ from phreactor.thermo import (
     N_FLOOR,
     ThermoDomainError,
     ThermoState,
-    chem_potential_over_T,
     enthalpy,
     entropy,
     internal_energy,
@@ -52,7 +51,7 @@ def test_entropy_and_potential_oracles(net):
     assert entropy(net, [1.3, 0.7], 331.9) == pytest.approx(
         216.81391924974463, rel=1e-13)
     np.testing.assert_allclose(
-        chem_potential_over_T(net, [1.3, 0.7], 331.9),
+        ThermoState.from_temperature(net, [1.3, 0.7], 331.9).mu_over_T,
         [-54.55306104, -203.00877093], atol=5e-9)
 
 
@@ -131,10 +130,9 @@ def test_hessian_symmetry(net):
 
 def test_state_constructors_agree(net):
     st1 = ThermoState.from_temperature(net, np.array([1.3, 0.7]), 331.9)
-    st2 = ThermoState.from_energy(net, st1.U, st1.N)
-    st3 = ThermoState.from_vector(net, st1.x)
+    st2 = ThermoState.from_vector(net, st1.x)
     assert st2.T == pytest.approx(st1.T, abs=1e-10)
-    assert st3.S == pytest.approx(st1.S, rel=1e-12)
+    assert st2.S == pytest.approx(st1.S, rel=1e-12)
     np.testing.assert_array_equal(st1.x, np.concatenate(([st1.U], st1.N)))
 
 
@@ -157,11 +155,9 @@ def test_domain_errors(net):
 @pytest.mark.parametrize("closure", [
     lambda net, T: internal_energy(net, [1.0, 1.0], T),
     lambda net, T: enthalpy(net, T),
-    lambda net, T: chem_potential_over_T(net, [1.0, 1.0], T),
     lambda net, T: entropy(net, [1.0, 1.0], T),
     lambda net, T: ThermoState.from_temperature(net, [1.0, 1.0], T),
-], ids=["internal_energy", "enthalpy", "chem_potential_over_T", "entropy",
-        "from_temperature"])
+], ids=["internal_energy", "enthalpy", "entropy", "from_temperature"])
 def test_temperature_must_be_finite_and_positive(net, closure, T):
     with pytest.raises(ThermoDomainError, match=f"temperature {T} K"):
         closure(net, T)

@@ -243,15 +243,16 @@ def _event_cells(traj: Trajectory, steps: list[int]) -> list[str]:
     """One events cell per recorded row: guard events since the previous
     row as sorted ``code:count`` pairs; abort lands on the last row, which
     of an aborted path also takes every event after the row before it."""
-    last = len(traj.times) - 1
-    counts: list[dict[str, int]] = [{} for _ in range(last + 1)]
+    last, cells = len(traj.times) - 1, [""] * len(traj.times)
+    counts: dict[int, dict[str, int]] = {}  # only the rows with events
     for step, code in traj.events:
-        row = bisect_left(steps, step, 0, last)
-        counts[row][code] = counts[row].get(code, 0) + 1
+        c = counts.setdefault(bisect_left(steps, step, 0, last), {})
+        c[code] = c.get(code, 0) + 1
     if traj.aborted:
-        counts[last]["abort"] = 1
-    return [";".join(f"{code}:{n}" for code, n in sorted(c.items()))
-            for c in counts]
+        counts.setdefault(last, {})["abort"] = 1
+    for row, c in counts.items():
+        cells[row] = ";".join(f"{code}:{n}" for code, n in sorted(c.items()))
+    return cells
 
 
 def _series(net: ReactionNetwork, get) -> dict[str, np.ndarray]:

@@ -80,8 +80,7 @@ def solve_feedback(K: np.ndarray, d1: float, d2: float, o1: float,
                    o2: float) -> tuple[float, float]:
     """Closed-form 2x2 solve of u = -(I + K diag(d1, d2))^(-1) K (o1, o2),
     elementwise over arrays of (d1, d2, o1, o2)."""
-    k00, k01 = K[0, 0], K[0, 1]
-    k10, k11 = K[1, 0], K[1, 1]
+    (k00, k01), (k10, k11) = K.tolist()
     b1 = -(k00 * o1 + k01 * o2)
     b2 = -(k10 * o1 + k11 * o2)
     a11 = 1.0 + k00 * d1
@@ -99,7 +98,12 @@ def _clamped_feedback(net, sp, K, N, T, clamp: bool, q_max: float):
     d1, d2, o1, o2, *column = kernel.feedback_terms(net, N, T, sp.T_star,
                                                      sp.mu_star_over_T)
     q_raw, Qdot = solve_feedback(K, d1, d2, o1, o2)
-    q = np.minimum(np.maximum(q_raw, 0.0), q_max) if clamp else q_raw
+    if not clamp:
+        q = q_raw
+    elif isinstance(q_raw, np.ndarray):
+        q = np.minimum(np.maximum(q_raw, 0.0), q_max)
+    else:  # one state, on floats, as np.maximum: NaN stays, -0.0 becomes 0.0
+        q = min(0.0 if q_raw <= 0.0 else q_raw, q_max)
     return q, Qdot, clamp and q != q_raw, column, q_raw
 
 

@@ -20,14 +20,36 @@ One closed-loop step computes each quantity once: :func:`feedback_terms`
 takes sum N once for the S-free closures (:func:`potentials`) and the
 mixing scale, computes no entropy S (the step never reads it), and hands
 its flow column (g00, dc, c = N / V) to :func:`em_update`, whose rates
-read the concentrations c from it.
+read the concentrations c from it.  The constants come derived once, from
+the network's :class:`StepConstants`, and multiplicities of 0 or 1 gather
+concentrations instead of raising them to powers.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
+
+#: See :func:`step_constants`.
+StepConstants = namedtuple("StepConstants", "neg_cp k0 neg_E stoich slots "
+                           "half_rho2_sq half_rho3_sq V R T_ref PV c_in h_in")
+
+
+def step_constants(net) -> StepConstants:
+    """The constants of ``net``'s formulas, cached as ``net.step_constants``,
+    each as exact as inline: -cp; k0, -E and the multiplicities (p, 2 r) of
+    the forward then the backward directions, with their
+    :func:`_species_slots`; 0.5 rho2^2 and 0.5 rho3^2; V, R, T_ref and P V;
+    c_in and the inlet enthalpy density c_in^T h(T_in)."""
+    rx, rho = net.reactor, net.noise
+    stoich = np.hstack((net.stoich_reactants, net.stoich_products))
+    return StepConstants(
+        -net.cp, np.concatenate((net.k0f, net.k0b)),
+        -np.concatenate((net.Ef, net.Eb)), stoich, _species_slots(stoich),
+        0.5 * rho.rho2 ** 2, 0.5 * rho.rho3 ** 2, rx.V, rx.R_gas, rx.T_ref,
+        rx.P * rx.V, net.c_in, float(net.c_in @ enthalpy(net, net.inlet.T_in)))
 
 
 def _col(a):
@@ -36,14 +58,8 @@ def _col(a):
     return a[..., None] if isinstance(a, np.ndarray) else a
 
 
-def _sum(a):
-    """Row sums over the last axis (``a.sum(-1)`` without its wrapper)."""
-    return np.add.reduce(a, -1)
-
-
-def _dot(a, b):
-    """Row-wise a . b over the last axis; a 1-D call gives ``a @ b``."""
-    return np.vecdot(a, b)
+#: Row-wise a . b over the last axis; a 1-D call gives ``a @ b``.
+_dot = np.vecdot
 
 
 def enthalpy(net, T) -> np.ndarray:
@@ -53,37 +69,59 @@ def enthalpy(net, T) -> np.ndarray:
 
 def temperature(net, U, N):
     """T(U, N) = T_ref + (U + P V - N^T h_ref) / N^T cp."""
-    rx = net.reactor
-    return rx.T_ref + (U + rx.P * rx.V - _dot(N, net.h_ref)) / _dot(N, net.cp)
+    k = net.step_constants
+    return k.T_ref + (U + k.PV - _dot(N, net.h_ref)) / _dot(N, net.cp)
 
 
 def potentials(net, N, T, N_sum):
     """The closures other than S at (N, T), given N_sum = sum N:
     (h, mu/T, theta, log(T / T_ref), log x); :func:`closures` takes S from
     the last two."""
+    k = net.step_constants
     h = enthalpy(net, T)
     T_col = _col(T)
-    log_tau = np.log(T_col / net.reactor.T_ref)
+    log_tau = np.log(T_col / k.T_ref)
     log_x = np.log(N / _col(N_sum))
-    mu_over_T = (-net.cp * log_tau + net.reactor.R_gas * log_x - net.s_ref
-                 + h / T_col)
+    mu_over_T = k.neg_cp * log_tau + k.R * log_x - net.s_ref + h / T_col
     return h, mu_over_T, T * T * _dot(N, net.cp), log_tau, log_x
 
 
 def closures(net, N, T):
     """(h, mu/T, S, theta) at (N, T); see :mod:`thermo` for the formulas."""
-    h, mu_over_T, theta, log_tau, log_x = potentials(net, N, T, _sum(N))
-    S = _dot(N, net.cp * log_tau + net.s_ref - net.reactor.R_gas * log_x)
+    h, mu_over_T, theta, log_tau, log_x = potentials(net, N, T,
+                                                     np.add.reduce(N, -1))
+    S = _dot(N, net.cp * log_tau + net.s_ref - net.step_constants.R * log_x)
     return h, mu_over_T, S, theta
 
 
-def _species_product(c, stoich):
+def _species_product(c, stoich, slots=None):
     """prod_j c_j ** stoich[j] over the species j, multiplied in species
     order.  The powers are ``np.float_power``'s, which takes libm's ``pow``
     element by element: ``**`` runs numpy's vectorised ``pow`` on contiguous
     operands and the scalar one on broadcast ones, which round apart in the
-    last bit, so a batch row could differ from the row alone."""
-    return _ordered_product(np.float_power(c[..., :, None], stoich))
+    last bit, so a batch row could differ from the row alone.  Given its
+    :func:`_species_slots`, it multiplies gathered c_j instead, with the
+    same bits: pow(x, 1) = x, pow(x, 0) = 1 and x * 1 = x for every x."""
+    if slots is None:
+        return _ordered_product(np.float_power(c[..., :, None], stoich))
+    index, pad = slots
+    if pad:  # a column with fewer species reads 1 from an appended slot
+        c = np.concatenate((c, np.ones_like(c[..., :1])), -1)
+    return _ordered_product(c.take(index, -1))
+
+
+def _species_slots(stoich):
+    """(index, pad) when every multiplicity in ``stoich`` is 0 or 1, else
+    None.  Row k of the index array holds each column's k-th species of
+    multiplicity 1 in species order, or, past its last, p: an appended
+    slot that reads 1; ``pad`` says whether any slot is p."""
+    columns, p = stoich.T.tolist(), len(stoich)  # lists: a tiny matrix
+    if all(v in (0.0, 1.0) for column in columns for v in column):
+        index = [[j for j, v in enumerate(column) if v] for column in columns]
+        m = max(map(len, index), default=1) or 1
+        index = [species + [p] * (m - len(species)) for species in index]
+        return (np.array(index, dtype=int).reshape(-1, m).T,
+                any(p in species for species in index))
 
 
 def _species_product_gradient(c, stoich):
@@ -110,16 +148,17 @@ def _ordered_product(factors):
 
 
 def _rate_constants(net, T):
-    """Arrhenius constants (k_f, k_b) = k0 exp(-E / (R T)) per reaction."""
-    RT = _col(net.reactor.R_gas * T)
-    return net.k0f * np.exp(-net.Ef / RT), net.k0b * np.exp(-net.Eb / RT)
+    """Arrhenius constants k0 exp(-E / (R T)) of the forward then the
+    backward direction of each reaction, shape (..., 2 r)."""
+    k = net.step_constants
+    return k.k0 * np.exp(k.neg_E / _col(k.R * T))
 
 
 def mass_action(net, c, T) -> tuple[np.ndarray, np.ndarray]:
     """Arrhenius mass-action rates (r_f, r_b) at concentrations c."""
-    kf, kb = _rate_constants(net, T)
-    return (kf * _species_product(c, net.stoich_reactants),
-            kb * _species_product(c, net.stoich_products))
+    k = net.step_constants
+    rates = _rate_constants(net, T) * _species_product(c, k.stoich, k.slots)
+    return rates[..., :len(net.reactions)], rates[..., len(net.reactions):]
 
 
 def mass_action_jacobian(net, c, T):
@@ -127,15 +166,14 @@ def mass_action_jacobian(net, c, T):
     rates in c, shape (..., r, p), entry (i, j) = k_i alpha_ij
     c_j ** (alpha_ij - 1) prod_{l != j} c_l ** alpha_il for the
     multiplicities alpha of that side; exact at c_j = 0."""
-    kf, kb = _rate_constants(net, T)
-    return tuple(_col(k) * _species_product_gradient(c, stoich).swapaxes(-1, -2)
-                 for k, stoich in ((kf, net.stoich_reactants),
-                                   (kb, net.stoich_products)))
+    J = (_rate_constants(net, T)[..., None, :] * _species_product_gradient(
+        c, net.step_constants.stoich)).swapaxes(-1, -2)
+    return J[..., :len(net.reactions), :], J[..., len(net.reactions):, :]
 
 
 def reaction_flux(net, rate_net) -> np.ndarray:
     """V nu (r_f - r_b): moles produced by reaction, mol/s."""
-    return net.reactor.V * _dot(net.stoich_net, rate_net[..., None, :])
+    return net.step_constants.V * _dot(net.stoich_net, rate_net[..., None, :])
 
 
 def affinity(net, mu_over_T, T) -> np.ndarray:
@@ -186,14 +224,15 @@ def damping_apply(net, c, T, v):
 
 def feed_gap(net, c) -> np.ndarray:
     """dc = c_in - c at concentrations c = N / V, mol/m^3."""
-    return net.c_in - c
+    return net.step_constants.c_in - c
 
 
 def flow_column(net, N, h):
     """(g00, dc, c): the flow column (g00, dc) of g,
     g00 = c_in^T h(T_in) - N^T h / V, and the concentrations c = N / V."""
-    c = N / net.reactor.V
-    g00 = net.inlet_enthalpy_density - _dot(N, h) / net.reactor.V
+    k = net.step_constants
+    c = N / k.V
+    g00 = k.h_in - _dot(N, h) / k.V
     return g00, feed_gap(net, c), c
 
 
@@ -206,11 +245,11 @@ def mixing_scale(net, N, h, theta, g00, dc, N_sum=None):
 
     the mixing scale M when (g00, dc) is the flow column of g.  ``N_sum``
     is sum N if the caller has it."""
-    R = net.reactor.R_gas
+    R = net.step_constants.R
     hdc = _dot(h, dc)
-    dc_sum = _sum(dc)
+    dc_sum = np.add.reduce(dc, -1)
     if N_sum is None:
-        N_sum = _sum(N)
+        N_sum = np.add.reduce(N, -1)
     quad = (hdc * hdc - theta * R / N_sum * (dc_sum * dc_sum)
             + theta * R * _dot(dc, dc / N))
     return quad - 2.0 * g00 * hdc + g00 * g00
@@ -218,8 +257,8 @@ def mixing_scale(net, N, h, theta, g00, dc, N_sum=None):
 
 def feedthrough(net, M, theta):
     """Diagonal of delta = diag(rho2^2 M / (2 theta), rho3^2 / (2 theta))."""
-    rho = net.noise
-    return 0.5 * rho.rho2 ** 2 * M / theta, 0.5 * rho.rho3 ** 2 / theta
+    k = net.step_constants
+    return k.half_rho2_sq * M / theta, k.half_rho3_sq / theta
 
 
 def availability(S_star, pi_star, x_star, S, x):
@@ -239,7 +278,7 @@ def feedback_terms(net, N, T, T_star, mu_star_over_T):
     takes too.  Each quantity is computed once: sum N feeds both the
     potentials and M, and S, which the feedback does not read, is not
     computed at all."""
-    N_sum = _sum(N)
+    N_sum = np.add.reduce(N, -1)
     h, mu_over_T, theta, _, _ = potentials(net, N, T, N_sum)
     g00, dc, c = flow_column(net, N, h)
     d1, d2 = feedthrough(net, mixing_scale(net, N, h, theta, g00, dc, N_sum),
@@ -270,8 +309,9 @@ def em_update(net, U, N, T, q, Qdot, dt, dW=None, column=None):
     (dU, dN), (a, b_U, b_N, c_U) = sde_terms(net, N, T, q, Qdot, column)
     U_new, N_new = U + dU * dt, N + dN * dt
     if dW is not None:
-        U_new = U_new + (b_U * dW[..., 1] + c_U * dW[..., 2])
-        N_new = N_new + a * dW[..., 0, None] + b_N * dW[..., 1, None]
+        w0, w1, w2 = dW.T  # a lone state's are scalars: no 0-d arithmetic
+        U_new = U_new + (b_U * w1 + c_U * w2)
+        N_new = N_new + a * _col(w0) + b_N * _col(w1)
     return U_new, N_new
 
 

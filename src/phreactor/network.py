@@ -161,16 +161,14 @@ class ReactionNetwork:
     @cached_property
     def stoich_reactants(self) -> np.ndarray:
         """Reactant multiplicities, shape (n_species, n_reactions)."""
-        if not self.reactions:
-            return np.zeros((self.n_species, 0))
-        return np.array([r.reactants for r in self.reactions], dtype=float).T
+        return np.array([r.reactants for r in self.reactions],
+                        dtype=float).reshape(-1, self.n_species).T
 
     @cached_property
     def stoich_products(self) -> np.ndarray:
         """Product multiplicities, shape (n_species, n_reactions)."""
-        if not self.reactions:
-            return np.zeros((self.n_species, 0))
-        return np.array([r.products for r in self.reactions], dtype=float).T
+        return np.array([r.products for r in self.reactions],
+                        dtype=float).reshape(-1, self.n_species).T
 
     @cached_property
     def stoich_net(self) -> np.ndarray:
@@ -183,9 +181,8 @@ class ReactionNetwork:
         return np.array(self.inlet.c_in)
 
     @cached_property
-    def inlet_enthalpy_density(self) -> float:
-        """c_in^T h(T_in): enthalpy carried by the feed per unit volume, J/m^3."""
-        return float(self.c_in @ kernel.enthalpy(self, self.inlet.T_in))
+    def step_constants(self) -> kernel.StepConstants:
+        return kernel.step_constants(self)
 
     @cached_property
     def k0f(self) -> np.ndarray:

@@ -20,11 +20,14 @@ One stepping loop serves every trajectory count.  The states of the
 active trajectories form arrays U (B,) and N (B, p), and each grid step
 makes one feedback solve and one update for the whole batch, each row
 drawing its increments from its own substream; a lone trajectory, as in
-:func:`simulate`, steps on scalar U and T and N of shape (p,), which costs
-about half a one-row batch.  A step whose every row is finite, at or above
-the floor and at T > 0 passes without ``settle``.  A row that aborts keeps
-its recorded prefix.  The kernel is row-safe, so a row has the bits
-:func:`simulate` gives that trajectory, whatever the batch size.  The loop
+:func:`simulate`, steps on scalar U and T and N of shape (p,) with the
+Python int 0 for its row, clamps its flow on floats and indexes no array
+with a 0-d one.  The kernel reads the network's constants from its cached
+:class:`kernel.StepConstants`, so a step derives none of them.  A step
+whose every row is finite, at or above the floor and at T > 0 passes
+without ``settle``.  A row that aborts keeps its recorded prefix.  The
+kernel is row-safe, so a row has the bits :func:`simulate` gives that
+trajectory, whatever the batch size.  The loop
 records only the states (U, N) and the applied inputs (q, Qdot); T, S, the
 availability and T_w of every record are derived from them after stepping.
 """
@@ -98,6 +101,11 @@ class SimConfig:
                              f"steps dt={self.dt}")
         if self.record_every < 1 or self.n_traj < 1:
             raise ValueError("record_every and n_traj must be >= 1")
+        for what, n in ((f"t_end / dt = {self.t_end / self.dt:.3g} steps "
+                         "(--t-end, --dt)", self.n_steps + 1),
+                        ("record_every (--record-every)", self.record_every)):
+            if n >= 2 ** 63:  # the recorded steps are int64
+                raise ValueError(f"{what} is more than int64 holds")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (self.q_max > 0 and self.eps > 0):
@@ -197,11 +205,11 @@ class _Path:
 class _Stepper:
     """The stepping of a set of trajectories: their paths, and the inputs,
     updates and guards of a batch of rows.  ``rows`` holds each row's index
-    into ``paths``; it has the batch shape, () for a lone path stepped on
-    scalar U and T and N of shape (p,), else (b,).  Events are logged at
-    grid step ``step_no``.  With noise on, ``noise`` (paths, k, 3) holds
-    each path's block of standard normals and ``cursor`` its next unread
-    one."""
+    into ``paths``: an array of shape (b,), or the Python int 0 for a lone
+    path stepped on scalar U and T and N of shape (p,), with no fancy
+    indexing.  Events are logged at grid step ``step_no``.  With noise on,
+    ``noise`` (paths, k, 3) holds each path's block of standard normals and
+    ``cursor`` its next unread one; with noise off, ``noise`` is None."""
 
     def __init__(self, net: ReactionNetwork, sp: Setpoint | None,
                  gains: ControllerGains | None, cfg: SimConfig, indices):
@@ -210,7 +218,7 @@ class _Stepper:
         self.net, self.sp, self.gains, self.cfg = net, sp, gains, cfg
         self.paths = [_Path(i, trajectory_rng(cfg.seed, i) if cfg.noise_on
                             else None) for i in indices]
-        self.step_no = 0
+        self.step_no, self.noise = 0, None
         if cfg.noise_on:  # every block starts used up: drawn on first use
             k = max(1, min(cfg.n_steps, NOISE_BLOCK // len(self.paths)))
             self.noise = np.empty((len(self.paths), k, 3))
@@ -232,7 +240,9 @@ class _Stepper:
         """:meth:`law` of the rows, logging ``q_clamp`` where the clamp
         engaged: (q, Qdot, column)."""
         q, Qdot, clamped, column = self.law(N, T, t)
-        for r in rows[clamped].tolist():
+        # a lone path's row is an int and its flag one bool
+        for r in (([rows] if clamped else []) if type(rows) is int
+                  else rows[clamped].tolist()):
             self.paths[r].events.append((self.step_no, "q_clamp"))
         return q, Qdot, column
 
@@ -246,14 +256,13 @@ class _Stepper:
         sequential (3,) draws, so a row's increments are its stream in
         order, however many of them its refinements take."""
         dW = None
-        if self.cfg.noise_on:
-            at = self.cursor[rows]
-            used_up = at == len(self.noise[0])  # a scalar .any() is slow:
-            if used_up.any() if rows.ndim else used_up:
-                for r in rows[used_up].tolist():
-                    self.noise[r] = self.paths[r].rng.standard_normal(
-                        self.noise[r].shape)
-                at = np.where(used_up, 0, at)
+        if self.noise is not None:
+            at, k = self.cursor[rows], self.noise.shape[1]
+            used_up = at == k  # one bool for a lone path's int row
+            if used_up if type(rows) is int else np.logical_or.reduce(used_up):
+                for r in np.asarray(rows)[used_up].tolist():
+                    self.noise[r] = self.paths[r].rng.standard_normal((k, 3))
+                at = at % k  # the used-up rows read their fresh blocks at 0
             dW = self.noise[rows, at] * math.sqrt(dt)
             self.cursor[rows] = at + 1
         return kernel.em_update(self.net, U, N, T, q, Qdot, dt, dW, column)
@@ -268,6 +277,7 @@ class _Stepper:
         start, as one sub-batch that recurses on the rows that fail again
         (a lone path's is a one-row batch).  T is NaN on every row that
         aborted."""
+        rows = np.asarray(rows)  # a lone path's int row as a 0-d array
         finite = np.isfinite(U_new) & np.isfinite(N_new).all(-1)
         for r in rows[~finite]:
             self.paths[r].abort_reason = "non-finite state update"
@@ -372,10 +382,10 @@ def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
     n = len(run.paths)
     rec = _Records(net, cfg, n)
     st0 = as_state(net, x0)
-    rows = np.arange(n) if n > 1 else np.array(0)  # a lone path: scalars
-    every = np.ndarray.all if rows.ndim else bool  # a scalar .all() is slow
-    U, T = (np.full(rows.shape, a)[()] for a in (st0.U, st0.T))
-    N = np.tile(st0.N, (*rows.shape, 1))
+    rows = np.arange(n) if n > 1 else 0  # a lone path: scalars, row int 0
+    every = np.logical_and.reduce if n > 1 else bool  # no wrapper, no 0-d
+    U, T = (np.full(np.shape(rows), a)[()] for a in (st0.U, st0.T))
+    N = np.tile(st0.N, (*np.shape(rows), 1))
     dt, j = cfg.dt, 0
     for k in range(cfg.n_steps):
         t, run.step_no = k * dt, k + 1
@@ -385,9 +395,10 @@ def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
             j += 1
         U_new, N_new = run.update(rows, U, N, T, q, Qdot, column, dt)
         # settle passes a step whose rows are all finite, at or above the
-        # floor and at T > 0 as it is.  N is tested first: T of an infinite
-        # N is NaN with a warning, and with N finite, T is finite where U is.
-        if (N_TRAJ_FLOOR <= N_new.min() and N_new.max() < math.inf and every(
+        # floor and at T > 0 as it is.  A NaN N fails the floor, an infinite
+        # N_j makes N^T h_ref and so T NaN, and a finite N a finite T where
+        # U is finite.
+        if (N_TRAJ_FLOOR <= np.minimum.reduce(N_new, None) and every(
                 (0 < (T_new := kernel.temperature(net, U_new, N_new)))
                 & (T_new < math.inf))):
             U, N, T = U_new, N_new, T_new
@@ -395,7 +406,7 @@ def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
         U, N, T = run.settle(rows, U, N, T, U_new, N_new, t, dt)
         ok = T > 0
         if not every(ok):
-            rows, U, N, T = (a[ok] for a in (rows, U, N, T))
+            rows, U, N, T = (np.asarray(a)[ok] for a in (rows, U, N, T))
             if not rows.size:
                 break
     else:

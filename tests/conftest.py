@@ -2,9 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from phreactor import presets
-from phreactor.network import parse_network
+from phreactor.network import (
+    InletSpec,
+    NoiseSpec,
+    Reaction,
+    ReactionNetwork,
+    ReactorSpec,
+    Species,
+    parse_network,
+)
 from phreactor.transform import make_setpoint
 
 _S_GAP = 25.0  # s_ref difference; makes ln(k0f/k0b) = delta s_ref / R exactly
@@ -89,3 +98,23 @@ def random_states(net, n, rng, T_range=(280.0, 420.0), logN_range=(-2.0, 0.7)):
     Ts = rng.uniform(*T_range, size=n)
     Ns = 10.0 ** rng.uniform(*logN_range, size=(n, net.n_species))
     return Ts, Ns
+
+
+@st.composite
+def networks(draw, max_multiplicity=3):
+    """A network of 1-5 species and 0-4 reactions, multiplicities 0 to
+    ``max_multiplicity`` on either side (zero net stoichiometry included),
+    no noise, built without validation."""
+    p, r = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    side = st.tuples(*[st.integers(0, max_multiplicity)] * p)
+    positive = st.floats(1e-2, 1e2)
+    reactions = tuple(
+        Reaction(draw(side), draw(side), draw(positive),
+                 draw(st.floats(0.0, 5e4)), draw(positive),
+                 draw(st.floats(0.0, 5e4)))
+        for _ in range(r))
+    species = tuple(Species(f"S{j}", 70.0, 0.0, 50.0) for j in range(p))
+    c_in = draw(st.tuples(*[st.floats(0.0, 2e3)] * p))
+    return ReactionNetwork(species, reactions,
+                           ReactorSpec(1e-3, 1e5, 300.0, 0.0),
+                           InletSpec(310.0, c_in), NoiseSpec(0.0, 0.0, 0.0))

@@ -400,9 +400,10 @@ def test_overflowing_spread_warns_of_nothing(cfg_path, tmp_path, capsys):
 
 
 def test_unallocatable_record_table_exits_1(tmp_path):
-    # 1e298 steps: the recorded steps cannot be allocated.  The child runs
-    # under a 2 GiB address-space limit, so code that builds them one by one
-    # fails there without exhausting the memory of the host.
+    # 1e10 steps, which int64 holds: the 1e9 recorded steps cannot be
+    # allocated.  The child runs under a 2 GiB address-space limit, so code
+    # that builds them one by one fails there without exhausting the memory
+    # of the host.
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
@@ -412,7 +413,7 @@ def test_unallocatable_record_table_exits_1(tmp_path):
     with open(tmp_path / "stderr", "w+") as err:
         child = subprocess.Popen(
             [sys.executable, "-m", "phreactor", "simulate", "--mode",
-             "isolated", "--T0", "342", "--N0", "1,1", "--dt", "1e-300",
+             "isolated", "--T0", "342", "--N0", "1,1", "--dt", "1e-12",
              "--t-end", "0.01", "--out", str(tmp_path)],
             stdout=subprocess.DEVNULL, stderr=err, env=env, preexec_fn=limit)
         _, status, usage = os.wait4(child.pid, 0)
@@ -422,6 +423,18 @@ def test_unallocatable_record_table_exits_1(tmp_path):
     assert child.returncode == 1, text
     assert text.startswith("phreactor: error: ") and "Traceback" not in text
     assert usage.ru_maxrss < 300 * 1024  # KiB
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--dt", "1e-300", "--t-end", "0.01"], "(--t-end, --dt)"),
+    (["--record-every", str(2 ** 63)], "(--record-every)")])
+def test_step_counts_past_int64_exit_1_naming_their_flags(tmp_path, capsys,
+                                                          flags, named):
+    rc = main(["simulate", "--mode", "isolated", "--T0", "342", "--N0", "1,1",
+               *flags, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("phreactor: error: ") and named in err
+    assert "Maximum allowed size" not in err and not any(tmp_path.iterdir())
 
 
 def test_csv_rows_have_the_bytes_of_per_cell_formatting(tmp_path):

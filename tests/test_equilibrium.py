@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import NO_REACTION, equilibrium_composition
+from conftest import NO_REACTION, equilibrium_composition, networks
 from phreactor import equilibrium, kernel, presets
 from phreactor.control import jacket_temperature
 from phreactor.equilibrium import (
@@ -16,15 +16,7 @@ from phreactor.equilibrium import (
     mass_balance_steady,
     steady_states,
 )
-from phreactor.network import (
-    InletSpec,
-    NoiseSpec,
-    Reaction,
-    ReactionNetwork,
-    ReactorSpec,
-    Species,
-    parse_network,
-)
+from phreactor.network import parse_network
 from phreactor.structure import sde_fields
 from phreactor.thermo import ThermoDomainError, ThermoState
 from phreactor.transform import make_setpoint
@@ -207,25 +199,6 @@ def test_grid_solves_to_rounding_level(net, q):
     assert (np.abs(f).max(-1) / scale).max() <= 1e-14
 
 
-@st.composite
-def _networks(draw):
-    """A network of 1-5 species and 0-4 reactions, multiplicities 0-3 on
-    either side (zero net stoichiometry included), built without validation."""
-    p, r = draw(st.integers(1, 5)), draw(st.integers(0, 4))
-    side = st.tuples(*[st.integers(0, 3)] * p)
-    positive = st.floats(1e-2, 1e2)
-    reactions = tuple(
-        Reaction(draw(side), draw(side), draw(positive),
-                 draw(st.floats(0.0, 5e4)), draw(positive),
-                 draw(st.floats(0.0, 5e4)))
-        for _ in range(r))
-    species = tuple(Species(f"S{j}", 70.0, 0.0, 50.0) for j in range(p))
-    c_in = draw(st.tuples(*[st.floats(0.0, 2e3)] * p))
-    return ReactionNetwork(species, reactions,
-                           ReactorSpec(1e-3, 1e5, 300.0, 0.0),
-                           InletSpec(310.0, c_in), NoiseSpec(0.0, 0.0, 0.0))
-
-
 #: Step of the central differences, relative to max(N_j, 1e-3 mol).
 FD_STEP = 1e-6
 #: Their tolerance relative to the summed magnitudes of each entry's terms.
@@ -248,7 +221,7 @@ def _central_differences(net, N, T, q, h):
 
 
 @settings(max_examples=200, deadline=None)
-@given(net=_networks(), data=st.data())
+@given(net=networks(), data=st.data())
 def test_exact_jacobian_matches_central_differences(net, data):
     """The kernel's rate derivatives, assembled as the Newton solve does,
     agree with central differences of the mole balance, also where a

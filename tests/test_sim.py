@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from phreactor import kernel, presets, sim, thermo
+from conftest import networks
+from phreactor import control, kernel, presets, sim, thermo
 from phreactor.control import ControllerGains, control_law
 from phreactor.sim import (
     N_TRAJ_FLOOR,
@@ -21,7 +22,7 @@ from phreactor.sim import (
     simulate,
     trajectory_rng,
 )
-from phreactor.network import parse_network
+from phreactor.network import NoiseSpec, parse_network
 from phreactor.thermo import ThermoState
 from phreactor.transform import AvailabilityHamiltonian
 
@@ -67,6 +68,16 @@ def test_config_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="open_loop_until must be finite"):
             SimConfig(open_loop_until=bad)
+    # step counts past int64 are named by their flags, not left to np.arange
+    for kw, flags in ((dict(dt=1e-300, t_end=0.01, record_every=10 ** 300),
+                       r"\(--t-end, --dt\)"),
+                      (dict(dt=1e-300, t_end=0.01), r"\(--t-end, --dt\)"),
+                      (dict(record_every=2 ** 63), r"\(--record-every\)"),
+                      (dict(record_every=10 ** 300), r"\(--record-every\)")):
+        with pytest.raises(ValueError, match=flags):
+            SimConfig(**kw)
+    assert SimConfig(t_end=1.0, record_every=2 ** 63 - 1).record_steps.dtype \
+        == np.int64
 
 
 def test_sim_config_is_frozen_and_replace_validates():
@@ -495,12 +506,75 @@ def test_species_product_is_the_strided_reduction(data):
     stoich = data.draw(arrays(float, (r, p), elements=st.sampled_from(
         (0.0, 1.0, 2.0, 3.0)))).T
     c = data.draw(arrays(float, (B, p), elements=st.floats(1e-3, 1e3)))
+    slots = kernel._species_slots(stoich)  # multiplicities 0 and 1 only
     for conc in (c[0], c):
         np.testing.assert_array_equal(
             kernel._species_product(conc, stoich),
             np.multiply.reduce(np.float_power(conc[..., :, None], stoich), -2))
+        if slots is not None:  # the gathered product has the powers' bits
+            np.testing.assert_array_equal(
+                kernel._species_product(conc, stoich, slots),
+                kernel._species_product(conc, stoich))
     np.testing.assert_array_equal(kernel._species_product(c, stoich)[0],
                                   kernel._species_product(c[0], stoich))
+
+
+def _step_by_formulas(net, U, N, T, q, Qdot, dW, T_star, mu_star_over_T):
+    """feedback_terms, em_update (dt = 1e-3) and temperature written out
+    from potentials, flow_column and mixing_scale, with every other
+    constant read from the network's own fields and every power of the
+    rates taken by np.float_power."""
+    rx, rho, col, dt = net.reactor, net.noise, kernel._col, 1e-3
+    N_sum = N.sum(-1)
+    h, mu_over_T, theta, _, _ = kernel.potentials(net, N, T, N_sum)
+    g00, dc, c = kernel.flow_column(net, N, h)
+    M = kernel.mixing_scale(net, N, h, theta, g00, dc, N_sum)
+    grad_U, grad_N = 1.0 / T_star - 1.0 / T, mu_over_T - mu_star_over_T
+    feedback = (0.5 * rho.rho2 ** 2 * M / theta, 0.5 * rho.rho3 ** 2 / theta,
+                g00 * grad_U + np.vecdot(dc, grad_N), grad_U, g00, dc, c)
+    RT = col(rx.R_gas * T)
+    rate = (net.k0f * np.exp(-net.Ef / RT)
+            * kernel._species_product(c, net.stoich_reactants)
+            - net.k0b * np.exp(-net.Eb / RT)
+            * kernel._species_product(c, net.stoich_products))
+    flux = rx.V * np.vecdot(net.stoich_net, rate[..., None, :])
+    q_col = col(q)
+    U_new = (U + (g00 * q + Qdot) * dt
+             + (rho.rho2 * q * g00 * dW[..., 1] + rho.rho3 * Qdot * dW[..., 2]))
+    N_new = (N + (flux + q_col * dc) * dt + rho.rho1 * flux * dW[..., 0, None]
+             + rho.rho2 * q_col * dc * dW[..., 1, None])
+    T_of = rx.T_ref + ((U + rx.P * rx.V - np.vecdot(N, net.h_ref))
+                       / np.vecdot(N, net.cp))
+    return feedback, (U_new, N_new), T_of
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_step_equals_the_per_formula_functions(data):
+    """The step's feedback_terms, em_update and temperature, which read the
+    network's constants record and gather products of multiplicity 0 and
+    1, have the bits of the same quantities built from the per-formula
+    functions, the network's own fields and np.float_power: on networks
+    of 1-5 species and 0-4 reactions, with multiplicities 0-3 or 0-1, for
+    one state and a batch."""
+    net = data.draw(networks(data.draw(st.sampled_from((1, 3)))))
+    net = replace(net, noise=NoiseSpec(*data.draw(
+        st.tuples(*[st.floats(0.0, 1.0)] * 3))))
+    p, B = net.n_species, data.draw(st.integers(1, 4))
+    batch = (_rows(data.draw, B, -2e4, 2e4), _rows(data.draw, B, 1e-4, 1.0, p),
+             _rows(data.draw, B, 250.0, 500.0), _rows(data.draw, B, 0.0, 1e-4),
+             _rows(data.draw, B, -10.0, 10.0), _rows(data.draw, B, -0.1, 0.1, 3))
+    T_star = data.draw(st.floats(300.0, 400.0))
+    mu_star = data.draw(arrays(float, p, elements=st.floats(-50.0, 50.0)))
+    for U, N, T, q, Qdot, dW in (tuple(a[0] for a in batch), batch):
+        feedback, update, T_of = _step_by_formulas(net, U, N, T, q, Qdot, dW,
+                                                   T_star, mu_star)
+        for step, formula in zip(
+                (*kernel.feedback_terms(net, N, T, T_star, mu_star),
+                 *kernel.em_update(net, U, N, T, q, Qdot, 1e-3, dW),
+                 kernel.temperature(net, U, N)),
+                (*feedback, *update, T_of)):
+            np.testing.assert_array_equal(step, formula)
 
 
 # ------------------------------------------- series derived after stepping
@@ -718,3 +792,94 @@ def test_open_loop_until_switches_to_feedback(net, sp, gains, x0):
     assert np.all(tr.q[held] == 0.0)
     assert np.all(tr.Qdot[held] == 0.0)
     assert np.all(tr.q[~held] > 0.0)
+
+
+# ------------------------------------------------------- the flow clamp
+
+#: q_max of the clamp cases, and raw flows below, on, inside and above
+#: [0, q_max], both zeros and the non-finite ones.
+_Q_MAX = 5e-6
+_RAW_FLOWS = (-1e-6, -0.0, 0.0, 3e-6, _Q_MAX, 7e-6, math.nan, -math.inf,
+              math.inf)
+
+
+@pytest.mark.parametrize("clamp", [True, False])
+def test_clamp_on_floats_has_the_bits_of_the_array_clamp(net, sp, gains,
+                                                         monkeypatch, clamp):
+    """A lone state clamps on floats, a batch with np.minimum/np.maximum:
+    the same flows, +0.0 for -0.0 included, NaN kept and flagged, a flow
+    inside [0, q_max] not flagged; without the clamp q is q_raw and
+    nothing is flagged."""
+    raw, lone = np.array(_RAW_FLOWS), []
+    # the batch gets every raw flow, a lone state the one in ``lone``
+    monkeypatch.setattr(control, "solve_feedback", lambda K, d1, *_: (
+        raw if np.ndim(d1) else raw[lone[0]], 0.0))
+    N, T = np.ones((len(raw), 2)), np.full(len(raw), 342.0)
+    q, _, clamped, _, _ = control._clamped_feedback(net, sp, gains.K, N, T,
+                                                     clamp, _Q_MAX)
+    expected = np.minimum(np.maximum(raw, 0.0), _Q_MAX) if clamp else raw
+    np.testing.assert_array_equal(np.signbit(q), np.signbit(expected))
+    np.testing.assert_array_equal(q, expected)
+    np.testing.assert_array_equal(clamped, clamp & (expected != raw))
+    for i in range(len(raw)):
+        lone[:] = [i]
+        q_i, _, clamped_i, _, _ = control._clamped_feedback(
+            net, sp, gains.K, N[i], T[i], clamp, _Q_MAX)
+        assert not isinstance(q_i, np.ndarray)
+        np.testing.assert_array_equal(q_i, q[i])
+        assert math.copysign(1.0, q_i) == math.copysign(1.0, q[i])
+        assert clamped_i == (clamp and expected[i] != raw[i])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n_traj", [1, 3])
+def test_nan_flow_logs_q_clamp_then_aborts(net, sp, gains, x0, monkeypatch,
+                                           n_traj):
+    """A NaN raw flow at grid step 5 stays NaN through the clamp, is logged
+    as q_clamp and aborts its path with a non-finite update: a lone path,
+    and row 1 of a batch, whose other rows keep their own paths."""
+    cfg = SimConfig(dt=1e-3, t_end=0.02, seed=3, n_traj=n_traj,
+                    record_every=1)
+    solo = [simulate(net, sp, gains, cfg, x0, traj_index=i)
+            for i in range(n_traj)]
+    real, calls, bad = control.solve_feedback, [], n_traj // 2
+
+    def solve_feedback(K, *terms):
+        q, Qdot = real(K, *terms)
+        calls.append(1)
+        if len(calls) == 5:
+            q = (np.where(np.arange(n_traj) == bad, math.nan, q)
+                 if np.ndim(q) else math.nan)
+        return q, Qdot
+
+    monkeypatch.setattr(control, "solve_feedback", solve_feedback)
+    paths = ([simulate(net, sp, gains, cfg, x0)] if n_traj == 1 else
+             ensemble(net, sp, gains, cfg, x0).trajectories)
+    for i, tr in enumerate(paths):
+        if i != bad:
+            _assert_same_path(tr, solo[i])
+            continue
+        assert tr.abort_reason == "non-finite state update"
+        assert tr.events == [(5, "q_clamp")]
+        assert len(tr.times) == 5 and math.isnan(tr.q[-1])
+        np.testing.assert_array_equal(tr.states, solo[i].states[:5])
+
+
+@pytest.mark.parametrize("clamp", [True, False])
+@pytest.mark.parametrize("n_traj", [1, 3])
+@pytest.mark.parametrize("mode", ["closed_loop", "deterministic"])
+def test_recorded_flows_are_the_feedback_at_their_states(net, sp, gains, x0,
+                                                         mode, n_traj, clamp):
+    """With noise on and off, on a lone path and a batch, each recorded
+    flow has the bits of control_law at its recorded state and no q_clamp
+    is logged: with the clamp the flow stays inside [0, q_max]; without it
+    the flow is q_raw, above q_max = 5e-6 here."""
+    cfg = SimConfig(dt=1e-3, t_end=0.05, seed=3, n_traj=n_traj, mode=mode,
+                    record_every=5, clamp=clamp,
+                    q_max=1e-2 if clamp else _Q_MAX)
+    for tr in ensemble(net, sp, gains, cfg, x0).trajectories:
+        assert not any(code == "q_clamp" for _, code in tr.events)
+        for x, q, Qdot in zip(tr.states, tr.q, tr.Qdot):
+            a = control_law(net, sp, gains, x, clamp=clamp, q_max=cfg.q_max)
+            assert (q, Qdot) == (a.q, a.Qdot) and not a.saturated
+        assert (0.0 <= tr.q.min() and tr.q.max() <= cfg.q_max) == clamp

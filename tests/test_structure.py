@@ -173,8 +173,8 @@ def test_input_matrix_flow_column(net):
     np.testing.assert_allclose(g[1:, 0], net.c_in - st.N / net.reactor.V,
                                rtol=1e-14)
     np.testing.assert_array_equal(g[:, 1], [1.0, 0.0, 0.0])
-    assert net.inlet_enthalpy_density == pytest.approx(float(net.c_in @ h_in),
-                                                       rel=1e-14)
+    assert net.step_constants.h_in == pytest.approx(float(net.c_in @ h_in),
+                                                    rel=1e-14)
 
 
 def test_mixing_noise_scale_identity(net):

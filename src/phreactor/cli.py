@@ -18,11 +18,10 @@ omitted: the bundled benchmark network), and ``simulate`` and
 Exit codes: 0 success, 1 input error (unreadable flags or config), 2 a
 checked condition failed under ``check --strict``, 3 a simulation aborted.
 
-Every CSV uses '.' as the decimal mark, 17-significant-digit floats, LF
-line endings, and always carries a header row, so repeated seeded runs
-are byte-identical.  Each row is written with one ``%`` format of its
-cells, ``%.17g`` for a number and ``%s`` for a text cell.  The trajectory
-schema is
+Every CSV uses '.' as the decimal mark, ``%.17g`` floats, LF line endings
+and a header row, so repeated seeded runs are byte-identical.  ``check``
+and ``equilibria`` format each row with one ``%``, ``simulate`` and
+``casestudy`` each numeric column once per run.  The trajectory schema is
 
     t, U, N_<species>..., T, S, H_bar, q, Qdot, T_w, events
 
@@ -39,7 +38,8 @@ import argparse
 import functools
 import math
 import sys
-from bisect import bisect_left
+from collections import Counter
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -239,52 +239,68 @@ def cmd_equilibria(args) -> int:
 # simulate / casestudy
 
 
-def _event_cells(traj: Trajectory, steps: list[int]) -> list[str]:
+def _event_cells(traj: Trajectory, steps: np.ndarray) -> list[str]:
     """One events cell per recorded row: guard events since the previous
     row as sorted ``code:count`` pairs; abort lands on the last row, which
     of an aborted path also takes every event after the row before it."""
     last, cells = len(traj.times) - 1, [""] * len(traj.times)
-    counts: dict[int, dict[str, int]] = {}  # only the rows with events
-    for step, code in traj.events:
-        c = counts.setdefault(bisect_left(steps, step, 0, last), {})
-        c[code] = c.get(code, 0) + 1
+    if not (traj.events or traj.aborted):
+        return cells
+    at, codes = zip(*traj.events) if traj.events else ((), ())
+    counts = Counter(zip(np.searchsorted(steps[:last], at).tolist(), codes))
     if traj.aborted:
-        counts.setdefault(last, {})["abort"] = 1
-    for row, c in counts.items():
-        cells[row] = ";".join(f"{code}:{n}" for code, n in sorted(c.items()))
+        counts[last, "abort"] = 1
+    for (row, code), n in sorted(counts.items()):
+        cells[row] += f";{code}:{n}" if cells[row] else f"{code}:{n}"
     return cells
 
 
-def _series(net: ReactionNetwork, get) -> dict[str, np.ndarray]:
-    """The numeric trajectory columns after ``t`` by CSV name, each read as
-    ``get(series)`` for a series of :class:`sim.Trajectory`."""
+def _cells(values: np.ndarray, seen: dict[bytes, list[str]]) -> list[str]:
+    """The ``%.17g`` cells of a numeric column by one ``%`` format, kept in
+    ``seen`` under its bytes for reuse (so 0.0 and -0.0 stay apart)."""
+    if (key := values.tobytes()) not in seen:
+        text = "%.17g\n" * len(values) % tuple(values.tolist())
+        seen[key] = text.splitlines()
+    return seen[key]
+
+
+def _write_cells(path: Path, columns: dict, footer=()) -> None:
+    """Write a header, text columns and ``footer``, 512 lines per write."""
+    lines = chain([",".join(columns)], map(",".join, zip(*columns.values())),
+                  footer)
+    with path.open("wb") as f:
+        while chunk := list(islice(lines, 512)):
+            f.write(("\n".join(chunk) + "\n").encode())
+
+
+def _series(net: ReactionNetwork, get, seen: dict) -> dict[str, list[str]]:
+    """The cells of the numeric columns after ``t`` by CSV name."""
     states = get("states")
-    return {"U": states[:, 0],
-            **{f"N_{name}": states[:, 1 + i]
-               for i, name in enumerate(net.species_names)},
-            "T": get("T"), "S": get("S"), "H_bar": get("avail"),
-            "q": get("q"), "Qdot": get("Qdot"), "T_w": get("T_w")}
+    columns = {"U": states[:, 0],
+               **{f"N_{name}": states[:, 1 + i]
+                  for i, name in enumerate(net.species_names)},
+               "T": get("T"), "S": get("S"), "H_bar": get("avail"),
+               "q": get("q"), "Qdot": get("Qdot"), "T_w": get("T_w")}
+    return {name: _cells(v, seen) for name, v in columns.items()}
 
 
-def _write_trajectory(path: Path, net: ReactionNetwork, traj: Trajectory,
-                      steps: list[int]) -> None:
-    columns = {"t": _num(traj.times)}
-    columns.update((name, _num(v)) for name, v in
-                   _series(net, lambda f: getattr(traj, f)).items())
-    columns["events"] = _event_cells(traj, steps)
-    _write_csv(path, columns)
-
-
-def _write_summary(path: Path, net: ReactionNetwork,
-                   stats: EnsembleStats) -> None:
-    columns = {"t": _num(stats.times)}
-    mean, std = _series(net, stats.mean.get), _series(net, stats.std.get)
+def _write_ensemble(out: Path, net: ReactionNetwork, stats: EnsembleStats,
+                    steps: np.ndarray) -> None:
+    """Write ``traj_<index>.csv`` per trajectory and ``summary.csv``, keeping
+    t's cells and the last trajectory's, which a one-path summary reuses."""
+    t = {stats.times.tobytes(): _cells(stats.times, {})}
+    for traj in stats.trajectories:
+        seen = dict(t)
+        _write_cells(out / f"traj_{traj.index:03d}.csv", {
+            "t": _cells(traj.times, seen),
+            **_series(net, functools.partial(getattr, traj), seen),
+            "events": _event_cells(traj, steps)})
+    columns = {"t": _cells(stats.times, seen)}
+    mean, std = (_series(net, s.get, seen) for s in (stats.mean, stats.std))
     for name in mean:
-        columns[f"mean_{name}"] = _num(mean[name])
-        columns[f"std_{name}"] = _num(std[name])
-    footer = ["stabilization_probability",
-              *_num([stats.stabilization_probability])]
-    _write_csv(path, columns, footer=footer)
+        columns[f"mean_{name}"], columns[f"std_{name}"] = mean[name], std[name]
+    _write_cells(out / "summary.csv", columns, [
+        "stabilization_probability,%.17g" % stats.stabilization_probability])
 
 
 def _run_ensemble(net: ReactionNetwork, sp: Setpoint | None,
@@ -296,10 +312,7 @@ def _run_ensemble(net: ReactionNetwork, sp: Setpoint | None,
     except SimulationAbort as exc:
         print(f"phreactor: simulation aborted: {exc}", file=sys.stderr)
         return 3
-    steps = cfg.record_steps.tolist()
-    for traj in stats.trajectories:
-        _write_trajectory(out / f"traj_{traj.index:03d}.csv", net, traj, steps)
-    _write_summary(out / "summary.csv", net, stats)
+    _write_ensemble(out, net, stats, cfg.record_steps)
 
     n = len(stats.trajectories)
     print(f"{n} trajectories, {stats.n_aborted} aborted; "

@@ -10,11 +10,11 @@ Every function is row-safe: it takes one state (U and T scalars, N of
 shape (p,)) or a batch of B states (U and T of shape (B,), N of shape
 (B, p)), and each row of a batch result has the same bits as the result
 for that row alone.  So per-row values get a trailing axis (:func:`_col`),
-every dot product over species is one ``np.vecdot`` per row
-(:func:`_dot`), never a matrix product, whose summation order depends on
-the operand shapes, and squares are written ``x * x``, since a scalar
-``x ** 2`` calls ``pow`` where an array's multiplies.  The dense Hessian
-of -S, which is not row-safe, lives in :mod:`thermo`.
+every dot product over species is one ``np.vecdot`` per row (:func:`_dot`,
+whose bits vary by host), never a matrix product, whose summation order
+depends on the operand shapes, and squares are written ``x * x``, since a
+scalar ``x ** 2`` calls ``pow`` where an array's multiplies.  The dense
+Hessian of -S, which is not row-safe, lives in :mod:`thermo`.
 
 One closed-loop step computes each quantity once: :func:`feedback_terms`
 takes sum N once for the S-free closures (:func:`potentials`) and the
@@ -58,7 +58,9 @@ def _col(a):
     return a[..., None] if isinstance(a, np.ndarray) else a
 
 
-#: Row-wise a . b over the last axis; a 1-D call gives ``a @ b``.
+#: Row-wise a . b over the last axis; a 1-D call gives ``a @ b``.  Both are
+#: OpenBLAS ``ddot``, whose kernel is picked by CPU core type at run time:
+#: a two-term row is fma(a1, b1, a0 b0) on SkylakeX, a0 b0 + a1 b1 on Haswell.
 _dot = np.vecdot
 
 

@@ -11,11 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import NO_REACTION
 import phreactor
 from phreactor import presets, sim
-from phreactor.cli import _build_parser, _event_cells, _num, _write_csv, main
+from phreactor.cli import (_build_parser, _cells, _event_cells, _num,
+                           _write_csv, main)
 from phreactor.network import parse_network
 from phreactor.sim import Trajectory
 
@@ -464,6 +466,57 @@ def test_csv_rows_have_the_bytes_of_per_cell_formatting(tmp_path):
     # a table without rows is its header
     _write_csv(tmp_path / "empty.csv", {"T": _num([]), "classification": []})
     assert (tmp_path / "empty.csv").read_bytes() == b"T,classification\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                                 allow_subnormal=True), max_size=40))
+@example(values=[math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+                 2.2250738585072014e-308, 1.7976931348623157e308, 0.1])
+def test_column_cells_are_per_cell_formatting(values):
+    # one % format of the whole column gives format(v, ".17g") per cell
+    cells = _cells(np.array(values, dtype=float), {})
+    assert cells == [format(v, ".17g") for v in values]
+
+
+def test_column_cells_are_kept_by_their_bytes():
+    seen = {}
+    zeros, negative_zeros = np.zeros(3), np.full(3, -0.0)
+    assert _cells(zeros, seen) == ["0", "0", "0"]
+    assert _cells(negative_zeros, seen) == ["-0", "-0", "-0"]  # not reused
+    assert _cells(np.zeros(0), seen) == []  # an empty column has no cells
+    # a column with the bits of one seen before, here a strided view, reuses
+    # its cells without converting again
+    table = np.array([[0.0, 1.5], [0.0, 2.5], [0.0, -3.0]])
+    assert _cells(table[:, 0], seen) is _cells(zeros, seen)
+    assert _cells(table[:, 1], seen) == ["1.5", "2.5", "-3"]
+    assert len(seen) == 4
+
+
+@pytest.mark.parametrize("argv, std_H_bar", [
+    # the flow clamp fires every step, every step recorded
+    (["--setpoint-T", "331.9", "--setpoint-q", "9.15e-6", "--q-max", "5e-6",
+      "--record-every", "1", "--seed", "3"], "0"),
+    # no setpoint: H_bar is nan throughout
+    (["--mode", "isolated"], "nan"),
+], ids=["saturated", "isolated"])
+def test_one_path_summary_repeats_its_trajectory(cfg_path, tmp_path, argv,
+                                                 std_H_bar):
+    out = tmp_path / "one"
+    assert main(["simulate", "--network", str(cfg_path), "--T0", "342",
+                 "--N0", "1,1", "--t-end", "0.1", "--out", str(out)]
+                + argv) == 0
+    header, rows = read_csv(out / "traj_000.csv")
+    sheader, srows = read_csv(out / "summary.csv")
+    assert srows[-1][0] == "stabilization_probability"
+    traj = dict(zip(header, zip(*rows)))
+    summary = dict(zip(sheader, zip(*srows[:-1])))
+    assert summary["t"] == traj["t"]
+    for name in header[1:-1]:  # the numeric columns after t
+        assert summary[f"mean_{name}"] == traj[name], name
+        assert summary[f"std_{name}"] == tuple(
+            "0" if math.isfinite(float(v)) else "nan" for v in traj[name])
+    assert set(summary["std_H_bar"]) == {std_H_bar}
 
 
 # --------------------------------------------------------------- casestudy

@@ -81,20 +81,13 @@ def _num(values) -> list[float]:
     return np.asarray(values, dtype=float).tolist()
 
 
-def _row_format(cells) -> str:
-    """The ``%`` format of a CSV row like ``cells``: ``%s`` for a text cell,
-    ``%.17g`` (17 significant digits) for a number."""
-    return ",".join("%s" if isinstance(v, str) else "%.17g" for v in cells)
-
-
-def _write_csv(path: Path, columns: dict[str, list],
-               footer: list | None = None) -> None:
+def _write_csv(path: Path, columns: dict[str, list]) -> None:
     """Write equal-length columns under their names as header, each row as
-    one ``%`` format of its cells (:func:`_row_format` of the first row)."""
-    fmt = _row_format([column[0] for column in columns.values() if column])
+    one ``%`` format of its cells: like the first row's, ``%s`` for a text
+    cell and ``%.17g`` (17 significant digits) for a number."""
+    fmt = ",".join("%s" if isinstance(column[0], str) else "%.17g"
+                   for column in columns.values() if column)
     lines = [",".join(columns), *(fmt % row for row in zip(*columns.values()))]
-    if footer is not None:
-        lines.append(_row_format(footer) % tuple(footer))
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 

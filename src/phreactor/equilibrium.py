@@ -8,14 +8,14 @@ is solved by damped Newton iteration with its exact Jacobian
 nu (dr_f/dc - dr_b/dc) - (q/V) I, from the kernel's mass-action
 derivatives, for one T or a batch of them.  The scan solves a temperature
 grid as one batch, retries each point that fails from its nearest
-converged lower-T point, and bisects, all brackets in lockstep, every sign
-change of
+converged lower-T point, and narrows every sign change of
 
     E(T) = q (c_in^T h(T_in) - N(T)^T h(T)/V) + lambda (T_w - T),
 
-the stationary energy residual under a jacket at T_w; exothermic networks
-can have several roots.  Each is classified by the eigenvalues of a
-finite-difference Jacobian of the deterministic drift (:func:`classify`).
+the stationary energy residual under a jacket at T_w, by the ITP method
+(interpolate, truncate, project), all brackets in lockstep; exothermic
+networks can have several roots.  Each is classified by the eigenvalues of
+a finite-difference Jacobian of the deterministic drift (:func:`classify`).
 """
 
 from __future__ import annotations
@@ -31,6 +31,12 @@ from .thermo import N_FLOOR, ThermoDomainError, ThermoState, internal_energy
 
 #: Newton iterations :func:`mass_balance_steady` takes before it gives up.
 MAX_NEWTON_ITER = 200
+
+#: ITP root bracketing (Oliveira & Takahashi, ACM TOMS 47(1), 2020): each
+#: root ends in a bracket at most 2 ROOT_EPS kelvin wide; the truncation is
+#: ITP_KAPPA1 / w (b - a)^ITP_KAPPA2 for grid cells w kelvin wide; a bracket
+#: takes at most ITP_N0 rounds more than bisection would.
+ROOT_EPS, ITP_KAPPA1, ITP_KAPPA2, ITP_N0 = 2.5e-7, 0.004, 2, 1
 
 
 class ConvergenceError(RuntimeError):
@@ -208,11 +214,12 @@ def steady_states(net: ReactionNetwork, q: float, T_w: float,
     """All steady states under constant flow q and jacket temperature T_w.
 
     Scans the stationary energy residual E(T) over ``grid`` temperatures
-    spanning ``T_range``, bisects each sign change to |dT| < 1e-6 K, and
-    classifies each root under the jacket-law linearization.  Returns the
-    roots ordered by temperature.  Raises :class:`ValueError`, naming the
-    bad inputs, unless q > 0 and T_w are finite, grid >= 2 and
-    0 < T_lo < T_hi, both finite.
+    spanning ``T_range``, narrows each sign change by ITP to a bracket at
+    most 2 ``ROOT_EPS`` = 5e-7 K wide, in at most ``ITP_N0`` rounds more
+    than bisection, takes its midpoint, and classifies each root under the
+    jacket-law linearization.  Returns the roots ordered by temperature.
+    Raises :class:`ValueError`, naming the bad inputs, unless q > 0 and T_w
+    are finite, grid >= 2 and 0 < T_lo < T_hi, both finite.
     """
     T_lo, T_hi = T_range
     bad = [f"q={q}"] if not 0.0 < q < math.inf else []
@@ -246,20 +253,35 @@ def steady_states(net: ReactionNetwork, q: float, T_w: float,
             comps[rows], ok[rows] = exc.N, exc.converged
     E = energy(Ts, comps)
 
-    # Bisect every bracket in lockstep, each warm-started from its own last
-    # midpoint; a grid point with E == 0 is a bracket of zero width.
-    j = np.flatnonzero((E[:-1] == 0.0) | (E[:-1] * E[1:] < 0))
-    a, ea, N_bis = Ts[j], E[j], comps[j]
+    # ITP-bracket every sign change in lockstep, each warm-started from its
+    # own last iterate; a grid point with E == 0 is a bracket of zero width.
+    # Signs are compared, never residuals multiplied, which could overflow
+    # or underflow.
+    s = np.sign(E)
+    j = np.flatnonzero((E[:-1] == 0.0) | (s[:-1] == -s[1:]))
+    a, ea, eb, N_it = Ts[j], E[j], E[j + 1], comps[j]
     b = np.where(ea == 0.0, a, Ts[j + 1])
-    while (live := np.flatnonzero(b - a > 1e-6)).size:
-        mid = 0.5 * (a[live] + b[live])
-        N_bis[live] = mass_balance_steady(net, mid, q, N0=N_bis[live])
-        em = energy(mid, N_bis[live])
-        left = ea[live] * em <= 0
-        b[live[left]] = mid[left]
-        a[live[~left]], ea[live[~left]] = mid[~left], em[~left]
+    w = Ts[1] - Ts[0]
+    n_max, k = math.ceil(math.log2(w / (2.0 * ROOT_EPS))) + ITP_N0, 0
+    while (live := np.flatnonzero(b - a > 2.0 * ROOT_EPS)).size:
+        # interpolate (regula falsi in ratio form), truncate toward the
+        # midpoint, project into the ball that keeps bisection's bound
+        width, half = b[live] - a[live], 0.5 * (a[live] + b[live])
+        x_f = a[live] + width / (1.0 - eb[live] / ea[live])
+        sigma = np.sign(half - x_f)
+        delta = ITP_KAPPA1 / w * width ** ITP_KAPPA2
+        x_t = np.where(delta <= np.abs(half - x_f), x_f + sigma * delta, half)
+        r = ROOT_EPS * 2.0 ** (n_max - k) - 0.5 * width
+        x = np.where(np.abs(x_t - half) <= r, x_t, half - sigma * r)
+        N_it[live] = mass_balance_steady(net, x, q, N0=N_it[live])
+        ex = energy(x, N_it[live])
+        left = np.sign(ex) != np.sign(ea[live])
+        b[live[left]], eb[live[left]] = x[left], ex[left]
+        a[live[~left]], ea[live[~left]] = x[~left], ex[~left]
+        a[live[ex == 0.0]] = x[ex == 0.0]
+        k += 1
     root_T = 0.5 * (a + b)
-    root_N = mass_balance_steady(net, root_T, q, N0=N_bis)
+    root_N = mass_balance_steady(net, root_T, q, N0=N_it)
 
     roots = []
     for T, N in zip(root_T, root_N):  # grid order is temperature order

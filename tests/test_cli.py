@@ -450,22 +450,28 @@ def test_csv_rows_have_the_bytes_of_per_cell_formatting(tmp_path):
             "all_hold": ["true", "false"] + [""] * 7}
     columns = {"t": _num(values), "U": _num(values[::-1]), **text,
                "T": _num(values[3:] + values[:3])}
-    footer = ["stabilization_probability", *_num([math.nan])]
-    _write_csv(tmp_path / "table.csv", columns, footer=footer)
+    _write_csv(tmp_path / "table.csv", columns)
 
     def cell(v):
         return v if isinstance(v, str) else format(v, ".17g")
 
     expected = [",".join(columns), *(",".join(map(cell, row)) for row in
-                                     zip(*columns.values())),
-                ",".join(map(cell, footer))]
+                                     zip(*columns.values()))]
     assert (tmp_path / "table.csv").read_bytes() == (
         "\n".join(expected) + "\n").encode()
     assert expected[1] == "nan,-0.33333333333333331,,stable,true,-0"
-    assert expected[-1] == "stabilization_probability,nan"
     # a table without rows is its header
     _write_csv(tmp_path / "empty.csv", {"T": _num([]), "classification": []})
     assert (tmp_path / "empty.csv").read_bytes() == b"T,classification\n"
+
+
+def test_open_loop_summary_ends_in_nan_probability(cfg_path, tmp_path):
+    # with no setpoint nothing is stabilized: the footer row reads nan
+    assert main(["simulate", "--network", str(cfg_path), "--out",
+                 str(tmp_path), "--mode", "open_loop", "--T0", "342", "--N0",
+                 "1,1", "--t-end", "0.01", "--n-traj", "2"]) == 0
+    assert (tmp_path / "summary.csv").read_bytes().endswith(
+        b"\nstabilization_probability,nan\n")
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,9 @@
 """Steady-state location, multiplicity over the jacket window, and spectral
 classification of the roots."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -257,32 +260,49 @@ def test_exact_jacobian_matches_central_differences(net, data):
     assert (np.abs(J - J_fd) <= bound).all()
 
 
+def _energy(net, q, T_w, T, N):
+    """The stationary energy residual E(T) at composition N."""
+    g00 = kernel.flow_column(net, N, kernel.enthalpy(net, T))[0]
+    return q * g00 + net.reactor.lam * (T_w - T)
+
+
 def _serial_roots(net, q, T_w, Ts, comps=None):
     """The scan as a serial continuation: every grid point warm-started
     from the previous one (unless the grid compositions are given), every
-    bracket bisected on its own."""
-    def energy(T, N):
-        g00 = kernel.flow_column(net, N, kernel.enthalpy(net, T))[0]
-        return q * g00 + net.reactor.lam * (T_w - T)
-
+    bracket narrowed on its own by ITP, one scalar step at a time."""
     if comps is None:
         comps, N = [], None
         for T in Ts:
             N = mass_balance_steady(net, T, q, N0=N)
             comps.append(N)
-    E = [energy(T, N) for T, N in zip(Ts, comps)]
+    E = [_energy(net, q, T_w, T, N) for T, N in zip(Ts, comps)]
+    eps, w = equilibrium.ROOT_EPS, Ts[1] - Ts[0]
+    kappa_1 = equilibrium.ITP_KAPPA1 / w
+    # an array ** 2 multiplies, a float ** 2 calls pow: square by hand
+    assert equilibrium.ITP_KAPPA2 == 2
+    n_max = math.ceil(math.log2(w / (2 * eps))) + equilibrium.ITP_N0
     roots = []
     for i in range(len(Ts) - 1):
-        if E[i] * E[i + 1] < 0:
-            a, b, ea, N = Ts[i], Ts[i + 1], E[i], comps[i]
-            while b - a > 1e-6:
-                mid = 0.5 * (a + b)
-                N = mass_balance_steady(net, mid, q, N0=N)
-                em = energy(mid, N)
-                if ea * em <= 0:
-                    b = mid
+        if E[i] == 0 or E[i] * E[i + 1] < 0:
+            a, b, ea, eb, N = Ts[i], Ts[i + 1], E[i], E[i + 1], comps[i]
+            b = a if ea == 0 else b
+            k = 0
+            while b - a > 2 * eps:
+                half, x_f = 0.5 * (a + b), a + (b - a) / (1 - eb / ea)
+                sigma = np.sign(half - x_f)
+                delta = kappa_1 * ((b - a) * (b - a))
+                x_t = x_f + sigma * delta if delta <= abs(half - x_f) else half
+                r = eps * 2.0 ** (n_max - k) - 0.5 * (b - a)
+                x = x_t if abs(x_t - half) <= r else half - sigma * r
+                N = mass_balance_steady(net, x, q, N0=N)
+                ex = _energy(net, q, T_w, x, N)
+                if ex == 0:
+                    a = b = x
+                elif (ex < 0) != (ea < 0):
+                    b, eb = x, ex
                 else:
-                    a, ea = mid, em
+                    a, ea = x, ex
+                k += 1
             T = 0.5 * (a + b)
             roots.append((T, mass_balance_steady(net, T, q, N0=N)))
     return roots
@@ -310,12 +330,76 @@ def test_failed_cold_starts_are_retried_warm(monkeypatch):
         "stable"]
 
 
-def test_lockstep_bisection_equals_bracket_by_bracket(net, roots):
+def test_lockstep_itp_equals_bracket_by_bracket(net, roots):
     q, T_w = roots[0].q, roots[0].T_w
     Ts = np.linspace(250.0, 500.0, 2000)
     serial = _serial_roots(net, q, T_w, Ts, mass_balance_steady(net, Ts, q))
     assert [r.T for r in roots] == [T for T, _ in serial]
     np.testing.assert_array_equal([r.N for r in roots], [N for _, N in serial])
+
+
+@settings(max_examples=25, deadline=None)
+@given(q=st.floats(0.995 * presets.Q_STAR, 1.005 * presets.Q_STAR),
+       T_w=st.floats(299.2922, 299.6922))
+def test_itp_rounds_stay_within_bisection_bound(net, q, T_w):
+    # over the benchmark's band: every scan takes at most n_0 rounds more
+    # than bisection to 2 eps, and E changes sign across each root +- eps
+    calls = []
+
+    def counted(net, T, q, N0=None):
+        calls.append(np.size(T))
+        return mass_balance_steady(net, T, q, N0=N0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equilibrium, "mass_balance_steady", counted)
+        found = steady_states(net, q, T_w)
+    eps, w = equilibrium.ROOT_EPS, 250.0 / 1999
+    bound = math.ceil(math.log2(w / (2 * eps))) + equilibrium.ITP_N0
+    # one grid solve, the ITP rounds, one final solve
+    assert calls[0] == 2000 and len(found) == 3
+    assert len(calls) - 2 <= bound
+    for r in found:
+        Ts = np.array([r.T - eps, r.T + eps])
+        E = _energy(net, q, T_w, Ts, mass_balance_steady(net, Ts, q, N0=r.N))
+        assert np.sign(E[0]) == -np.sign(E[1]) != 0
+
+
+def test_bundled_default_roots_are_stationary_to_1e_11(net):
+    found = steady_states(net, presets.Q_STAR, 299.4922)
+    assert [r.classification for r in found] == ["stable", "unstable",
+                                                 "stable"]
+    for r in found:
+        x = np.concatenate([[r.U], r.N])
+        assert drift_residual(net, x, np.array([r.q, r.Qdot])) < 1e-11
+
+
+def test_huge_flow_scan_warns_of_nothing(net):
+    # q = 1e150 makes residual products overflow; the scan compares signs,
+    # so the first thing it raises is the feed-limit root's mole floor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ThermoDomainError,
+                           match="mole numbers must exceed"):
+            steady_states(net, 1e150, 299.4922)
+
+
+def test_exact_zero_of_the_energy_residual_is_a_root(net, monkeypatch):
+    # with the feed enthalpy gap g00 stubbed to 0, E(T) = lambda (T_w - T)
+    # is exactly 0 at T = T_w: a grid point there is a bracket of zero
+    # width, and an ITP point that lands there closes its bracket
+    flow_column = kernel.flow_column
+
+    def no_gap(net, N, h):
+        g00, dc, c = flow_column(net, N, h)
+        return 0.0 * g00, dc, c
+
+    monkeypatch.setattr(kernel, "flow_column", no_gap)
+    q = presets.Q_STAR
+    # 320 K is grid point 560 of a 0.125 K grid
+    assert [r.T for r in steady_states(net, q, 320.0, grid=2001)] == [320.0]
+    # [319, 321]: the first ITP point is the secant point 320 K
+    assert [r.T for r in steady_states(net, q, 320.0, T_range=(319.0, 321.0),
+                                       grid=2)] == [320.0]
 
 
 def test_three_steady_states_under_benchmark_jacket(roots):

@@ -19,9 +19,9 @@ Exit codes: 0 success, 1 input error (unreadable flags or config), 2 a
 checked condition failed under ``check --strict``, 3 a simulation aborted.
 
 Every CSV uses '.' as the decimal mark, ``%.17g`` floats, LF line endings
-and a header row, so repeated seeded runs are byte-identical.  ``check``
-and ``equilibria`` format each row with one ``%``, ``simulate`` and
-``casestudy`` each numeric column once per run.  The trajectory schema is
+and a header row, so repeated seeded runs are byte-identical.  One writer
+writes every file, and each numeric column is formatted with one ``%``,
+once per run however many files repeat it.  The trajectory schema is
 
     t, U, N_<species>..., T, S, H_bar, q, Qdot, T_w, events
 
@@ -76,19 +76,24 @@ class CliError(Exception):
     """Input error surfaced as exit code 1."""
 
 
-def _num(values) -> list[float]:
-    """A numeric column: its values as Python floats."""
-    return np.asarray(values, dtype=float).tolist()
+def _cells(values, seen: dict[bytes, list[str]]) -> list[str]:
+    """The ``%.17g`` cells of a numeric column by one ``%`` format, kept in
+    ``seen`` under its bytes for reuse (so 0.0 and -0.0 stay apart)."""
+    values = np.asarray(values, dtype=float)
+    if (key := values.tobytes()) not in seen:
+        text = "%.17g\n" * len(values) % tuple(values.tolist())
+        seen[key] = text.splitlines()
+    return seen[key]
 
 
-def _write_csv(path: Path, columns: dict[str, list]) -> None:
-    """Write equal-length columns under their names as header, each row as
-    one ``%`` format of its cells: like the first row's, ``%s`` for a text
-    cell and ``%.17g`` (17 significant digits) for a number."""
-    fmt = ",".join("%s" if isinstance(column[0], str) else "%.17g"
-                   for column in columns.values() if column)
-    lines = [",".join(columns), *(fmt % row for row in zip(*columns.values()))]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+def _write_csv(path: Path, columns: dict[str, list[str]], footer=()) -> None:
+    """Write equal-length text columns under their names as header, then
+    the ``footer`` lines, 512 lines per write."""
+    lines = chain([",".join(columns)], map(",".join, zip(*columns.values())),
+                  footer)
+    with path.open("wb") as f:
+        while chunk := list(islice(lines, 512)):
+            f.write(("\n".join(chunk) + "\n").encode())
 
 
 def _moles(net: ReactionNetwork, text: str, flag: str) -> np.ndarray:
@@ -185,8 +190,8 @@ def cmd_check(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "check.csv", {
-        name: [str(value).lower()] if isinstance(value, bool) else _num([value])
-        for name, value in row.items()})
+        name: [str(value).lower()] if isinstance(value, bool)
+        else _cells([value], {}) for name, value in row.items()})
 
     if args.strict and not all_hold:
         return 2
@@ -203,16 +208,18 @@ def cmd_equilibria(args) -> int:
                           T_range=(args.Tmin, args.Tmax), grid=args.grid)
 
     N = np.array([ss.N for ss in roots]).reshape(len(roots), net.n_species)
-    columns = {"T": _num([ss.T for ss in roots])}
-    columns.update((f"N_{name}", _num(N[:, i]))
+    columns = {"T": _cells([ss.T for ss in roots], {})}
+    columns.update((f"N_{name}", _cells(N[:, i], {}))
                    for i, name in enumerate(net.species_names))
     columns.update({
-        "U": _num([ss.U for ss in roots]),
-        "Qdot_required": _num([ss.Qdot for ss in roots]),
+        "U": _cells([ss.U for ss in roots], {}),
+        "Qdot_required": _cells([ss.Qdot for ss in roots], {}),
         "classification": [ss.classification for ss in roots],
-        "max_re_lambda": _num([np.max(ss.eigenvalues.real) for ss in roots]),
-        "residual": _num([drift_residual(net, np.concatenate(([ss.U], ss.N)),
-                                         (ss.q, ss.Qdot)) for ss in roots]),
+        "max_re_lambda": _cells([np.max(ss.eigenvalues.real)
+                                 for ss in roots], {}),
+        "residual": _cells([drift_residual(
+            net, np.concatenate(([ss.U], ss.N)), (ss.q, ss.Qdot))
+            for ss in roots], {}),
     })
 
     out = Path(args.out)
@@ -248,24 +255,6 @@ def _event_cells(traj: Trajectory, steps: np.ndarray) -> list[str]:
     return cells
 
 
-def _cells(values: np.ndarray, seen: dict[bytes, list[str]]) -> list[str]:
-    """The ``%.17g`` cells of a numeric column by one ``%`` format, kept in
-    ``seen`` under its bytes for reuse (so 0.0 and -0.0 stay apart)."""
-    if (key := values.tobytes()) not in seen:
-        text = "%.17g\n" * len(values) % tuple(values.tolist())
-        seen[key] = text.splitlines()
-    return seen[key]
-
-
-def _write_cells(path: Path, columns: dict, footer=()) -> None:
-    """Write a header, text columns and ``footer``, 512 lines per write."""
-    lines = chain([",".join(columns)], map(",".join, zip(*columns.values())),
-                  footer)
-    with path.open("wb") as f:
-        while chunk := list(islice(lines, 512)):
-            f.write(("\n".join(chunk) + "\n").encode())
-
-
 def _series(net: ReactionNetwork, get, seen: dict) -> dict[str, list[str]]:
     """The cells of the numeric columns after ``t`` by CSV name."""
     states = get("states")
@@ -284,7 +273,7 @@ def _write_ensemble(out: Path, net: ReactionNetwork, stats: EnsembleStats,
     t = {stats.times.tobytes(): _cells(stats.times, {})}
     for traj in stats.trajectories:
         seen = dict(t)
-        _write_cells(out / f"traj_{traj.index:03d}.csv", {
+        _write_csv(out / f"traj_{traj.index:03d}.csv", {
             "t": _cells(traj.times, seen),
             **_series(net, functools.partial(getattr, traj), seen),
             "events": _event_cells(traj, steps)})
@@ -292,8 +281,8 @@ def _write_ensemble(out: Path, net: ReactionNetwork, stats: EnsembleStats,
     mean, std = (_series(net, s.get, seen) for s in (stats.mean, stats.std))
     for name in mean:
         columns[f"mean_{name}"], columns[f"std_{name}"] = mean[name], std[name]
-    _write_cells(out / "summary.csv", columns, [
-        "stabilization_probability,%.17g" % stats.stabilization_probability])
+    _write_csv(out / "summary.csv", columns, ["stabilization_probability,"
+               + _cells([stats.stabilization_probability], seen)[0]])
 
 
 def _run_ensemble(net: ReactionNetwork, sp: Setpoint | None,

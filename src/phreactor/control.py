@@ -39,8 +39,8 @@ class ControllerGains:
         object.__setattr__(self, "K", K)
         if not np.all(np.isfinite(K)):
             raise ValueError("gain matrix must be finite")
-        if K.shape[0] != K.shape[1]:
-            raise ValueError("gain matrix must be square")
+        if K.shape != (2, 2):  # one row and column per input, q and Qdot
+            raise ValueError(f"gain matrix must be 2 x 2, got {K.shape}")
         if not np.allclose(K, K.T):
             raise ValueError("gain matrix must be symmetric")
         if np.any(np.linalg.eigvalsh(K) <= 0):

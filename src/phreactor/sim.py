@@ -35,6 +35,7 @@ availability and T_w of every record are derived from them after stepping.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +100,9 @@ class SimConfig:
         if not abs(self.n_steps * self.dt - self.t_end) <= 1e-9 * self.t_end:
             raise ValueError(f"t_end={self.t_end} is not a whole number of "
                              f"steps dt={self.dt}")
+        for name in ("seed", "n_traj", "record_every"):
+            if not isinstance(value := getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.record_every < 1 or self.n_traj < 1:
             raise ValueError("record_every and n_traj must be >= 1")
         for what, n in ((f"t_end / dt = {self.t_end / self.dt:.3g} steps "
@@ -110,6 +114,9 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (self.q_max > 0 and self.eps > 0):
             raise ValueError("q_max and eps must be positive")
+        if len(self.u_open) != 2:
+            raise ValueError(f"open-loop inputs (q, Qdot) must be a pair, "
+                             f"got {tuple(self.u_open)}")
         if not all(map(math.isfinite, self.u_open)):
             raise ValueError(f"open-loop inputs (q, Qdot) must be finite, "
                              f"got {tuple(self.u_open)}")

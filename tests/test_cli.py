@@ -16,10 +16,16 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import NO_REACTION
 import phreactor
 from phreactor import presets, sim
-from phreactor.cli import (_build_parser, _cells, _event_cells, _num,
-                           _write_csv, main)
+from phreactor.cli import (_build_parser, _cells, _event_cells, _write_csv,
+                           main)
+from phreactor.equilibrium import drift_residual, steady_states
 from phreactor.network import parse_network
 from phreactor.sim import Trajectory
+from phreactor.structure import (check_input_noise_bound, check_passivity,
+                                 check_reaction_noise_bound)
+from phreactor.thermo import ThermoState
+from phreactor.transform import (AvailabilityHamiltonian,
+                                 equivalence_residual, make_setpoint)
 
 SINGLE_SPECIES = """\
 [species]
@@ -439,8 +445,12 @@ def test_step_counts_past_int64_exit_1_naming_their_flags(tmp_path, capsys,
     assert "Maximum allowed size" not in err and not any(tmp_path.iterdir())
 
 
+def csv_cell(v):
+    return v if isinstance(v, str) else format(v, ".17g")
+
+
 def test_csv_rows_have_the_bytes_of_per_cell_formatting(tmp_path):
-    # one % format per row gives the bytes of format(v, ".17g") per cell
+    # the writer, fed _cells, gives the bytes of format(v, ".17g") per cell
     values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 330.0,
               0.1, -1.0 / 3.0]
     text = {"events": ["", "floor_A:1", "abort:1;halve:4", "q_clamp:2",
@@ -448,21 +458,66 @@ def test_csv_rows_have_the_bytes_of_per_cell_formatting(tmp_path):
             "classification": ["stable", "unstable", "", "stable", "", "",
                                "", "", ""],
             "all_hold": ["true", "false"] + [""] * 7}
-    columns = {"t": _num(values), "U": _num(values[::-1]), **text,
-               "T": _num(values[3:] + values[:3])}
-    _write_csv(tmp_path / "table.csv", columns)
+    table = {"t": values, "U": values[::-1], **text,
+             "T": values[3:] + values[:3]}
+    _write_csv(tmp_path / "table.csv", {
+        name: column if name in text else _cells(column, {})
+        for name, column in table.items()})
 
-    def cell(v):
-        return v if isinstance(v, str) else format(v, ".17g")
-
-    expected = [",".join(columns), *(",".join(map(cell, row)) for row in
-                                     zip(*columns.values()))]
+    expected = [",".join(table), *(",".join(map(csv_cell, row)) for row in
+                                   zip(*table.values()))]
     assert (tmp_path / "table.csv").read_bytes() == (
         "\n".join(expected) + "\n").encode()
     assert expected[1] == "nan,-0.33333333333333331,,stable,true,-0"
     # a table without rows is its header
-    _write_csv(tmp_path / "empty.csv", {"T": _num([]), "classification": []})
+    _write_csv(tmp_path / "empty.csv", {"T": _cells([], {}),
+                                        "classification": []})
     assert (tmp_path / "empty.csv").read_bytes() == b"T,classification\n"
+
+
+@pytest.mark.parametrize("T, N", [("342", "1,1"), ("331.9", "0.05,1.5")])
+def test_check_csv_has_the_library_values_bit_for_bit(tmp_path, T, N):
+    # the second state fails the reaction-noise bound
+    net = presets.benchmark_network()
+    sp = make_setpoint(net, 331.9, 9.15e-6)
+    state = ThermoState.from_temperature(
+        net, np.array([float(n) for n in N.split(",")]), float(T))
+    norm = check_input_noise_bound(net, state)
+    pas = check_passivity(net, state, AvailabilityHamiltonian(net, sp))
+    rxn = check_reaction_noise_bound(net, state, V_star=sp.V_star)
+    want = {
+        "all_hold": norm.holds and pas.holds and rxn.holds,
+        "input_noise_holds": norm.holds, "input_noise_lhs": norm.lhs,
+        "input_noise_rhs": norm.rhs, "feedthrough_norm": norm.delta_frobenius,
+        "trace_holds": pas.trace_holds, "trace_lhs": pas.trace_lhs,
+        "trace_rhs": pas.trace_rhs,
+        "feedthrough_psd_holds": pas.feedthrough_holds,
+        "feedthrough_min_eig": pas.feedthrough_min_eig,
+        "reaction_noise_holds": rxn.holds, "reaction_noise_lhs": rxn.lhs,
+        "reaction_noise_rhs": rxn.rhs,
+        "equivalence_residual": equivalence_residual(net, sp, state),
+    }
+    assert sum(not isinstance(v, bool) for v in want.values()) == 9
+    assert main(["check", "--T", T, "--N", N, "--setpoint-T", "331.9",
+                 "--setpoint-q", "9.15e-6", "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "check.csv")
+    assert header == list(want)
+    assert rows == [[str(v).lower() if isinstance(v, bool) else csv_cell(v)
+                     for v in want.values()]]
+
+
+def test_equilibria_csv_has_the_library_values_bit_for_bit(tmp_path):
+    net = presets.benchmark_network()
+    want = [[ss.T, *ss.N, ss.U, ss.Qdot, ss.classification,
+             np.max(ss.eigenvalues.real),
+             drift_residual(net, np.concatenate(([ss.U], ss.N)),
+                            (ss.q, ss.Qdot))]
+            for ss in steady_states(net, 9.15e-6, 299.4922)]
+    assert main(["equilibria", "--q", "9.15e-6", "--Tw", "299.4922",
+                 "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "equilibria.csv")
+    assert len(rows) == 3
+    assert rows == [[csv_cell(v) for v in row] for row in want]
 
 
 def test_open_loop_summary_ends_in_nan_probability(cfg_path, tmp_path):

@@ -23,6 +23,11 @@ from phreactor.transform import transformed_output
 def test_gains_validation():
     with pytest.raises(ValueError):
         ControllerGains(np.ones((2, 3)))
+    # one row and column per input (q, Qdot): a square gain of another size
+    # is named by its shape, not left to fail inside solve_feedback
+    for bad, shape in ((np.eye(3), r"\(3, 3\)"), ([[1e-7]], r"\(1, 1\)")):
+        with pytest.raises(ValueError, match=f"must be 2 x 2, got {shape}"):
+            ControllerGains(bad)
     with pytest.raises(ValueError):
         ControllerGains(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):

@@ -65,6 +65,19 @@ def test_config_validation():
         with pytest.raises(ValueError, match=r"open-loop inputs \(q, Qdot\) "
                            "must be finite"):
             SimConfig(mode="open_loop", u_open=bad)
+    for bad in ((1e-6,), (1e-6, 0.0, 5.0)):  # not dropped or read past
+        with pytest.raises(ValueError, match=r"open-loop inputs \(q, Qdot\) "
+                           "must be a pair"):
+            SimConfig(mode="open_loop", u_open=bad)
+    # counts are integers: a fractional record_every would record the wrong
+    # steps, a fractional n_traj or seed would fail only later
+    for name in ("record_every", "n_traj", "seed"):
+        for bad in (2.5, 1.5, np.float64(2.0)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SimConfig(t_end=0.01, mode="isolated", **{name: bad})
+    cfg = SimConfig(seed=np.int64(3), n_traj=np.int32(2),
+                    record_every=np.uint8(5))  # numpy integers are integers
+    assert cfg.record_steps.tolist()[:3] == [0, 5, 10]
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="open_loop_until must be finite"):
             SimConfig(open_loop_until=bad)

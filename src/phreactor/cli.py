@@ -189,9 +189,11 @@ def cmd_check(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    cells = iter(_cells([value for value in row.values()
+                         if not isinstance(value, bool)], {}))
     _write_csv(out / "check.csv", {
-        name: [str(value).lower()] if isinstance(value, bool)
-        else _cells([value], {}) for name, value in row.items()})
+        name: [str(value).lower() if isinstance(value, bool) else next(cells)]
+        for name, value in row.items()})
 
     if args.strict and not all_hold:
         return 2
@@ -207,19 +209,18 @@ def cmd_equilibria(args) -> int:
     roots = steady_states(net, args.q, args.Tw,
                           T_range=(args.Tmin, args.Tmax), grid=args.grid)
 
-    N = np.array([ss.N for ss in roots]).reshape(len(roots), net.n_species)
+    x = np.array([(ss.U, *ss.N) for ss in roots]).reshape(-1, net.n_species + 1)
+    u = np.array([(ss.q, ss.Qdot) for ss in roots]).reshape(-1, 2)
     columns = {"T": _cells([ss.T for ss in roots], {})}
-    columns.update((f"N_{name}", _cells(N[:, i], {}))
-                   for i, name in enumerate(net.species_names))
+    columns.update((f"N_{name}", _cells(x[:, i], {}))
+                   for i, name in enumerate(net.species_names, 1))
     columns.update({
-        "U": _cells([ss.U for ss in roots], {}),
-        "Qdot_required": _cells([ss.Qdot for ss in roots], {}),
+        "U": _cells(x[:, 0], {}),
+        "Qdot_required": _cells(u[:, 1], {}),
         "classification": [ss.classification for ss in roots],
         "max_re_lambda": _cells([np.max(ss.eigenvalues.real)
                                  for ss in roots], {}),
-        "residual": _cells([drift_residual(
-            net, np.concatenate(([ss.U], ss.N)), (ss.q, ss.Qdot))
-            for ss in roots], {}),
+        "residual": _cells(drift_residual(net, x, u), {}),
     })
 
     out = Path(args.out)

@@ -14,8 +14,8 @@ converged lower-T point, and narrows every sign change of
 
 the stationary energy residual under a jacket at T_w, by the ITP method
 (interpolate, truncate, project), all brackets in lockstep; exothermic
-networks can have several roots.  Each is classified by the eigenvalues of
-a finite-difference Jacobian of the deterministic drift (:func:`classify`).
+networks can have several roots, classified in one batch by the eigenvalues
+of finite-difference Jacobians of the deterministic drift (:func:`classify`).
 """
 
 from __future__ import annotations
@@ -48,18 +48,27 @@ class ConvergenceError(RuntimeError):
         self.N, self.converged = N, converged
 
 
-def drift_residual(net: ReactionNetwork, x, u) -> float:
+def drift_residual(net: ReactionNetwork, x, u):
     """Scaled norm of the deterministic drift at (x, u).
 
     Components are scaled by (max(|U|, 1), max(N_j, 1e-6)) so the value is
     comparable across operating points; every converged steady state keeps
-    it below 1e-8.
+    it below 1e-8.  Rows x (R, n), u (R, 2) give R norms, each as alone,
+    and the first row outside the domain raises its error.
     """
-    st = ThermoState.from_vector(net, x)
-    dU, dN = kernel.sde_terms(net, st.N, st.T, float(u[0]), float(u[1]))[0]
-    drift = np.concatenate(([dU], dN))
-    scale = np.concatenate(([max(abs(st.U), 1.0)], np.maximum(st.N, 1e-6)))
-    return float(np.linalg.norm(drift / scale))
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    N = x[..., 1:]
+    fine = (N.shape[-1:] == (net.n_species,) and np.isfinite(N).all()
+            and (N > N_FLOOR).all())
+    T = kernel.temperature(net, x[..., 0], N) if fine else None
+    if not (fine and np.all((0 < T) & (T < math.inf))):
+        for row in x.reshape(-1, x.shape[-1]):
+            ThermoState.from_vector(net, row)
+    dU, dN = kernel.sde_terms(net, N, T, u[..., 0], u[..., 1])[0]
+    scaled = np.concatenate((dU[..., None], dN), -1) / np.maximum(
+        np.abs(x), [1.0] + [1e-6] * net.n_species)
+    norm = np.sqrt(np.vecdot(scaled, scaled))
+    return float(norm) if x.ndim == 1 else norm
 
 
 def _balance(net: ReactionNetwork, N, T, q):
@@ -175,8 +184,8 @@ class SteadyState:
 MARGINAL_TOL = 1e-9
 
 
-def classify(net: ReactionNetwork, x, u, jacket: tuple[float, float] | None = None,
-             ) -> tuple[str, np.ndarray]:
+def classify(net: ReactionNetwork, x, u,
+             jacket: tuple[float, float] | None = None):
     """Classify a stationary state by the drift Jacobian's spectrum.
 
     With ``jacket=None`` the inputs u = (q, Qdot) are held fixed.  With
@@ -184,28 +193,35 @@ def classify(net: ReactionNetwork, x, u, jacket: tuple[float, float] | None = No
     Qdot = lam (T_w - T(x)), which adds thermal feedback and is the
     physically relevant linearization for a jacket held at constant
     temperature.  The perturbed states are evaluated as one batch, each
-    checked like a :class:`ThermoState`.
+    checked like a :class:`ThermoState`; rows x (R, n), u (R, 2) classify R
+    states in that batch, each as alone.
 
-    Returns ("stable" | "unstable" | "marginal", eigenvalues).
+    Returns ("stable" | "unstable" | "marginal", eigenvalues), or R of each.
     """
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-    n, k = x.size, np.arange(x.size)
+    n, k = x.shape[-1], np.arange(x.shape[-1])
     h = 1e-6 * np.maximum(np.abs(x), 1.0)
-    X = np.tile(x, (2 * n, 1))
-    X[k, k] += h
-    X[n + k, k] -= h
-    N = X[:, 1:]
+    X = np.repeat(x[..., None, :], 2 * n, -2)  # per state: +h rows, -h rows
+    X[..., k, k] += h
+    X[..., n + k, k] -= h
+    N = (flat := X.reshape(-1, n))[:, 1:]
     if N.shape[1] != net.n_species or np.any(N <= N_FLOOR):
         raise ThermoDomainError(f"perturbed N needs {net.n_species} entries > {N_FLOOR}")
-    if not np.all((T := kernel.temperature(net, X[:, 0], N)) > 0):
+    if not np.all((T := kernel.temperature(net, flat[:, 0], N)) > 0):
         raise ThermoDomainError(f"temperature {T.min()} K is not positive")
-    Qdot = float(u[1]) if jacket is None else jacket[0] * (jacket[1] - T)
-    D = np.column_stack(kernel.sde_terms(net, N, T, float(u[0]), Qdot)[0])
-    eigs = np.linalg.eigvals(((D[:n] - D[n:]) / (2.0 * h)[:, None]).T)
-    max_re = float(np.max(eigs.real))
-    label = ("marginal" if abs(max_re) < MARGINAL_TOL
-             else "stable" if max_re < 0 else "unstable")
-    return label, eigs
+    q, Qdot = np.repeat(u.reshape(-1, 2), 2 * n, 0).T
+    Qdot = Qdot if jacket is None else jacket[0] * (jacket[1] - T)
+    D = np.column_stack(kernel.sde_terms(net, N, T, q, Qdot)[0]).reshape(X.shape)
+    eigs = np.linalg.eigvals(((D[..., :n, :] - D[..., n:, :])
+                              / (2.0 * h)[..., :, None]).swapaxes(-1, -2))
+    labels = ["marginal" if abs(max_re) < MARGINAL_TOL
+              else "stable" if max_re < 0 else "unstable"
+              for max_re in np.atleast_1d(np.max(eigs.real, -1)).tolist()]
+    if x.ndim == 1:
+        return labels[0], eigs
+    # eigvals makes a whole stack complex if one row is: give each row the
+    # dtype of its lone call
+    return labels, [e if e.imag.any() else e.real for e in eigs]
 
 
 def steady_states(net: ReactionNetwork, q: float, T_w: float,
@@ -283,10 +299,11 @@ def steady_states(net: ReactionNetwork, q: float, T_w: float,
     root_T = 0.5 * (a + b)
     root_N = mass_balance_steady(net, root_T, q, N0=N_it)
 
-    roots = []
-    for T, N in zip(root_T, root_N):  # grid order is temperature order
-        U, Qdot = internal_energy(net, N, T), lam * (T_w - T)
-        label, eigs = classify(net, np.concatenate(([U], N)),
-                               np.array([q, Qdot]), jacket=(lam, T_w))
-        roots.append(SteadyState(T, N, U, q, Qdot, T_w, label, eigs))
-    return roots
+    U = [internal_energy(net, N, T) for T, N in zip(root_T, root_N)]
+    Qdot = lam * (T_w - root_T)
+    labels, eigs = classify(net, np.column_stack((U, root_N)),
+                            np.column_stack((np.full(len(U), q), Qdot)),
+                            jacket=(lam, T_w))
+    rows = zip(root_T, root_N, U, Qdot, labels, eigs)  # in temperature order
+    return [SteadyState(T, N, U_T, q, Qdot_T, T_w, label, e)
+            for T, N, U_T, Qdot_T, label, e in rows]

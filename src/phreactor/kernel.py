@@ -22,7 +22,8 @@ mixing scale, computes no entropy S (the step never reads it), and hands
 its flow column (g00, dc, c = N / V) to :func:`em_update`, whose rates
 read the concentrations c from it.  The constants come derived once, from
 the network's :class:`StepConstants`, and multiplicities of 0 or 1 gather
-concentrations instead of raising them to powers.
+concentrations instead of raising them to powers, in the rates and in their
+derivatives alike, with the same bits save a NaN's sign, which pow drops.
 """
 
 from __future__ import annotations
@@ -34,20 +35,22 @@ import numpy as np
 
 #: See :func:`step_constants`.
 StepConstants = namedtuple("StepConstants", "neg_cp k0 neg_E stoich slots "
-                           "half_rho2_sq half_rho3_sq V R T_ref PV c_in h_in")
+                           "grad_slots half_rho2_sq half_rho3_sq V R T_ref PV "
+                           "c_in h_in")
 
 
 def step_constants(net) -> StepConstants:
     """The constants of ``net``'s formulas, cached as ``net.step_constants``,
     each as exact as inline: -cp; k0, -E and the multiplicities (p, 2 r) of
-    the forward then the backward directions, with their
-    :func:`_species_slots`; 0.5 rho2^2 and 0.5 rho3^2; V, R, T_ref and P V;
-    c_in and the inlet enthalpy density c_in^T h(T_in)."""
+    the forward then the backward directions, with :func:`_species_slots`
+    and :func:`_gradient_slots`; 0.5 rho2^2 and 0.5 rho3^2; V, R, T_ref and
+    P V; c_in and the inlet enthalpy density c_in^T h(T_in)."""
     rx, rho = net.reactor, net.noise
     stoich = np.hstack((net.stoich_reactants, net.stoich_products))
     return StepConstants(
         -net.cp, np.concatenate((net.k0f, net.k0b)),
         -np.concatenate((net.Ef, net.Eb)), stoich, _species_slots(stoich),
+        _gradient_slots(stoich),
         0.5 * rho.rho2 ** 2, 0.5 * rho.rho3 ** 2, rx.V, rx.R_gas, rx.T_ref,
         rx.P * rx.V, net.c_in, float(net.c_in @ enthalpy(net, net.inlet.T_in)))
 
@@ -103,7 +106,7 @@ def _species_product(c, stoich, slots=None):
     operands and the scalar one on broadcast ones, which round apart in the
     last bit, so a batch row could differ from the row alone.  Given its
     :func:`_species_slots`, it multiplies gathered c_j instead, with the
-    same bits: pow(x, 1) = x, pow(x, 0) = 1 and x * 1 = x for every x."""
+    same bits: pow(x, 1) = x, pow(x, 0) = 1 and x * 1 = x save a NaN's sign."""
     if slots is None:
         return _ordered_product(np.float_power(c[..., :, None], stoich))
     index, pad = slots
@@ -126,11 +129,27 @@ def _species_slots(stoich):
                 any(p in species for species in index))
 
 
-def _species_product_gradient(c, stoich):
+def _gradient_slots(stoich):
+    """The index into (c, 1, 0) of :func:`_species_product_gradient`'s
+    factors when every multiplicity is 0 or 1, else None: entry (j, l, i)
+    reads c_l or 1 by stoich[l, i], and stoich[j, i] itself at l = j."""
+    p, one = len(stoich), stoich == 1.0
+    if (one | (stoich == 0.0)).all():
+        diagonal = np.eye(p, dtype=bool)[..., None]
+        return np.where(diagonal, np.where(one, p, p + 1)[:, None],
+                        np.where(one, np.arange(p)[:, None], p))
+
+
+def _species_product_gradient(c, stoich, index=None):
     """The derivatives of :func:`_species_product` in c, shape (..., p, r):
     entry (j, i) is stoich[j, i] c_j ** (stoich[j, i] - 1) times the other
     species' powers of reaction i.  The lowered power is taken as
-    stoich c_j ** max(stoich - 1, 0), so it is exact at c_j = 0."""
+    stoich c_j ** max(stoich - 1, 0), so it is exact at c_j = 0.  Given its
+    :func:`_gradient_slots`, it gathers the factors instead."""
+    if index is not None:  # (c, 1, 0), read through the index
+        ext = np.zeros((*c.shape[:-1], len(stoich) + 2))
+        ext[..., :-2], ext[..., -2] = c, 1.0
+        return _ordered_product(ext[..., index])
     c_col, j = c[..., :, None], np.arange(len(stoich))
     # row j: the powers with species j's lowered
     factors = np.repeat(np.float_power(c_col, stoich)[..., None, :, :],
@@ -168,8 +187,9 @@ def mass_action_jacobian(net, c, T):
     rates in c, shape (..., r, p), entry (i, j) = k_i alpha_ij
     c_j ** (alpha_ij - 1) prod_{l != j} c_l ** alpha_il for the
     multiplicities alpha of that side; exact at c_j = 0."""
+    k = net.step_constants
     J = (_rate_constants(net, T)[..., None, :] * _species_product_gradient(
-        c, net.step_constants.stoich)).swapaxes(-1, -2)
+        c, k.stoich, k.grad_slots)).swapaxes(-1, -2)
     return J[..., :len(net.reactions), :], J[..., len(net.reactions):, :]
 
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import NO_REACTION, equilibrium_composition, networks
+from conftest import (NO_REACTION, equilibrium_composition, networks,
+                      random_states)
 from phreactor import equilibrium, kernel, presets
 from phreactor.control import jacket_temperature
 from phreactor.equilibrium import (
@@ -258,6 +259,70 @@ def test_exact_jacobian_matches_central_differences(net, data):
     J_fd = _central_differences(net, N, T, q, h)
     bound = FD_RTOL * terms + 1e-13 * sizes[..., None] / h[:, None, :]
     assert (np.abs(J - J_fd) <= bound).all()
+
+
+def _power_gradient(c, stoich):
+    """The species product's derivatives by libm's powers, species j's
+    lowered in row j, multiplied in species order: the kernel's formula
+    for every multiplicity, and the reference for the gathered one."""
+    c_col, j = c[..., :, None], np.arange(len(stoich))
+    factors = np.repeat(np.float_power(c_col, stoich)[..., None, :, :],
+                        len(j), axis=-3)
+    factors[..., j, j, :] = stoich * np.float_power(
+        c_col, np.maximum(stoich - 1.0, 0.0))
+    return np.multiply.reduce(factors, -2)
+
+
+#: Concentrations at the edges of the floats; -nan has its sign bit set.
+_EDGES = (0.0, -0.0, 5e-324, 2.0 ** -1030, 2.2250738585072014e-308, math.inf,
+          -math.inf, math.nan, -math.nan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(net=networks(max_multiplicity=1), data=st.data())
+def test_gathered_gradient_has_the_powers_bits(net, data):
+    """With multiplicities 0 and 1 only, the gathered derivatives have the
+    bits of libm's powers, also at 0, -0.0, subnormals and inf, and NaN
+    where they have NaN (pow drops a NaN's sign bit, a gather keeps it);
+    a batch row has the bits of the row alone."""
+    k, B = net.step_constants, data.draw(st.integers(1, 4))
+    c = data.draw(arrays(float, (B, net.n_species), elements=st.one_of(
+        st.sampled_from(_EDGES), st.floats(allow_nan=False))))
+    assert k.grad_slots is not None
+    with np.errstate(all="ignore"):  # inf * 0 and the like
+        gathered = kernel._species_product_gradient(c, k.stoich, k.grad_slots)
+        powers = _power_gradient(c, k.stoich)
+        lone = [kernel._species_product_gradient(row, k.stoich, k.grad_slots)
+                for row in c]
+    np.testing.assert_array_equal(np.isnan(gathered), np.isnan(powers))
+    number = ~np.isnan(powers)
+    np.testing.assert_array_equal(gathered.view(np.uint64)[number],
+                                  powers.view(np.uint64)[number])
+    for row, alone in zip(gathered, lone):
+        np.testing.assert_array_equal(row.view(np.uint64),
+                                      alone.view(np.uint64))
+
+
+def test_jacobian_takes_powers_only_above_multiplicity_1(net, monkeypatch):
+    """The bundled A -> B network's Jacobian gathers; 2 A -> B, with a
+    multiplicity of 2, still takes libm's powers, with the bits of the
+    reference formula."""
+    second, calls, power = parse_network(NONLINEAR), [], np.float_power
+    c, T = np.array([[1.5, 0.25], [0.0, 2.0]]), np.array([330.0, 290.0])
+
+    def counted(*args):
+        calls.append(len(args))
+        return power(*args)
+
+    monkeypatch.setattr(np, "float_power", counted)
+    kernel.mass_action_jacobian(net, c, T)
+    assert net.step_constants.grad_slots is not None and calls == []
+    kernel.mass_action_jacobian(second, c, T)
+    assert second.step_constants.grad_slots is None and calls == [2, 2]
+    k = second.step_constants
+    np.testing.assert_array_equal(
+        kernel._species_product_gradient(c, k.stoich, k.grad_slots),
+        _power_gradient(c, k.stoich))
 
 
 def _energy(net, q, T_w, T, N):
@@ -553,3 +618,104 @@ def test_isolated_reaction_equilibrium_is_marginal(cnet):
     assert label == "marginal"
     assert (np.abs(eig.real) < 1e-9).sum() == 2
     assert float(eig.real.min()) < -1.0
+
+
+def _scans(net):
+    """(network, q, T_w) of the bundled default scan, the 2 A -> B scan and
+    20 seeded draws from the benchmark's band (q* +- 0.5 %, T_w +- 0.2 K)."""
+    rng = np.random.default_rng(25)
+    return [(net, presets.Q_STAR, 299.4922),
+            (parse_network(NONLINEAR), presets.Q_STAR, NONLINEAR_TW),
+            *((net, presets.Q_STAR * (1.0 + rng.uniform(-0.005, 0.005)),
+               299.4922 + rng.uniform(-0.2, 0.2)) for _ in range(20))]
+
+
+def _same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_batched_tail_equals_each_root_alone(net):
+    """The scan classifies its roots in one batch and the CLI takes their
+    residuals in one: every root's label, eigenvalues and residual have
+    the bits of the one-root classify and drift_residual calls."""
+    for network, q, T_w in _scans(net):
+        roots = steady_states(network, q, T_w)
+        assert roots
+        x = np.array([np.concatenate(([r.U], r.N)) for r in roots])
+        u = np.array([[r.q, r.Qdot] for r in roots])
+        residuals = drift_residual(network, x, u)
+        for r, xr, ur, residual in zip(roots, x, u, residuals):
+            label, eigs = classify(network, xr, ur,
+                                   jacket=(network.reactor.lam, T_w))
+            assert r.classification == label
+            _same_bits(r.eigenvalues, eigs)
+            assert residual.hex() == drift_residual(network, xr, ur).hex()
+
+
+def test_batched_classify_keeps_each_spectrum_as_alone(net):
+    # random states and inputs, some with complex spectra: each row keeps
+    # its own dtype, which eigvals gives a whole stack
+    rng = np.random.default_rng(3)
+    Ts, Ns = random_states(net, 40, rng)
+    x = np.array([ThermoState.from_temperature(net, N, T).x
+                  for T, N in zip(Ts, Ns)])
+    u = np.column_stack((presets.Q_STAR * rng.uniform(0.5, 2.0, len(x)),
+                         rng.uniform(-100.0, 100.0, len(x))))
+    for jacket in (None, (net.reactor.lam, 300.0)):
+        labels, eigs = classify(net, x, u, jacket=jacket)
+        assert {e.dtype.kind for e in eigs} == {"c", "f"}
+        for xr, ur, label, e in zip(x, u, labels, eigs):
+            alone = classify(net, xr, ur, jacket=jacket)
+            assert label == alone[0]
+            _same_bits(e, alone[1])
+
+
+def test_bad_row_in_a_batch_raises_its_own_error(net, roots):
+    x = np.array([np.concatenate(([r.U], r.N)) for r in roots])
+    u = np.array([[r.q, r.Qdot] for r in roots])
+    U_cold = ThermoState.from_temperature(net, np.array([1.0, 1.0]), 1e-5).U
+    bad_rows = {
+        classify: [[x[0, 0], 1.0, 1e-6], [U_cold, 1.0, 1.0]],
+        drift_residual: [[x[0, 0], 1.0, math.nan], [x[0, 0], 1.0, 0.0],
+                         [x[0, 0], math.inf, 1.0], [-1e12, 1.0, 1.0],
+                         [math.inf, 1.0, 1.0], [math.nan, 1.0, 1.0]],
+    }
+    for call, rows in bad_rows.items():
+        for bad in map(np.array, rows):
+            with pytest.raises(ThermoDomainError) as alone:
+                call(net, bad, u[1])
+            with pytest.raises(ThermoDomainError) as batch:
+                call(net, np.vstack((x[:1], bad, x[1:])),
+                     np.vstack((u, u[:1])))
+            assert str(batch.value) == str(alone.value)
+    # of several bad rows, drift_residual names the first, as ThermoState
+    rows = np.array(bad_rows[drift_residual][::-1])
+    with pytest.raises(ThermoDomainError, match="temperature nan K"):
+        drift_residual(net, rows, np.tile(u[0], (len(rows), 1)))
+    # rows of the wrong width
+    with pytest.raises(ThermoDomainError, match="needs 2 entries"):
+        classify(net, np.ones((2, 4)), u[:2])
+    with pytest.raises(ThermoDomainError, match=r"shape \(2,\), got \(3,\)"):
+        drift_residual(net, np.ones((2, 4)), u[:2])
+
+
+def _counting(calls, f):
+    def counted(*args, **kwargs):
+        calls.append(f.__name__)
+        return f(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("network, T_w", [
+    (presets.CONFIG_TEXT, 299.4922), (NONLINEAR, NONLINEAR_TW)],
+    ids=["bundled", "2A"])
+def test_scan_solves_six_times_and_classifies_once(network, T_w,
+                                                   monkeypatch):
+    """The grid, 4 ITP rounds and the final solve, then one classify call
+    for all roots."""
+    calls = []
+    for f in (mass_balance_steady, classify):
+        monkeypatch.setattr(equilibrium, f.__name__, _counting(calls, f))
+    assert len(steady_states(parse_network(network), presets.Q_STAR, T_w))
+    assert calls == ["mass_balance_steady"] * 6 + ["classify"]

@@ -62,7 +62,7 @@ from .structure import (
     check_passivity,
     check_reaction_noise_bound,
 )
-from .thermo import ThermoState
+from .thermo import ThermoDomainError, ThermoState
 from .transform import (
     AvailabilityHamiltonian,
     Setpoint,
@@ -119,23 +119,27 @@ def _load_network(path: str | None) -> ReactionNetwork:
 
 
 def _setpoint_from_flags(net: ReactionNetwork, args) -> Setpoint:
-    if args.setpoint_T is None or args.setpoint_q is None:
+    T, q = args.setpoint_T, args.setpoint_q
+    if T is None or q is None:
         raise CliError("--setpoint-T and --setpoint-q are required")
-    if not 0 < args.setpoint_T < np.inf:
-        raise CliError(f"--setpoint-T must be finite and positive, "
-                       f"got {args.setpoint_T}")
-    if not 0 <= args.setpoint_q < np.inf:
-        raise CliError(f"--setpoint-q must be finite and nonnegative, "
-                       f"got {args.setpoint_q}")
-    if args.setpoint_N is not None:
-        return setpoint_from_state(net, _moles(net, args.setpoint_N,
-                                               "--setpoint-N"),
-                                   args.setpoint_T, args.setpoint_q)
-    if args.setpoint_q == 0 and (conserved := conserved_moles(net)):
+    if not 0 < T < np.inf:
+        raise CliError(f"--setpoint-T must be finite and positive, got {T}")
+    if not 0 <= q < np.inf:
+        raise CliError(f"--setpoint-q must be finite and nonnegative, got {q}")
+    given = args.setpoint_N is not None
+    if not given and q == 0 and (conserved := conserved_moles(net)):
         raise CliError(f"at --setpoint-q 0 the closed reactor conserves "
                        f"{conserved}, so (T*, q*) does not determine N*; "
                        "give it with --setpoint-N")
-    return make_setpoint(net, args.setpoint_T, args.setpoint_q)
+    try:
+        if given:
+            return setpoint_from_state(net, _moles(net, args.setpoint_N,
+                                                   "--setpoint-N"), T, q)
+        return make_setpoint(net, T, q)
+    except ThermoDomainError as exc:
+        raise CliError(f"the setpoint N* {'given' if given else 'solved'} at "
+                       f"--setpoint-T {T} and --setpoint-q {q} leaves the "
+                       f"domain: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

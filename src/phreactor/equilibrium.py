@@ -194,7 +194,8 @@ def classify(net: ReactionNetwork, x, u,
     physically relevant linearization for a jacket held at constant
     temperature.  The perturbed states are evaluated as one batch, each
     checked like a :class:`ThermoState`; rows x (R, n), u (R, 2) classify R
-    states in that batch, each as alone.
+    states in that batch, each as alone, and the first bad row raises its
+    error.
 
     Returns ("stable" | "unstable" | "marginal", eigenvalues), or R of each.
     """
@@ -205,9 +206,15 @@ def classify(net: ReactionNetwork, x, u,
     X[..., k, k] += h
     X[..., n + k, k] -= h
     N = (flat := X.reshape(-1, n))[:, 1:]
-    if N.shape[1] != net.n_species or np.any(N <= N_FLOOR):
-        raise ThermoDomainError(f"perturbed N needs {net.n_species} entries > {N_FLOOR}")
-    if not np.all((T := kernel.temperature(net, flat[:, 0], N)) > 0):
+    fine = N.shape[1] == net.n_species and not np.any(N <= N_FLOOR)
+    T = kernel.temperature(net, flat[:, 0], N) if fine else None
+    if not (fine and np.all(T > 0)):
+        if x.ndim > 1:  # the first bad row raises its own error
+            for row, inputs in zip(x.reshape(-1, n), u.reshape(-1, 2)):
+                classify(net, row, inputs, jacket)
+        if not fine:
+            raise ThermoDomainError(
+                f"perturbed N needs {net.n_species} entries > {N_FLOOR}")
         raise ThermoDomainError(f"temperature {T.min()} K is not positive")
     q, Qdot = np.repeat(u.reshape(-1, 2), 2 * n, 0).T
     Qdot = Qdot if jacket is None else jacket[0] * (jacket[1] - T)

@@ -21,9 +21,9 @@ takes sum N once for the S-free closures (:func:`potentials`) and the
 mixing scale, computes no entropy S (the step never reads it), and hands
 its flow column (g00, dc, c = N / V) to :func:`em_update`, whose rates
 read the concentrations c from it.  The constants come derived once, from
-the network's :class:`StepConstants`, and multiplicities of 0 or 1 gather
-concentrations instead of raising them to powers, in the rates and in their
-derivatives alike, with the same bits save a NaN's sign, which pow drops.
+the network's :class:`StepConstants`.  The rates and their derivatives take
+no ``pow``: c_j ** alpha is c_j gathered alpha times, in species order, for
+every multiplicity alpha (:func:`_gathers`).
 """
 
 from __future__ import annotations
@@ -34,23 +34,21 @@ from collections import namedtuple
 import numpy as np
 
 #: See :func:`step_constants`.
-StepConstants = namedtuple("StepConstants", "neg_cp k0 neg_E stoich slots "
-                           "grad_slots half_rho2_sq half_rho3_sq V R T_ref PV "
-                           "c_in h_in")
+StepConstants = namedtuple("StepConstants", "neg_cp k0 neg_E slots grad_slots "
+                           "half_rho2_sq half_rho3_sq V R T_ref PV c_in h_in")
 
 
 def step_constants(net) -> StepConstants:
     """The constants of ``net``'s formulas, cached as ``net.step_constants``,
-    each as exact as inline: -cp; k0, -E and the multiplicities (p, 2 r) of
-    the forward then the backward directions, with :func:`_species_slots`
-    and :func:`_gradient_slots`; 0.5 rho2^2 and 0.5 rho3^2; V, R, T_ref and
-    P V; c_in and the inlet enthalpy density c_in^T h(T_in)."""
+    each as exact as inline: -cp; k0 and -E of the forward then the backward
+    directions, with the :func:`_gathers` of their multiplicities; 0.5 rho2^2
+    and 0.5 rho3^2; V, R, T_ref and P V; c_in and the inlet enthalpy density
+    c_in^T h(T_in)."""
     rx, rho = net.reactor, net.noise
-    stoich = np.hstack((net.stoich_reactants, net.stoich_products))
     return StepConstants(
         -net.cp, np.concatenate((net.k0f, net.k0b)),
-        -np.concatenate((net.Ef, net.Eb)), stoich, _species_slots(stoich),
-        _gradient_slots(stoich),
+        -np.concatenate((net.Ef, net.Eb)),
+        *_gathers(np.hstack((net.stoich_reactants, net.stoich_products))),
         0.5 * rho.rho2 ** 2, 0.5 * rho.rho3 ** 2, rx.V, rx.R_gas, rx.T_ref,
         rx.P * rx.V, net.c_in, float(net.c_in @ enthalpy(net, net.inlet.T_in)))
 
@@ -99,72 +97,51 @@ def closures(net, N, T):
     return h, mu_over_T, S, theta
 
 
-def _species_product(c, stoich, slots=None):
-    """prod_j c_j ** stoich[j] over the species j, multiplied in species
-    order.  The powers are ``np.float_power``'s, which takes libm's ``pow``
-    element by element: ``**`` runs numpy's vectorised ``pow`` on contiguous
-    operands and the scalar one on broadcast ones, which round apart in the
-    last bit, so a batch row could differ from the row alone.  Given its
-    :func:`_species_slots`, it multiplies gathered c_j instead, with the
-    same bits: pow(x, 1) = x, pow(x, 0) = 1 and x * 1 = x save a NaN's sign."""
-    if slots is None:
-        return _ordered_product(np.float_power(c[..., :, None], stoich))
-    index, pad = slots
-    if pad:  # a column with fewer species reads 1 from an appended slot
-        c = np.concatenate((c, np.ones_like(c[..., :1])), -1)
-    return _ordered_product(c.take(index, -1))
+def _gathers(stoich):
+    """(slots, grad_slots): the gathers of :func:`_gathered_product` for
+    prod_l c_l ** alpha_l over each column alpha of ``stoich``, shape
+    (m, 2 r), and for its derivatives in each c_j, shape (p, m', 2 r).  The
+    product lists each c_l alpha_l times; the derivative in c_j lists alpha_j
+    at l = j, then c_j alpha_j - 1 times, then each other c_l alpha_l times,
+    all in species order.  Slot p + v reads v from the gather's tail
+    (0, 1, ...), empty when only c is read; slot p + 1 (1) pads the lists."""
+    p, columns = len(stoich), stoich.T.tolist()
+    if not all(a >= 0 and a % 1 == 0 for column in columns for a in column):
+        raise ValueError(f"multiplicities must be integers >= 0: {columns}")
+    columns = [[int(a) for a in column] for column in columns]
+
+    def slots(column, j):  # derivative in c_j, or the product for j = None
+        return [s for l, a in enumerate(column)
+                for s in ([p + a] + [l] * (a - 1) if l == j else [l] * a)]
+
+    def gather(rows):
+        lists = [[slots(column, j) for column in columns] for j in rows]
+        m = max((len(f) for row in lists for f in row), default=1) or 1
+        index = np.array([[f + [p + 1] * (m - len(f)) for f in row]
+                          for row in lists], dtype=np.intp)
+        index = index.reshape(len(rows), -1, m).swapaxes(-1, -2)
+        return index, np.arange(max(index.max(initial=0) - p + 1, 0),
+                                dtype=float)
+
+    (product, tail), gradient = gather([None]), gather(range(p))
+    return (product[0], tail), gradient
 
 
-def _species_slots(stoich):
-    """(index, pad) when every multiplicity in ``stoich`` is 0 or 1, else
-    None.  Row k of the index array holds each column's k-th species of
-    multiplicity 1 in species order, or, past its last, p: an appended
-    slot that reads 1; ``pad`` says whether any slot is p."""
-    columns, p = stoich.T.tolist(), len(stoich)  # lists: a tiny matrix
-    if all(v in (0.0, 1.0) for column in columns for v in column):
-        index = [[j for j, v in enumerate(column) if v] for column in columns]
-        m = max(map(len, index), default=1) or 1
-        index = [species + [p] * (m - len(species)) for species in index]
-        return (np.array(index, dtype=int).reshape(-1, m).T,
-                any(p in species for species in index))
-
-
-def _gradient_slots(stoich):
-    """The index into (c, 1, 0) of :func:`_species_product_gradient`'s
-    factors when every multiplicity is 0 or 1, else None: entry (j, l, i)
-    reads c_l or 1 by stoich[l, i], and stoich[j, i] itself at l = j."""
-    p, one = len(stoich), stoich == 1.0
-    if (one | (stoich == 0.0)).all():
-        diagonal = np.eye(p, dtype=bool)[..., None]
-        return np.where(diagonal, np.where(one, p, p + 1)[:, None],
-                        np.where(one, np.arange(p)[:, None], p))
-
-
-def _species_product_gradient(c, stoich, index=None):
-    """The derivatives of :func:`_species_product` in c, shape (..., p, r):
-    entry (j, i) is stoich[j, i] c_j ** (stoich[j, i] - 1) times the other
-    species' powers of reaction i.  The lowered power is taken as
-    stoich c_j ** max(stoich - 1, 0), so it is exact at c_j = 0.  Given its
-    :func:`_gradient_slots`, it gathers the factors instead."""
-    if index is not None:  # (c, 1, 0), read through the index
-        ext = np.zeros((*c.shape[:-1], len(stoich) + 2))
-        ext[..., :-2], ext[..., -2] = c, 1.0
-        return _ordered_product(ext[..., index])
-    c_col, j = c[..., :, None], np.arange(len(stoich))
-    # row j: the powers with species j's lowered
-    factors = np.repeat(np.float_power(c_col, stoich)[..., None, :, :],
-                        len(j), axis=-3)
-    lowered = np.float_power(c_col, np.maximum(stoich - 1.0, 0.0))
-    factors[..., j, j, :] = stoich * lowered
-    return _ordered_product(factors)
-
-
-def _ordered_product(factors):
-    """Product over the species axis (-2) of ``factors``, multiplied in
-    species order."""
+def _gathered_product(c, gather):
+    """The product of each list of factors that ``gather`` (see
+    :func:`_gathers`) reads from c and its tail of constants, multiplied in
+    list order.  Every multiplicity is a gather, so the rates take no
+    ``pow``: a square c * c is correctly rounded, and an appended 1 exact."""
+    index, tail = gather
+    if len(tail):  # slot p + v reads v; the zeros give v = 0
+        p = c.shape[-1]
+        ext = np.zeros((*c.shape[:-1], p + len(tail)))
+        ext[..., :p], ext[..., p + 1:] = c, tail[1:]
+        c = ext
+    factors = c[..., index]
     product = factors[..., 0, :]
-    for j in range(1, factors.shape[-2]):
-        product = product * factors[..., j, :]
+    for k in range(1, index.shape[-2]):
+        product = product * factors[..., k, :]
     return product
 
 
@@ -178,7 +155,7 @@ def _rate_constants(net, T):
 def mass_action(net, c, T) -> tuple[np.ndarray, np.ndarray]:
     """Arrhenius mass-action rates (r_f, r_b) at concentrations c."""
     k = net.step_constants
-    rates = _rate_constants(net, T) * _species_product(c, k.stoich, k.slots)
+    rates = _rate_constants(net, T) * _gathered_product(c, k.slots)
     return rates[..., :len(net.reactions)], rates[..., len(net.reactions):]
 
 
@@ -188,8 +165,8 @@ def mass_action_jacobian(net, c, T):
     c_j ** (alpha_ij - 1) prod_{l != j} c_l ** alpha_il for the
     multiplicities alpha of that side; exact at c_j = 0."""
     k = net.step_constants
-    J = (_rate_constants(net, T)[..., None, :] * _species_product_gradient(
-        c, k.stoich, k.grad_slots)).swapaxes(-1, -2)
+    J = (_rate_constants(net, T)[..., None, :]
+         * _gathered_product(c, k.grad_slots)).swapaxes(-1, -2)
     return J[..., :len(net.reactions), :], J[..., len(net.reactions):, :]
 
 

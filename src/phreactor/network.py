@@ -17,6 +17,8 @@ order::
 
 Reaction sides are ``+``-separated terms; a term is a species name with an
 optional positive integer multiplicity prefix (``2A`` means two of ``A``).
+A species' multiplicity on one side, its terms summed, is at most
+``MAX_MULTIPLICITY`` (16).
 Spacing around ``->`` and ``+`` is free: ``2A->A+B`` reads as ``2A -> A + B``.
 ``R_gas`` defaults to 8.314 J/(mol K); every other key shown is mandatory.
 Within a section the key=value pairs may come in any order and over any
@@ -42,6 +44,9 @@ import numpy as np
 from . import kernel
 
 R_GAS_DEFAULT = 8.314
+
+#: The largest multiplicity of a species on one side of a reaction.
+MAX_MULTIPLICITY = 16
 
 _SECTION_ORDER = ("species", "reactions", "reactor", "inlet", "noise")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -245,6 +250,10 @@ def validate(net: ReactionNetwork) -> list[str]:
             continue
         if any(k < 0 for k in rxn.reactants + rxn.products):
             diags.append(f"reaction {i} has a negative multiplicity")
+        for name, k in zip(net.species_names * 2, rxn.reactants + rxn.products):
+            if not k < 0 and not (k <= MAX_MULTIPLICITY and k % 1 == 0):
+                diags.append(f"reaction {i} multiplicity of {name} must be an "
+                             f"integer from 0 to {MAX_MULTIPLICITY}, not {k!r}")
         if not (any(rxn.reactants) and any(rxn.products)):
             diags.append(f"reaction {i} has a side with no species")
         if rxn.reactants == rxn.products:
@@ -455,7 +464,8 @@ def _fmt(x: float) -> str:
 
 
 def _side_text(counts: tuple[int, ...], names: tuple[str, ...]) -> str:
-    return " + ".join(name if mult == 1 else f"{mult}{name}"
+    return " + ".join(name if mult == 1 else
+                      f"{int(mult) if mult % 1 == 0 else mult}{name}"
                       for mult, name in zip(counts, names) if mult)
 
 

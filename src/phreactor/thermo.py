@@ -45,7 +45,8 @@ def _as_moles(net: ReactionNetwork, N) -> np.ndarray:
     if not np.isfinite(N).all():
         raise ThermoDomainError(f"mole numbers must be finite, got {N.tolist()}")
     if np.any(N <= N_FLOOR):
-        raise ThermoDomainError(f"mole numbers must exceed {N_FLOOR} mol")
+        raise ThermoDomainError(f"mole numbers must exceed {N_FLOOR} mol, "
+                                f"got {N.tolist()}")
     return N
 
 

@@ -683,10 +683,24 @@ def test_nonfinite_mole_numbers_exit_1(cfg_path, tmp_path, capsys, argv):
       "--k-flow", "inf"], "phreactor: error: gain matrix must be finite"),
     (["simulate", "--T0", "342", "--N0", "1,1", "--t-end", "0.01",
       "--k-flow", "nan"], "phreactor: error: gain matrix must be finite"),
+    # at 150 K no B forms: the mole balance solves to N* = (2, 0)
+    (["check", "--T", "342", "--N", "1,1", "--setpoint-T", "150"],
+     "the setpoint N* solved at --setpoint-T 150.0 and "
+     "--setpoint-q 9.15e-06 leaves the domain: mole numbers must exceed "
+     "1e-12 mol, got [2.0, 0.0]"),
+    (["simulate", "--T0", "342", "--N0", "1,1", "--t-end", "0.01",
+      "--setpoint-T", "150"], "the setpoint N* solved at --setpoint-T 150.0 "
+     "and --setpoint-q 9.15e-06 leaves the domain: mole numbers must exceed "
+     "1e-12 mol, got [2.0, 0.0]"),
+    (["check", "--T", "342", "--N", "1,1", "--setpoint-N", "1,0"],
+     "the setpoint N* given at --setpoint-T 331.9 and "
+     "--setpoint-q 9.15e-06 leaves the domain: mole numbers must exceed "
+     "1e-12 mol, got [1.0, 0.0]"),
 ], ids=["check-T-inf", "check-setpoint-T-inf", "simulate-T0-inf",
         "setpoint-T-nan", "setpoint-T-negative", "setpoint-q-nan",
         "setpoint-q-negative", "simulate-t-end-inf", "simulate-dt-inf",
-        "simulate-k-flow-inf", "simulate-k-flow-nan"])
+        "simulate-k-flow-inf", "simulate-k-flow-nan", "setpoint-solved-outside",
+        "simulate-setpoint-solved-outside", "setpoint-N-outside"])
 def test_bad_temperatures_and_setpoints_exit_1(cfg_path, tmp_path, capsys,
                                                argv, message):
     # the valid setpoint comes first, so a later flag in argv overrides it

@@ -263,8 +263,8 @@ def test_exact_jacobian_matches_central_differences(net, data):
 
 def _power_gradient(c, stoich):
     """The species product's derivatives by libm's powers, species j's
-    lowered in row j, multiplied in species order: the kernel's formula
-    for every multiplicity, and the reference for the gathered one."""
+    lowered in row j, multiplied in species order: the reference for the
+    gathered ones of multiplicities 0 and 1."""
     c_col, j = c[..., :, None], np.arange(len(stoich))
     factors = np.repeat(np.float_power(c_col, stoich)[..., None, :, :],
                         len(j), axis=-3)
@@ -286,14 +286,13 @@ def test_gathered_gradient_has_the_powers_bits(net, data):
     where they have NaN (pow drops a NaN's sign bit, a gather keeps it);
     a batch row has the bits of the row alone."""
     k, B = net.step_constants, data.draw(st.integers(1, 4))
+    stoich = np.hstack((net.stoich_reactants, net.stoich_products))
     c = data.draw(arrays(float, (B, net.n_species), elements=st.one_of(
         st.sampled_from(_EDGES), st.floats(allow_nan=False))))
-    assert k.grad_slots is not None
     with np.errstate(all="ignore"):  # inf * 0 and the like
-        gathered = kernel._species_product_gradient(c, k.stoich, k.grad_slots)
-        powers = _power_gradient(c, k.stoich)
-        lone = [kernel._species_product_gradient(row, k.stoich, k.grad_slots)
-                for row in c]
+        gathered = kernel._gathered_product(c, k.grad_slots)
+        powers = _power_gradient(c, stoich)
+        lone = [kernel._gathered_product(row, k.grad_slots) for row in c]
     np.testing.assert_array_equal(np.isnan(gathered), np.isnan(powers))
     number = ~np.isnan(powers)
     np.testing.assert_array_equal(gathered.view(np.uint64)[number],
@@ -303,26 +302,25 @@ def test_gathered_gradient_has_the_powers_bits(net, data):
                                       alone.view(np.uint64))
 
 
-def test_jacobian_takes_powers_only_above_multiplicity_1(net, monkeypatch):
-    """The bundled A -> B network's Jacobian gathers; 2 A -> B, with a
-    multiplicity of 2, still takes libm's powers, with the bits of the
-    reference formula."""
-    second, calls, power = parse_network(NONLINEAR), [], np.float_power
-    c, T = np.array([[1.5, 0.25], [0.0, 2.0]]), np.array([330.0, 290.0])
+def _no_pow(*args):
+    raise AssertionError("the kernel took a libm power")
 
-    def counted(*args):
-        calls.append(len(args))
-        return power(*args)
 
-    monkeypatch.setattr(np, "float_power", counted)
-    kernel.mass_action_jacobian(net, c, T)
-    assert net.step_constants.grad_slots is not None and calls == []
-    kernel.mass_action_jacobian(second, c, T)
-    assert second.step_constants.grad_slots is None and calls == [2, 2]
-    k = second.step_constants
-    np.testing.assert_array_equal(
-        kernel._species_product_gradient(c, k.stoich, k.grad_slots),
-        _power_gradient(c, k.stoich))
+@settings(max_examples=100, deadline=None)
+@given(net=networks(), data=st.data())
+def test_no_network_takes_libm_powers(net, data):
+    """The rates and their derivatives gather every multiplicity, 2 and 3
+    among them, so neither calls np.float_power."""
+    B = data.draw(st.integers(1, 4))
+    c = data.draw(arrays(float, (B, net.n_species),
+                         elements=st.floats(0.0, 1e3)))
+    T = data.draw(arrays(float, B, elements=st.floats(280.0, 420.0)))
+    second = parse_network(NONLINEAR)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "float_power", _no_pow)
+        for each, conc in ((net, c), (second, np.array([[1.5, 0.25]]))):
+            kernel.mass_action(each, conc, T[:len(conc)])
+            kernel.mass_action_jacobian(each, conc, T[:len(conc)])
 
 
 def _energy(net, q, T_w, T, N):
@@ -689,10 +687,18 @@ def test_bad_row_in_a_batch_raises_its_own_error(net, roots):
                 call(net, np.vstack((x[:1], bad, x[1:])),
                      np.vstack((u, u[:1])))
             assert str(batch.value) == str(alone.value)
-    # of several bad rows, drift_residual names the first, as ThermoState
+    # of several bad rows, drift_residual names the first, as ThermoState,
+    # and so does classify
     rows = np.array(bad_rows[drift_residual][::-1])
     with pytest.raises(ThermoDomainError, match="temperature nan K"):
         drift_residual(net, rows, np.tile(u[0], (len(rows), 1)))
+    rows = np.array(bad_rows[classify][::-1])
+    with pytest.raises(ThermoDomainError) as alone:
+        classify(net, rows[0], u[0])
+    assert "temperature" in str(alone.value)
+    with pytest.raises(ThermoDomainError) as batch:
+        classify(net, rows, u[:2])
+    assert str(batch.value) == str(alone.value)
     # rows of the wrong width
     with pytest.raises(ThermoDomainError, match="needs 2 entries"):
         classify(net, np.ones((2, 4)), u[:2])

@@ -85,12 +85,23 @@ def test_round_trip_identity():
 
 
 def test_round_trip_awkward_floats():
-    rxn = Reaction((1, 0), (0, 1), k0f=1.2e9 + 0.1, Ef=1.0 / 3.0,
+    # a whole-float multiplicity validates, so it is written 2A, not 2.0A
+    rxn = Reaction((2.0, 0), (0, 1), k0f=1.2e9 + 0.1, Ef=1.0 / 3.0,
                    k0b=1e-300, Eb=0.0)
     net = parse_network(GOOD)
     net = ReactionNetwork(net.species, (rxn,), net.reactor, net.inlet,
                           net.noise)
     assert parse_network(serialize_network(net)) == net
+
+
+def test_fractional_multiplicity_is_written_as_is():
+    """An unvalidated multiplicity of 1.5 is written 1.5A, which the parser
+    rejects, not truncated to 1A, which would parse into another network."""
+    net = _invalid("fractional-multiplicity")
+    text = serialize_network(net)
+    assert "1.5A -> B" in text
+    with pytest.raises(NetworkFormatError):
+        parse_network(text)
 
 
 def _pinned(old, new, message):
@@ -262,6 +273,8 @@ def _invalid(case):
             replace(rxn, reactants=(1, 0, 0), products=(0, 1, 0)),))
     if case == "negative-multiplicity":
         return replace(net, reactions=(replace(rxn, reactants=(1, -1)),))
+    if case == "fractional-multiplicity":
+        return replace(net, reactions=(replace(rxn, reactants=(1.5, 0)),))
     return replace(net, inlet=replace(net.inlet, c_in=(2000.0,)))
 
 
@@ -272,10 +285,19 @@ def _invalid(case):
     ("stoichiometry-length",
      "reaction 0 stoichiometry length must equal the species count 2"),
     ("negative-multiplicity", "reaction 0 has a negative multiplicity"),
+    ("fractional-multiplicity", "reaction 0 multiplicity of A must be an "
+     "integer from 0 to 16, not 1.5"),
     ("c_in-length", "inlet.c_in length must equal the species count 2"),
 ])
 def test_validate_diagnostics_the_parser_never_reaches(case, diagnostic):
     assert validate(_invalid(case)) == [diagnostic]
+
+
+def test_rate_gathers_reject_a_fractional_multiplicity():
+    """The rates gather c_j once per unit of multiplicity: a multiplicity
+    of 1.5 raises instead of being truncated to 1."""
+    with pytest.raises(ValueError, match="integers >= 0"):
+        _invalid("fractional-multiplicity").step_constants
 
 
 def test_parse_rejects_invalid_network():
@@ -302,6 +324,10 @@ def test_parse_rejects_invalid_network():
     ("rho2=5e-7", "rho2=-inf", "noise.rho2 must be finite"),
     ("rho3=0.05", "rho3=nan", "noise.rho3 must be finite"),
     ("c_A=2000.0", "c_A=0", "inlet.c_in must have at least one positive entry"),
+    ("A -> B", "1000000000A -> B", "reaction 0 multiplicity of A must be an "
+     "integer from 0 to 16, not 1000000000"),
+    ("A -> B", "16A -> 17B", "reaction 0 multiplicity of B must be an "
+     "integer from 0 to 16, not 17"),
 ])
 def test_parse_rejects_non_finite_values(old, new, diagnostic):
     assert old in GOOD

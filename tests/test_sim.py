@@ -4,6 +4,7 @@ guard events, and ensemble aggregation."""
 
 import math
 from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -505,38 +506,64 @@ def test_one_step_shares_its_quantities_bit_for_bit(net, sp, batch):
             kernel.mixing_scale(net, N, h, theta, g00, dc))
 
 
+def _repeated_product(c, stoich):
+    """prod_j c_j ** stoich[j, i] for each column i, multiplied out from 1:
+    c_j stoich[j, i] times, in species order."""
+    columns = []
+    for column in stoich.T.tolist():
+        product = np.ones(c.shape[:-1])
+        for j, alpha in enumerate(column):
+            for _ in range(int(alpha)):
+                product = product * c[..., j]
+        columns.append(product)
+    return np.stack(columns, -1) if columns else np.ones((*c.shape[:-1], 0))
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_species_product_is_the_strided_reduction(data):
-    """The rates' species product, multiplied in species order, has the bits
-    of np.multiply.reduce of libm's powers over the species axis, for one
-    state and a batch, and a batch row has the bits of the row alone.
-    The bundled A -> B network has multiplicities 0 and 1 only, so it
-    cannot show a product taken in another order or a rounded power."""
-    p, r, B = (data.draw(st.integers(lo, hi)) for lo, hi in
-               ((1, 5), (0, 4), (1, 4)))
-    # (p, r) as a transposed view, the layout of the network's matrices
-    stoich = data.draw(arrays(float, (r, p), elements=st.sampled_from(
-        (0.0, 1.0, 2.0, 3.0)))).T
-    c = data.draw(arrays(float, (B, p), elements=st.floats(1e-3, 1e3)))
-    slots = kernel._species_slots(stoich)  # multiplicities 0 and 1 only
+@given(net=networks(max_multiplicity=3), data=st.data())
+def test_species_product_is_the_repeated_multiplication(net, data):
+    """The rates' species product has the bits of each concentration
+    multiplied in as often as its multiplicity, in species order, for one
+    state and a batch, and a batch row has the bits of the row alone; with
+    multiplicities 0 and 1 only, also the bits of np.multiply.reduce of
+    libm's powers over the species axis."""
+    B = data.draw(st.integers(1, 4))
+    c = data.draw(arrays(float, (B, net.n_species),
+                         elements=st.floats(1e-3, 1e3)))
+    stoich = np.hstack((net.stoich_reactants, net.stoich_products))
+    slots = net.step_constants.slots
     for conc in (c[0], c):
-        np.testing.assert_array_equal(
-            kernel._species_product(conc, stoich),
-            np.multiply.reduce(np.float_power(conc[..., :, None], stoich), -2))
-        if slots is not None:  # the gathered product has the powers' bits
+        np.testing.assert_array_equal(kernel._gathered_product(conc, slots),
+                                      _repeated_product(conc, stoich))
+        if (stoich <= 1.0).all():
             np.testing.assert_array_equal(
-                kernel._species_product(conc, stoich, slots),
-                kernel._species_product(conc, stoich))
-    np.testing.assert_array_equal(kernel._species_product(c, stoich)[0],
-                                  kernel._species_product(c[0], stoich))
+                kernel._gathered_product(conc, slots),
+                np.multiply.reduce(np.float_power(conc[..., :, None], stoich),
+                                   -2))
+    for row, alone in zip(kernel._gathered_product(c, slots), c):
+        np.testing.assert_array_equal(row,
+                                      kernel._gathered_product(alone, slots))
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=arrays(float, 8, elements=st.floats(1e-100, 1e100)))
+def test_gathered_squares_are_correctly_rounded(c):
+    """A multiplicity of 2, gathered as c * c, is the correctly rounded
+    square, and one of 3, c * c * c, is within 2 ulp of the cube; the
+    exact powers as fractions, correctly rounded to floats."""
+    gather = kernel._gathers(np.array([[2.0, 3.0]]))[0]
+    squares, cubes = kernel._gathered_product(c[:, None], gather).T
+    exact = np.array([[float(Fraction(v) ** k) for v in c.tolist()]
+                      for k in (2, 3)])
+    np.testing.assert_array_equal(squares, exact[0])
+    assert (np.abs(cubes.view(np.int64) - exact[1].view(np.int64)) <= 2).all()
 
 
 def _step_by_formulas(net, U, N, T, q, Qdot, dW, T_star, mu_star_over_T):
     """feedback_terms, em_update (dt = 1e-3) and temperature written out
     from potentials, flow_column and mixing_scale, with every other
-    constant read from the network's own fields and every power of the
-    rates taken by np.float_power."""
+    constant read from the network's own fields and the rates' species
+    products multiplied out by :func:`_repeated_product`."""
     rx, rho, col, dt = net.reactor, net.noise, kernel._col, 1e-3
     N_sum = N.sum(-1)
     h, mu_over_T, theta, _, _ = kernel.potentials(net, N, T, N_sum)
@@ -547,9 +574,9 @@ def _step_by_formulas(net, U, N, T, q, Qdot, dW, T_star, mu_star_over_T):
                 g00 * grad_U + np.vecdot(dc, grad_N), grad_U, g00, dc, c)
     RT = col(rx.R_gas * T)
     rate = (net.k0f * np.exp(-net.Ef / RT)
-            * kernel._species_product(c, net.stoich_reactants)
+            * _repeated_product(c, net.stoich_reactants)
             - net.k0b * np.exp(-net.Eb / RT)
-            * kernel._species_product(c, net.stoich_products))
+            * _repeated_product(c, net.stoich_products))
     flux = rx.V * np.vecdot(net.stoich_net, rate[..., None, :])
     q_col = col(q)
     U_new = (U + (g00 * q + Qdot) * dt
@@ -565,11 +592,11 @@ def _step_by_formulas(net, U, N, T, q, Qdot, dW, T_star, mu_star_over_T):
 @given(data=st.data())
 def test_step_equals_the_per_formula_functions(data):
     """The step's feedback_terms, em_update and temperature, which read the
-    network's constants record and gather products of multiplicity 0 and
-    1, have the bits of the same quantities built from the per-formula
-    functions, the network's own fields and np.float_power: on networks
-    of 1-5 species and 0-4 reactions, with multiplicities 0-3 or 0-1, for
-    one state and a batch."""
+    network's constants record and gather the rates' products, have the
+    bits of the same quantities built from the per-formula functions, the
+    network's own fields and products multiplied out in species order: on
+    networks of 1-5 species and 0-4 reactions, with multiplicities 0-3 or
+    0-1, for one state and a batch."""
     net = data.draw(networks(data.draw(st.sampled_from((1, 3)))))
     net = replace(net, noise=NoiseSpec(*data.draw(
         st.tuples(*[st.floats(0.0, 1.0)] * 3))))

@@ -57,11 +57,7 @@ from .sim import (
     Trajectory,
     ensemble,
 )
-from .structure import (
-    check_input_noise_bound,
-    check_passivity,
-    check_reaction_noise_bound,
-)
+from .structure import check_conditions
 from .thermo import ThermoDomainError, ThermoState
 from .transform import (
     AvailabilityHamiltonian,
@@ -155,9 +151,7 @@ def cmd_check(args) -> int:
 
     # a side that overflows at a finite state is named below, not warned of
     with np.errstate(all="ignore"):
-        norm = check_input_noise_bound(net, state)
-        pas = check_passivity(net, state, field)
-        rxn = check_reaction_noise_bound(net, state, V_star=sp.V_star)
+        norm, pas, rxn = check_conditions(net, state, field, sp.V_star)
         residual = equivalence_residual(net, sp, state)
     all_hold = norm.holds and pas.holds and rxn.holds
     row = {  # the check.csv columns, in order

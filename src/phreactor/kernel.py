@@ -23,7 +23,8 @@ its flow column (g00, dc, c = N / V) to :func:`em_update`, whose rates
 read the concentrations c from it.  The constants come derived once, from
 the network's :class:`StepConstants`.  The rates and their derivatives take
 no ``pow``: c_j ** alpha is c_j gathered alpha times, in species order, for
-every multiplicity alpha (:func:`_gathers`).
+every multiplicity alpha (:func:`_gathers`).  The paper's three passivity
+and noise conditions are written once, in :func:`margins`.
 """
 
 from __future__ import annotations
@@ -258,6 +259,45 @@ def feedthrough(net, M, theta):
     """Diagonal of delta = diag(rho2^2 M / (2 theta), rho3^2 / (2 theta))."""
     k = net.step_constants
     return k.half_rho2_sq * M / theta, k.half_rho3_sq / theta
+
+
+#: See :func:`margins`.
+Margins = namedtuple("Margins", "input_noise_holds input_noise_lhs "
+                     "input_noise_rhs feedthrough_norm trace_holds trace_lhs "
+                     "trace_rhs reaction_noise_holds reaction_noise_lhs "
+                     "reaction_noise_rhs grad_flux")
+
+
+def margins(net, N, T, h, mu_over_T, theta, grad_N, V_star) -> Margins:
+    """The paper's three conditions at (N, T), each as (holds, lhs, rhs),
+    from one flow column and one rate evaluation, with M_d the mixing scale
+    along (0, d) and f = nu (r_f - r_b): rho2^4 M^2 + rho3^4 < 4 theta^2,
+    and ||delta||_F; (1/2) rho1^2 M_flux / theta <= grad_N^T R_NN grad_N
+    (log-mean weights, to 1e-12 relative) for a storage with Hessian
+    Hess(-S) and gradient grad_N; (1/2) rho1^2 V_star M_f / theta <=
+    (r_f - r_b)^T A / T.  Last grad_N^T flux: L[A] - y^T u = trace lhs + it."""
+    rho, half_rho1_sq = net.noise, 0.5 * net.noise.rho1 ** 2
+    g00, dc, c = flow_column(net, N, h)
+    forward, backward = mass_action(net, c, T)
+    rate_net, N_sum = forward - backward, np.add.reduce(N, -1)
+    f = _dot(net.stoich_net, rate_net[..., None, :])
+    flux = net.step_constants.V * f  # reaction_flux
+    M = mixing_scale(net, N, h, theta, g00, dc, N_sum)
+    noise_lhs = rho.rho2 ** 4 * M * M + rho.rho3 ** 4  # pow of constants
+    noise_rhs = 4.0 * theta * theta
+    trace_lhs = half_rho1_sq * mixing_scale(net, N, h, theta, 0.0, flux,
+                                            N_sum) / theta
+    trace_rhs = _dot(grad_N, damping_apply(
+        net, damping_weights(net, forward, backward, T), T, grad_N))
+    rxn_lhs = half_rho1_sq * V_star * mixing_scale(net, N, h, theta, 0.0, f,
+                                                   N_sum) / theta
+    rxn_rhs = _dot(rate_net, affinity(net, mu_over_T, T)) / T
+    return Margins(
+        noise_lhs < noise_rhs, noise_lhs, noise_rhs,
+        0.5 * np.sqrt(noise_lhs) / theta,
+        trace_lhs <= trace_rhs + 1e-12 * np.maximum(1.0, np.abs(trace_rhs)),
+        trace_lhs, trace_rhs, rxn_lhs <= rxn_rhs, rxn_lhs, rxn_rhs,
+        _dot(grad_N, flux))
 
 
 def availability(S_star, pi_star, x_star, S, x):

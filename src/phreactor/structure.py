@@ -16,19 +16,13 @@ reaction flux (intensity rho1), and one each multiplies the two inputs
 delta = diag(rho2^2 M / (2 theta), rho3^2 / (2 theta)) in the natural
 output, where M is the storage curvature seen by the flow column of g and
 theta = T^2 N^T cp.  This module assembles all of those pieces, evaluates
-the Ito generator of scalar fields along the dynamics, and checks the
-conditions under which the noisy system remains passive:
-
-* an input-noise bound (the feedthrough correction stays contractive),
-* a trace condition (reaction-noise curvature is paid for by dissipation);
-  the corrected feedthrough it comes with is zero by the definition of
-  delta for the storages with Hessian Hess(-S),
-* a reaction-noise bound sufficient for the trace condition at the
-  natural storage.
-
-The checks read the closed forms of :mod:`kernel` and assemble no
-:class:`StructureMatrices`: the reaction-noise curvature is
-:func:`kernel.mixing_scale` along the flux.
+the Ito generator of scalar fields along the dynamics, and reports the
+paper's three sufficient conditions for the noisy system to stay passive:
+the input-noise bound, the trace condition of a storage with Hessian
+Hess(-S) (whose corrected feedthrough is zero by the definition of delta)
+and the reaction-noise bound.  Their formulas live in
+:func:`kernel.margins` alone; :func:`check_conditions` builds the three
+reports from one call of it, and each ``check_*`` is one of them.
 
 It also forms the negative-feedback interconnection of two such systems,
 which is again a dissipative structure pair (J, R).
@@ -202,8 +196,7 @@ def ito_generator(net: ReactionNetwork, field: ScalarField, state, u,
 
 @dataclass(frozen=True)
 class InputNoiseReport:
-    """Whether the input-noise feedthrough stays contractive:
-    rho2^4 M^2 + rho3^4 < 4 theta^2, i.e. ||delta||_F < 1."""
+    """Whether ||delta||_F < 1 (see :func:`kernel.margins`)."""
 
     holds: bool
     lhs: float
@@ -211,26 +204,13 @@ class InputNoiseReport:
     delta_frobenius: float
 
 
-def check_input_noise_bound(net: ReactionNetwork, state) -> InputNoiseReport:
-    st = as_state(net, state)
-    M = mixing_noise_scale(net, st)
-    rho = net.noise
-    lhs = rho.rho2 ** 4 * M * M + rho.rho3 ** 4
-    rhs = 4.0 * st.theta ** 2
-    frob = 0.5 * np.sqrt(lhs) / st.theta
-    return InputNoiseReport(bool(lhs < rhs), lhs, rhs, frob)
-
-
 @dataclass(frozen=True)
 class PassivityReport:
-    """Sufficient passivity conditions for a storage with Hessian Hess(-S)
-    (-S itself or the availability) under the full noise: the curvature
-    (1/2) a^T Hess a injected by reaction noise must not exceed the
-    dissipation grad^T R grad (trace condition).
-
-    The corrected feedthrough F = delta - (1/2) sigma sigma^T o
-    (gamma^T Hess gamma) is zero for these storages, since delta is defined
-    as exactly that correction; so ``feedthrough_holds`` is always true and
+    """Whether the curvature (1/2) a^T Hess a that reaction noise injects
+    into a storage with Hessian Hess(-S) (-S or the availability) is paid
+    for by the dissipation grad^T R grad.  The corrected feedthrough
+    delta - (1/2) sigma sigma^T o (gamma^T Hess gamma) is zero by the
+    definition of delta, so ``feedthrough_holds`` is always true and
     ``feedthrough_min_eig`` always 0."""
 
     trace_holds: bool
@@ -244,53 +224,45 @@ class PassivityReport:
         return self.trace_holds
 
 
-def check_passivity(net: ReactionNetwork, state,
-                    field: ScalarField) -> PassivityReport:
-    """The conditions of :class:`PassivityReport` at a state.  ``field`` is
-    a storage with Hessian Hess(-S) whose ``gradient`` takes a
-    :class:`ThermoState`; nothing else of it is read."""
-    st = as_state(net, state)
-    grad = field.gradient(st)
-    rates = kernel.mass_action(net, st.N / net.reactor.V, st.T)
-    # a = rho1 (0, flux): theta a^T Hess(-S) a is rho1^2 times the mixing
-    # scale along (0, flux)
-    flux = kernel.reaction_flux(net, rates[0] - rates[1])
-    trace_lhs = float(0.5 * net.noise.rho1 ** 2 * kernel.mixing_scale(
-        net, st.N, st.h, st.theta, 0.0, flux) / st.theta)
-    # R's energy row and column vanish: grad^T R grad = grad_N^T R_NN grad_N
-    trace_rhs = float(grad[1:] @ kernel.damping_apply(
-        net, kernel.damping_weights(net, *rates, st.T), st.T, grad[1:]))
-    return PassivityReport(
-        bool(trace_lhs <= trace_rhs + 1e-12 * max(1.0, abs(trace_rhs))),
-        trace_lhs, trace_rhs)
-
-
 @dataclass(frozen=True)
 class ReactionNoiseReport:
     """Whether the reaction-noise intensity is small enough for the trace
-    condition at the natural storage:
-
-        (1/2) rho1^2 V f^T Hess_NN(-S) f  <=  sum_i (r_f - r_b)_i dz_i^T mu / T
-
-    with f = nu (r_f - r_b) the reaction flux direction and Hess_NN(-S)
-    the composition block of the Hessian."""
+    condition at the natural storage (see :func:`kernel.margins`)."""
 
     holds: bool
     lhs: float
     rhs: float
 
 
+def check_conditions(net: ReactionNetwork, state,
+                     field: ScalarField | None = None,
+                     V_star: float | None = None):
+    """(input-noise, trace, reaction-noise) reports at a state from one
+    :func:`kernel.margins` call: the trace condition of ``field`` (default
+    -S; only its ``gradient``, which takes a :class:`ThermoState`, is read),
+    the reaction-noise bound at volume ``V_star`` (default V)."""
+    st = as_state(net, state)
+    m = kernel.margins(
+        net, st.N, st.T, st.h, st.mu_over_T, st.theta,
+        st.mu_over_T if field is None else field.gradient(st)[1:],
+        net.reactor.V if V_star is None else float(V_star))
+    return (InputNoiseReport(bool(m.input_noise_holds), *m[1:4]),
+            PassivityReport(bool(m.trace_holds), *m[5:7]),
+            ReactionNoiseReport(bool(m.reaction_noise_holds), *m[8:10]))
+
+
+def check_input_noise_bound(net: ReactionNetwork, state) -> InputNoiseReport:
+    return check_conditions(net, state)[0]
+
+
+def check_passivity(net: ReactionNetwork, state,
+                    field: ScalarField) -> PassivityReport:
+    return check_conditions(net, state, field)[1]
+
+
 def check_reaction_noise_bound(net: ReactionNetwork, state,
                                V_star: float | None = None) -> ReactionNoiseReport:
-    st = as_state(net, state)
-    forward, backward = kernel.mass_action(net, st.N / net.reactor.V, st.T)
-    rate_net = forward - backward
-    flux_dir = net.stoich_net @ rate_net  # mol/(m^3 s)
-    quad = kernel.mixing_scale(net, st.N, st.h, st.theta, 0.0, flux_dir)
-    V_star = net.reactor.V if V_star is None else float(V_star)
-    lhs = 0.5 * net.noise.rho1 ** 2 * V_star * float(quad) / st.theta
-    rhs = float(rate_net @ kernel.affinity(net, st.mu_over_T, st.T)) / st.T
-    return ReactionNoiseReport(bool(lhs <= rhs), lhs, rhs)
+    return check_conditions(net, state, V_star=V_star)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,14 @@ rho1=0.1 rho2=5e-7 rho3=0.05
 """
 
 
+#: The benchmark network with two more reactions after A -> B, 2 A -> 2 B
+#: and A + B -> 2 B, each with 1/1000 of A -> B's prefactors.
+THREE_REACTIONS = presets.CONFIG_TEXT.replace(
+    "Eb=74826.0\n", "Eb=74826.0\n"
+    "2 A -> 2 B k0f=1.2e6 Ef=72331.8 k0b=1.33e5 Eb=74826.0\n"
+    "A + B -> 2 B k0f=1.2e6 Ef=72331.8 k0b=1.33e5 Eb=74826.0\n")
+
+
 @pytest.fixture(scope="session")
 def cnet():
     """Network whose Arrhenius pairs satisfy detailed balance exactly."""

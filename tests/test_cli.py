@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import NO_REACTION
+from conftest import NO_REACTION, THREE_REACTIONS
 import phreactor
 from phreactor import presets, sim
 from phreactor.cli import (_build_parser, _cells, _event_cells, _write_csv,
@@ -25,7 +25,8 @@ from phreactor.structure import (check_input_noise_bound, check_passivity,
                                  check_reaction_noise_bound)
 from phreactor.thermo import ThermoState
 from phreactor.transform import (AvailabilityHamiltonian,
-                                 equivalence_residual, make_setpoint)
+                                 equivalence_residual, make_setpoint,
+                                 setpoint_from_state)
 
 SINGLE_SPECIES = """\
 [species]
@@ -475,11 +476,30 @@ def test_csv_rows_have_the_bytes_of_per_cell_formatting(tmp_path):
     assert (tmp_path / "empty.csv").read_bytes() == b"T,classification\n"
 
 
-@pytest.mark.parametrize("T, N", [("342", "1,1"), ("331.9", "0.05,1.5")])
-def test_check_csv_has_the_library_values_bit_for_bit(tmp_path, T, N):
-    # the second state fails the reaction-noise bound
-    net = presets.benchmark_network()
-    sp = make_setpoint(net, 331.9, 9.15e-6)
+@pytest.mark.parametrize(
+    "text, T, N, setpoint_N",
+    [(None, "342", "1,1", None), (None, "331.9", "0.05,1.5", None),
+     (THREE_REACTIONS, "342", "1,1", None),
+     (NO_REACTION, "342", "1,1", "1.3,0.7")],
+    ids=["342-1,1", "331.9-0.05,1.5", "three-reactions", "no-reaction"])
+def test_check_csv_has_the_library_values_bit_for_bit(tmp_path, text, T, N,
+                                                      setpoint_N):
+    # the second state fails the reaction-noise bound; the network without
+    # reactions has no stationary N* with N_B > 0, so it is given
+    argv = ["check", "--T", T, "--N", N, "--setpoint-T", "331.9",
+            "--setpoint-q", "9.15e-6", "--out", str(tmp_path)]
+    if text is None:
+        net = presets.benchmark_network()
+    else:
+        net = parse_network(text)
+        (tmp_path / "network.cfg").write_text(text)
+        argv += ["--network", str(tmp_path / "network.cfg")]
+    if setpoint_N is None:
+        sp = make_setpoint(net, 331.9, 9.15e-6)
+    else:
+        sp = setpoint_from_state(net, [float(n) for n in setpoint_N.split(",")],
+                                 331.9, 9.15e-6)
+        argv += ["--setpoint-N", setpoint_N]
     state = ThermoState.from_temperature(
         net, np.array([float(n) for n in N.split(",")]), float(T))
     norm = check_input_noise_bound(net, state)
@@ -498,8 +518,7 @@ def test_check_csv_has_the_library_values_bit_for_bit(tmp_path, T, N):
         "equivalence_residual": equivalence_residual(net, sp, state),
     }
     assert sum(not isinstance(v, bool) for v in want.values()) == 9
-    assert main(["check", "--T", T, "--N", N, "--setpoint-T", "331.9",
-                 "--setpoint-q", "9.15e-6", "--out", str(tmp_path)]) == 0
+    assert main(argv) == 0
     header, rows = read_csv(tmp_path / "check.csv")
     assert header == list(want)
     assert rows == [[str(v).lower() if isinstance(v, bool) else csv_cell(v)

@@ -10,16 +10,19 @@ difference over R), which pins the strict weight to the log-mean one.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_states
+from conftest import networks, random_states
 from phreactor import kernel
 from phreactor.kernel import AFFINITY_GUARD, log_mean
 from phreactor.structure import (
     NegEntropy,
     PortSystem,
+    check_conditions,
     check_input_noise_bound,
     check_passivity,
     check_reaction_noise_bound,
@@ -30,7 +33,9 @@ from phreactor.structure import (
     sde_fields,
     structure_matrices,
 )
+from phreactor.network import NoiseSpec
 from phreactor.thermo import ThermoState, neg_entropy_gradient, neg_entropy_hessian
+from phreactor.transform import AvailabilityHamiltonian, setpoint_from_state
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +383,69 @@ def test_passivity_reads_no_field_hessian(net, x0):
 
 
 def test_passivity_evaluates_the_rates_once(net, sp, x0, monkeypatch):
-    """The noise column and the trace rhs share one rate evaluation."""
-    from phreactor.transform import AvailabilityHamiltonian
+    """The three reports come from one flow column and one rate
+    evaluation, and each check is that one evaluation."""
+    calls = {name: [] for name in ("mass_action", "flow_column")}
+    for name, log in calls.items():
+        def counted(*args, real=getattr(kernel, name), log=log):
+            log.append(args)
+            return real(*args)
 
-    real, calls = kernel.mass_action, []
+        monkeypatch.setattr(kernel, name, counted)
+    field = AvailabilityHamiltonian(net, sp)
+    for check in (lambda: check_conditions(net, x0, field, sp.V_star),
+                  lambda: check_input_noise_bound(net, x0),
+                  lambda: check_passivity(net, x0, field),
+                  lambda: check_reaction_noise_bound(net, x0, sp.V_star)):
+        check()
+        assert {name: len(log) for name, log in calls.items()} == {
+            "mass_action": 1, "flow_column": 1}
+        for log in calls.values():
+            log.clear()
 
-    def mass_action(*args):
-        calls.append(args)
-        return real(*args)
 
-    monkeypatch.setattr(kernel, "mass_action", mass_action)
-    check_passivity(net, x0, AvailabilityHamiltonian(net, sp))
-    assert len(calls) == 1
+@settings(max_examples=200, deadline=None)
+@given(net=networks(), data=st.data())
+def test_margins_rows_are_their_lone_calls_and_the_checks(net, data):
+    """On networks of 1-5 species and 0-4 reactions (half of them without
+    reactions) under non-zero noise, every row of a batched
+    kernel.margins has the bits of that state's lone call, and the lone
+    call has the bits of the three check reports, for -S and for an
+    availability."""
+    if data.draw(st.booleans(), label="no reactions"):
+        net = replace(net, reactions=())
+    net = replace(net, noise=NoiseSpec(*data.draw(
+        st.tuples(*[st.floats(1e-3, 1.0)] * 3), label="noise")))
+    p, B = net.n_species, data.draw(st.integers(1, 4), label="rows")
+
+    def physical(n):
+        return (np.array(data.draw(st.lists(st.floats(280.0, 420.0),
+                                            min_size=n, max_size=n))),
+                np.array(data.draw(st.lists(
+                    st.lists(st.floats(1e-2, 5.0), min_size=p, max_size=p),
+                    min_size=n, max_size=n))))
+
+    (T_star,), (N_star,) = physical(1)
+    sp = setpoint_from_state(net, N_star, T_star, 1e-5)
+    T, N = physical(B)
+    h, mu_over_T, _, theta = kernel.closures(net, N, T)
+    states = [ThermoState.from_temperature(net, n, t) for t, n in zip(T, N)]
+    for field in (NegEntropy(net), AvailabilityHamiltonian(net, sp)):
+        grads = np.array([field.gradient(s)[1:] for s in states])
+        batch = kernel.margins(net, N, T, h, mu_over_T, theta, grads, sp.V_star)
+        for i, s in enumerate(states):
+            alone = kernel.margins(net, s.N, s.T, s.h, s.mu_over_T, s.theta,
+                                   grads[i], sp.V_star)
+            for row, value in zip(batch, alone):
+                np.testing.assert_array_equal(row[i], value)
+            norm, pas, rxn = check_conditions(net, s, field, sp.V_star)
+            assert (norm, pas, rxn) == (
+                check_input_noise_bound(net, s), check_passivity(net, s, field),
+                check_reaction_noise_bound(net, s, sp.V_star))
+            np.testing.assert_array_equal(
+                [norm.holds, norm.lhs, norm.rhs, norm.delta_frobenius,
+                 pas.trace_holds, pas.trace_lhs, pas.trace_rhs,
+                 rxn.holds, rxn.lhs, rxn.rhs], alone[:-1])
 
 
 def test_passivity_fails_under_huge_reaction_noise(net, sp, x0):

@@ -193,12 +193,11 @@ def _supply_gap_terms(net, sp, st, u):
 def _noisy_supply_gap(net, sp, st):
     """(1/2) rho1^2 M_flux / theta + (mu/T - mu*/T*)^T flux: the reaction
     noise's Ito trace plus the reaction flux against grad_N A, with M_flux
-    the storage curvature along the flux."""
-    forward, backward = kernel.mass_action(net, st.N / net.reactor.V, st.T)
-    flux = kernel.reaction_flux(net, forward - backward)
-    curvature = kernel.mixing_scale(net, st.N, st.h, st.theta, 0.0, flux)
-    return (0.5 * net.noise.rho1 ** 2 * curvature / st.theta
-            + float((st.mu_over_T - sp.mu_star_over_T) @ flux))
+    the storage curvature along the flux; kernel.margins's trace lhs and
+    grad_N^T flux."""
+    m = kernel.margins(net, st.N, st.T, st.h, st.mu_over_T, st.theta,
+                       st.mu_over_T - sp.mu_star_over_T, sp.V_star)
+    return m.trace_lhs + m.grad_flux
 
 
 def test_supply_gap_is_the_setpoint_shift_coupling(net, sp, gains, x0):

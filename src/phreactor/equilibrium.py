@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -117,46 +118,54 @@ def mass_balance_steady(net: ReactionNetwork, T, q: float,
 
     Damped Newton from N = V c_in (or the warm start N0) with the exact
     Jacobian (:func:`kernel.mass_action_jacobian`, so also at a zero
-    concentration) and step halving on residual increase.  T of
-    shape (B,) solves B rows as one batch, each with the bits of its scalar
-    solve, and gives N of shape (B, p).  Raises :class:`ConvergenceError`
-    naming the combination of mole numbers the network conserves at q = 0
-    (:func:`conserved_moles`), which leaves N undetermined, the first T not
-    converged in ``MAX_NEWTON_ITER`` iterations, or a T where the solve
-    meets a singular Jacobian; and :class:`ValueError` if a solution has a
-    negative component.
+    concentration) and step halving on residual increase.  T of shape (B,)
+    solves B rows as one batch and gives N of shape (B, p): a row leaves the
+    working set (a slice of all B until one leaves) when it converges, and
+    only the rows whose full step does not lower the norm enough halve it,
+    so the batch pays for its live rows only and each row keeps the bits of
+    its lone solve.  Raises :class:`ConvergenceError` naming the combination
+    of mole numbers the network conserves at q = 0 (:func:`conserved_moles`),
+    which leaves N undetermined, the first T not converged in
+    ``MAX_NEWTON_ITER`` iterations, or a T where the solve meets a singular
+    Jacobian; and :class:`ValueError` if a solution has a negative component.
     """
-    p = net.n_species
     Ts = np.asarray(T, dtype=float).reshape(-1)
-    N = np.empty((Ts.size, p))
+    N = np.empty((Ts.size, net.n_species))
     N[...] = net.reactor.V * net.c_in if N0 is None else N0
     done = np.zeros(Ts.size, dtype=bool)
     if q == 0 and (conserved := conserved_moles(net)):
         raise ConvergenceError(f"at q=0 the closed reactor conserves "
                                f"{conserved}, so the mole balance does not "
                                "determine N", N, done)
+    rows, Nw, Tw, conv = slice(None), N, Ts, done
     best, f, scale = _balance(net, N, Ts, q)
     for _ in range(MAX_NEWTON_ITER):
-        done = np.maximum.reduce(np.abs(f), -1) <= 1e-12 * scale
-        rows = (~done).nonzero()[0]
-        if not rows.size:
+        # max |f_j| column by column: numpy reduces a short axis row by row
+        conv = reduce(np.maximum, np.abs(f).T) <= 1e-12 * scale
+        if conv.all():
             break
-        J = _balance_jacobian(net, N[rows], Ts[rows], q)
+        if conv.any():  # converged rows leave the working set
+            at, keep = np.arange(Ts.size)[rows], ~conv
+            N[at[conv]], done[at[conv]] = Nw[conv], True
+            rows, Nw, Tw, f, best = (a[keep] for a in (at, Nw, Tw, f, best))
+        J = _balance_jacobian(net, Nw, Tw, q)
         try:
-            step = np.linalg.solve(J, -f[rows][..., None])[..., 0]
+            step = np.linalg.solve(J, -f[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
-            T_bad = Ts[rows][np.argmin(np.abs(np.linalg.det(J)))]
+            N[rows], T_bad = Nw, Tw[np.argmin(np.abs(np.linalg.det(J)))]
             raise ConvergenceError(f"singular Jacobian at T={T_bad}", N, done) from exc
-        i, alpha = rows, np.ones(rows.size)
-        for _ in range(40):
-            N_try = np.maximum(N[i] + alpha[:, None] * step, 0.0)
-            norm, f_try, s_try = _balance(net, N_try, Ts[i], q)
-            ok = (norm <= (1.0 - 1e-4 * alpha) * best[i]) | (alpha < 1e-8)
-            a = i[ok]
-            N[a], f[a], scale[a], best[a] = N_try[ok], f_try[ok], s_try[ok], norm[ok]
-            i, alpha, step = i[~ok], 0.5 * alpha[~ok], step[~ok]
-            if not i.size:
+        N_old, best_old = Nw, best
+        Nw, f, scale, best = map(np.empty_like, (Nw, f, best, best))
+        i, alpha = slice(None), 1.0
+        while True:
+            N_try = np.maximum(N_old[i] + alpha * step[i], 0.0)
+            norm, f[i], scale[i] = _balance(net, N_try, Tw[i], q)
+            Nw[i], best[i] = N_try, norm
+            ok = (norm <= (1.0 - 1e-4 * alpha) * best_old[i]) | (alpha < 1e-8)
+            if ok.all():
                 break
+            i, alpha = np.arange(len(Nw))[i][~ok], 0.5 * alpha
+    N[rows], done[rows] = Nw, conv.all()  # all rows left converged, or none
     if not done.all():
         raise ConvergenceError(
             f"mole balance did not converge at T={Ts[~done][0]}, q={q}", N, done)
@@ -259,21 +268,23 @@ def steady_states(net: ReactionNetwork, q: float, T_w: float,
         g00 = kernel.flow_column(net, N, kernel.enthalpy(net, T))[0]
         return q * g00 + lam * (T_w - T)
 
-    # Solve the points not yet converged, each from its nearest converged
+    # Solve the grid cold, then each failed point from its nearest converged
     # lower-T point (cold if none), until a round converges none.
-    cold = net.reactor.V * net.c_in
-    comps, ok = np.tile(cold, (grid, 1)), np.zeros(grid, dtype=bool)
-    while not ok.all():
-        rows = np.flatnonzero(~ok)
-        lower = np.maximum.accumulate(np.where(ok, np.arange(grid), -1))[rows]
-        start = np.where((lower >= 0)[:, None], comps[lower], cold)
+    comps, ok = np.empty((grid, net.n_species)), np.zeros(grid, dtype=bool)
+    rows, start = slice(None), None
+    while True:
         try:
-            comps[rows] = mass_balance_steady(net, Ts[rows], q, N0=start)
-            ok[rows] = True
+            comps[rows], ok[rows] = mass_balance_steady(net, Ts[rows], q,
+                                                        N0=start), True
         except ConvergenceError as exc:
             if not exc.converged.any():
                 raise
             comps[rows], ok[rows] = exc.N, exc.converged
+        if ok.all():
+            break
+        rows = np.flatnonzero(~ok)
+        lower = np.maximum.accumulate(np.where(ok, np.arange(grid), -1))[rows]
+        start = np.where(lower[:, None] >= 0, comps[lower], net.reactor.V * net.c_in)
     E = energy(Ts, comps)
 
     # ITP-bracket every sign change in lockstep, each warm-started from its

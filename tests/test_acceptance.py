@@ -296,10 +296,12 @@ def test_criterion_11_generator_passivity(net, sp, det_traj):
     worst_gap = gap.max(initial=-np.inf)
     frac = held / checked if checked else 0.0
     ok = checked > 0 and frac >= 0.99
+    records = len(T)
     report(11, "generator-passivity", ok,
-           f"dissipation inequality held at {held}/{checked} "
-           f"checked states ({frac:.1%}, need 99%); worst gap "
-           f"{worst_gap:.3g}")
+           f"dissipation inequality held at {held}/{checked} judged states "
+           f"({frac:.1%}, need 99%): the {checked} of the path's {records} "
+           f"records where the trace condition holds, which fails at the "
+           f"other {records - checked}; worst gap {worst_gap:.3g}")
     # expected failure with the bundled benchmark data.  The flux term of
     # the gap is the setpoint-shift coupling grad A^T R pi* less the
     # dissipation grad A^T R grad A (R the strict damping matrix), and
@@ -309,7 +311,9 @@ def test_criterion_11_generator_passivity(net, sp, det_traj):
     # shift coupling
     assert ok, (
         f"storage rate exceeded the supplied power at "
-        f"{checked - held}/{checked} states; worst gap {worst_gap:.3g}")
+        f"{checked - held}/{checked} judged states (of {records} records, "
+        f"the trace condition fails at {records - checked}); worst gap "
+        f"{worst_gap:.3g}")
 
 
 def _random_port_system(rng, n, m):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (NO_REACTION, equilibrium_composition, networks,
-                      random_states)
+from conftest import (NO_REACTION, THREE_REACTIONS, equilibrium_composition,
+                      networks, random_states)
 from phreactor import equilibrium, kernel, presets
 from phreactor.control import jacket_temperature
 from phreactor.equilibrium import (
@@ -63,6 +63,11 @@ def test_mass_balance_residual_is_tiny(net):
 def test_no_reaction_network_washes_to_feed_composition(plain_net):
     N = mass_balance_steady(plain_net, 315.0, 1e-4)
     np.testing.assert_array_equal(N, [2.0, 0.0])
+    # the stopping test reads every species: a start that is off in one
+    # species only still iterates
+    for N0 in ([2.0, 5.0], [5.0, 0.0]):
+        N = mass_balance_steady(plain_net, [315.0, 315.0], 1e-4, N0=N0)
+        np.testing.assert_allclose(N, [[2.0, 0.0]] * 2, atol=1e-12)
 
 
 def test_negative_root_raises_value_error():
@@ -166,31 +171,115 @@ def _newton_by_columns(net, T, q, N0=None, tol=1e-12):
     return N
 
 
+def _same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+#: The bundled network, the 2 A -> B network and the three-reaction
+#: network: on the last two the Newton's live rows shrink as rows converge
+#: (2 000 -> 1 731 -> 1 530 -> 1 335 on the three-reaction grid).
+SOLVE_NETWORKS = (presets.CONFIG_TEXT, NONLINEAR, THREE_REACTIONS)
+
+
+def _lone_outcome(net, T, q, N0=None):
+    """One row's solve alone: its last iterate and whether it converged."""
+    try:
+        return mass_balance_steady(net, T, q, N0=N0), True
+    except ConvergenceError as exc:
+        return exc.N[0], bool(exc.converged[0])
+
+
 @pytest.mark.parametrize("T, q, N0", [
     (331.9, 9.15e-6, None), (250.0, 9.15e-6, None), (500.0, 9.15e-6, None),
     (320.0, 2e-5, None), (331.9, 9.15e-6, [5.0, 5.0]),
-    (420.0, 1e-6, [0.3, 1.9]),
+    (420.0, 1e-6, [0.3, 1.9]), (331.9, 9.15e-6, [1e-3, 1e-3]),
 ])
-def test_solve_equals_column_loop(net, T, q, N0):
-    np.testing.assert_array_equal(mass_balance_steady(net, T, q, N0=N0),
-                                  _newton_by_columns(net, T, q, N0))
+def test_solve_equals_column_loop(T, q, N0):
+    for net in map(parse_network, SOLVE_NETWORKS):
+        _same_bits(mass_balance_steady(net, T, q, N0=N0),
+                   _newton_by_columns(net, T, q, N0))
 
 
-def test_batch_rows_equal_scalar_solves(net):
-    q = 9.15e-6
-    Ts = np.linspace(250.0, 500.0, 2000)
-    batch = mass_balance_steady(net, Ts, q)
-    assert batch.shape == (2000, 2)
-    np.testing.assert_array_equal(
-        batch, [mass_balance_steady(net, T, q) for T in Ts])
-    # warm starts: one shared (p,) start, and one start per row
-    N0 = batch[::400] * 1.5
-    np.testing.assert_array_equal(
-        mass_balance_steady(net, Ts[::400], q, N0=N0),
-        [mass_balance_steady(net, T, q, N0=n) for T, n in zip(Ts[::400], N0)])
-    np.testing.assert_array_equal(
-        mass_balance_steady(net, Ts[:3], q, N0=[1.0, 1.0]),
-        [mass_balance_steady(net, T, q, N0=[1.0, 1.0]) for T in Ts[:3]])
+def test_batch_rows_equal_scalar_solves():
+    q, Ts = 9.15e-6, np.linspace(250.0, 500.0, 2000)
+    for net in map(parse_network, SOLVE_NETWORKS):
+        batch = mass_balance_steady(net, Ts, q)
+        assert batch.shape == (2000, 2)
+        _same_bits(batch, np.array([mass_balance_steady(net, T, q)
+                                    for T in Ts]))
+        _same_bits(batch, np.array([_newton_by_columns(net, T, q)
+                                    for T in Ts]))
+        # warm starts: one start per row, and one shared (p,) start; from
+        # N = (1e-3, 1e-3) the rows of the nonlinear networks halve their
+        # steps in different rounds
+        N0 = batch[::400] * 1.5
+        _same_bits(mass_balance_steady(net, Ts[::400], q, N0=N0), np.array(
+            [mass_balance_steady(net, T, q, N0=n)
+             for T, n in zip(Ts[::400], N0)]))
+        for start, rows in (([1.0, 1.0], Ts[:3]), ([1e-3, 1e-3], Ts[::100])):
+            solved = mass_balance_steady(net, rows, q, N0=start)
+            _same_bits(solved, np.array(
+                [mass_balance_steady(net, T, q, N0=start) for T in rows]))
+            _same_bits(solved, np.array(
+                [_newton_by_columns(net, T, q, start) for T in rows]))
+
+
+@pytest.mark.parametrize("network, caps, start", [
+    (NONLINEAR, (3, 4, 5), None), (THREE_REACTIONS, (3, 4, 5), None),
+    (NONLINEAR, (8, 12, 20), [1e-3, 1e-3]),
+    (THREE_REACTIONS, (8, 12, 20), [1e-3, 1e-3]),
+], ids=["2A-cold", "three-reactions-cold", "2A-halving",
+        "three-reactions-halving"])
+def test_unconverged_batch_carries_each_lone_outcome(network, caps, start,
+                                                     monkeypatch):
+    """Rows that converge at different iterations leave the working set at
+    different times; a batch that runs out of iterations still reports, row
+    by row, the last iterate and the flag of the row's lone solve."""
+    net, q = parse_network(network), presets.Q_STAR
+    Ts = np.linspace(250.0, 500.0, 2000)[::4 if start is None else 40]
+    counts = []
+    for cap in caps:
+        monkeypatch.setattr(equilibrium, "MAX_NEWTON_ITER", cap)
+        with pytest.raises(ConvergenceError) as info:
+            mass_balance_steady(net, Ts, q, N0=start)
+        lone = [_lone_outcome(net, T, q, start) for T in Ts]
+        _same_bits(info.value.N, np.array([N for N, _ in lone]))
+        np.testing.assert_array_equal(info.value.converged,
+                                      [ok for _, ok in lone])
+        counts.append(int(info.value.converged.sum()))
+    assert 0 < counts[0] < counts[1] < counts[2] < len(Ts)
+
+
+def test_singular_jacobian_reports_every_row_s_last_iterate(monkeypatch):
+    """A singular Jacobian met after rows have left the working set names
+    its T and reports each row's last iterate, as a solve stopped there."""
+    net, q = parse_network(THREE_REACTIONS), presets.Q_STAR
+    Ts = np.linspace(250.0, 500.0, 2000)[::4]
+    stopped = {}
+    for cap in (2, 3):
+        monkeypatch.setattr(equilibrium, "MAX_NEWTON_ITER", cap)
+        with pytest.raises(ConvergenceError) as info:
+            mass_balance_steady(net, Ts, q)
+        stopped[cap] = info.value
+    monkeypatch.undo()
+    jacobian, sizes = equilibrium._balance_jacobian, []
+
+    def third_singular(*args):
+        J = jacobian(*args)
+        sizes.append(len(J))
+        if len(sizes) == 3:
+            J[-1] = 0.0
+        return J
+
+    monkeypatch.setattr(equilibrium, "_balance_jacobian", third_singular)
+    with pytest.raises(ConvergenceError,
+                       match=f"singular Jacobian at T={Ts[-1]}$") as info:
+        mass_balance_steady(net, Ts, q)
+    assert sizes[0] == sizes[1] == len(Ts) > sizes[2]
+    _same_bits(info.value.N, stopped[2].N)
+    np.testing.assert_array_equal(info.value.converged,
+                                  stopped[3].converged)
 
 
 @pytest.mark.parametrize("q", [1e-6, 9.15e-6, 2e-5])
@@ -626,11 +715,6 @@ def _scans(net):
             (parse_network(NONLINEAR), presets.Q_STAR, NONLINEAR_TW),
             *((net, presets.Q_STAR * (1.0 + rng.uniform(-0.005, 0.005)),
                299.4922 + rng.uniform(-0.2, 0.2)) for _ in range(20))]
-
-
-def _same_bits(a, b):
-    assert a.dtype == b.dtype and a.shape == b.shape
-    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_batched_tail_equals_each_root_alone(net):

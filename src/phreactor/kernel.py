@@ -236,20 +236,17 @@ def flow_column(net, N, h):
     return g00, feed_gap(net, c), c
 
 
-def mixing_scale(net, N, h, theta, g00, dc, N_sum=None):
+def mixing_scale(net, N, h, theta, g00, dc, N_sum):
     """theta (g00, dc)^T Hess(-S) (g00, dc) for a direction (g00, dc) on
-    (U, N), explicitly
+    (U, N), with N_sum = sum N, explicitly
 
-        dc^T (h h^T - (theta R / sum N) 11^T + diag(theta R / N_j)) dc
+        dc^T (h h^T - (theta R / N_sum) 11^T + diag(theta R / N_j)) dc
         - 2 g00 h^T dc + g00^2;
 
-    the mixing scale M when (g00, dc) is the flow column of g.  ``N_sum``
-    is sum N if the caller has it."""
+    the mixing scale M when (g00, dc) is the flow column of g."""
     R = net.step_constants.R
     hdc = _dot(h, dc)
     dc_sum = np.add.reduce(dc, -1)
-    if N_sum is None:
-        N_sum = np.add.reduce(N, -1)
     quad = (hdc * hdc - theta * R / N_sum * (dc_sum * dc_sum)
             + theta * R * _dot(dc, dc / N))
     return quad - 2.0 * g00 * hdc + g00 * g00

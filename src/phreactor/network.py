@@ -143,10 +143,6 @@ class ReactionNetwork:
     def n_species(self) -> int:
         return len(self.species)
 
-    @property
-    def n_reactions(self) -> int:
-        return len(self.reactions)
-
     @cached_property
     def species_names(self) -> tuple[str, ...]:
         return tuple(sp.name for sp in self.species)

@@ -46,10 +46,11 @@ def damping_matrix(net: ReactionNetwork, state,
 
     The energy row and column are zero; reactions dissipate only through
     composition, as V T sum_i c_i dz_i dz_i^T with dz_i = reactants -
-    products.  ``mode`` picks the weights c_i of :func:`kernel.damping_weights`:
-    ``"logmean"``, nonnegative for any rate constants, or ``"strict"``, the
-    rate over the affinity, equal to the log-mean weight exactly when the
-    kinetics are thermodynamically consistent.
+    products, as :func:`kernel.damping_apply` on the identity.  ``mode``
+    picks the weights c_i of :func:`kernel.damping_weights`: ``"logmean"``,
+    nonnegative for any rate constants, or ``"strict"``, the rate over the
+    affinity, equal to the log-mean weight exactly when the kinetics are
+    thermodynamically consistent.
     """
     if mode not in ("logmean", "strict"):
         raise ValueError(f"unknown damping mode {mode!r}")
@@ -58,8 +59,7 @@ def damping_matrix(net: ReactionNetwork, state,
         net, *kernel.mass_action(net, st.N / net.reactor.V, st.T), st.T,
         kernel.affinity(net, st.mu_over_T, st.T) if mode == "strict" else None)
     R = np.zeros((net.n_species + 1, net.n_species + 1))
-    dz = -net.stoich_net  # reactants minus products, one column per reaction
-    R[1:, 1:] = (dz[:, None] * dz) @ (net.reactor.V * st.T * weights)
+    R[1:, 1:] = kernel.damping_apply(net, weights, st.T, np.eye(net.n_species))
     return R
 
 
@@ -68,7 +68,8 @@ def mixing_noise_scale(net: ReactionNetwork, state) -> float:
     along the flow column g_q of g; see :func:`kernel.mixing_scale`."""
     st = as_state(net, state)
     return kernel.mixing_scale(net, st.N, st.h, st.theta,
-                               *kernel.flow_column(net, st.N, st.h)[:2])
+                               *kernel.flow_column(net, st.N, st.h)[:2],
+                               st.N.sum())
 
 
 @dataclass(frozen=True)
@@ -176,18 +177,14 @@ class NegEntropy:
         return neg_entropy_hessian(self.net, x)
 
 
-def ito_generator(net: ReactionNetwork, field: ScalarField, state, u,
-                  include_noise: bool = True) -> float:
-    """Ito generator L[field] = grad^T drift + (1/2) tr(Hess D D^T)."""
+def ito_generator(net: ReactionNetwork, field: ScalarField, state, u) -> float:
+    """Ito generator L[field] = grad^T drift + (1/2) tr(Hess D D^T); its
+    noise-free part is ``field.gradient(x) @ sde_fields(...).drift``."""
     st = as_state(net, state)
     fields = sde_fields(net, st, u)
-    x = st.x
-    value = float(field.gradient(x) @ fields.drift)
-    if include_noise:
-        H = field.hessian(x)
-        D = fields.diffusion
-        value += 0.5 * float(np.einsum("ij,ik,jk->", H, D, D))
-    return value
+    x, D = st.x, fields.diffusion
+    return float(field.gradient(x) @ fields.drift) + 0.5 * float(
+        np.einsum("ij,ik,jk->", field.hessian(x), D, D))
 
 
 # ---------------------------------------------------------------------------

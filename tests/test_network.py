@@ -360,6 +360,6 @@ def test_empty_reaction_section_allowed():
     text = GOOD.replace("A -> B k0f=1.2e9 Ef=72331.8 k0b=1.33e8 Eb=74826.0\n",
                         "")
     net = parse_network(text)
-    assert net.n_reactions == 0
+    assert net.reactions == ()
     assert net.stoich_net.shape == (2, 0)
     assert parse_network(serialize_network(net)) == net

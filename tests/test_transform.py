@@ -180,9 +180,8 @@ def test_transformed_output_zero_at_setpoint_with_zero_input(net, sp_exact):
 def _supply_gap_terms(net, sp, st, u):
     """(L0[A], y^T u, grad A^T R pi*, -grad A^T R grad A, -u^T delta u)
     with L0 the noise-free generator and R the strict damping matrix."""
-    rate = ito_generator(net, AvailabilityHamiltonian(net, sp), st, u,
-                         include_noise=False)
     grad = AvailabilityHamiltonian(net, sp).gradient(st.x)
+    rate = float(grad @ sde_fields(net, st, u).drift)
     R = damping_matrix(net, st, mode="strict")
     delta = np.array(kernel.feedthrough(net, mixing_noise_scale(net, st),
                                         st.theta))

@@ -72,10 +72,11 @@ def drift_residual(net: ReactionNetwork, x, u):
     return float(norm) if x.ndim == 1 else norm
 
 
-def _balance(net: ReactionNetwork, N, T, q):
-    """Per row: the mole balance's norm, residual and convergence scale."""
+def _balance(net: ReactionNetwork, N, k_T, q):
+    """Per row: the mole balance's norm, residual and convergence scale,
+    given the rows' Arrhenius constants k_T (:func:`kernel.rate_constants`)."""
     c = N / net.reactor.V
-    forward, backward = kernel.mass_action(net, c, T)
+    forward, backward = kernel.mass_action(net, c, k_T)
     f = (kernel.reaction_flux(net, forward - backward)
          + q * kernel.feed_gap(net, c))
     turnover = net.reactor.V * np.add.reduce(forward + backward, -1)
@@ -83,11 +84,11 @@ def _balance(net: ReactionNetwork, N, T, q):
     return np.sqrt(np.vecdot(f, f)), f, np.maximum(turnover, floor)
 
 
-def _balance_jacobian(net: ReactionNetwork, N, T, q):
+def _balance_jacobian(net: ReactionNetwork, N, k_T, q):
     """Per row: the mole balance's exact Jacobian in N,
-    nu (dr_f/dc - dr_b/dc) - (q / V) I."""
+    nu (dr_f/dc - dr_b/dc) - (q / V) I, given the constants k_T."""
     V = net.reactor.V
-    dr_f, dr_b = kernel.mass_action_jacobian(net, N / V, T)
+    dr_f, dr_b = kernel.mass_action_jacobian(net, N / V, k_T)
     # entry (k, j) is row k of nu dotted with column j of dr
     dr = (dr_f - dr_b).swapaxes(-1, -2)[..., None, :, :]
     return (np.vecdot(net.stoich_net[:, None, :], dr)
@@ -119,15 +120,19 @@ def mass_balance_steady(net: ReactionNetwork, T, q: float,
     Damped Newton from N = V c_in (or the warm start N0) with the exact
     Jacobian (:func:`kernel.mass_action_jacobian`, so also at a zero
     concentration) and step halving on residual increase.  T of shape (B,)
-    solves B rows as one batch and gives N of shape (B, p): a row leaves the
-    working set (a slice of all B until one leaves) when it converges, and
-    only the rows whose full step does not lower the norm enough halve it,
-    so the batch pays for its live rows only and each row keeps the bits of
-    its lone solve.  Raises :class:`ConvergenceError` naming the combination
-    of mole numbers the network conserves at q = 0 (:func:`conserved_moles`),
-    which leaves N undetermined, the first T not converged in
-    ``MAX_NEWTON_ITER`` iterations, or a T where the solve meets a singular
-    Jacobian; and :class:`ValueError` if a solution has a negative component.
+    solves B rows as one batch and gives N of shape (B, p).  The Arrhenius
+    constants of every row are evaluated once per call
+    (:func:`kernel.rate_constants`), since T stays fixed through the solve.
+    A row leaves the working set (a slice of all B until one leaves) with
+    its constants when it converges; every live row takes its full step,
+    and only the rows whose norm does not fall enough are gathered and
+    halve it, so the batch pays for its live rows only and each row keeps
+    the bits of its lone solve.  Raises :class:`ConvergenceError` naming
+    the combination of mole numbers the network conserves at q = 0
+    (:func:`conserved_moles`), which leaves N undetermined, the first T not
+    converged in ``MAX_NEWTON_ITER`` iterations, or a T where the solve
+    meets a singular Jacobian; and :class:`ValueError` if a solution has a
+    negative component.
     """
     Ts = np.asarray(T, dtype=float).reshape(-1)
     N = np.empty((Ts.size, net.n_species))
@@ -137,8 +142,8 @@ def mass_balance_steady(net: ReactionNetwork, T, q: float,
         raise ConvergenceError(f"at q=0 the closed reactor conserves "
                                f"{conserved}, so the mole balance does not "
                                "determine N", N, done)
-    rows, Nw, Tw, conv = slice(None), N, Ts, done
-    best, f, scale = _balance(net, N, Ts, q)
+    rows, Nw, kw, conv = slice(None), N, kernel.rate_constants(net, Ts), done
+    best, f, scale = _balance(net, N, kw, q)
     for _ in range(MAX_NEWTON_ITER):
         # max |f_j| column by column: numpy reduces a short axis row by row
         conv = reduce(np.maximum, np.abs(f).T) <= 1e-12 * scale
@@ -147,24 +152,25 @@ def mass_balance_steady(net: ReactionNetwork, T, q: float,
         if conv.any():  # converged rows leave the working set
             at, keep = np.arange(Ts.size)[rows], ~conv
             N[at[conv]], done[at[conv]] = Nw[conv], True
-            rows, Nw, Tw, f, best = (a[keep] for a in (at, Nw, Tw, f, best))
-        J = _balance_jacobian(net, Nw, Tw, q)
+            rows, Nw, kw, f, best = (a[keep] for a in (at, Nw, kw, f, best))
+        J = _balance_jacobian(net, Nw, kw, q)
         try:
             step = np.linalg.solve(J, -f[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
-            N[rows], T_bad = Nw, Tw[np.argmin(np.abs(np.linalg.det(J)))]
+            N[rows], T_bad = Nw, Ts[rows][np.argmin(np.abs(np.linalg.det(J)))]
             raise ConvergenceError(f"singular Jacobian at T={T_bad}", N, done) from exc
+        # every row takes its full step; only the rows whose norm does not
+        # fall enough are gathered and halve it, round by round
         N_old, best_old = Nw, best
-        Nw, f, scale, best = map(np.empty_like, (Nw, f, best, best))
-        i, alpha = slice(None), 1.0
-        while True:
+        Nw = np.maximum(N_old + step, 0.0)
+        best, f, scale = _balance(net, Nw, kw, q)
+        ok, i, alpha = best <= (1.0 - 1e-4) * best_old, slice(None), 1.0
+        while not ok.all():
+            i, alpha = np.arange(len(Nw))[i][~ok], 0.5 * alpha
             N_try = np.maximum(N_old[i] + alpha * step[i], 0.0)
-            norm, f[i], scale[i] = _balance(net, N_try, Tw[i], q)
+            norm, f[i], scale[i] = _balance(net, N_try, kw[i], q)
             Nw[i], best[i] = N_try, norm
             ok = (norm <= (1.0 - 1e-4 * alpha) * best_old[i]) | (alpha < 1e-8)
-            if ok.all():
-                break
-            i, alpha = np.arange(len(Nw))[i][~ok], 0.5 * alpha
     N[rows], done[rows] = Nw, conv.all()  # all rows left converged, or none
     if not done.all():
         raise ConvergenceError(
@@ -173,6 +179,21 @@ def mass_balance_steady(net: ReactionNetwork, T, q: float,
         raise ValueError("steady composition has a negative component: "
                          f"{N[(N < 0).any(-1)][0]}")
     return N if np.ndim(T) else N[0]
+
+
+def _itp_point(a, b, ea, eb, kappa_1, r_k):
+    """The ITP point of the bracket [a, b], whose residuals ea != 0 and eb
+    differ in sign: the regula falsi point in ratio form, truncated toward
+    the midpoint by kappa_1 (b - a) ** 2 and projected into the ball of
+    radius r_k - (b - a) / 2 about it, which keeps bisection's bound."""
+    width, half = b - a, 0.5 * (a + b)
+    x_f = a + width / (1.0 - eb / ea)
+    sigma = (half > x_f) - (half < x_f)
+    # ITP_KAPPA2 = 2, squared by hand: a float's ** calls pow
+    delta = kappa_1 * (width * width)
+    x_t = x_f + sigma * delta if delta <= abs(half - x_f) else half
+    r = r_k - 0.5 * width
+    return x_t if abs(x_t - half) <= r else half - sigma * r
 
 
 @dataclass(frozen=True)
@@ -287,34 +308,33 @@ def steady_states(net: ReactionNetwork, q: float, T_w: float,
         start = np.where(lower[:, None] >= 0, comps[lower], net.reactor.V * net.c_in)
     E = energy(Ts, comps)
 
-    # ITP-bracket every sign change in lockstep, each warm-started from its
-    # own last iterate; a grid point with E == 0 is a bracket of zero width.
-    # Signs are compared, never residuals multiplied, which could overflow
-    # or underflow.
+    # ITP-narrow every sign change, each bracket [a, b, E(a), E(b)]
+    # warm-started from its own last iterate and all solved in lockstep; a
+    # grid point with E == 0 is a bracket of zero width.  A round's few
+    # points are floats (:func:`_itp_point`), which cost less than arrays of
+    # a few entries.  Signs are compared, never residuals multiplied, which
+    # could overflow or underflow.
     s = np.sign(E)
     j = np.flatnonzero((E[:-1] == 0.0) | (s[:-1] == -s[1:]))
-    a, ea, eb, N_it = Ts[j], E[j], E[j + 1], comps[j]
-    b = np.where(ea == 0.0, a, Ts[j + 1])
-    w = Ts[1] - Ts[0]
+    brackets = [[a, a if ea == 0.0 else b, ea, eb] for a, b, ea, eb in zip(
+        Ts[j].tolist(), Ts[j + 1].tolist(), E[j].tolist(), E[j + 1].tolist())]
+    N_it, w = comps[j], float(Ts[1] - Ts[0])
     n_max, k = math.ceil(math.log2(w / (2.0 * ROOT_EPS))) + ITP_N0, 0
-    while (live := np.flatnonzero(b - a > 2.0 * ROOT_EPS)).size:
-        # interpolate (regula falsi in ratio form), truncate toward the
-        # midpoint, project into the ball that keeps bisection's bound
-        width, half = b[live] - a[live], 0.5 * (a[live] + b[live])
-        x_f = a[live] + width / (1.0 - eb[live] / ea[live])
-        sigma = np.sign(half - x_f)
-        delta = ITP_KAPPA1 / w * width ** ITP_KAPPA2
-        x_t = np.where(delta <= np.abs(half - x_f), x_f + sigma * delta, half)
-        r = ROOT_EPS * 2.0 ** (n_max - k) - 0.5 * width
-        x = np.where(np.abs(x_t - half) <= r, x_t, half - sigma * r)
+    while live := [i for i, (a, b, _, _) in enumerate(brackets)
+                   if b - a > 2.0 * ROOT_EPS]:
+        r_k = ROOT_EPS * 2.0 ** (n_max - k)
+        x = np.array([_itp_point(*brackets[i], ITP_KAPPA1 / w, r_k) for i in live])
         N_it[live] = mass_balance_steady(net, x, q, N0=N_it[live])
-        ex = energy(x, N_it[live])
-        left = np.sign(ex) != np.sign(ea[live])
-        b[live[left]], eb[live[left]] = x[left], ex[left]
-        a[live[~left]], ea[live[~left]] = x[~left], ex[~left]
-        a[live[ex == 0.0]] = x[ex == 0.0]
+        for bracket, x_i, e_i in zip([brackets[i] for i in live], x.tolist(),
+                                     energy(x, N_it[live]).tolist()):
+            if e_i == 0.0:
+                bracket[:2] = x_i, x_i
+            elif e_i > 0.0 if bracket[2] > 0.0 else e_i < 0.0:  # E(a)'s side
+                bracket[0], bracket[2] = x_i, e_i
+            else:
+                bracket[1], bracket[3] = x_i, e_i
         k += 1
-    root_T = 0.5 * (a + b)
+    root_T = np.array([0.5 * (a + b) for a, b, _, _ in brackets])
     root_N = mass_balance_steady(net, root_T, q, N0=N_it)
 
     U = [internal_energy(net, N, T) for T, N in zip(root_T, root_N)]

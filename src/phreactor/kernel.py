@@ -23,8 +23,10 @@ its flow column (g00, dc, c = N / V) to :func:`em_update`, whose rates
 read the concentrations c from it.  The constants come derived once, from
 the network's :class:`StepConstants`.  The rates and their derivatives take
 no ``pow``: c_j ** alpha is c_j gathered alpha times, in species order, for
-every multiplicity alpha (:func:`_gathers`).  The paper's three passivity
-and noise conditions are written once, in :func:`margins`.
+every multiplicity alpha (:func:`_gathers`), and they take the Arrhenius
+constants of :func:`rate_constants`, so a solve at fixed T evaluates those
+once.  The paper's three passivity and noise conditions are written once,
+in :func:`margins`.
 """
 
 from __future__ import annotations
@@ -146,28 +148,29 @@ def _gathered_product(c, gather):
     return product
 
 
-def _rate_constants(net, T):
+def rate_constants(net, T):
     """Arrhenius constants k0 exp(-E / (R T)) of the forward then the
-    backward direction of each reaction, shape (..., 2 r)."""
+    backward direction of each reaction, shape (..., 2 r): the ``k_T`` that
+    :func:`mass_action` and :func:`mass_action_jacobian` take."""
     k = net.step_constants
     return k.k0 * np.exp(k.neg_E / _col(k.R * T))
 
 
-def mass_action(net, c, T) -> tuple[np.ndarray, np.ndarray]:
-    """Arrhenius mass-action rates (r_f, r_b) at concentrations c."""
-    k = net.step_constants
-    rates = _rate_constants(net, T) * _gathered_product(c, k.slots)
+def mass_action(net, c, k_T) -> tuple[np.ndarray, np.ndarray]:
+    """Mass-action rates (r_f, r_b) at concentrations c, given the
+    Arrhenius constants k_T = :func:`rate_constants` at the temperature;
+    a caller that holds T fixed over many c evaluates k_T once."""
+    rates = k_T * _gathered_product(c, net.step_constants.slots)
     return rates[..., :len(net.reactions)], rates[..., len(net.reactions):]
 
 
-def mass_action_jacobian(net, c, T):
+def mass_action_jacobian(net, c, k_T):
     """(dr_f/dc, dr_b/dc): the exact derivatives of the :func:`mass_action`
-    rates in c, shape (..., r, p), entry (i, j) = k_i alpha_ij
-    c_j ** (alpha_ij - 1) prod_{l != j} c_l ** alpha_il for the
-    multiplicities alpha of that side; exact at c_j = 0."""
-    k = net.step_constants
-    J = (_rate_constants(net, T)[..., None, :]
-         * _gathered_product(c, k.grad_slots)).swapaxes(-1, -2)
+    rates in c, given the same constants k_T, shape (..., r, p), entry
+    (i, j) = k_i alpha_ij c_j ** (alpha_ij - 1) prod_{l != j} c_l ** alpha_il
+    for the multiplicities alpha of that side; exact at c_j = 0."""
+    J = (k_T[..., None, :] * _gathered_product(
+        c, net.step_constants.grad_slots)).swapaxes(-1, -2)
     return J[..., :len(net.reactions), :], J[..., len(net.reactions):, :]
 
 
@@ -275,7 +278,7 @@ def margins(net, N, T, h, mu_over_T, theta, grad_N, V_star) -> Margins:
     (r_f - r_b)^T A / T.  Last grad_N^T flux: L[A] - y^T u = trace lhs + it."""
     rho, half_rho1_sq = net.noise, 0.5 * net.noise.rho1 ** 2
     g00, dc, c = flow_column(net, N, h)
-    forward, backward = mass_action(net, c, T)
+    forward, backward = mass_action(net, c, rate_constants(net, T))
     rate_net, N_sum = forward - backward, np.add.reduce(N, -1)
     f = _dot(net.stoich_net, rate_net[..., None, :])
     flux = net.step_constants.V * f  # reaction_flux
@@ -330,7 +333,7 @@ def sde_terms(net, N, T, q, Qdot, column=None):
     (g00, dc, c) at (N, T) if the caller has it; the rates are taken at
     its concentrations c."""
     g00, dc, c = column or flow_column(net, N, enthalpy(net, T))
-    forward, backward = mass_action(net, c, T)
+    forward, backward = mass_action(net, c, rate_constants(net, T))
     flux = reaction_flux(net, forward - backward)
     rho, q_col = net.noise, _col(q)
     return ((g00 * q + Qdot, flux + q_col * dc),

@@ -55,8 +55,10 @@ def damping_matrix(net: ReactionNetwork, state,
     if mode not in ("logmean", "strict"):
         raise ValueError(f"unknown damping mode {mode!r}")
     st = as_state(net, state)
+    rates = kernel.mass_action(net, st.N / net.reactor.V,
+                               kernel.rate_constants(net, st.T))
     weights = kernel.damping_weights(
-        net, *kernel.mass_action(net, st.N / net.reactor.V, st.T), st.T,
+        net, *rates, st.T,
         kernel.affinity(net, st.mu_over_T, st.T) if mode == "strict" else None)
     R = np.zeros((net.n_species + 1, net.n_species + 1))
     R[1:, 1:] = kernel.damping_apply(net, weights, st.T, np.eye(net.n_species))
@@ -111,7 +113,8 @@ def structure_matrices(net: ReactionNetwork, state,
     g = np.zeros((p + 1, 2))
     g[0, 0], g[1:, 0], c = kernel.flow_column(net, st.N, st.h)
     g[0, 1] = 1.0
-    forward, backward = kernel.mass_action(net, c, st.T)
+    forward, backward = kernel.mass_action(net, c,
+                                           kernel.rate_constants(net, st.T))
     a = np.zeros(p + 1)
     a[1:] = net.noise.rho1 * kernel.reaction_flux(net, forward - backward)
     M = mixing_noise_scale(net, st)

@@ -135,6 +135,7 @@ def equivalence_residual(net: ReactionNetwork, sp: Setpoint, x) -> float:
     equilibrium.
     """
     st = as_state(net, x)
-    rates = kernel.mass_action(net, st.N / net.reactor.V, st.T)
+    rates = kernel.mass_action(net, st.N / net.reactor.V,
+                               kernel.rate_constants(net, st.T))
     return float(np.linalg.norm(kernel.damping_apply(
         net, kernel.damping_weights(net, *rates, st.T), st.T, sp.pi_star[1:])))

@@ -436,7 +436,8 @@ def _mixing_scale_along(net, N, T, v0, v):
 
 def _damping_weights(net, N, T, strict):
     """The log-mean or strict dissipation weights at states (N, T)."""
-    forward, backward = kernel.mass_action(net, N / net.reactor.V, T)
+    forward, backward = kernel.mass_action(net, N / net.reactor.V,
+                                           kernel.rate_constants(net, T))
     mu_over_T = kernel.closures(net, N, T)[1]
     return kernel.damping_weights(
         net, forward, backward, T,

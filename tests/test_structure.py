@@ -48,7 +48,8 @@ def test_mass_action_rates_hand_formula(net):
     c = N / net.reactor.V
     kf = 1.2e9 * math.exp(-72331.8 / (8.314 * T))
     kb = 1.33e8 * math.exp(-74826.0 / (8.314 * T))
-    forward, backward = kernel.mass_action(net, c, T)
+    forward, backward = kernel.mass_action(net, c,
+                                           kernel.rate_constants(net, T))
     assert forward[0] == pytest.approx(kf * c[0], rel=1e-13)
     assert backward[0] == pytest.approx(kb * c[1], rel=1e-13)
     assert forward[0] - backward[0] == pytest.approx(kf * c[0] - kb * c[1],
@@ -56,7 +57,8 @@ def test_mass_action_rates_hand_formula(net):
 
 
 def test_rates_accept_zero_concentration(net):
-    forward, backward = kernel.mass_action(net, np.array([0.0, 1000.0]), 331.9)
+    forward, backward = kernel.mass_action(net, np.array([0.0, 1000.0]),
+                                           kernel.rate_constants(net, 331.9))
     assert forward[0] == 0.0
     assert np.isfinite(backward[0]) and backward[0] > 0
 
@@ -94,8 +96,10 @@ def test_damping_matrix_shape_and_psd(net):
 def _dense_damping(net, st, mode):
     """R_NN = V T sum_i c_i dz_i dz_i^T as one dense product, and the same
     sum over the terms' magnitudes."""
+    rates = kernel.mass_action(net, st.N / net.reactor.V,
+                               kernel.rate_constants(net, st.T))
     weights = kernel.damping_weights(
-        net, *kernel.mass_action(net, st.N / net.reactor.V, st.T), st.T,
+        net, *rates, st.T,
         kernel.affinity(net, st.mu_over_T, st.T) if mode == "strict" else None)
     dz = -net.stoich_net
     outer = dz[:, None] * dz
@@ -198,7 +202,8 @@ def test_reaction_noise_column_vanishes_at_equilibrium(cnet):
     kb = cnet.k0b[0] * math.exp(-cnet.Eb[0] / RT)
     st = ThermoState.from_temperature(cnet, np.array([kb / kf, 1.0]), T)
     a = structure_matrices(cnet, st).a
-    forward, _ = kernel.mass_action(cnet, st.N / cnet.reactor.V, st.T)
+    forward, _ = kernel.mass_action(cnet, st.N / cnet.reactor.V,
+                                    kernel.rate_constants(cnet, st.T))
     assert np.abs(a).max() < 1e-12 * forward[0] * cnet.reactor.V
 
 
@@ -414,7 +419,8 @@ def test_passivity_reads_no_field_hessian(net, x0):
 def test_passivity_evaluates_the_rates_once(net, sp, x0, monkeypatch):
     """The three reports come from one flow column and one rate
     evaluation, and each check is that one evaluation."""
-    calls = {name: [] for name in ("mass_action", "flow_column")}
+    calls = {name: [] for name in ("mass_action", "rate_constants",
+                                   "flow_column")}
     for name, log in calls.items():
         def counted(*args, real=getattr(kernel, name), log=log):
             log.append(args)
@@ -428,7 +434,7 @@ def test_passivity_evaluates_the_rates_once(net, sp, x0, monkeypatch):
                   lambda: check_reaction_noise_bound(net, x0, sp.V_star)):
         check()
         assert {name: len(log) for name, log in calls.items()} == {
-            "mass_action": 1, "flow_column": 1}
+            "mass_action": 1, "rate_constants": 1, "flow_column": 1}
         for log in calls.values():
             log.clear()
 

@@ -39,7 +39,7 @@ import functools
 import math
 import sys
 from collections import Counter
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -84,12 +84,10 @@ def _cells(values, seen: dict[bytes, list[str]]) -> list[str]:
 
 def _write_csv(path: Path, columns: dict[str, list[str]], footer=()) -> None:
     """Write equal-length text columns under their names as header, then
-    the ``footer`` lines, 512 lines per write."""
+    the ``footer`` lines, in one write."""
     lines = chain([",".join(columns)], map(",".join, zip(*columns.values())),
                   footer)
-    with path.open("wb") as f:
-        while chunk := list(islice(lines, 512)):
-            f.write(("\n".join(chunk) + "\n").encode())
+    path.write_bytes(("\n".join(lines) + "\n").encode())
 
 
 def _moles(net: ReactionNetwork, text: str, flag: str) -> np.ndarray:

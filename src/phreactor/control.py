@@ -11,6 +11,10 @@ form
 Physically u = (q, Qdot): inlet/outlet flow and jacket heat.  The flow is
 clamped to [0, q_max] by default (a pump cannot run backwards), and the
 heat input is realized through a jacket at temperature T_w = Qdot/lambda + T.
+At x*, grad A = 0 gives u(x*) = (0, 0), while x* is held by u* = (9.15e-6
+m^3/s, -2.26 W): from the case study's start the deterministic loop settles
+at 333.44 K (333.20 K on the exact setpoint), not at T* = 331.9 K; its slow
+modes take about 100 s, so a 10 s horizon sees it pass near T*.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kernel
 from .network import ReactionNetwork
-from .thermo import N_FLOOR, ThermoDomainError, ThermoState, internal_energy
+from .thermo import N_FLOOR, ThermoState, internal_energy
 
 #: Newton iterations :func:`mass_balance_steady` takes before it gives up.
 MAX_NEWTON_ITER = 200
@@ -49,6 +49,21 @@ class ConvergenceError(RuntimeError):
         self.N, self.converged = N, converged
 
 
+def _drift(net: ReactionNetwork, x, q, Qdot, T_w=None):
+    """The drift (dU, dN) at rows x = (U, N) of any leading shape under
+    (q, Qdot), or Qdot = lambda (T_w - T(x)) given a jacket at T_w; the first
+    row outside the domain raises its :class:`ThermoState` error."""
+    N = x[..., 1:]
+    fine = (N.shape[-1:] == (net.n_species,) and np.isfinite(N).all()
+            and (N > N_FLOOR).all())
+    T = kernel.temperature(net, x[..., 0], N) if fine else None
+    if not (fine and np.all((0 < T) & (T < math.inf))):
+        for row in x.reshape(-1, x.shape[-1]):
+            ThermoState.from_vector(net, row)
+    Qdot = Qdot if T_w is None else net.reactor.lam * (T_w - T)
+    return kernel.sde_terms(net, N, T, q, Qdot)[0]
+
+
 def drift_residual(net: ReactionNetwork, x, u):
     """Scaled norm of the deterministic drift at (x, u).
 
@@ -58,14 +73,7 @@ def drift_residual(net: ReactionNetwork, x, u):
     and the first row outside the domain raises its error.
     """
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-    N = x[..., 1:]
-    fine = (N.shape[-1:] == (net.n_species,) and np.isfinite(N).all()
-            and (N > N_FLOOR).all())
-    T = kernel.temperature(net, x[..., 0], N) if fine else None
-    if not (fine and np.all((0 < T) & (T < math.inf))):
-        for row in x.reshape(-1, x.shape[-1]):
-            ThermoState.from_vector(net, row)
-    dU, dN = kernel.sde_terms(net, N, T, u[..., 0], u[..., 1])[0]
+    dU, dN = _drift(net, x, u[..., 0], u[..., 1])
     scaled = np.concatenate((dU[..., None], dN), -1) / np.maximum(
         np.abs(x), [1.0] + [1e-6] * net.n_species)
     norm = np.sqrt(np.vecdot(scaled, scaled))
@@ -214,42 +222,30 @@ class SteadyState:
 MARGINAL_TOL = 1e-9
 
 
-def classify(net: ReactionNetwork, x, u,
-             jacket: tuple[float, float] | None = None):
+def classify(net: ReactionNetwork, x, u, T_w: float | None = None):
     """Classify a stationary state by the drift Jacobian's spectrum.
 
-    With ``jacket=None`` the inputs u = (q, Qdot) are held fixed.  With
-    ``jacket=(lam, T_w)`` the heat input follows the jacket law
-    Qdot = lam (T_w - T(x)), which adds thermal feedback and is the
-    physically relevant linearization for a jacket held at constant
-    temperature.  The perturbed states are evaluated as one batch, each
-    checked like a :class:`ThermoState`; rows x (R, n), u (R, 2) classify R
-    states in that batch, each as alone, and the first bad row raises its
-    error.
+    With ``T_w=None`` the inputs u = (q, Qdot) are held fixed; given a
+    jacket temperature ``T_w`` the heat input follows the jacket law
+    Qdot = lambda (T_w - T(x)), the physically relevant linearization for a
+    jacket held at constant temperature.  Each state, then its perturbed
+    states, is one batch of drift evaluations, so a state outside the domain
+    raises the error :func:`drift_residual` raises for it; rows x (R, n),
+    u (R, 2) classify R states in that batch, each as alone, and the first
+    bad row raises its error.
 
     Returns ("stable" | "unstable" | "marginal", eigenvalues), or R of each.
     """
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     n, k = x.shape[-1], np.arange(x.shape[-1])
     h = 1e-6 * np.maximum(np.abs(x), 1.0)
-    X = np.repeat(x[..., None, :], 2 * n, -2)  # per state: +h rows, -h rows
-    X[..., k, k] += h
-    X[..., n + k, k] -= h
-    N = (flat := X.reshape(-1, n))[:, 1:]
-    fine = N.shape[1] == net.n_species and not np.any(N <= N_FLOOR)
-    T = kernel.temperature(net, flat[:, 0], N) if fine else None
-    if not (fine and np.all(T > 0)):
-        if x.ndim > 1:  # the first bad row raises its own error
-            for row, inputs in zip(x.reshape(-1, n), u.reshape(-1, 2)):
-                classify(net, row, inputs, jacket)
-        if not fine:
-            raise ThermoDomainError(
-                f"perturbed N needs {net.n_species} entries > {N_FLOOR}")
-        raise ThermoDomainError(f"temperature {T.min()} K is not positive")
-    q, Qdot = np.repeat(u.reshape(-1, 2), 2 * n, 0).T
-    Qdot = Qdot if jacket is None else jacket[0] * (jacket[1] - T)
-    D = np.column_stack(kernel.sde_terms(net, N, T, q, Qdot)[0]).reshape(X.shape)
-    eigs = np.linalg.eigvals(((D[..., :n, :] - D[..., n:, :])
+    X = np.repeat(x[..., None, :], 2 * n + 1, -2)  # per state: x, +h rows, -h rows
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN: x's own row raises first
+        X[..., 1 + k, k] += h
+        X[..., n + 1 + k, k] -= h
+    q, Qdot = np.repeat(u.reshape(-1, 2), 2 * n + 1, 0).T
+    D = np.column_stack(_drift(net, X.reshape(-1, n), q, Qdot, T_w)).reshape(X.shape)
+    eigs = np.linalg.eigvals(((D[..., 1:n + 1, :] - D[..., n + 1:, :])
                               / (2.0 * h)[..., :, None]).swapaxes(-1, -2))
     labels = ["marginal" if abs(max_re) < MARGINAL_TOL
               else "stable" if max_re < 0 else "unstable"
@@ -272,17 +268,19 @@ def steady_states(net: ReactionNetwork, q: float, T_w: float,
     than bisection, takes its midpoint, and classifies each root under the
     jacket-law linearization.  Returns the roots ordered by temperature.
     Raises :class:`ValueError`, naming the bad inputs, unless q > 0 and T_w
-    are finite, grid >= 2 and 0 < T_lo < T_hi, both finite.
+    are finite, grid >= 2 and 0 < T_lo < T_hi <= 1e6 K, a ceiling far below
+    where a window's enthalpies or ITP bound 2 ** n_max overflow a float.
     """
     T_lo, T_hi = T_range
     bad = [f"q={q}"] if not 0.0 < q < math.inf else []
     if not math.isfinite(T_w):
         bad.append(f"T_w={T_w}")
-    if not (grid >= 2 and 0.0 < T_lo < T_hi < math.inf):
+    if not (grid >= 2 and 0.0 < T_lo < T_hi <= 1e6):
         bad.append(f"grid={grid}, T_range={T_range}")
     if bad:
         raise ValueError("the scan needs finite q > 0 and T_w, grid >= 2 and "
-                         "0 < Tmin < Tmax, both finite; got " + ", ".join(bad))
+                         "0 < Tmin < Tmax, both finite, with Tmax <= 1e6 K; "
+                         "got " + ", ".join(bad))
     lam, Ts = net.reactor.lam, np.linspace(T_lo, T_hi, grid)
 
     def energy(T, N):
@@ -340,8 +338,7 @@ def steady_states(net: ReactionNetwork, q: float, T_w: float,
     U = [internal_energy(net, N, T) for T, N in zip(root_T, root_N)]
     Qdot = lam * (T_w - root_T)
     labels, eigs = classify(net, np.column_stack((U, root_N)),
-                            np.column_stack((np.full(len(U), q), Qdot)),
-                            jacket=(lam, T_w))
+                            np.column_stack((np.full(len(U), q), Qdot)), T_w)
     rows = zip(root_T, root_N, U, Qdot, labels, eigs)  # in temperature order
     return [SteadyState(T, N, U_T, q, Qdot_T, T_w, label, e)
             for T, N, U_T, Qdot_T, label, e in rows]

@@ -217,6 +217,11 @@ def test_equilibria_empty_window(cfg_path, tmp_path, capsys):
     ["--q", "nan"],
     ["--Tw", "nan"],
     ["--Tw", "inf"],
+    # windows whose enthalpies (1e304) or ITP bound 2 ** n_max (1e305, and
+    # log2(inf) from 1e306) overflow a float, were it scanned
+    ["--Tmax", "1e304"],
+    ["--Tmax", "1e305"],
+    ["--Tmax", "1e306"],
 ])
 def test_equilibria_rejects_bad_scan(cfg_path, tmp_path, capsys, flags):
     out = tmp_path / "eq"
@@ -224,7 +229,9 @@ def test_equilibria_rejects_bad_scan(cfg_path, tmp_path, capsys, flags):
                "--q", "9.15e-6", "--Tw", "299.49"] + flags)
     assert rc == 1
     err = capsys.readouterr().err
-    assert "grid >= 2 and 0 < Tmin < Tmax, both finite" in err
+    assert err.startswith("phreactor: error: ") and err.count("\n") == 1
+    assert ("grid >= 2 and 0 < Tmin < Tmax, both finite, with Tmax <= 1e6 K"
+            in err)
     assert "did not converge" not in err
     assert not (out / "equilibria.csv").exists()
 

@@ -647,6 +647,10 @@ _BAD_RANGES = [
     ((400.0, 300.0), 2000), ((300.0, 300.0), 2000), ((-10.0, 500.0), 2000),
     ((0.0, 500.0), 2000), ((250.0, np.inf), 2000), ((np.nan, 500.0), 2000),
     ((250.0, 500.0), 1), ((250.0, 500.0), 0), ((250.0, 500.0), -5),
+    # past the 1e6 K ceiling, up to where the enthalpies or the ITP bound
+    # overflow a float
+    ((250.0, 1.0000000001e6), 2000), ((250.0, 1e304), 2000),
+    ((250.0, 1e305), 2000), ((250.0, 1e306), 2000),
 ]
 _BAD_INPUTS = [(0.0, 299.4922, "q=0.0"), (-1e-6, 299.4922, "q=-1e-06"),
                (np.nan, 299.4922, "q=nan"), (np.inf, 299.4922, "q=inf"),
@@ -663,7 +667,7 @@ _BAD_INPUTS = [(0.0, 299.4922, "q=0.0"), (-1e-6, 299.4922, "q=-1e-06"),
 def test_scan_range_is_validated(net, T_range, grid, q, T_w, named):
     with pytest.raises(ValueError, match="grid >= 2 and 0 < Tmin < Tmax") as err:
         steady_states(net, q, T_w, T_range=T_range, grid=grid)
-    assert named in str(err.value)
+    assert named in str(err.value) and "Tmax <= 1e6 K" in str(err.value)
 
 
 def test_two_point_grid_scans(net, roots):
@@ -675,11 +679,11 @@ def test_two_point_grid_scans(net, roots):
     assert two[0].T == pytest.approx(roots[1].T, abs=1e-6)
 
 
-def _classify_by_columns(net, x, u, jacket=None):
+def _classify_by_columns(net, x, u, T_w=None):
     """classify's Jacobian one column at a time through ThermoState."""
     def drift(xv):
         st = ThermoState.from_vector(net, xv)
-        uu = u if jacket is None else [u[0], jacket[0] * (jacket[1] - st.T)]
+        uu = u if T_w is None else [u[0], net.reactor.lam * (T_w - st.T)]
         return sde_fields(net, st, uu).drift
 
     J = np.empty((x.size, x.size))
@@ -695,13 +699,12 @@ def _classify_by_columns(net, x, u, jacket=None):
 def test_batched_classify_equals_column_loop(net, cnet, roots):
     for r in roots:
         x, u = np.concatenate([[r.U], r.N]), np.array([r.q, r.Qdot])
-        for jacket in (None, (net.reactor.lam, r.T_w)):
-            _, eigs = classify(net, x, u, jacket=jacket)
+        for T_w in (None, r.T_w):
+            _, eigs = classify(net, x, u, T_w)
             np.testing.assert_array_equal(
-                eigs, _classify_by_columns(net, x, u, jacket))
+                eigs, _classify_by_columns(net, x, u, T_w))
         np.testing.assert_array_equal(
-            r.eigenvalues,
-            _classify_by_columns(net, x, u, (net.reactor.lam, r.T_w)))
+            r.eigenvalues, _classify_by_columns(net, x, u, r.T_w))
     # the isolated reactor at reaction equilibrium, with zero eigenvalues
     x = ThermoState.from_temperature(
         cnet, equilibrium_composition(cnet, 330.0), 330.0).x
@@ -713,13 +716,14 @@ def test_classify_checks_every_perturbed_state(net):
     u = np.array([9.15e-6, 0.0])
     U = ThermoState.from_temperature(net, np.array([1.0, 1.0]), 330.0).U
     # N_B - h falls to the mole floor, though x itself is inside the domain
-    with pytest.raises(ThermoDomainError, match="entries > 1e-12"):
+    with pytest.raises(ThermoDomainError,
+                       match=r"must exceed 1e-12 mol, got \[1.0, 0.0\]"):
         classify(net, np.array([U, 1.0, 1e-6]), u)
     # U - h gives T <= 0 for a state just above absolute zero
     U0 = ThermoState.from_temperature(net, np.array([1.0, 1.0]), 1e-5).U
-    with pytest.raises(ThermoDomainError, match="not positive"):
+    with pytest.raises(ThermoDomainError, match="not finite and positive"):
         classify(net, np.array([U0, 1.0, 1.0]), u)
-    with pytest.raises(ThermoDomainError, match="needs 2 entries"):
+    with pytest.raises(ThermoDomainError, match=r"shape \(2,\), got \(3,\)"):
         classify(net, np.array([U, 1.0, 1.0, 1.0]), u)
 
 
@@ -738,7 +742,7 @@ def test_jacket_feedback_changes_spectrum(net, roots):
     x = np.concatenate([[mid.U], mid.N])
     u = np.array([mid.q, mid.Qdot])
     _, fixed = classify(net, x, u)
-    _, fed = classify(net, x, u, jacket=(net.reactor.lam, mid.T_w))
+    _, fed = classify(net, x, u, mid.T_w)
     assert float(fed.real.max()) < float(fixed.real.max())
 
 
@@ -774,8 +778,7 @@ def test_batched_tail_equals_each_root_alone(net):
         u = np.array([[r.q, r.Qdot] for r in roots])
         residuals = drift_residual(network, x, u)
         for r, xr, ur, residual in zip(roots, x, u, residuals):
-            label, eigs = classify(network, xr, ur,
-                                   jacket=(network.reactor.lam, T_w))
+            label, eigs = classify(network, xr, ur, T_w)
             assert r.classification == label
             _same_bits(r.eigenvalues, eigs)
             assert residual.hex() == drift_residual(network, xr, ur).hex()
@@ -790,11 +793,11 @@ def test_batched_classify_keeps_each_spectrum_as_alone(net):
                   for T, N in zip(Ts, Ns)])
     u = np.column_stack((presets.Q_STAR * rng.uniform(0.5, 2.0, len(x)),
                          rng.uniform(-100.0, 100.0, len(x))))
-    for jacket in (None, (net.reactor.lam, 300.0)):
-        labels, eigs = classify(net, x, u, jacket=jacket)
+    for T_w in (None, 300.0):
+        labels, eigs = classify(net, x, u, T_w)
         assert {e.dtype.kind for e in eigs} == {"c", "f"}
         for xr, ur, label, e in zip(x, u, labels, eigs):
-            alone = classify(net, xr, ur, jacket=jacket)
+            alone = classify(net, xr, ur, T_w)
             assert label == alone[0]
             _same_bits(e, alone[1])
 
@@ -830,10 +833,33 @@ def test_bad_row_in_a_batch_raises_its_own_error(net, roots):
         classify(net, rows, u[:2])
     assert str(batch.value) == str(alone.value)
     # rows of the wrong width
-    with pytest.raises(ThermoDomainError, match="needs 2 entries"):
-        classify(net, np.ones((2, 4)), u[:2])
-    with pytest.raises(ThermoDomainError, match=r"shape \(2,\), got \(3,\)"):
-        drift_residual(net, np.ones((2, 4)), u[:2])
+    for call in bad_rows:
+        with pytest.raises(ThermoDomainError,
+                           match=r"shape \(2,\), got \(3,\)"):
+            call(net, np.ones((2, 4)), u[:2])
+
+
+def test_classify_raises_the_drift_residual_error(net, roots):
+    """A state outside the domain is checked before its perturbed states:
+    classify raises drift_residual's error for it, alone and in a batch,
+    and an infinite component warns of no inf - inf on the way."""
+    x = np.array([np.concatenate(([r.U], r.N)) for r in roots])
+    u = np.array([[r.q, r.Qdot] for r in roots])
+    U = x[0, 0]
+    for bad in map(np.array, ([U, 1.0, math.nan], [U, 1.0, 0.0],
+                              [U, math.inf, 1.0], [-1e12, 1.0, 1.0],
+                              [math.inf, 1.0, 1.0], [-math.inf, 1.0, 1.0],
+                              [math.nan, 1.0, 1.0])):
+        with pytest.raises(ThermoDomainError) as expected:
+            drift_residual(net, bad, u[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ThermoDomainError) as alone:
+                classify(net, bad, u[1])
+            with pytest.raises(ThermoDomainError) as batch:
+                classify(net, np.vstack((x[:1], bad, x[1:])),
+                         np.vstack((u, u[:1])), roots[0].T_w)
+        assert str(alone.value) == str(batch.value) == str(expected.value)
 
 
 def _counting(calls, f):

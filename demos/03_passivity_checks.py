@@ -70,11 +70,11 @@ print("  feedthrough PSD:",
 tr = simulate(net, sp, benchmark_gains(),
               SimConfig(dt=1e-3, t_end=10.0, mode="deterministic",
                         record_every=10), x0)
-U, N = tr.states[:, 0], tr.states[:, 1:]
+U, N = tr.states[:, 0], tr.states[:, 1:].T  # the kernel is species-major
 T = kernel.temperature(net, U, N)
 h, mu_over_T, _, theta = kernel.closures(net, N, T)
 m = kernel.margins(net, N, T, h, mu_over_T, theta,
-                   mu_over_T - sp.mu_star_over_T, sp.V_star)
+                   np.array(mu_over_T) - sp.mu_star_over_T[:, None], sp.V_star)
 print(f"\nalong the deterministic closed-loop path ({len(T)} records):")
 for label, name in (("input-noise", "input_noise"), ("storage trace", "trace"),
                     ("reaction-noise", "reaction_noise")):

@@ -5,7 +5,7 @@ energy/mole-number state system driven by inlet flow and jacket heat, with
 multiplicative noise on the reaction flux and on both inputs.  It provides:
 
 * a small line-oriented config format for reaction networks (`network`),
-* the balance formulas on raw arrays, each written once (`kernel`),
+* the balance formulas, species-major, each written once (`kernel`),
 * ideal-mixture thermodynamic closures and their derivatives (`thermo`),
 * the dissipative structure matrices and noise channels of the balance
   equations, plus passivity / noise-bound checks (`structure`),

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from operator import add, sub
 
 import numpy as np
 
@@ -53,8 +54,8 @@ def _drift(net: ReactionNetwork, x, q, Qdot, T_w=None):
     """The drift (dU, dN) at rows x = (U, N) of any leading shape under
     (q, Qdot), or Qdot = lambda (T_w - T(x)) given a jacket at T_w; the first
     row outside the domain raises its :class:`ThermoState` error."""
-    N = x[..., 1:]
-    fine = (N.shape[-1:] == (net.n_species,) and np.isfinite(N).all()
+    N = np.moveaxis(x[..., 1:], -1, 0)  # species-major
+    fine = (len(N) == net.n_species and np.isfinite(N).all()
             and (N > N_FLOOR).all())
     T = kernel.temperature(net, x[..., 0], N) if fine else None
     if not (fine and np.all((0 < T) & (T < math.inf))):
@@ -74,33 +75,37 @@ def drift_residual(net: ReactionNetwork, x, u):
     """
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     dU, dN = _drift(net, x, u[..., 0], u[..., 1])
-    scaled = np.concatenate((dU[..., None], dN), -1) / np.maximum(
+    scaled = np.stack((dU, *dN), -1) / np.maximum(
         np.abs(x), [1.0] + [1e-6] * net.n_species)
     norm = np.sqrt(np.vecdot(scaled, scaled))
     return float(norm) if x.ndim == 1 else norm
 
 
 def _balance(net: ReactionNetwork, N, k_T, q):
-    """Per row: the mole balance's norm, residual and convergence scale,
-    given the rows' Arrhenius constants k_T (:func:`kernel.rate_constants`)."""
-    c = N / net.reactor.V
+    """Per row of N (B, p): the mole balance's norm, residual (B, p) and
+    convergence scale (out= gives a network without reactions its shape),
+    given the rows' constants k_T (2 r, B)."""
+    c = (N / net.reactor.V).T
     forward, backward = kernel.mass_action(net, c, k_T)
-    f = (kernel.reaction_flux(net, forward - backward)
-         + q * kernel.feed_gap(net, c))
-    turnover = net.reactor.V * np.add.reduce(forward + backward, -1)
+    f = [flux + q * gap for flux, gap in zip(kernel.reaction_flux(
+        net, list(map(sub, forward, backward))), kernel.feed_gap(net, c))]
+    turnover = net.reactor.V * kernel.total(map(add, forward, backward))
     floor = max(q * max(net.inlet.c_in), 1e-300)
-    return np.sqrt(np.vecdot(f, f)), f, np.maximum(turnover, floor)
+    scale = np.maximum(turnover, floor, out=np.empty(N.shape[:-1]))
+    return np.sqrt(kernel.dot(f, f)), np.array(f).T, scale
 
 
 def _balance_jacobian(net: ReactionNetwork, N, k_T, q):
-    """Per row: the mole balance's exact Jacobian in N,
+    """Per row of N (B, p): the mole balance's exact Jacobian in N (B, p, p),
     nu (dr_f/dc - dr_b/dc) - (q / V) I, given the constants k_T."""
-    V = net.reactor.V
-    dr_f, dr_b = kernel.mass_action_jacobian(net, N / V, k_T)
-    # entry (k, j) is row k of nu dotted with column j of dr
-    dr = (dr_f - dr_b).swapaxes(-1, -2)[..., None, :, :]
-    return (np.vecdot(net.stoich_net[:, None, :], dr)
-            - q / V * np.eye(net.n_species))
+    dr_f, dr_b = kernel.mass_action_jacobian(net, (N / net.reactor.V).T, k_T)
+    J, p = np.empty((*N.shape, net.n_species)), net.n_species
+    dr = [[f[j] - b[j] for f, b in zip(dr_f, dr_b)] for j in range(p)]
+    for k, nu_k in enumerate(net.step_constants.nu):
+        for j, dr_j in enumerate(dr):  # nu_k dotted with column j of dr
+            J[..., k, j] = kernel.dot(nu_k, dr_j)
+        J[..., k, k] -= q / net.reactor.V
+    return J
 
 
 def conserved_moles(net: ReactionNetwork) -> str:
@@ -150,7 +155,9 @@ def mass_balance_steady(net: ReactionNetwork, T, q: float,
         raise ConvergenceError(f"at q=0 the closed reactor conserves "
                                f"{conserved}, so the mole balance does not "
                                "determine N", N, done)
-    rows, Nw, kw, conv = slice(None), N, kernel.rate_constants(net, Ts), done
+    kw = np.reshape(kernel.rate_constants(net, Ts),  # row i's in column i
+                    (2 * len(net.reactions), Ts.size))
+    rows, Nw, conv = slice(None), N, done
     best, f, scale = _balance(net, N, kw, q)
     for _ in range(MAX_NEWTON_ITER):
         # max |f_j| column by column: numpy reduces a short axis row by row
@@ -160,7 +167,8 @@ def mass_balance_steady(net: ReactionNetwork, T, q: float,
         if conv.any():  # converged rows leave the working set
             at, keep = np.arange(Ts.size)[rows], ~conv
             N[at[conv]], done[at[conv]] = Nw[conv], True
-            rows, Nw, kw, f, best = (a[keep] for a in (at, Nw, kw, f, best))
+            rows, Nw, f, best = (a[keep] for a in (at, Nw, f, best))
+            kw = kw[:, keep]
         J = _balance_jacobian(net, Nw, kw, q)
         try:
             step = np.linalg.solve(J, -f[..., None])[..., 0]
@@ -176,7 +184,7 @@ def mass_balance_steady(net: ReactionNetwork, T, q: float,
         while not ok.all():
             i, alpha = np.arange(len(Nw))[i][~ok], 0.5 * alpha
             N_try = np.maximum(N_old[i] + alpha * step[i], 0.0)
-            norm, f[i], scale[i] = _balance(net, N_try, kw[i], q)
+            norm, f[i], scale[i] = _balance(net, N_try, kw[:, i], q)
             Nw[i], best[i] = N_try, norm
             ok = (norm <= (1.0 - 1e-4 * alpha) * best_old[i]) | (alpha < 1e-8)
     N[rows], done[rows] = Nw, conv.all()  # all rows left converged, or none
@@ -244,7 +252,8 @@ def classify(net: ReactionNetwork, x, u, T_w: float | None = None):
         X[..., 1 + k, k] += h
         X[..., n + 1 + k, k] -= h
     q, Qdot = np.repeat(u.reshape(-1, 2), 2 * n + 1, 0).T
-    D = np.column_stack(_drift(net, X.reshape(-1, n), q, Qdot, T_w)).reshape(X.shape)
+    dU, dN = _drift(net, X.reshape(-1, n), q, Qdot, T_w)
+    D = np.column_stack((dU, *dN)).reshape(X.shape)
     eigs = np.linalg.eigvals(((D[..., 1:n + 1, :] - D[..., n + 1:, :])
                               / (2.0 * h)[..., :, None]).swapaxes(-1, -2))
     labels = ["marginal" if abs(max_re) < MARGINAL_TOL
@@ -269,14 +278,19 @@ def steady_states(net: ReactionNetwork, q: float, T_w: float,
     jacket-law linearization.  Returns the roots ordered by temperature.
     Raises :class:`ValueError`, naming the bad inputs, unless q > 0 and T_w
     are finite, grid >= 2 and 0 < T_lo < T_hi <= 1e6 K, a ceiling far below
-    where a window's enthalpies or ITP bound 2 ** n_max overflow a float.
+    where a window's enthalpies or ITP bound 2 ** n_max overflow a float,
+    and the rate constants' E / (R T_lo) does not overflow.
     """
-    T_lo, T_hi = T_range
+    (T_lo, T_hi), R = T_range, net.reactor.R_gas
+    E = max(map(abs, net.step_constants.neg_E), default=0.0)
     bad = [f"q={q}"] if not 0.0 < q < math.inf else []
     if not math.isfinite(T_w):
         bad.append(f"T_w={T_w}")
     if not (grid >= 2 and 0.0 < T_lo < T_hi <= 1e6):
         bad.append(f"grid={grid}, T_range={T_range}")
+    elif math.isinf(E / (R * T_lo)):  # as kernel.rate_constants divides
+        bad.append(f"Tmin={T_lo}, where E / (R Tmin) overflows: Tmin must "
+                   f"be above about {E / R / np.finfo(float).max:.3g} K")
     if bad:
         raise ValueError("the scan needs finite q > 0 and T_w, grid >= 2 and "
                          "0 < Tmin < Tmax, both finite, with Tmax <= 1e6 K; "
@@ -284,7 +298,7 @@ def steady_states(net: ReactionNetwork, q: float, T_w: float,
     lam, Ts = net.reactor.lam, np.linspace(T_lo, T_hi, grid)
 
     def energy(T, N):
-        g00 = kernel.flow_column(net, N, kernel.enthalpy(net, T))[0]
+        g00 = kernel.flow_column(net, N.T, kernel.enthalpy(net, T))[0]
         return q * g00 + lam * (T_w - T)
 
     # Solve the grid cold, then each failed point from its nearest converged

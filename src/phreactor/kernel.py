@@ -1,82 +1,107 @@
 """The reactor balance formulas on raw values, each written once.
 
-Every function takes the network and plain floats or arrays (U in J,
-N in mol, T in K) and validates nothing: the public modules check shapes,
-the mole floor and T > 0 at their boundary (see :mod:`thermo`), and the
-stepper in :mod:`sim` adds its own guards.  ``net`` is only read for its
-parameters, so this module imports nothing from the package.
+Every function takes the network and plain values (U in J, N in mol, T in
+K) and validates nothing: the public modules check shapes, the mole floor
+and T > 0 at their boundary (see :mod:`thermo`), and :mod:`sim` adds its
+own guards.  ``net`` is only read for its parameters.
 
-Every function is row-safe: it takes one state (U and T scalars, N of
-shape (p,)) or a batch of B states (U and T of shape (B,), N of shape
-(B, p)), and each row of a batch result has the same bits as the result
-for that row alone.  So per-row values get a trailing axis (:func:`_col`),
-every dot product over species is one ``np.vecdot`` per row (:func:`_dot`,
-whose bits vary by host), never a matrix product, whose summation order
-depends on the operand shapes, and squares are written ``x * x``, since a
-scalar ``x ** 2`` calls ``pow`` where an array's multiplies.  The dense
-Hessian of -S, which is not row-safe, lives in :mod:`thermo`.
+The kernel is species-major: a per-species quantity (N, h, mu/T, c, ...)
+is a sequence of p items and a per-reaction one a sequence of r items, a
+list or an array with the species or reaction first.  An item, like U, T,
+q or Qdot, is a numpy float64 scalar for one state and an array, such as a
+(B,) column, for a batch, so each formula is one loop over species or
+reactions for both.  Every sum over species or reactions runs left to
+right, t_0 + t_1 + ... (:func:`total`, :func:`dot`), whatever the CPU
+core type (BLAS ``ddot`` varies with it) or the operand shapes; every
+other operation keeps one order, and squares are ``x * x`` (a float's
+``x ** 2`` calls ``pow``).
 
-One closed-loop step computes each quantity once: :func:`feedback_terms`
-takes sum N once for the S-free closures (:func:`potentials`) and the
-mixing scale, computes no entropy S (the step never reads it), and hands
-its flow column (g00, dc, c = N / V) to :func:`em_update`, whose rates
-read the concentrations c from it.  The constants come derived once, from
-the network's :class:`StepConstants`.  The rates and their derivatives take
-no ``pow``: c_j ** alpha is c_j gathered alpha times, in species order, for
-every multiplicity alpha (:func:`_gathers`), and they take the Arrhenius
-constants of :func:`rate_constants`, so a solve at fixed T evaluates those
-once.  The paper's three passivity and noise conditions are written once,
-in :func:`margins`.
+Every function is row-safe: each row of a batch result has the bits of the
+lone call on that row, but for a NaN's sign.  Which of two NaNs a product
+keeps depends on the element's place in numpy's vectorised loop, so a
+NaN may differ in sign between a batch row and its lone row; NaN-ness and
+every other bit may not.  Canonical NaNs would cost an ``np.isnan`` select
+on every product, for values the stepper aborts on anyway.
+
+A step computes each quantity once (:func:`feedback_terms` hands its flow
+column to :func:`em_update`) from the cached :class:`StepConstants`.  No
+rate takes ``pow``: c_j ** alpha is c_j listed alpha times among a
+product's factors, multiplied in species order, times the constants of
+:func:`rate_constants`.  The paper's conditions are in :func:`margins`.
 """
 
 from __future__ import annotations
 
-import math
+import copy
 from collections import namedtuple
+from functools import reduce
+from operator import add, mul, sub, truediv
 
 import numpy as np
 
 #: See :func:`step_constants`.
-StepConstants = namedtuple("StepConstants", "neg_cp k0 neg_E slots grad_slots "
-                           "half_rho2_sq half_rho3_sq V R T_ref PV c_in h_in")
+StepConstants = namedtuple("StepConstants", "cp neg_cp h_ref s_ref k0 neg_E "
+                           "slots grad_slots tail nu nu_T half_rho2_sq "
+                           "half_rho3_sq V R T_ref PV c_in h_in")
 
 
 def step_constants(net) -> StepConstants:
-    """The constants of ``net``'s formulas, cached as ``net.step_constants``,
-    each as exact as inline: -cp; k0 and -E of the forward then the backward
-    directions, with the :func:`_gathers` of their multiplicities; 0.5 rho2^2
-    and 0.5 rho3^2; V, R, T_ref and P V; c_in and the inlet enthalpy density
-    c_in^T h(T_in)."""
+    """``net``'s constants as floats, cached as ``net.step_constants``, as
+    exact as inline: cp, -cp, h_ref, s_ref; k0 and -E, forward then backward,
+    with the :func:`_factors` of their multiplicities; nu by species and by
+    reaction; rho2^2 / 2, rho3^2 / 2, V, R, T_ref, P V, c_in, c_in^T h(T_in)."""
     rx, rho = net.reactor, net.noise
-    return StepConstants(
-        -net.cp, np.concatenate((net.k0f, net.k0b)),
-        -np.concatenate((net.Ef, net.Eb)),
-        *_gathers(np.hstack((net.stoich_reactants, net.stoich_products))),
+    k = StepConstants(
+        net.cp.tolist(), (-net.cp).tolist(), net.h_ref.tolist(),
+        net.s_ref.tolist(), np.concatenate((net.k0f, net.k0b)).tolist(),
+        (-np.concatenate((net.Ef, net.Eb))).tolist(),
+        *_factors(np.hstack((net.stoich_reactants, net.stoich_products))),
+        net.stoich_net.tolist(), net.stoich_net.T.tolist(),
         0.5 * rho.rho2 ** 2, 0.5 * rho.rho3 ** 2, rx.V, rx.R_gas, rx.T_ref,
-        rx.P * rx.V, net.c_in, float(net.c_in @ enthalpy(net, net.inlet.T_in)))
+        rx.P * rx.V, net.c_in.tolist(), None)
+    return k._replace(h_in=dot(k.c_in, _enthalpy(k, net.inlet.T_in)))
 
 
-def _col(a):
-    """``a`` with a trailing axis, so a per-row value broadcasts over a row;
-    a scalar broadcasts as it is."""
-    return a[..., None] if isinstance(a, np.ndarray) else a
+def batch_network(net):
+    """``net`` with its :class:`StepConstants` as 0-d arrays, the same bits:
+    numpy combines a (B,) column faster with those than with floats, and a
+    numpy float64 scalar faster with floats."""
+    def zero_d(v):
+        return (list(map(zero_d, v)) if isinstance(v, list)
+                else np.array(v) if isinstance(v, float) else v)
+
+    batch = copy.copy(net)
+    batch.__dict__["step_constants"] = StepConstants(
+        *map(zero_d, net.step_constants))
+    return batch
 
 
-#: Row-wise a . b over the last axis; a 1-D call gives ``a @ b``.  Both are
-#: OpenBLAS ``ddot``, whose kernel is picked by CPU core type at run time:
-#: a two-term row is fma(a1, b1, a0 b0) on SkylakeX, a0 b0 + a1 b1 on Haswell.
-_dot = np.vecdot
+def total(terms):
+    """The terms added left to right, t_0 + t_1 + ...; 0.0 for none."""
+    terms = iter(terms)
+    return reduce(add, terms, next(terms, 0.0))
 
 
-def enthalpy(net, T) -> np.ndarray:
+def dot(a, b):
+    """a_0 b_0 + a_1 b_1 + ..., added left to right; 0.0 for none."""
+    terms = map(mul, a, b)
+    return reduce(add, terms, next(terms, 0.0))
+
+
+def _enthalpy(k, T):
+    dT = T - k.T_ref
+    return [cp * dT + h for cp, h in zip(k.cp, k.h_ref)]
+
+
+def enthalpy(net, T) -> list:
     """h_j(T) = cp_j (T - T_ref) + h_ref_j, J/mol."""
-    return net.cp * (_col(T) - net.reactor.T_ref) + net.h_ref
+    return _enthalpy(net.step_constants, T)
 
 
 def temperature(net, U, N):
     """T(U, N) = T_ref + (U + P V - N^T h_ref) / N^T cp."""
     k = net.step_constants
-    return k.T_ref + (U + k.PV - _dot(N, net.h_ref)) / _dot(N, net.cp)
+    return k.T_ref + (U + k.PV - dot(N, k.h_ref)) / dot(N, k.cp)
 
 
 def potentials(net, N, T, N_sum):
@@ -84,104 +109,91 @@ def potentials(net, N, T, N_sum):
     (h, mu/T, theta, log(T / T_ref), log x); :func:`closures` takes S from
     the last two."""
     k = net.step_constants
-    h = enthalpy(net, T)
-    T_col = _col(T)
-    log_tau = np.log(T_col / k.T_ref)
-    log_x = np.log(N / _col(N_sum))
-    mu_over_T = k.neg_cp * log_tau + k.R * log_x - net.s_ref + h / T_col
-    return h, mu_over_T, T * T * _dot(N, net.cp), log_tau, log_x
+    h, R = _enthalpy(k, T), k.R
+    log_tau = np.log(T / k.T_ref)
+    log_x = [np.log(n / N_sum) for n in N]
+    mu_over_T = [neg_cp * log_tau + R * lx - s + hj / T
+                 for neg_cp, lx, s, hj in zip(k.neg_cp, log_x, k.s_ref, h)]
+    return h, mu_over_T, T * T * dot(N, k.cp), log_tau, log_x
 
 
 def closures(net, N, T):
     """(h, mu/T, S, theta) at (N, T); see :mod:`thermo` for the formulas."""
-    h, mu_over_T, theta, log_tau, log_x = potentials(net, N, T,
-                                                     np.add.reduce(N, -1))
-    S = _dot(N, net.cp * log_tau + net.s_ref - net.step_constants.R * log_x)
+    k = net.step_constants
+    h, mu_over_T, theta, log_tau, log_x = potentials(net, N, T, total(N))
+    S = dot(N, [cp * log_tau + s - k.R * lx
+                for cp, s, lx in zip(k.cp, k.s_ref, log_x)])
     return h, mu_over_T, S, theta
 
 
-def _gathers(stoich):
-    """(slots, grad_slots): the gathers of :func:`_gathered_product` for
-    prod_l c_l ** alpha_l over each column alpha of ``stoich``, shape
-    (m, 2 r), and for its derivatives in each c_j, shape (p, m', 2 r).  The
-    product lists each c_l alpha_l times; the derivative in c_j lists alpha_j
-    at l = j, then c_j alpha_j - 1 times, then each other c_l alpha_l times,
-    all in species order.  Slot p + v reads v from the gather's tail
-    (0, 1, ...), empty when only c is read; slot p + 1 (1) pads the lists."""
+def _factors(stoich):
+    """(slots, grad_slots, tail): the factors of prod_l c_l ** alpha_l for
+    each column alpha of ``stoich``, and of its derivative in each c_j (row
+    j), as slots of (c, tail = (0.0, 1.0, ...)), slot p + v reading v: c_l
+    alpha_l times, but alpha_j, then c_j alpha_j - 1 times, at l = j."""
     p, columns = len(stoich), stoich.T.tolist()
     if not all(a >= 0 and a % 1 == 0 for column in columns for a in column):
         raise ValueError(f"multiplicities must be integers >= 0: {columns}")
     columns = [[int(a) for a in column] for column in columns]
 
-    def slots(column, j):  # derivative in c_j, or the product for j = None
-        return [s for l, a in enumerate(column)
-                for s in ([p + a] + [l] * (a - 1) if l == j else [l] * a)]
+    def factors(column, j=None):  # derivative in c_j, or the product
+        return tuple(f for l, a in enumerate(column)
+                     for f in ([p + a] + [l] * (a - 1) if l == j
+                               else [l] * a))
 
-    def gather(rows):
-        lists = [[slots(column, j) for column in columns] for j in rows]
-        m = max((len(f) for row in lists for f in row), default=1) or 1
-        index = np.array([[f + [p + 1] * (m - len(f)) for f in row]
-                          for row in lists], dtype=np.intp)
-        index = index.reshape(len(rows), -1, m).swapaxes(-1, -2)
-        return index, np.arange(max(index.max(initial=0) - p + 1, 0),
-                                dtype=float)
-
-    (product, tail), gradient = gather([None]), gather(range(p))
-    return (product[0], tail), gradient
+    return (tuple(factors(column) for column in columns),
+            tuple(tuple(factors(column, j) for column in columns)
+                  for j in range(p)),
+            tuple(map(float, range(int(stoich.max(initial=0)) + 1))))
 
 
-def _gathered_product(c, gather):
-    """The product of each list of factors that ``gather`` (see
-    :func:`_gathers`) reads from c and its tail of constants, multiplied in
-    list order.  Every multiplicity is a gather, so the rates take no
-    ``pow``: a square c * c is correctly rounded, and an appended 1 exact."""
-    index, tail = gather
-    if len(tail):  # slot p + v reads v; the zeros give v = 0
-        p = c.shape[-1]
-        ext = np.zeros((*c.shape[:-1], p + len(tail)))
-        ext[..., :p], ext[..., p + 1:] = c, tail[1:]
-        c = ext
-    factors = c[..., index]
-    product = factors[..., 0, :]
-    for k in range(1, index.shape[-2]):
-        product = product * factors[..., k, :]
-    return product
+def _product(c, factors):
+    """The items of c at ``factors`` (see :func:`_factors`), multiplied left
+    to right; 1.0 for none.  A square c * c is correctly rounded."""
+    values = map(c.__getitem__, factors)
+    return reduce(mul, values, next(values, 1.0))
 
 
-def rate_constants(net, T):
+def rate_constants(net, T) -> list:
     """Arrhenius constants k0 exp(-E / (R T)) of the forward then the
-    backward direction of each reaction, shape (..., 2 r): the ``k_T`` that
+    backward direction of each reaction, 2 r items: the ``k_T`` that
     :func:`mass_action` and :func:`mass_action_jacobian` take."""
     k = net.step_constants
-    return k.k0 * np.exp(k.neg_E / _col(k.R * T))
+    RT = k.R * T
+    return [k0 * np.exp(neg_E / RT) for k0, neg_E in zip(k.k0, k.neg_E)]
 
 
-def mass_action(net, c, k_T) -> tuple[np.ndarray, np.ndarray]:
+def mass_action(net, c, k_T) -> tuple[list, list]:
     """Mass-action rates (r_f, r_b) at concentrations c, given the
     Arrhenius constants k_T = :func:`rate_constants` at the temperature;
     a caller that holds T fixed over many c evaluates k_T once."""
-    rates = k_T * _gathered_product(c, net.step_constants.slots)
-    return rates[..., :len(net.reactions)], rates[..., len(net.reactions):]
+    rates = [k * _product(c, factors)
+             for k, factors in zip(k_T, net.step_constants.slots)]
+    return rates[:len(net.reactions)], rates[len(net.reactions):]
 
 
 def mass_action_jacobian(net, c, k_T):
-    """(dr_f/dc, dr_b/dc): the exact derivatives of the :func:`mass_action`
-    rates in c, given the same constants k_T, shape (..., r, p), entry
+    """(dr_f/dc, dr_b/dc), each r rows of p items: the exact derivatives of
+    the :func:`mass_action` rates in c, given the same constants k_T, entry
     (i, j) = k_i alpha_ij c_j ** (alpha_ij - 1) prod_{l != j} c_l ** alpha_il
     for the multiplicities alpha of that side; exact at c_j = 0."""
-    J = (k_T[..., None, :] * _gathered_product(
-        c, net.step_constants.grad_slots)).swapaxes(-1, -2)
-    return J[..., :len(net.reactions), :], J[..., len(net.reactions):, :]
+    k = net.step_constants
+    c = [*c, *k.tail]  # slot p + v reads the constant v
+    J = [[k_i * _product(c, row[i]) for row in k.grad_slots]
+         for i, k_i in enumerate(k_T)]
+    return J[:len(net.reactions)], J[len(net.reactions):]
 
 
-def reaction_flux(net, rate_net) -> np.ndarray:
+def reaction_flux(net, rate_net) -> list:
     """V nu (r_f - r_b): moles produced by reaction, mol/s."""
-    return net.step_constants.V * _dot(net.stoich_net, rate_net[..., None, :])
+    k = net.step_constants
+    return [k.V * dot(nu_j, rate_net) for nu_j in k.nu]
 
 
-def affinity(net, mu_over_T, T) -> np.ndarray:
+def affinity(net, mu_over_T, T) -> list:
     """Reaction affinities -nu^T mu, J/mol."""
-    return -_dot(net.stoich_net.T, (mu_over_T * _col(T))[..., None, :])
+    mu = [m * T for m in mu_over_T]
+    return [-dot(nu_i, mu) for nu_i in net.step_constants.nu_T]
 
 
 #: Affinities smaller than this (J/mol) fall back to the logarithmic-mean
@@ -203,40 +215,40 @@ def log_mean(a, b):
                     np.where(absent, 0.0, 0.5 * (a + b)))
 
 
-def damping_weights(net, forward, backward, T, affinity=None):
+def damping_weights(net, forward, backward, T, affinity=None) -> list:
     """Per-reaction weights c_i of the damping matrix (see
     :func:`damping_apply`) from the rates (r_f, r_b): logmean(r_f, r_b) / (R T)
     >= 0 or, given the affinities, the strict (r_f - r_b) / affinity wherever
     |affinity| > :data:`AFFINITY_GUARD`, the log-mean weight elsewhere."""
-    coef = log_mean(forward, backward) / _col(net.reactor.R_gas * T)
+    RT = net.reactor.R_gas * T
+    coef = [log_mean(f, b) / RT for f, b in zip(forward, backward)]
     if affinity is None:
         return coef
-    strict = np.abs(affinity) > AFFINITY_GUARD
-    return np.where(strict,
-                    (forward - backward) / np.where(strict, affinity, 1.0),
-                    coef)
+    strict = [np.abs(a) > AFFINITY_GUARD for a in affinity]
+    return [np.where(s, (f - b) / np.where(s, a, 1.0), w)
+            for f, b, a, s, w in zip(forward, backward, affinity, strict, coef)]
 
 
-def damping_apply(net, c, T, v):
+def damping_apply(net, c, T, v) -> list:
     """R_NN v for the composition block R_NN = V T sum_i c_i dz_i dz_i^T of
     the damping matrix, dz_i = -nu_i (reactants minus products), weights c."""
-    nu = net.stoich_net
-    weighted = c * _dot(nu.T, v[..., None, :])
-    return _col(net.reactor.V * T) * _dot(nu, weighted[..., None, :])
+    k = net.step_constants
+    weighted = [c_i * dot(nu_i, v) for c_i, nu_i in zip(c, k.nu_T)]
+    VT = k.V * T
+    return [VT * dot(nu_j, weighted) for nu_j in k.nu]
 
 
-def feed_gap(net, c) -> np.ndarray:
+def feed_gap(net, c) -> list:
     """dc = c_in - c at concentrations c = N / V, mol/m^3."""
-    return net.step_constants.c_in - c
+    return list(map(sub, net.step_constants.c_in, c))
 
 
 def flow_column(net, N, h):
     """(g00, dc, c): the flow column (g00, dc) of g,
     g00 = c_in^T h(T_in) - N^T h / V, and the concentrations c = N / V."""
     k = net.step_constants
-    c = N / k.V
-    g00 = k.h_in - _dot(N, h) / k.V
-    return g00, feed_gap(net, c), c
+    c = [n / k.V for n in N]
+    return k.h_in - dot(N, h) / k.V, feed_gap(net, c), c
 
 
 def mixing_scale(net, N, h, theta, g00, dc, N_sum):
@@ -247,11 +259,10 @@ def mixing_scale(net, N, h, theta, g00, dc, N_sum):
         - 2 g00 h^T dc + g00^2;
 
     the mixing scale M when (g00, dc) is the flow column of g."""
-    R = net.step_constants.R
-    hdc = _dot(h, dc)
-    dc_sum = np.add.reduce(dc, -1)
-    quad = (hdc * hdc - theta * R / N_sum * (dc_sum * dc_sum)
-            + theta * R * _dot(dc, dc / N))
+    hdc, dc_sum = dot(h, dc), total(dc)
+    theta_R = theta * net.step_constants.R
+    quad = (hdc * hdc - theta_R / N_sum * (dc_sum * dc_sum)
+            + theta_R * dot(dc, map(truediv, dc, N)))
     return quad - 2.0 * g00 * hdc + g00 * g00
 
 
@@ -276,54 +287,53 @@ def margins(net, N, T, h, mu_over_T, theta, grad_N, V_star) -> Margins:
     (log-mean weights, to 1e-12 relative) for a storage with Hessian
     Hess(-S) and gradient grad_N; (1/2) rho1^2 V_star M_f / theta <=
     (r_f - r_b)^T A / T.  Last grad_N^T flux: L[A] - y^T u = trace lhs + it."""
-    rho, half_rho1_sq = net.noise, 0.5 * net.noise.rho1 ** 2
+    k, rho = net.step_constants, net.noise
+    half_rho1_sq = 0.5 * rho.rho1 ** 2
     g00, dc, c = flow_column(net, N, h)
     forward, backward = mass_action(net, c, rate_constants(net, T))
-    rate_net, N_sum = forward - backward, np.add.reduce(N, -1)
-    f = _dot(net.stoich_net, rate_net[..., None, :])
-    flux = net.step_constants.V * f  # reaction_flux
+    rate_net, N_sum = list(map(sub, forward, backward)), total(N)
+    f = [dot(nu_j, rate_net) for nu_j in k.nu]
+    flux = [k.V * f_j for f_j in f]  # reaction_flux
     M = mixing_scale(net, N, h, theta, g00, dc, N_sum)
     noise_lhs = rho.rho2 ** 4 * M * M + rho.rho3 ** 4  # pow of constants
     noise_rhs = 4.0 * theta * theta
     trace_lhs = half_rho1_sq * mixing_scale(net, N, h, theta, 0.0, flux,
                                             N_sum) / theta
-    trace_rhs = _dot(grad_N, damping_apply(
+    trace_rhs = dot(grad_N, damping_apply(
         net, damping_weights(net, forward, backward, T), T, grad_N))
     rxn_lhs = half_rho1_sq * V_star * mixing_scale(net, N, h, theta, 0.0, f,
                                                    N_sum) / theta
-    rxn_rhs = _dot(rate_net, affinity(net, mu_over_T, T)) / T
+    rxn_rhs = dot(rate_net, affinity(net, mu_over_T, T)) / T
     return Margins(
         noise_lhs < noise_rhs, noise_lhs, noise_rhs,
         0.5 * np.sqrt(noise_lhs) / theta,
         trace_lhs <= trace_rhs + 1e-12 * np.maximum(1.0, np.abs(trace_rhs)),
         trace_lhs, trace_rhs, rxn_lhs <= rxn_rhs, rxn_lhs, rxn_rhs,
-        _dot(grad_N, flux))
+        dot(grad_N, flux))
 
 
 def availability(S_star, pi_star, x_star, S, x):
-    """A(x) = S(x*) - S(x) + pi*^T (x - x*)."""
-    return S_star - S + _dot(pi_star, x - x_star)
+    """A(x) = S(x*) - S(x) + pi*^T (x - x*), x = (U, N_1, ..., N_p)."""
+    return S_star - S + dot(pi_star, map(sub, x, x_star))
 
 
 def availability_gradient(T_star, mu_star_over_T, T, mu_over_T):
     """grad A = (1/T* - 1/T, mu/T - mu*/T*), as (U part, N part)."""
-    return 1.0 / T_star - 1.0 / T, mu_over_T - mu_star_over_T
+    return 1.0 / T_star - 1.0 / T, list(map(sub, mu_over_T, mu_star_over_T))
 
 
 def feedback_terms(net, N, T, T_star, mu_star_over_T):
     """(d1, d2, o1, o2, g00, dc, c): delta = diag(d1, d2) and g^T grad A =
     (o1, o2) in the feedback u = -(I + K delta)^(-1) K g^T grad A, and the
     :func:`flow_column` (g00, dc, c) they use, which :func:`em_update`
-    takes too.  Each quantity is computed once: sum N feeds both the
-    potentials and M, and S, which the feedback does not read, is not
-    computed at all."""
-    N_sum = np.add.reduce(N, -1)
+    takes too.  sum N feeds both the potentials and M; S is not computed."""
+    N_sum = total(N)
     h, mu_over_T, theta, _, _ = potentials(net, N, T, N_sum)
     g00, dc, c = flow_column(net, N, h)
     d1, d2 = feedthrough(net, mixing_scale(net, N, h, theta, g00, dc, N_sum),
                          theta)
     grad_U, grad_N = availability_gradient(T_star, mu_star_over_T, T, mu_over_T)
-    return d1, d2, g00 * grad_U + _dot(dc, grad_N), grad_U, g00, dc, c
+    return d1, d2, g00 * grad_U + dot(dc, grad_N), grad_U, g00, dc, c
 
 
 def sde_terms(net, N, T, q, Qdot, column=None):
@@ -334,27 +344,28 @@ def sde_terms(net, N, T, q, Qdot, column=None):
     its concentrations c."""
     g00, dc, c = column or flow_column(net, N, enthalpy(net, T))
     forward, backward = mass_action(net, c, rate_constants(net, T))
-    flux = reaction_flux(net, forward - backward)
-    rho, q_col = net.noise, _col(q)
-    return ((g00 * q + Qdot, flux + q_col * dc),
-            (rho.rho1 * flux, rho.rho2 * q * g00, rho.rho2 * q_col * dc,
+    flux = reaction_flux(net, list(map(sub, forward, backward)))
+    rho = net.noise
+    b = rho.rho2 * q
+    return ((g00 * q + Qdot, [f + q * d for f, d in zip(flux, dc)]),
+            ([rho.rho1 * f for f in flux], b * g00, [b * d for d in dc],
              rho.rho3 * Qdot))
 
 
 def em_update(net, U, N, T, q, Qdot, dt, dW=None, column=None):
     """One Euler-Maruyama update of (U, N); noise-free when dW is None.
-    dW holds the three channel increments on its last axis; ``column`` is
-    passed to :func:`sde_terms`."""
+    dW holds the increments of the three channels, one item each;
+    ``column`` is passed to :func:`sde_terms`."""
     (dU, dN), (a, b_U, b_N, c_U) = sde_terms(net, N, T, q, Qdot, column)
-    U_new, N_new = U + dU * dt, N + dN * dt
-    if dW is not None:
-        w0, w1, w2 = dW.T  # a lone state's are scalars: no 0-d arithmetic
-        U_new = U_new + (b_U * w1 + c_U * w2)
-        N_new = N_new + a * _col(w0) + b_N * _col(w1)
-    return U_new, N_new
+    if dW is None:
+        return U + dU * dt, [n + d * dt for n, d in zip(N, dN)]
+    w0, w1, w2 = dW
+    return (U + dU * dt + (b_U * w1 + c_U * w2),
+            [n + d * dt + a_j * w0 + b_j * w1
+             for n, d, a_j, b_j in zip(N, dN, a, b_N)])
 
 
 def jacket_temperature(net, Qdot, T):
     """T_w = Qdot / lambda + T, NaN without a heat transfer path."""
     lam = net.reactor.lam
-    return Qdot / lam + T if lam > 0 else math.nan
+    return Qdot / lam + T if lam > 0 else np.nan

@@ -16,26 +16,26 @@ two half steps, recursively up to 20 halvings, after which the trajectory
 aborts.  One routine, ``_Stepper.settle``, applies them to a batch of raw
 updates at once and redoes the rows at T <= 0 as one sub-batch.
 
-One stepping loop serves every trajectory count.  The states of the
-active trajectories form arrays U (B,) and N (B, p), and each grid step
-makes one feedback solve and one update for the whole batch, each row
-drawing its increments from its own substream; a lone trajectory, as in
-:func:`simulate`, steps on scalar U and T and N of shape (p,) with the
-Python int 0 for its row, clamps its flow on floats and indexes no array
-with a 0-d one.  The kernel reads the network's constants from its cached
-:class:`kernel.StepConstants`, so a step derives none of them.  A step
+One stepping loop serves every trajectory count.  The states of the B
+active trajectories are species-major, as the kernel takes them: U, T
+and each N_j are (B,) columns, and each grid step makes one feedback solve
+and one update for the whole batch, each row drawing its increments from
+its own substream; a lone trajectory, as in :func:`simulate`, steps on
+numpy float64 scalars U, T and N_j with the Python int 0 for its row,
+clamps its flow on floats and indexes no array with a 0-d one.  A step
 whose every row is finite, at or above the floor and at T > 0 passes
 without ``settle``.  A row that aborts keeps its recorded prefix.  The
 kernel is row-safe, so a row has the bits :func:`simulate` gives that
-trajectory, whatever the batch size.  The loop
-records only the states (U, N) and the applied inputs (q, Qdot); T, S, the
-availability and T_w of every record are derived from them after stepping.
+trajectory, whatever the batch size.  The loop records only the states
+(U, N) and the applied inputs (q, Qdot); T, S, the availability and T_w of
+every record are derived from them after stepping.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from functools import reduce
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,19 +212,19 @@ class _Path:
 class _Stepper:
     """The stepping of a set of trajectories: their paths, and the inputs,
     updates and guards of a batch of rows.  ``rows`` holds each row's index
-    into ``paths``: an array of shape (b,), or the Python int 0 for a lone
-    path stepped on scalar U and T and N of shape (p,), with no fancy
-    indexing.  Events are logged at grid step ``step_no``.  With noise on,
-    ``noise`` (paths, k, 3) holds each path's block of standard normals and
-    ``cursor`` its next unread one; with noise off, ``noise`` is None."""
+    into ``paths``: an array of shape (b,), or the int 0 for a lone path
+    stepped on scalars.  Events are logged at grid step ``step_no``.  With
+    noise on, ``noise`` (paths, k, 3) holds each path's block of standard
+    normals and ``cursor`` its next unread one; else ``noise`` is None."""
 
     def __init__(self, net: ReactionNetwork, sp: Setpoint | None,
                  gains: ControllerGains | None, cfg: SimConfig, indices):
         if cfg.feedback_on and (sp is None or gains is None):
             raise ValueError(f"mode {cfg.mode!r} needs a setpoint and gains")
-        self.net, self.sp, self.gains, self.cfg = net, sp, gains, cfg
+        self.sp, self.gains, self.cfg = sp, gains, cfg
         self.paths = [_Path(i, trajectory_rng(cfg.seed, i) if cfg.noise_on
                             else None) for i in indices]
+        self.net = net if len(self.paths) == 1 else kernel.batch_network(net)
         self.step_no, self.noise = 0, None
         if cfg.noise_on:  # every block starts used up: drawn on first use
             k = max(1, min(cfg.n_steps, NOISE_BLOCK // len(self.paths)))
@@ -270,37 +270,35 @@ class _Stepper:
                 for r in np.asarray(rows)[used_up].tolist():
                     self.noise[r] = self.paths[r].rng.standard_normal((k, 3))
                 at = at % k  # the used-up rows read their fresh blocks at 0
-            dW = self.noise[rows, at] * math.sqrt(dt)
+            dW = (self.noise[rows, at] * math.sqrt(dt)).T  # channel-major
             self.cursor[rows] = at + 1
         return kernel.em_update(self.net, U, N, T, q, Qdot, dt, dW, column)
 
     def settle(self, rows, U, N, T, U_new, N_new, t: float, dt: float,
                depth=0):
-        """The guarded ends (U, N, T) of the steps of length dt from the
-        rows' states (U, N, T) at time t whose raw updates are
-        (U_new, N_new).  A non-finite update aborts its row; mole numbers
-        below the floor are clamped and logged; the rows at T <= 0 redo
-        their step as two half steps, each with inputs evaluated at its own
-        start, as one sub-batch that recurses on the rows that fail again
-        (a lone path's is a one-row batch).  T is NaN on every row that
-        aborted."""
-        rows = np.asarray(rows)  # a lone path's int row as a 0-d array
-        finite = np.isfinite(U_new) & np.isfinite(N_new).all(-1)
+        """The guarded ends (U, N, T), N as (p, b), of the steps of length
+        dt from the rows' (b,) states (U, N, T) at time t whose raw updates
+        are (U_new, N_new).  A non-finite update aborts its row; mole numbers
+        below the floor are clamped and logged; the rows at T <= 0 redo their
+        step as two half steps, each with inputs evaluated at its own start,
+        as one sub-batch that recurses on the rows that fail again (a lone
+        path's is a one-row batch).  T is NaN on every row that aborted."""
+        N, N_new = np.asarray(N), np.asarray(N_new)  # (p, b)
+        finite = np.isfinite(U_new) & np.isfinite(N_new).all(0)
         for r in rows[~finite]:
             self.paths[r].abort_reason = "non-finite state update"
-        low = finite[..., None] & (N_new < N_TRAJ_FLOOR)
-        for r, j in zip(np.broadcast_to(rows[..., None], low.shape)[low],
-                        np.nonzero(low)[-1]):
-            self.paths[r].events.append(
+        low = finite & (N_new < N_TRAJ_FLOOR)
+        for j, r in zip(*np.nonzero(low)):  # a row's in species order
+            self.paths[rows[r]].events.append(
                 (self.step_no, f"floor_{self.net.species_names[j]}"))
         N_new = np.where(low, N_TRAJ_FLOOR, N_new)
         T_new = np.full_like(U_new, np.nan)
         T_new[finite] = kernel.temperature(self.net, U_new[finite],
-                                           N_new[finite])
+                                           N_new[:, finite])
         redo = finite & ~(T_new > 0)
         if not redo.any():
-            return U_new, N_new, T_new[()]
-        sub, U, N, T = rows[redo], U[redo], N[redo], T[redo]
+            return U_new, N_new, T_new
+        sub, U, N, T = rows[redo], U[redo], N[:, redo], T[redo]
         if depth < MAX_HALVINGS:
             for r in sub:
                 self.paths[r].events.append((self.step_no, "halve"))
@@ -314,14 +312,14 @@ class _Stepper:
             go = T > 0  # a row that aborted in the first half stops there
             if not go.any():
                 break
-            r, U_go, N_go, T_go = sub[go], U[go], N[go], T[go]
-            U[go], N[go], T[go] = self.settle(
+            r, U_go, N_go, T_go = sub[go], U[go], N[:, go], T[go]
+            U[go], N[:, go], T[go] = self.settle(
                 r, U_go, N_go, T_go, *self.update(
                     r, U_go, N_go, T_go, *self.inputs(r, N_go, T_go, t_half),
                     0.5 * dt), t_half, 0.5 * dt, depth + 1)
-        U_new = np.array(U_new)  # writable, 0-d for a lone path
-        U_new[redo], N_new[redo], T_new[redo] = U, N, T
-        return U_new[()], N_new, T_new[()]
+        U_new = np.array(U_new)  # writable
+        U_new[redo], N_new[:, redo], T_new[redo] = U, N, T
+        return U_new, N_new, T_new
 
 
 class _Records:
@@ -344,7 +342,8 @@ class _Records:
         """Record ``j`` of ``rows`` (an index or an index array): the states
         (U, N) and the inputs (q, Qdot) applied from them."""
         self.states[rows, j, 0] = U
-        self.states[rows, j, 1:] = N
+        for i, n in enumerate(N, 1):
+            self.states[rows, j, i] = n
         self.q[rows, j] = q
         self.Qdot[rows, j] = Qdot
         self.count[rows] = j + 1
@@ -354,13 +353,13 @@ class _Records:
         T_w of every record, in one row-safe kernel call each; unrecorded
         slots stay NaN.  T is T(U, N), which can differ from a given
         initial T in the last bit."""
-        U, N = self.states[..., 0], self.states[..., 1:]
-        self.T = kernel.temperature(net, U, N)
-        self.S = kernel.closures(net, N, self.T)[2]
+        x = np.moveaxis(self.states, -1, 0)  # species-major: U, N_1, ...
+        self.T = kernel.temperature(net, x[0], x[1:])
+        self.S = kernel.closures(net, x[1:], self.T)[2]
         self.avail, self.T_w = (np.full_like(self.T, np.nan) for _ in range(2))
         if sp is not None:
             self.avail[...] = kernel.availability(
-                sp.S_star, sp.pi_star, sp.x_star, self.S, self.states)
+                sp.S_star, sp.pi_star, sp.x_star, self.S, x)
         self.T_w[...] = kernel.jacket_temperature(net, self.Qdot, self.T)
 
     def trajectory(self, row: int, path: _Path) -> Trajectory:
@@ -389,10 +388,11 @@ def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
     n = len(run.paths)
     rec = _Records(net, cfg, n)
     st0 = as_state(net, x0)
-    rows = np.arange(n) if n > 1 else 0  # a lone path: scalars, row int 0
-    every = np.logical_and.reduce if n > 1 else bool  # no wrapper, no 0-d
-    U, T = (np.full(np.shape(rows), a)[()] for a in (st0.U, st0.T))
-    N = np.tile(st0.N, (*np.shape(rows), 1))
+    lone = n == 1
+    rows = 0 if lone else np.arange(n)  # a lone path: scalars, row int 0
+    every, least = ((bool, float) if lone  # no wrapper, no 0-d array
+                    else (np.logical_and.reduce, np.minimum.reduce))
+    U, T, *N = (np.full(np.shape(rows), a)[()] for a in (st0.U, st0.T, *st0.N))
     dt, j = cfg.dt, 0
     for k in range(cfg.n_steps):
         t, run.step_no = k * dt, k + 1
@@ -402,20 +402,25 @@ def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
             j += 1
         U_new, N_new = run.update(rows, U, N, T, q, Qdot, column, dt)
         # settle passes a step whose rows are all finite, at or above the
-        # floor and at T > 0 as it is.  A NaN N fails the floor, an infinite
-        # N_j makes N^T h_ref and so T NaN, and a finite N a finite T where
-        # U is finite.
-        if (N_TRAJ_FLOOR <= np.minimum.reduce(N_new, None) and every(
-                (0 < (T_new := kernel.temperature(net, U_new, N_new)))
+        # floor and at T > 0 as it is.  A NaN N_j fails the floor, an
+        # infinite N_j makes N^T h_ref and so T NaN, and a finite N a finite
+        # T where U is finite.
+        if (N_TRAJ_FLOOR <= least(reduce(np.minimum, N_new)) and every(
+                (0 < (T_new := kernel.temperature(run.net, U_new, N_new)))
                 & (T_new < math.inf))):
             U, N, T = U_new, N_new, T_new
             continue
+        if lone:  # the guards take a lone path as a one-row batch
+            rows, U, T, U_new = (np.reshape(a, 1) for a in (rows, U, T, U_new))
+            N, N_new = np.reshape(N, (-1, 1)), np.reshape(N_new, (-1, 1))
         U, N, T = run.settle(rows, U, N, T, U_new, N_new, t, dt)
         ok = T > 0
-        if not every(ok):
-            rows, U, N, T = (np.asarray(a)[ok] for a in (rows, U, N, T))
+        if not ok.all():
+            rows, U, N, T = rows[ok], U[ok], N[:, ok], T[ok]
             if not rows.size:
                 break
+        if lone:
+            rows, U, N, T = 0, U[0], list(N[:, 0]), T[0]
     else:
         q, Qdot, *_ = run.law(N, T, cfg.n_steps * dt)
         rec.write(rows, j, U, N, q, Qdot)
@@ -486,7 +491,7 @@ def ensemble(net: ReactionNetwork, sp: Setpoint | None,
     if sp is not None:
         terminal_T = np.abs(table["T"][:, -1] - sp.T_star)
         dN = states[:, -1, 1:] - sp.N_star
-        terminal_N = np.sqrt(np.vecdot(dN, dN))  # each row's np.linalg.norm
+        terminal_N = np.sqrt(kernel.dot(dN.T, dN.T))
         scale = np.concatenate(([max(abs(sp.U_star), 1.0)], sp.N_star))
         sup_err = np.linalg.norm((states - sp.x_star) / scale, axis=-1).max(-1)
         prob = np.count_nonzero(sup_err < cfg.eps) / len(sup_err)

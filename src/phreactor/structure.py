@@ -61,7 +61,9 @@ def damping_matrix(net: ReactionNetwork, state,
         net, *rates, st.T,
         kernel.affinity(net, st.mu_over_T, st.T) if mode == "strict" else None)
     R = np.zeros((net.n_species + 1, net.n_species + 1))
-    R[1:, 1:] = kernel.damping_apply(net, weights, st.T, np.eye(net.n_species))
+    # item j of R_NN e_k, over the batch of columns k, is entry (k, j)
+    R[1:, 1:] = np.transpose(kernel.damping_apply(net, weights, st.T,
+                                                  np.eye(net.n_species)))
     return R
 
 
@@ -71,7 +73,7 @@ def mixing_noise_scale(net: ReactionNetwork, state) -> float:
     st = as_state(net, state)
     return kernel.mixing_scale(net, st.N, st.h, st.theta,
                                *kernel.flow_column(net, st.N, st.h)[:2],
-                               st.N.sum())
+                               kernel.total(st.N))
 
 
 @dataclass(frozen=True)
@@ -111,12 +113,10 @@ def structure_matrices(net: ReactionNetwork, state,
     st = as_state(net, state)
     p = net.n_species
     g = np.zeros((p + 1, 2))
-    g[0, 0], g[1:, 0], c = kernel.flow_column(net, st.N, st.h)
+    g[0, 0], g[1:, 0], _ = column = kernel.flow_column(net, st.N, st.h)
     g[0, 1] = 1.0
-    forward, backward = kernel.mass_action(net, c,
-                                           kernel.rate_constants(net, st.T))
-    a = np.zeros(p + 1)
-    a[1:] = net.noise.rho1 * kernel.reaction_flux(net, forward - backward)
+    a = np.zeros(p + 1)  # the inputs do not enter the reaction noise
+    a[1:] = kernel.sde_terms(net, st.N, st.T, 0.0, 0.0, column)[1][0]
     M = mixing_noise_scale(net, st)
     sigma = np.diag([net.noise.rho2, net.noise.rho3])
     delta = np.diag(kernel.feedthrough(net, M, st.theta))

@@ -64,12 +64,12 @@ def temperature(net: ReactionNetwork, U: float, N) -> float:
 def internal_energy(net: ReactionNetwork, N, T: float) -> float:
     """U(N, T) in J."""
     N = _as_moles(net, N)
-    return float(N @ enthalpy(net, T)) - net.reactor.P * net.reactor.V
+    return float(kernel.dot(N, enthalpy(net, T))) - net.step_constants.PV
 
 
 def enthalpy(net: ReactionNetwork, T: float) -> np.ndarray:
     """Molar enthalpies h_j(T) in J/mol."""
-    return kernel.enthalpy(net, _positive(T))
+    return np.array(kernel.enthalpy(net, _positive(T)))
 
 
 def entropy(net: ReactionNetwork, N, T: float) -> float:
@@ -103,7 +103,8 @@ class ThermoState:
 
     @classmethod
     def _build(cls, net, U, N, T):
-        return cls(U, N, T, *kernel.closures(net, N, T))
+        h, mu_over_T, S, theta = kernel.closures(net, N, T)
+        return cls(U, N, T, np.array(h), np.array(mu_over_T), S, theta)
 
     @property
     def x(self) -> np.ndarray:

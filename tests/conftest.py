@@ -101,6 +101,38 @@ def x0(net):
     return presets.benchmark_initial_state(net)
 
 
+def left_to_right(terms):
+    """t_0 + t_1 + ..., added by an explicit Python loop; 0.0 for none."""
+    terms = list(terms)
+    total = terms[0] if terms else 0.0
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+def rows_first(items, B, *tail):
+    """A kernel result, nested lists of (B,) columns or scalars, as one
+    array with the batch axis first, shape (B, len(items), ...); an empty
+    list gives shape (B, 0, *tail)."""
+    if not isinstance(items, (list, tuple)):
+        return np.broadcast_to(items, (B,))
+    if not items:
+        return np.empty((B, 0, *tail))
+    return np.stack([rows_first(item, B) for item in items], 1)
+
+
+def same_bits_but_nan_sign(a, b):
+    """a and b have the same shape, NaN at the same places and every bit
+    the same but a NaN's sign: the kernel's row-safety."""
+    a, b = (np.ascontiguousarray(x, dtype=float) for x in (a, b))
+    assert a.shape == b.shape
+    nan = np.isnan(a)
+    np.testing.assert_array_equal(nan, np.isnan(b))
+    keep = np.where(nan, np.uint64(2 ** 63 - 1), np.uint64(2 ** 64 - 1))
+    np.testing.assert_array_equal(a.view(np.uint64) & keep,
+                                  b.view(np.uint64) & keep)
+
+
 def random_states(net, n, rng, T_range=(280.0, 420.0), logN_range=(-2.0, 0.7)):
     """n random (T, N) draws over the physical domain, moles log-uniform."""
     Ts = rng.uniform(*T_range, size=n)

@@ -282,11 +282,12 @@ def test_criterion_10_stochastic_stabilization(sp, mc):
 
 def test_criterion_11_generator_passivity(net, sp, det_traj):
     tr, _ = det_traj
-    U, N = tr.states[:, 0], tr.states[:, 1:]
+    U, N = tr.states[:, 0], tr.states[:, 1:].T  # N species-major
     T = kernel.temperature(net, U, N)
     h, mu_over_T, _, theta = kernel.closures(net, N, T)
     m = kernel.margins(net, N, T, h, mu_over_T, theta,
-                       mu_over_T - sp.mu_star_over_T, sp.V_star)
+                       np.array(mu_over_T) - sp.mu_star_over_T[:, None],
+                       sp.V_star)
     # whatever the input, L[A] - y^T u = (1/2) rho1^2 M_flux / theta
     # + (mu/T - mu*/T*)^T flux, M_flux the storage curvature along the
     # reaction flux, because delta u cancels the Ito trace of the input

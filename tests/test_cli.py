@@ -236,6 +236,25 @@ def test_equilibria_rejects_bad_scan(cfg_path, tmp_path, capsys, flags):
     assert not (out / "equilibria.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_equilibria_rejects_a_tmin_whose_rate_exponent_overflows(
+        cfg_path, tmp_path, capsys):
+    """A subnormal --Tmin makes the rate constants' E / (R T) overflow; the
+    scan refuses it before any rate is taken, naming the bound, and scans
+    a window just above the bound without a warning."""
+    flags = ["--network", str(cfg_path), "--q", "9.15e-6", "--Tw", "299.49"]
+    out = tmp_path / "eq"
+    assert main(["equilibria", *flags, "--out", str(out),
+                 "--Tmin", "1e-310"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("phreactor: error: ") and err.count("\n") == 1
+    assert ("got Tmin=1e-310, where E / (R Tmin) overflows: Tmin must be "
+            "above about 5.01e-305 K" in err)
+    assert not (out / "equilibria.csv").exists()
+    assert main(["equilibria", *flags, "--out", str(out), "--Tmin", "5.1e-305",
+                 "--Tmax", "400"]) == 0
+
+
 # ---------------------------------------------------------------- simulate
 
 

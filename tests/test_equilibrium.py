@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (NO_REACTION, THREE_REACTIONS, equilibrium_composition,
-                      networks, random_states)
+                      left_to_right, networks, random_states, rows_first,
+                      same_bits_but_nan_sign)
 from phreactor import equilibrium, kernel, presets
 from phreactor.control import jacket_temperature
 from phreactor.equilibrium import (
@@ -136,36 +137,42 @@ def test_scan_reraises_when_a_round_converges_nothing(net, monkeypatch):
 
 def _newton_by_columns(net, T, q, N0=None, tol=1e-12):
     """The mole-balance solve as a scalar loop: one rate evaluation per
-    residual, the exact Jacobian one column at a time."""
-    V, k_T = net.reactor.V, kernel.rate_constants(net, T)
+    residual, the exact Jacobian one column at a time, and every sum over
+    species or reactions written out left to right."""
+    V, k_T, nu = net.reactor.V, kernel.rate_constants(net, T), net.stoich_net
 
     def balance(N):
         forward, backward = kernel.mass_action(net, N / V, k_T)
-        return (kernel.reaction_flux(net, forward - backward)
-                + q * kernel.feed_gap(net, N / V))
+        rate = np.array(forward) - np.array(backward)
+        return np.array([V * left_to_right(nu[j] * rate)
+                         + q * (net.c_in[j] - N[j] / V) for j in range(N.size)])
+
+    def norm(f):
+        return math.sqrt(left_to_right(f * f))
 
     def scale(N):
         forward, backward = kernel.mass_action(net, N / V, k_T)
-        turnover = V * float(np.sum(forward + backward))
+        turnover = V * left_to_right(np.array(forward) + np.array(backward))
         return max(q * float(np.max(net.c_in)), turnover, 1e-300)
 
     N = np.array(N0, dtype=float) if N0 is not None else V * net.c_in
     f = balance(N)
-    best = float(np.linalg.norm(f))
+    best = norm(f)
     while np.linalg.norm(f, ord=np.inf) > tol * scale(N):
-        dr_f, dr_b = kernel.mass_action_jacobian(net, N / V, k_T)
+        dr_f, dr_b = map(np.array, kernel.mass_action_jacobian(net, N / V,
+                                                               k_T))
         J = np.empty((N.size, N.size))
         for j in range(N.size):
-            J[:, j] = (np.vecdot(net.stoich_net, dr_f[:, j] - dr_b[:, j])
+            J[:, j] = ([left_to_right(nu[k] * (dr_f[:, j] - dr_b[:, j]))
+                        for k in range(N.size)]
                        - q / V * (np.arange(N.size) == j))
         step = np.linalg.solve(J, -f)
         alpha = 1.0
         while True:
             N_try = np.maximum(N + alpha * step, 0.0)
             f_try = balance(N_try)
-            if (np.linalg.norm(f_try) <= (1.0 - 1e-4 * alpha) * best
-                    or alpha < 1e-8):
-                N, f, best = N_try, f_try, float(np.linalg.norm(f_try))
+            if norm(f_try) <= (1.0 - 1e-4 * alpha) * best or alpha < 1e-8:
+                N, f, best = N_try, f_try, norm(f_try)
                 break
             alpha *= 0.5
     return N
@@ -332,7 +339,7 @@ def _central_differences(net, N, T, q, h):
 
     def central(k):
         f = [equilibrium._balance(net, (N[:, None] + s * k * steps).reshape(
-            -1, p), k_T.repeat(p, 0), q)[1].reshape(B, p, p)
+            -1, p), [k_i.repeat(p, 0) for k_i in k_T], q)[1].reshape(B, p, p)
              for s in (1, -1)]
         return ((f[0] - f[1]) / (2.0 * k * h[..., None])).swapaxes(-1, -2)
 
@@ -353,14 +360,15 @@ def test_exact_jacobian_matches_central_differences(net, data):
     q = data.draw(st.one_of(st.just(0.0), st.floats(1e-8, 1e-4)))
     k_T = kernel.rate_constants(net, T)
     J = equilibrium._balance_jacobian(net, N, k_T, q)
-    dr_f, dr_b = kernel.mass_action_jacobian(net, N / net.reactor.V, k_T)
+    dr_f, dr_b = (rows_first(d, B, p) for d in kernel.mass_action_jacobian(
+        net, N.T / net.reactor.V, k_T))
     for b in range(B):
         k_b = kernel.rate_constants(net, T[b])
         np.testing.assert_array_equal(
             J[b], equilibrium._balance_jacobian(net, N[b], k_b, q))
         for batch, lone in zip((dr_f, dr_b), kernel.mass_action_jacobian(
                 net, N[b] / net.reactor.V, k_b)):
-            np.testing.assert_array_equal(batch[b], lone)
+            np.testing.assert_array_equal(batch[b], rows_first(lone, 1, p)[0])
 
     # tolerance: FD_RTOL of the summed magnitudes of each entry's terms,
     # plus the differences' rounding, 1e-13 of the balance's terms at the
@@ -368,7 +376,8 @@ def test_exact_jacobian_matches_central_differences(net, data):
     V, nu = net.reactor.V, np.abs(net.stoich_net)
     h = FD_STEP * np.maximum(N, 1e-3)
     far = N + 2.0 * h
-    forward, backward = kernel.mass_action(net, far / V, k_T)
+    forward, backward = (rows_first(r, B) for r in kernel.mass_action(
+        net, far.T / V, k_T))
     sizes = (V * np.vecdot(nu, (forward + backward)[:, None, :])
              + q * (net.c_in + far / V))
     terms = np.vecdot(nu[:, None, :], (np.abs(dr_f) + np.abs(dr_b)).swapaxes(
@@ -398,25 +407,32 @@ _EDGES = (0.0, -0.0, 5e-324, 2.0 ** -1030, 2.2250738585072014e-308, math.inf,
 @settings(max_examples=300, deadline=None)
 @given(net=networks(max_multiplicity=1), data=st.data())
 def test_gathered_gradient_has_the_powers_bits(net, data):
-    """With multiplicities 0 and 1 only, the gathered derivatives have the
-    bits of libm's powers, also at 0, -0.0, subnormals and inf, and NaN
-    where they have NaN (pow drops a NaN's sign bit, a gather keeps it);
-    a batch row has the bits of the row alone."""
-    k, B = net.step_constants, data.draw(st.integers(1, 4))
+    """With multiplicities 0 and 1 only, the derivatives' products of
+    factors (mass_action_jacobian at k_T = 1, whose product times 1.0 is
+    the product) have the bits of libm's powers, also at 0, -0.0,
+    subnormals and inf, and NaN where they have NaN; a batch row has the
+    bits of the row alone, a NaN's sign excepted, as the kernel states:
+    pow drops a NaN's sign bit, and which of two NaNs a product keeps
+    depends on the element's place in numpy's vectorised loop."""
+    B, p, r = data.draw(st.integers(1, 4)), net.n_species, len(net.reactions)
     stoich = np.hstack((net.stoich_reactants, net.stoich_products))
-    c = data.draw(arrays(float, (B, net.n_species), elements=st.one_of(
+    c = data.draw(arrays(float, (B, p), elements=st.one_of(
         st.sampled_from(_EDGES), st.floats(allow_nan=False))))
+
+    def derivatives(conc, k_T, rows):  # (rows, p, 2 r), as the powers
+        dr_f, dr_b = kernel.mass_action_jacobian(net, conc, k_T)
+        return rows_first(dr_f + dr_b, rows, p).swapaxes(-1, -2)
+
     with np.errstate(all="ignore"):  # inf * 0 and the like
-        gathered = kernel._gathered_product(c, k.grad_slots)
+        gathered = derivatives(c.T, np.ones((2 * r, B)), B)
         powers = _power_gradient(c, stoich)
-        lone = [kernel._gathered_product(row, k.grad_slots) for row in c]
+        lone = [derivatives(row, np.ones(2 * r), 1)[0] for row in c]
     np.testing.assert_array_equal(np.isnan(gathered), np.isnan(powers))
     number = ~np.isnan(powers)
     np.testing.assert_array_equal(gathered.view(np.uint64)[number],
                                   powers.view(np.uint64)[number])
     for row, alone in zip(gathered, lone):
-        np.testing.assert_array_equal(row.view(np.uint64),
-                                      alone.view(np.uint64))
+        same_bits_but_nan_sign(row, alone)
 
 
 def _no_pow(*args):
@@ -435,15 +451,15 @@ def test_no_network_takes_libm_powers(net, data):
     second = parse_network(NONLINEAR)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np, "float_power", _no_pow)
-        for each, conc in ((net, c), (second, np.array([[1.5, 0.25]]))):
-            k_T = kernel.rate_constants(each, T[:len(conc)])
+        for each, conc in ((net, c.T), (second, np.array([[1.5], [0.25]]))):
+            k_T = kernel.rate_constants(each, T[:len(conc[0])])
             kernel.mass_action(each, conc, k_T)
             kernel.mass_action_jacobian(each, conc, k_T)
 
 
 def _energy(net, q, T_w, T, N):
     """The stationary energy residual E(T) at composition N."""
-    g00 = kernel.flow_column(net, N, kernel.enthalpy(net, T))[0]
+    g00 = kernel.flow_column(net, np.transpose(N), kernel.enthalpy(net, T))[0]
     return q * g00 + net.reactor.lam * (T_w - T)
 
 

@@ -3,6 +3,7 @@ the public step functions, batched-ensemble equivalence with single paths,
 guard events, and ensemble aggregation."""
 
 import math
+from operator import mul
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import networks
+from conftest import left_to_right, networks, rows_first, same_bits_but_nan_sign
 from phreactor import control, kernel, presets, sim, thermo
 from phreactor.control import ControllerGains, control_law
 from phreactor.sim import (
@@ -317,7 +318,7 @@ def test_batched_row_with_nonfinite_update_aborts_alone(net, sp, gains, x0,
         if np.ndim(U):  # a batch call; scalar calls pass through
             batch_calls.append(len(U))
             if len(batch_calls) == 30:  # step 30: row 1 blows up
-                (U_new if poisoned == "U" else N_new[:, 0])[1] = np.inf
+                (U_new if poisoned == "U" else N_new[0])[1] = np.inf
         return U_new, N_new
 
     monkeypatch.setattr(kernel, "em_update", em_update)
@@ -349,8 +350,8 @@ def test_batched_ensemble_raises_when_every_row_aborts(net, x0, monkeypatch,
 @pytest.mark.parametrize("washout", [False, True])
 def test_lone_path_steps_on_scalar_states(net, sp, gains, x0, plain_net,
                                           monkeypatch, washout):
-    """One trajectory steps on scalar U and T and N of shape (p,), never as
-    a one-row batch, also through the floor clamp of a washout."""
+    """One trajectory steps on numpy float64 scalars U, T and N_j, never
+    as a one-row batch, also through the floor clamp of a washout."""
     cfg = SimConfig(dt=1e-3, t_end=0.1, seed=3, mode="closed_loop")
     if washout:
         net, sp, gains = plain_net, None, None
@@ -358,15 +359,15 @@ def test_lone_path_steps_on_scalar_states(net, sp, gains, x0, plain_net,
         cfg = replace(cfg, mode="open_loop", u_open=(0.5, 0.0))
     real, shapes = kernel.em_update, []
 
-    def em_update(net, U, N, *args):
-        shapes.append((np.shape(U), np.shape(N)))
-        return real(net, U, N, *args)
+    def em_update(net, U, N, T, *args):
+        shapes.append((np.shape(U), np.shape(N), {type(x) for x in (U, T, *N)}))
+        return real(net, U, N, T, *args)
 
     monkeypatch.setattr(kernel, "em_update", em_update)
     tr = ensemble(net, sp, gains, cfg, x0).trajectories[0]
     codes = {c for _, c in tr.events}
     assert ("floor_B" in codes) == washout and "halve" not in codes
-    assert shapes == [((), (2,))] * cfg.n_steps
+    assert shapes == [((), (2,), {np.float64})] * cfg.n_steps
 
 
 def test_floored_rows_are_guarded_as_one_batch(plain_net, monkeypatch):
@@ -420,6 +421,22 @@ def _rows(draw, B, lo, hi, *shape):
     return draw(arrays(float, (B, *shape), elements=st.floats(lo, hi)))
 
 
+def _columns(a):
+    """A batch (B, n), or one row (n,), as the kernel takes it: n
+    contiguous (B,) columns, or n numpy float64 scalars."""
+    return list(np.ascontiguousarray(np.transpose(a)))
+
+
+def _leaves(result):
+    """The values of a kernel result, its nested tuples and lists
+    flattened in order."""
+    if isinstance(result, (tuple, list)):
+        for item in result:
+            yield from _leaves(item)
+    else:
+        yield result
+
+
 @st.composite
 def _kernel_batches(draw):
     B = draw(st.integers(1, 5))
@@ -428,55 +445,190 @@ def _kernel_batches(draw):
             _rows(draw, B, -10.0, 10.0), _rows(draw, B, -0.1, 0.1, 3))
 
 
-def _mixing_scale_along(net, N, T, v0, v):
-    """theta (v0, v)^T Hess(-S) (v0, v) for a general direction (v0, v)."""
-    h, _, _, theta = kernel.closures(net, N, T)
-    return kernel.mixing_scale(net, N, h, theta, v0, v, N.sum(-1))
+class _States:
+    """Drawn kernel inputs, species- and channel-major: per row U, T, q,
+    Qdot; per species N, a direction v and an offset w; three noise
+    channels dW; and a setpoint's T*, mu*/T*, S*, pi*, x* and V*, shared
+    by every row."""
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+    def row(self, i):
+        """Row i alone, on numpy float64 scalars."""
+        return _States(**{name: ([a[i] for a in value] if name in _PER_ROW_LISTS
+                                 else value[i] if name in _PER_ROW else value)
+                          for name, value in self.__dict__.items()})
 
 
-def _damping_weights(net, N, T, strict):
-    """The log-mean or strict dissipation weights at states (N, T)."""
-    forward, backward = kernel.mass_action(net, N / net.reactor.V,
-                                           kernel.rate_constants(net, T))
-    mu_over_T = kernel.closures(net, N, T)[1]
-    return kernel.damping_weights(
-        net, forward, backward, T,
-        kernel.affinity(net, mu_over_T, T) if strict else None)
+_PER_ROW, _PER_ROW_LISTS = ("U", "T", "q", "Qdot"), ("N", "v", "w", "dW")
 
 
-@settings(max_examples=60, deadline=None)
-@given(batch=_kernel_batches())
-def test_kernel_batch_rows_equal_single_state_calls(net, sp, batch):
-    """Row-safety, B = 1 included: the one-row refinement of a scalar path
-    and every batch row keep the bits of the single-state call."""
-    calls = {
-        "em_update": lambda U, N, T, q, Qdot, dW: kernel.em_update(
-            net, U, N, T, q, Qdot, 1e-3, dW),
-        "em_update noise-free, shared inputs": lambda U, N, T, *_:
-            kernel.em_update(net, U, N, T, 2e-5, -3.0, 1e-3),
-        "temperature": lambda U, N, *_: (kernel.temperature(net, U, N),),
-        "closures": lambda U, N, T, *_: kernel.closures(net, N, T),
-        "feedback_terms": lambda U, N, T, *_: kernel.feedback_terms(
-            net, N, T, sp.T_star, sp.mu_star_over_T),
-        "mixing_scale along (Qdot, dW[1:])": lambda U, N, T, q, Qdot, dW: (
-            _mixing_scale_along(net, N, T, Qdot, dW[..., 1:]),),
-        # N + dW takes the quotient, midpoint and absent-rate branches
-        "log_mean": lambda U, N, T, q, Qdot, dW: (
-            kernel.log_mean(N, N + dW[..., :2]),),
-        "damping_weights logmean": lambda U, N, T, *_: (
-            _damping_weights(net, N, T, strict=False),),
-        "damping_weights strict": lambda U, N, T, *_: (
-            _damping_weights(net, N, T, strict=True),),
-        "damping_apply along dW[1:]": lambda U, N, T, q, Qdot, dW: (
-            kernel.damping_apply(
-                net, _damping_weights(net, N, T, strict=False), T,
-                dW[..., 1:]),),
+def _draw_states(data):
+    """A network of 1-5 species and 0-4 reactions under drawn noise, and a
+    batch of B = 1-4 states of it as :class:`_States`, each row's values
+    drawn as one array of uniform [0, 1] values scaled into their ranges."""
+    net = data.draw(networks())
+    net = replace(net, noise=NoiseSpec(*data.draw(
+        st.tuples(*[st.floats(0.0, 1.0)] * 3))))
+    p, B = net.n_species, data.draw(st.integers(1, 4))
+    # U, T, q, Qdot, log10 N, v, w, dW; then T*, S*, V*, mu*, pi*, x*
+    lo, hi = (np.array([*ends, *[a] * p, *[b] * p, *[c] * p, *[d] * 3])
+              for ends, a, b, c, d in (((-2e4, 250.0, 0.0, -10.0), -4.0,
+                                        -1.0, -0.1, -0.1),
+                                       ((2e4, 500.0, 1e-4, 10.0), 0.0, 1.0,
+                                        0.1, 0.1)))
+    lo_star, hi_star = (np.array([*ends, *[a] * p, *[a] * (p + 1),
+                                  *[b] * (p + 1)])
+                        for ends, a, b in (((300.0, -100.0, 1e-4), -50.0, 1e-2),
+                                           ((400.0, 100.0, 1e-2), 50.0, 2.0)))
+    unit = data.draw(arrays(float, (B + 1, len(lo) + len(lo_star)),
+                            elements=st.floats(0.0, 1.0)))
+    rows = lo + unit[:B, :len(lo)] * (hi - lo)
+    star = (lo_star + unit[B, len(lo):] * (hi_star - lo_star)).tolist()
+    return net, _States(
+        U=rows[:, 0].copy(), T=rows[:, 1].copy(), q=rows[:, 2].copy(),
+        Qdot=rows[:, 3].copy(), N=_columns(10.0 ** rows[:, 4:4 + p]),
+        v=_columns(rows[:, 4 + p:4 + 2 * p]),
+        w=_columns(rows[:, 4 + 2 * p:4 + 3 * p]), dW=_columns(rows[:, -3:]),
+        T_star=star[0], S_star=star[1], V_star=star[2],
+        mu_star=star[3:3 + p], pi_star=star[3 + p:4 + 2 * p],
+        x_star=star[4 + 2 * p:])
+
+
+def _every_kernel_call(net, s):
+    """Every kernel function at the states ``s``, by name."""
+    U, N, T, q, Qdot = s.U, s.N, s.T, s.q, s.Qdot
+    h, mu_over_T, S, theta = kernel.closures(net, N, T)
+    N_sum = kernel.total(N)
+    column = kernel.flow_column(net, N, h)
+    k_T = kernel.rate_constants(net, T)
+    forward, backward = kernel.mass_action(net, column[2], k_T)
+    affinity = kernel.affinity(net, mu_over_T, T)
+    weights = kernel.damping_weights(net, forward, backward, T)
+    M = kernel.mixing_scale(net, N, h, theta, *column[:2], N_sum)
+    return {
+        "total": N_sum, "dot": kernel.dot(N, s.v),
+        "enthalpy": kernel.enthalpy(net, T),
+        "temperature": kernel.temperature(net, U, N),
+        "potentials": kernel.potentials(net, N, T, N_sum),
+        "closures": (h, mu_over_T, S, theta), "rate_constants": k_T,
+        "mass_action": (forward, backward),
+        "mass_action_jacobian": kernel.mass_action_jacobian(net, column[2],
+                                                            k_T),
+        "reaction_flux": kernel.reaction_flux(
+            net, [f - b for f, b in zip(forward, backward)]),
+        "affinity": affinity,
+        # N + w takes the quotient, midpoint and absent-rate branches
+        "log_mean": [kernel.log_mean(n, n + w) for n, w in zip(N, s.w)],
+        "damping_weights logmean": weights,
+        "damping_weights strict": kernel.damping_weights(
+            net, forward, backward, T, affinity),
+        "damping_apply": kernel.damping_apply(net, weights, T, s.v),
+        "feed_gap": kernel.feed_gap(net, column[2]), "flow_column": column,
+        "mixing_scale": M,
+        "mixing_scale along (Qdot, v)": kernel.mixing_scale(
+            net, N, h, theta, Qdot, s.v, N_sum),
+        "feedthrough": kernel.feedthrough(net, M, theta),
+        "margins": kernel.margins(net, N, T, h, mu_over_T, theta, s.v,
+                                  s.V_star),
+        "availability": kernel.availability(s.S_star, s.pi_star, s.x_star, S,
+                                            [U, *N]),
+        "availability_gradient": kernel.availability_gradient(
+            s.T_star, s.mu_star, T, mu_over_T),
+        "feedback_terms": kernel.feedback_terms(net, N, T, s.T_star,
+                                                s.mu_star),
+        "sde_terms": kernel.sde_terms(net, N, T, q, Qdot),
+        "em_update": kernel.em_update(net, U, N, T, q, Qdot, 1e-3, s.dW),
+        "em_update on the feedback's column": kernel.em_update(
+            net, U, N, T, q, Qdot, 1e-3, s.dW, column),
+        "em_update noise-free": kernel.em_update(net, U, N, T, q, Qdot, 1e-3),
+        "jacket_temperature": kernel.jacket_temperature(net, Qdot, T),
     }
-    for name, call in calls.items():
-        rows = call(*batch)
-        for i in range(len(batch[0])):
-            for row, single in zip(rows, call(*(a[i] for a in batch))):
-                np.testing.assert_array_equal(row[i], single, err_msg=name)
+
+
+def _flat(calls, B):
+    """Every value of every kernel call, by name in order, as one (B, L)
+    array, each broadcast over the B rows."""
+    return np.stack([np.broadcast_to(value, B) for result in calls.values()
+                     for value in _leaves(result)], -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernel_batch_rows_equal_single_state_calls(data):
+    """Row-safety, B = 1 included, on networks of 1-5 species and 0-4
+    reactions: every kernel function's result on a batch held as (B,)
+    columns has, in every row, the bits of the lone call on that row's
+    numpy float64 scalars, a NaN's sign excepted (see :mod:`kernel`)."""
+    net, batch = _draw_states(data)
+    B = len(batch.T)
+    with np.errstate(all="ignore"):  # inf * 0 and the like
+        rows = _flat(_every_kernel_call(net, batch), B)
+        lone = [_every_kernel_call(net, batch.row(i)) for i in range(B)]
+    assert all(np.ndim(value) == 0 for calls in lone
+               for result in calls.values() for value in _leaves(result))
+    same_bits_but_nan_sign(rows, np.concatenate([_flat(calls, 1)
+                                                 for calls in lone]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernel_sums_run_left_to_right(data):
+    """Every sum over species or reactions in the kernel has the bits of
+    the explicit left-to-right Python expression t_0 + t_1 + ..., every
+    other operation as the kernel's formulas write it: on networks of 1-5
+    species and 0-4 reactions, for a batch and for its first row alone."""
+    net, batch = _draw_states(data)
+    rx, k, lr = net.reactor, net.step_constants, left_to_right
+    nu = net.stoich_net
+    for s in (batch, batch.row(0)):
+        U, N, T, v = s.U, s.N, s.T, s.v
+        h, mu_over_T, S, theta = kernel.closures(net, N, T)
+        _, _, _, log_tau, log_x = kernel.potentials(net, N, T, lr(N))
+        g00, dc, c = kernel.flow_column(net, N, h)
+        forward, backward = kernel.mass_action(
+            net, c, kernel.rate_constants(net, T))
+        rate = [f - b for f, b in zip(forward, backward)]
+        weights = kernel.damping_weights(net, forward, backward, T)
+        flux = [rx.V * lr(nu[j, i] * rate[i] for i in range(len(rate)))
+                for j in range(len(N))]
+        mu = [m * T for m in mu_over_T]
+        affinity = [-lr(nu[j, i] * mu[j] for j in range(len(N)))
+                    for i in range(len(rate))]
+        inner = [weights[i] * lr(nu[l, i] * v[l] for l in range(len(N)))
+                 for i in range(len(rate))]
+        R_v = [rx.V * T * lr(nu[j, i] * inner[i] for i in range(len(rate)))
+               for j in range(len(N))]
+        hdc, dc_sum = lr(map(mul, h, dc)), lr(dc)
+        M = (hdc * hdc - theta * rx.R_gas / lr(N) * (dc_sum * dc_sum)
+             + theta * rx.R_gas * lr(d * (d / n) for d, n in zip(dc, N))
+             - 2.0 * g00 * hdc + g00 * g00)
+        h_in = lr(map(mul, net.c_in, net.cp * (net.inlet.T_in - rx.T_ref)
+                      + net.h_ref))
+        m = kernel.margins(net, N, T, h, mu_over_T, theta, v, s.V_star)
+        pairs = (
+            (kernel.total(N), lr(N)), (kernel.dot(N, v), lr(map(mul, N, v))),
+            (kernel.temperature(net, U, N), rx.T_ref + (
+                U + rx.P * rx.V - lr(map(mul, N, net.h_ref)))
+             / lr(map(mul, N, net.cp))),
+            (theta, T * T * lr(map(mul, N, net.cp))),
+            (S, lr(n * (cp * log_tau + s_ref - rx.R_gas * lx) for n, cp,
+                   s_ref, lx in zip(N, net.cp, net.s_ref, log_x))),
+            (k.h_in, h_in), (g00, h_in - lr(map(mul, N, h)) / rx.V),
+            (kernel.reaction_flux(net, rate), flux),
+            (kernel.affinity(net, mu_over_T, T), affinity),
+            (kernel.damping_apply(net, weights, T, v), R_v),
+            (kernel.mixing_scale(net, N, h, theta, g00, dc, lr(N)), M),
+            (m.trace_rhs, lr(map(mul, v, R_v))),
+            (m.reaction_noise_rhs, lr(map(mul, rate, affinity)) / T),
+            (m.grad_flux, lr(map(mul, v, flux))),
+            (kernel.availability(s.S_star, s.pi_star, s.x_star, S, [U, *N]),
+             s.S_star - S + lr(p * (x - x_star) for p, x, x_star
+                               in zip(s.pi_star, [U, *N], s.x_star))))
+        B = np.size(T)
+        np.testing.assert_array_equal(
+            *(_flat(dict(enumerate(side)), B) for side in zip(*pairs)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -488,15 +640,18 @@ def test_one_step_shares_its_quantities_bit_for_bit(net, sp, batch):
     and theta of the closures; for a lone state and a batch."""
     lone = tuple(a[0] for a in batch)
     for U, N, T, q, Qdot, dW in (lone, batch):
+        N, dW = _columns(N), _columns(dW)
         column = kernel.feedback_terms(net, N, T, sp.T_star,
                                        sp.mu_star_over_T)[4:]
-        np.testing.assert_array_equal(column[2], N / net.reactor.V)
+        np.testing.assert_array_equal(column[2], [n / net.reactor.V
+                                                  for n in N])
         for shared, own in zip(
-                kernel.em_update(net, U, N, T, q, Qdot, 1e-3, dW, column),
-                kernel.em_update(net, U, N, T, q, Qdot, 1e-3, dW)):
+                _leaves(kernel.em_update(net, U, N, T, q, Qdot, 1e-3, dW,
+                                         column)),
+                _leaves(kernel.em_update(net, U, N, T, q, Qdot, 1e-3, dW))):
             np.testing.assert_array_equal(shared, own)
         h, mu_over_T, _, theta = kernel.closures(net, N, T)
-        N_sum = N.sum(-1)
+        N_sum = left_to_right(N)
         for shared, own in zip(kernel.potentials(net, N, T, N_sum)[:3],
                                (h, mu_over_T, theta)):
             np.testing.assert_array_equal(shared, own)
@@ -507,38 +662,46 @@ def _repeated_product(c, stoich):
     c_j stoich[j, i] times, in species order."""
     columns = []
     for column in stoich.T.tolist():
-        product = np.ones(c.shape[:-1])
+        product = 1.0
         for j, alpha in enumerate(column):
             for _ in range(int(alpha)):
-                product = product * c[..., j]
+                product = product * c[j]
         columns.append(product)
-    return np.stack(columns, -1) if columns else np.ones((*c.shape[:-1], 0))
+    return columns
 
 
 @settings(max_examples=200, deadline=None)
 @given(net=networks(max_multiplicity=3), data=st.data())
 def test_species_product_is_the_repeated_multiplication(net, data):
-    """The rates' species product has the bits of each concentration
-    multiplied in as often as its multiplicity, in species order, for one
-    state and a batch, and a batch row has the bits of the row alone; with
+    """The rates' species product (mass_action at k_T = 1, whose product
+    times 1.0 is the product) has the bits of each concentration multiplied
+    in as often as its multiplicity, in species order, for one state and a
+    batch, and a batch row has the bits of the row alone; with
     multiplicities 0 and 1 only, also the bits of np.multiply.reduce of
     libm's powers over the species axis."""
-    B = data.draw(st.integers(1, 4))
+    B, r = data.draw(st.integers(1, 4)), len(net.reactions)
     c = data.draw(arrays(float, (B, net.n_species),
                          elements=st.floats(1e-3, 1e3)))
     stoich = np.hstack((net.stoich_reactants, net.stoich_products))
-    slots = net.step_constants.slots
-    for conc in (c[0], c):
-        np.testing.assert_array_equal(kernel._gathered_product(conc, slots),
-                                      _repeated_product(conc, stoich))
+
+    def product(conc, rows):
+        return rows_first(sum(kernel.mass_action(
+            net, conc, [np.ones(rows)[()]] * 2 * r), []), rows)
+
+    for conc in (c[:1], c):
+        rows = len(conc)
+        gathered = product(_columns(conc if rows > 1 else conc[0]), rows)
+        np.testing.assert_array_equal(
+            gathered, rows_first(_repeated_product(_columns(conc), stoich),
+                                 rows))
         if (stoich <= 1.0).all():
             np.testing.assert_array_equal(
-                kernel._gathered_product(conc, slots),
+                gathered,
                 np.multiply.reduce(np.float_power(conc[..., :, None], stoich),
                                    -2))
-    for row, alone in zip(kernel._gathered_product(c, slots), c):
-        np.testing.assert_array_equal(row,
-                                      kernel._gathered_product(alone, slots))
+    for i, alone in enumerate(c):
+        np.testing.assert_array_equal(gathered[i],
+                                      product(_columns(alone), 1)[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -547,8 +710,8 @@ def test_gathered_squares_are_correctly_rounded(c):
     """A multiplicity of 2, gathered as c * c, is the correctly rounded
     square, and one of 3, c * c * c, is within 2 ulp of the cube; the
     exact powers as fractions, correctly rounded to floats."""
-    gather = kernel._gathers(np.array([[2.0, 3.0]]))[0]
-    squares, cubes = kernel._gathered_product(c[:, None], gather).T
+    square, cube = kernel._factors(np.array([[2.0, 3.0]]))[0]
+    squares, cubes = (kernel._product([c], f) for f in (square, cube))
     exact = np.array([[float(Fraction(v) ** k) for v in c.tolist()]
                       for k in (2, 3)])
     np.testing.assert_array_equal(squares, exact[0])
@@ -558,29 +721,30 @@ def test_gathered_squares_are_correctly_rounded(c):
 def _step_by_formulas(net, U, N, T, q, Qdot, dW, T_star, mu_star_over_T):
     """feedback_terms, em_update (dt = 1e-3) and temperature written out
     from potentials, flow_column and mixing_scale, with every other
-    constant read from the network's own fields and the rates' species
-    products multiplied out by :func:`_repeated_product`."""
-    rx, rho, col, dt = net.reactor, net.noise, kernel._col, 1e-3
-    N_sum = N.sum(-1)
+    constant read from the network's own fields, every sum over species or
+    reactions written out left to right, and the rates' species products
+    multiplied out by :func:`_repeated_product`."""
+    rx, rho, dt, lr = net.reactor, net.noise, 1e-3, left_to_right
+    N_sum = lr(N)
     h, mu_over_T, theta, _, _ = kernel.potentials(net, N, T, N_sum)
     g00, dc, c = kernel.flow_column(net, N, h)
     M = kernel.mixing_scale(net, N, h, theta, g00, dc, N_sum)
-    grad_U, grad_N = 1.0 / T_star - 1.0 / T, mu_over_T - mu_star_over_T
+    grad_U = 1.0 / T_star - 1.0 / T
+    grad_N = [m - m_star for m, m_star in zip(mu_over_T, mu_star_over_T)]
     feedback = (0.5 * rho.rho2 ** 2 * M / theta, 0.5 * rho.rho3 ** 2 / theta,
-                g00 * grad_U + np.vecdot(dc, grad_N), grad_U, g00, dc, c)
-    RT = col(rx.R_gas * T)
-    rate = (net.k0f * np.exp(-net.Ef / RT)
-            * _repeated_product(c, net.stoich_reactants)
-            - net.k0b * np.exp(-net.Eb / RT)
-            * _repeated_product(c, net.stoich_products))
-    flux = rx.V * np.vecdot(net.stoich_net, rate[..., None, :])
-    q_col = col(q)
+                g00 * grad_U + lr(map(mul, dc, grad_N)), grad_U, g00, dc, c)
+    RT = rx.R_gas * T
+    rate = [k0f * np.exp(-Ef / RT) * forward - k0b * np.exp(-Eb / RT) * backward
+            for k0f, Ef, forward, k0b, Eb, backward in zip(
+                net.k0f, net.Ef, _repeated_product(c, net.stoich_reactants),
+                net.k0b, net.Eb, _repeated_product(c, net.stoich_products))]
+    flux = [rx.V * lr(map(mul, nu_j, rate)) for nu_j in net.stoich_net]
     U_new = (U + (g00 * q + Qdot) * dt
-             + (rho.rho2 * q * g00 * dW[..., 1] + rho.rho3 * Qdot * dW[..., 2]))
-    N_new = (N + (flux + q_col * dc) * dt + rho.rho1 * flux * dW[..., 0, None]
-             + rho.rho2 * q_col * dc * dW[..., 1, None])
-    T_of = rx.T_ref + ((U + rx.P * rx.V - np.vecdot(N, net.h_ref))
-                       / np.vecdot(N, net.cp))
+             + (rho.rho2 * q * g00 * dW[1] + rho.rho3 * Qdot * dW[2]))
+    N_new = [n + (f + q * d) * dt + rho.rho1 * f * dW[0]
+             + rho.rho2 * q * d * dW[1] for n, f, d in zip(N, flux, dc)]
+    T_of = rx.T_ref + ((U + rx.P * rx.V - lr(map(mul, N, net.h_ref)))
+                       / lr(map(mul, N, net.cp)))
     return feedback, (U_new, N_new), T_of
 
 
@@ -590,9 +754,10 @@ def test_step_equals_the_per_formula_functions(data):
     """The step's feedback_terms, em_update and temperature, which read the
     network's constants record and gather the rates' products, have the
     bits of the same quantities built from the per-formula functions, the
-    network's own fields and products multiplied out in species order: on
-    networks of 1-5 species and 0-4 reactions, with multiplicities 0-3 or
-    0-1, for one state and a batch."""
+    network's own fields, sums written out left to right and products
+    multiplied out in species order: on networks of 1-5 species and 0-4
+    reactions, with multiplicities 0-3 or 0-1, for one state and a
+    batch."""
     net = data.draw(networks(data.draw(st.sampled_from((1, 3)))))
     net = replace(net, noise=NoiseSpec(*data.draw(
         st.tuples(*[st.floats(0.0, 1.0)] * 3))))
@@ -603,13 +768,14 @@ def test_step_equals_the_per_formula_functions(data):
     T_star = data.draw(st.floats(300.0, 400.0))
     mu_star = data.draw(arrays(float, p, elements=st.floats(-50.0, 50.0)))
     for U, N, T, q, Qdot, dW in (tuple(a[0] for a in batch), batch):
+        N, dW = _columns(N), _columns(dW)
         feedback, update, T_of = _step_by_formulas(net, U, N, T, q, Qdot, dW,
                                                    T_star, mu_star)
         for step, formula in zip(
-                (*kernel.feedback_terms(net, N, T, T_star, mu_star),
-                 *kernel.em_update(net, U, N, T, q, Qdot, 1e-3, dW),
-                 kernel.temperature(net, U, N)),
-                (*feedback, *update, T_of)):
+                _leaves((kernel.feedback_terms(net, N, T, T_star, mu_star),
+                         kernel.em_update(net, U, N, T, q, Qdot, 1e-3, dW),
+                         kernel.temperature(net, U, N))),
+                _leaves((feedback, update, T_of)), strict=True):
             np.testing.assert_array_equal(step, formula)
 
 
@@ -878,7 +1044,7 @@ def test_clamp_on_floats_has_the_bits_of_the_array_clamp(net, sp, gains,
     # the batch gets every raw flow, a lone state the one in ``lone``
     monkeypatch.setattr(control, "solve_feedback", lambda K, d1, *_: (
         raw if np.ndim(d1) else raw[lone[0]], 0.0))
-    N, T = np.ones((len(raw), 2)), np.full(len(raw), 342.0)
+    N, T = np.ones((2, len(raw))), np.full(len(raw), 342.0)  # species-major
     q, _, clamped, _, _ = control._clamped_feedback(net, sp, gains.K, N, T,
                                                      clamp, _Q_MAX)
     expected = np.minimum(np.maximum(raw, 0.0), _Q_MAX) if clamp else raw
@@ -888,7 +1054,7 @@ def test_clamp_on_floats_has_the_bits_of_the_array_clamp(net, sp, gains,
     for i in range(len(raw)):
         lone[:] = [i]
         q_i, _, clamped_i, _, _ = control._clamped_feedback(
-            net, sp, gains.K, N[i], T[i], clamp, _Q_MAX)
+            net, sp, gains.K, N[:, i], T[i], clamp, _Q_MAX)
         assert not isinstance(q_i, np.ndarray)
         np.testing.assert_array_equal(q_i, q[i])
         assert math.copysign(1.0, q_i) == math.copysign(1.0, q[i])

@@ -101,7 +101,7 @@ def _dense_damping(net, st, mode):
     weights = kernel.damping_weights(
         net, *rates, st.T,
         kernel.affinity(net, st.mu_over_T, st.T) if mode == "strict" else None)
-    dz = -net.stoich_net
+    dz, weights = -net.stoich_net, np.array(weights)
     outer = dz[:, None] * dz
     VT = net.reactor.V * st.T
     return outer @ (VT * weights), np.abs(outer) @ (VT * np.abs(weights))
@@ -463,11 +463,12 @@ def test_margins_rows_are_their_lone_calls_and_the_checks(net, data):
     (T_star,), (N_star,) = physical(1)
     sp = setpoint_from_state(net, N_star, T_star, 1e-5)
     T, N = physical(B)
-    h, mu_over_T, _, theta = kernel.closures(net, N, T)
+    h, mu_over_T, _, theta = kernel.closures(net, N.T, T)
     states = [ThermoState.from_temperature(net, n, t) for t, n in zip(T, N)]
     for field in (NegEntropy(net), AvailabilityHamiltonian(net, sp)):
         grads = np.array([field.gradient(s)[1:] for s in states])
-        batch = kernel.margins(net, N, T, h, mu_over_T, theta, grads, sp.V_star)
+        batch = kernel.margins(net, N.T, T, h, mu_over_T, theta, grads.T,
+                               sp.V_star)
         for i, s in enumerate(states):
             alone = kernel.margins(net, s.N, s.T, s.h, s.mu_over_T, s.theta,
                                    grads[i], sp.V_star)

@@ -92,7 +92,10 @@ def solve_feedback(K: np.ndarray, d1: float, d2: float, o1: float,
     a21 = k10 * d1
     a22 = 1.0 + k11 * d2
     det = a11 * a22 - a12 * a21
-    return (a22 * b1 - a12 * b2) / det, (a11 * b2 - a21 * b1) / det
+    try:
+        return (a22 * b1 - a12 * b2) / det, (a11 * b2 - a21 * b1) / det
+    except ZeroDivisionError:  # a float det of 0.0: numpy's inf or NaN
+        return solve_feedback(K, *map(np.float64, (d1, d2, o1, o2)))
 
 
 def _clamped_feedback(net, sp, K, N, T, clamp: bool, q_max: float):

@@ -8,13 +8,15 @@ own guards.  ``net`` is only read for its parameters.
 The kernel is species-major: a per-species quantity (N, h, mu/T, c, ...)
 is a sequence of p items and a per-reaction one a sequence of r items, a
 list or an array with the species or reaction first.  An item, like U, T,
-q or Qdot, is a numpy float64 scalar for one state and an array, such as a
-(B,) column, for a batch, so each formula is one loop over species or
-reactions for both.  Every sum over species or reactions runs left to
-right, t_0 + t_1 + ... (:func:`total`, :func:`dot`), whatever the CPU
-core type (BLAS ``ddot`` varies with it) or the operand shapes; every
-other operation keeps one order, and squares are ``x * x`` (a float's
-``x ** 2`` calls ``pow``).
+q or Qdot, is a Python float for one state, whose exp and log numpy
+computes (:func:`stepping_network`), and an array, such as a (B,) column,
+for a batch, so each formula is one loop over species or reactions for
+both.  Where a float divisor is 0.0, the formula is redone on numpy float64
+scalars, for numpy's inf or NaN and warning.  Every sum over species or
+reactions runs left to right, t_0 + t_1 + ... (:func:`total`, :func:`dot`),
+whatever the CPU core type (BLAS ``ddot`` varies with it) or the operand
+shapes; every other operation keeps one order, and squares are ``x * x``
+(a float's ``x ** 2`` calls ``pow``).
 
 Every function is row-safe: each row of a batch result has the bits of the
 lone call on that row, but for a NaN's sign.  Which of two NaNs a product
@@ -42,14 +44,14 @@ import numpy as np
 #: See :func:`step_constants`.
 StepConstants = namedtuple("StepConstants", "cp neg_cp h_ref s_ref k0 neg_E "
                            "slots grad_slots tail nu nu_T half_rho2_sq "
-                           "half_rho3_sq V R T_ref PV c_in h_in")
+                           "half_rho3_sq V R T_ref PV c_in h_in exp log")
 
 
 def step_constants(net) -> StepConstants:
     """``net``'s constants as floats, cached as ``net.step_constants``, as
     exact as inline: cp, -cp, h_ref, s_ref; k0 and -E, forward then backward,
     with the :func:`_factors` of their multiplicities; nu by species and by
-    reaction; rho2^2 / 2, rho3^2 / 2, V, R, T_ref, P V, c_in, c_in^T h(T_in)."""
+    reaction; rho2^2/2, rho3^2/2, V, R, T_ref, PV, c_in, c_in^T h(T_in), exp, log."""
     rx, rho = net.reactor, net.noise
     k = StepConstants(
         net.cp.tolist(), (-net.cp).tolist(), net.h_ref.tolist(),
@@ -58,22 +60,23 @@ def step_constants(net) -> StepConstants:
         *_factors(np.hstack((net.stoich_reactants, net.stoich_products))),
         net.stoich_net.tolist(), net.stoich_net.T.tolist(),
         0.5 * rho.rho2 ** 2, 0.5 * rho.rho3 ** 2, rx.V, rx.R_gas, rx.T_ref,
-        rx.P * rx.V, net.c_in.tolist(), None)
+        rx.P * rx.V, net.c_in.tolist(), None, np.exp, np.log)
     return k._replace(h_in=dot(k.c_in, _enthalpy(k, net.inlet.T_in)))
 
 
-def batch_network(net):
-    """``net`` with its :class:`StepConstants` as 0-d arrays, the same bits:
-    numpy combines a (B,) column faster with those than with floats, and a
-    numpy float64 scalar faster with floats."""
+def stepping_network(net, lone: bool):
+    """``net`` as a stepper takes it, the same bits: for a lone state, with
+    exp and log returning numpy's as floats (``math.exp`` differs); for a
+    batch, with 0-d array constants, faster than floats with (B,) columns."""
     def zero_d(v):
         return (list(map(zero_d, v)) if isinstance(v, list)
                 else np.array(v) if isinstance(v, float) else v)
 
-    batch = copy.copy(net)
-    batch.__dict__["step_constants"] = StepConstants(
-        *map(zero_d, net.step_constants))
-    return batch
+    k, stepping = net.step_constants, copy.copy(net)
+    stepping.__dict__["step_constants"] = (k._replace(
+        exp=lambda x: float(np.exp(x)), log=lambda x: float(np.log(x)))
+        if lone else StepConstants(*map(zero_d, k)))
+    return stepping
 
 
 def total(terms):
@@ -101,7 +104,10 @@ def enthalpy(net, T) -> list:
 def temperature(net, U, N):
     """T(U, N) = T_ref + (U + P V - N^T h_ref) / N^T cp."""
     k = net.step_constants
-    return k.T_ref + (U + k.PV - dot(N, k.h_ref)) / dot(N, k.cp)
+    try:
+        return k.T_ref + (U + k.PV - dot(N, k.h_ref)) / dot(N, k.cp)
+    except ZeroDivisionError:  # a float N^T cp of 0.0
+        return temperature(net, np.float64(U), N)
 
 
 def potentials(net, N, T, N_sum):
@@ -110,8 +116,8 @@ def potentials(net, N, T, N_sum):
     the last two."""
     k = net.step_constants
     h, R = _enthalpy(k, T), k.R
-    log_tau = np.log(T / k.T_ref)
-    log_x = [np.log(n / N_sum) for n in N]
+    log_tau = k.log(T / k.T_ref)
+    log_x = [k.log(n / N_sum) for n in N]
     mu_over_T = [neg_cp * log_tau + R * lx - s + hj / T
                  for neg_cp, lx, s, hj in zip(k.neg_cp, log_x, k.s_ref, h)]
     return h, mu_over_T, T * T * dot(N, k.cp), log_tau, log_x
@@ -160,7 +166,10 @@ def rate_constants(net, T) -> list:
     :func:`mass_action` and :func:`mass_action_jacobian` take."""
     k = net.step_constants
     RT = k.R * T
-    return [k0 * np.exp(neg_E / RT) for k0, neg_E in zip(k.k0, k.neg_E)]
+    try:
+        return [k0 * k.exp(neg_E / RT) for k0, neg_E in zip(k.k0, k.neg_E)]
+    except ZeroDivisionError:  # a float R T of 0.0
+        return rate_constants(net, np.float64(T))
 
 
 def mass_action(net, c, k_T) -> tuple[list, list]:
@@ -269,7 +278,10 @@ def mixing_scale(net, N, h, theta, g00, dc, N_sum):
 def feedthrough(net, M, theta):
     """Diagonal of delta = diag(rho2^2 M / (2 theta), rho3^2 / (2 theta))."""
     k = net.step_constants
-    return k.half_rho2_sq * M / theta, k.half_rho3_sq / theta
+    try:
+        return k.half_rho2_sq * M / theta, k.half_rho3_sq / theta
+    except ZeroDivisionError:  # a float theta of 0.0
+        return feedthrough(net, M, np.float64(theta))
 
 
 #: See :func:`margins`.

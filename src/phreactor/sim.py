@@ -21,8 +21,8 @@ active trajectories are species-major, as the kernel takes them: U, T
 and each N_j are (B,) columns, and each grid step makes one feedback solve
 and one update for the whole batch, each row drawing its increments from
 its own substream; a lone trajectory, as in :func:`simulate`, steps on
-numpy float64 scalars U, T and N_j with the Python int 0 for its row,
-clamps its flow on floats and indexes no array with a 0-d one.  A step
+Python floats with the int 0 for its row (numpy gives only its exp, log
+and divisions by zero) and is guarded as a one-row batch.  A step
 whose every row is finite, at or above the floor and at T > 0 passes
 without ``settle``.  A row that aborts keeps its recorded prefix.  The
 kernel is row-safe, so a row has the bits :func:`simulate` gives that
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import numbers
 from functools import reduce
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -213,7 +213,7 @@ class _Stepper:
     """The stepping of a set of trajectories: their paths, and the inputs,
     updates and guards of a batch of rows.  ``rows`` holds each row's index
     into ``paths``: an array of shape (b,), or the int 0 for a lone path
-    stepped on scalars.  Events are logged at grid step ``step_no``.  With
+    stepped on floats.  Events are logged at grid step ``step_no``.  With
     noise on, ``noise`` (paths, k, 3) holds each path's block of standard
     normals and ``cursor`` its next unread one; else ``noise`` is None."""
 
@@ -224,7 +224,9 @@ class _Stepper:
         self.sp, self.gains, self.cfg = sp, gains, cfg
         self.paths = [_Path(i, trajectory_rng(cfg.seed, i) if cfg.noise_on
                             else None) for i in indices]
-        self.net = net if len(self.paths) == 1 else kernel.batch_network(net)
+        self.net = kernel.stepping_network(net, len(self.paths) == 1)
+        if len(self.paths) == 1 and sp is not None:  # mu*/T* as floats, as T* is
+            self.sp = replace(sp, mu_star_over_T=sp.mu_star_over_T.tolist())
         self.step_no, self.noise = 0, None
         if cfg.noise_on:  # every block starts used up: drawn on first use
             k = max(1, min(cfg.n_steps, NOISE_BLOCK // len(self.paths)))
@@ -270,7 +272,9 @@ class _Stepper:
                 for r in np.asarray(rows)[used_up].tolist():
                     self.noise[r] = self.paths[r].rng.standard_normal((k, 3))
                 at = at % k  # the used-up rows read their fresh blocks at 0
-            dW = (self.noise[rows, at] * math.sqrt(dt)).T  # channel-major
+            scale = math.sqrt(dt)  # channel-major, floats for a lone path
+            dW = ([w * scale for w in self.noise[rows, at].tolist()]
+                  if type(rows) is int else (self.noise[rows, at] * scale).T)
             self.cursor[rows] = at + 1
         return kernel.em_update(self.net, U, N, T, q, Qdot, dt, dW, column)
 
@@ -389,10 +393,10 @@ def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
     rec = _Records(net, cfg, n)
     st0 = as_state(net, x0)
     lone = n == 1
-    rows = 0 if lone else np.arange(n)  # a lone path: scalars, row int 0
-    every, least = ((bool, float) if lone  # no wrapper, no 0-d array
-                    else (np.logical_and.reduce, np.minimum.reduce))
-    U, T, *N = (np.full(np.shape(rows), a)[()] for a in (st0.U, st0.T, *st0.N))
+    rows = 0 if lone else np.arange(n)  # a lone path: floats, row int 0
+    every, least = ((bool, min) if lone else (
+        np.logical_and.reduce, lambda N: np.minimum.reduce(reduce(np.minimum, N))))
+    U, T, *N = (float(a) if lone else np.full(n, a) for a in (st0.U, st0.T, *st0.N))
     dt, j = cfg.dt, 0
     for k in range(cfg.n_steps):
         t, run.step_no = k * dt, k + 1
@@ -402,15 +406,16 @@ def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
             j += 1
         U_new, N_new = run.update(rows, U, N, T, q, Qdot, column, dt)
         # settle passes a step whose rows are all finite, at or above the
-        # floor and at T > 0 as it is.  A NaN N_j fails the floor, an
-        # infinite N_j makes N^T h_ref and so T NaN, and a finite N a finite
-        # T where U is finite.
-        if (N_TRAJ_FLOOR <= least(reduce(np.minimum, N_new)) and every(
+        # floor and at T > 0 as it is.  A NaN N_j makes N^T cp and so T NaN
+        # (a lone path's min may pass it), an infinite N_j makes N^T h_ref
+        # and so T NaN, and a NaN or infinite U a T that is not finite.
+        if (N_TRAJ_FLOOR <= least(N_new) and every(
                 (0 < (T_new := kernel.temperature(run.net, U_new, N_new)))
                 & (T_new < math.inf))):
             U, N, T = U_new, N_new, T_new
             continue
-        if lone:  # the guards take a lone path as a one-row batch
+        if lone:  # the guards take a lone path as a one-row batch, on net itself
+            floats, run.net = run.net, net
             rows, U, T, U_new = (np.reshape(a, 1) for a in (rows, U, T, U_new))
             N, N_new = np.reshape(N, (-1, 1)), np.reshape(N_new, (-1, 1))
         U, N, T = run.settle(rows, U, N, T, U_new, N_new, t, dt)
@@ -420,7 +425,7 @@ def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
             if not rows.size:
                 break
         if lone:
-            rows, U, N, T = 0, U[0], list(N[:, 0]), T[0]
+            run.net, rows, U, N, T = floats, 0, U.item(), N[:, 0].tolist(), T.item()
     else:
         q, Qdot, *_ = run.law(N, T, cfg.n_steps * dt)
         rec.write(rows, j, U, N, q, Qdot)

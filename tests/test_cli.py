@@ -316,6 +316,53 @@ def test_simulate_deterministic_trajectories_coincide(cfg_path, tmp_path):
         (out / "traj_001.csv").read_bytes()
 
 
+def test_simulate_zero_theta_aborts_with_numpys_warning(tmp_path, capsys):
+    """At T0 = 1e-170 K, theta = T^2 N^T cp underflows to 0.0: the
+    feedthrough divides by zero with numpy's warning, the feedback is NaN,
+    and the lone path aborts on its first update, writing nothing."""
+    out = tmp_path / "t0"
+    argv = ["simulate", "--T0", "1e-170", "--N0", "1,1", "--setpoint-T",
+            "331.9", "--setpoint-q", "9.15e-6", "--t-end", "0.01", "--seed",
+            "1", "--out", str(out)]
+    with pytest.warns(RuntimeWarning, match="divide by zero") as caught:
+        assert main(argv) == 3
+    assert ("divide by zero encountered in scalar divide", "kernel.py") in {
+        (str(w.message), Path(w.filename).name) for w in caught}
+    assert capsys.readouterr() == ("", (
+        "phreactor: simulation aborted: every trajectory aborted "
+        "(trajectory 0: non-finite state update)\n"))
+    assert list(out.iterdir()) == []
+    net = presets.benchmark_network()
+    x0 = ThermoState.from_temperature(net, np.array([1.0, 1.0]), 1e-170)
+    with np.errstate(divide="ignore"):
+        tr = sim.simulate(net, make_setpoint(net, 331.9, 9.15e-6),
+                          presets.benchmark_gains(),
+                          sim.SimConfig(t_end=0.01, seed=1), x0)
+    assert tr.abort_reason == "non-finite state update"
+    assert tr.events == [(1, "q_clamp")]
+    assert tr.states.tolist() == [x0.x.tolist()]
+    assert math.isnan(tr.q[0]) and math.isnan(tr.Qdot[0])
+
+
+def test_simulate_zero_RT_lone_path_has_its_batch_rows_bytes(tmp_path):
+    """With R_gas = 5e-324 J/(mol K), R T underflows to 0.0 at T = 0.1 K:
+    the rate constants divide by zero with numpy's warning, exp(-inf) = 0,
+    and the lone path goes on, with the bytes of its row in a batch."""
+    cfg = tmp_path / "tiny_R.cfg"
+    cfg.write_text(presets.CONFIG_TEXT.replace("R_gas=8.314", "R_gas=5e-324"))
+    argv = ["simulate", "--network", str(cfg), "--T0", "0.1", "--N0", "1,1",
+            "--mode", "open_loop", "--Qdot-open", "1e3", "--t-end", "0.02",
+            "--record-every", "1", "--seed", "1"]
+    for n in ("1", "2"):
+        with pytest.warns(RuntimeWarning,
+                          match="divide by zero encountered in .*divide"):
+            assert main(argv + ["--n-traj", n, "--out", str(tmp_path / n)]) == 0
+    lone = (tmp_path / "1" / "traj_000.csv").read_bytes()
+    assert lone == (tmp_path / "2" / "traj_000.csv").read_bytes()
+    T = [float(row[4]) for row in read_csv(tmp_path / "1" / "traj_000.csv")[1]]
+    assert len(T) == 21 and max(T) < 0.5  # every step at R T = 0.0
+
+
 def test_simulate_isolated_without_setpoint(cfg_path, tmp_path):
     out = tmp_path / "iso"
     rc = main(["simulate", "--network", str(cfg_path), "--out", str(out),

@@ -350,8 +350,9 @@ def test_batched_ensemble_raises_when_every_row_aborts(net, x0, monkeypatch,
 @pytest.mark.parametrize("washout", [False, True])
 def test_lone_path_steps_on_scalar_states(net, sp, gains, x0, plain_net,
                                           monkeypatch, washout):
-    """One trajectory steps on numpy float64 scalars U, T and N_j, never
-    as a one-row batch, also through the floor clamp of a washout."""
+    """One trajectory steps on Python floats U, T and N_j, never as a
+    one-row batch, on every step, also after the floor clamp of a washout
+    has taken it through the guards."""
     cfg = SimConfig(dt=1e-3, t_end=0.1, seed=3, mode="closed_loop")
     if washout:
         net, sp, gains = plain_net, None, None
@@ -367,7 +368,7 @@ def test_lone_path_steps_on_scalar_states(net, sp, gains, x0, plain_net,
     tr = ensemble(net, sp, gains, cfg, x0).trajectories[0]
     codes = {c for _, c in tr.events}
     assert ("floor_B" in codes) == washout and "halve" not in codes
-    assert shapes == [((), (2,), {np.float64})] * cfg.n_steps
+    assert shapes == [((), (2,), {float})] * cfg.n_steps
 
 
 def test_floored_rows_are_guarded_as_one_batch(plain_net, monkeypatch):
@@ -458,6 +459,13 @@ class _States:
         """Row i alone, on numpy float64 scalars."""
         return _States(**{name: ([a[i] for a in value] if name in _PER_ROW_LISTS
                                  else value[i] if name in _PER_ROW else value)
+                          for name, value in self.__dict__.items()})
+
+    def floats(self, i):
+        """Row i alone, on Python floats, as a lone path steps."""
+        return _States(**{name: ([float(a[i]) for a in value]
+                                 if name in _PER_ROW_LISTS else float(value[i])
+                                 if name in _PER_ROW else value)
                           for name, value in self.__dict__.items()})
 
 
@@ -570,6 +578,64 @@ def test_kernel_batch_rows_equal_single_state_calls(data):
                for result in calls.values() for value in _leaves(result))
     same_bits_but_nan_sign(rows, np.concatenate([_flat(calls, 1)
                                                  for calls in lone]))
+
+
+def _stepping_calls(net, s):
+    """The kernel calls of a closed-loop step at the states ``s``."""
+    U, N, T, q, Qdot = s.U, s.N, s.T, s.q, s.Qdot
+    return {
+        "feedback_terms": kernel.feedback_terms(net, N, T, s.T_star,
+                                                s.mu_star),
+        "sde_terms": kernel.sde_terms(net, N, T, q, Qdot),
+        "em_update": kernel.em_update(net, U, N, T, q, Qdot, 1e-3, s.dW),
+        "em_update noise-free": kernel.em_update(net, U, N, T, q, Qdot, 1e-3),
+        "temperature": kernel.temperature(net, U, N),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lone_float_calls_equal_batch_rows(data):
+    """A lone state on Python floats, stepped on the network a lone path
+    steps on, gets Python floats with the bits of its batch row from every
+    kernel call of a step (no divisor here is 0.0)."""
+    net, batch = _draw_states(data)
+    B, lone_net = len(batch.T), kernel.stepping_network(net, True)
+    with np.errstate(all="ignore"):  # inf * 0 and the like
+        rows = _flat(_stepping_calls(kernel.stepping_network(net, False),
+                                     batch), B)
+        lone = [_stepping_calls(lone_net, batch.floats(i)) for i in range(B)]
+    assert all(type(value) is float for calls in lone
+               for result in calls.values() for value in _leaves(result))
+    same_bits_but_nan_sign(rows, np.concatenate([_flat(calls, 1)
+                                                 for calls in lone]))
+
+
+def test_float_zero_divisors_take_numpys_inf_and_warning(net):
+    """Where a Python float divisor is 0.0 (theta, R T, N^T cp and the
+    feedback's determinant), a formula gives what it gives on numpy
+    float64 scalars, numpy's inf or NaN and its warning, not
+    ZeroDivisionError."""
+    lone, f64, K = kernel.stepping_network(net, True), np.float64, np.eye(2)
+    tiny_R = replace(net, reactor=replace(net.reactor, R_gas=5e-324))
+    with np.errstate(invalid="ignore"), pytest.warns(
+            RuntimeWarning, match="divide by zero encountered in scalar divide"):
+        pairs = (
+            (kernel.feedthrough(lone, 2.0, 0.0),
+             kernel.feedthrough(net, f64(2.0), f64(0.0))),
+            (kernel.rate_constants(kernel.stepping_network(tiny_R, True), 0.1),
+             kernel.rate_constants(tiny_R, f64(0.1))),
+            (kernel.temperature(lone, -4e4, [0.0, 0.0]),
+             kernel.temperature(net, f64(-4e4), [0.0, 0.0])),
+            (control.solve_feedback(K, -1.0, 0.5, 2.0, 3.0),
+             control.solve_feedback(K, *map(f64, (-1.0, 0.5, 2.0, 3.0)))))
+    for got, want in pairs:
+        same_bits_but_nan_sign(got, want)
+    assert pairs[0][0] == (math.inf, math.inf)
+    assert pairs[1][0] == [0.0, 0.0]  # exp(-inf), a float again
+    assert {type(k) for k in pairs[1][0]} == {float}
+    assert pairs[2][0] == -math.inf
+    assert pairs[3][0][0] == -math.inf and math.isnan(pairs[3][0][1])
 
 
 @settings(max_examples=200, deadline=None)

@@ -81,31 +81,78 @@ def drift_residual(net: ReactionNetwork, x, u):
     return float(norm) if x.ndim == 1 else norm
 
 
+def _residual(net: ReactionNetwork, c, k_T, q):
+    """The mole balance f and the turnover V sum (r_f + r_b) at species-major
+    concentrations c: one row's floats or a batch's columns."""
+    forward, backward = kernel.mass_action(net, c, k_T)
+    f = [flux + q * gap for flux, gap in zip(kernel.reaction_flux(
+        net, list(map(sub, forward, backward))), kernel.feed_gap(net, c))]
+    return f, net.reactor.V * kernel.total(map(add, forward, backward))
+
+
+def _jacobian(net: ReactionNetwork, c, k_T, q):
+    """The exact Jacobian in N, nu (dr_f/dc - dr_b/dc) - (q / V) I, at
+    species-major concentrations c, p rows of p items."""
+    dr_f, dr_b = kernel.mass_action_jacobian(net, c, k_T)
+    dr = [[f[j] - b[j] for f, b in zip(dr_f, dr_b)] for j in range(len(c))]
+    J = [[kernel.dot(nu_k, dr_j) for dr_j in dr]  # nu_k by column j of dr
+         for nu_k in net.step_constants.nu]
+    for k, row in enumerate(J):
+        row[k] = row[k] - q / net.reactor.V
+    return J
+
+
 def _balance(net: ReactionNetwork, N, k_T, q):
     """Per row of N (B, p): the mole balance's norm, residual (B, p) and
     convergence scale (out= gives a network without reactions its shape),
     given the rows' constants k_T (2 r, B)."""
-    c = (N / net.reactor.V).T
-    forward, backward = kernel.mass_action(net, c, k_T)
-    f = [flux + q * gap for flux, gap in zip(kernel.reaction_flux(
-        net, list(map(sub, forward, backward))), kernel.feed_gap(net, c))]
-    turnover = net.reactor.V * kernel.total(map(add, forward, backward))
+    f, turnover = _residual(net, (N / net.reactor.V).T, k_T, q)
     floor = max(q * max(net.inlet.c_in), 1e-300)
     scale = np.maximum(turnover, floor, out=np.empty(N.shape[:-1]))
     return np.sqrt(kernel.dot(f, f)), np.array(f).T, scale
 
 
 def _balance_jacobian(net: ReactionNetwork, N, k_T, q):
-    """Per row of N (B, p): the mole balance's exact Jacobian in N (B, p, p),
-    nu (dr_f/dc - dr_b/dc) - (q / V) I, given the constants k_T."""
-    dr_f, dr_b = kernel.mass_action_jacobian(net, (N / net.reactor.V).T, k_T)
-    J, p = np.empty((*N.shape, net.n_species)), net.n_species
-    dr = [[f[j] - b[j] for f, b in zip(dr_f, dr_b)] for j in range(p)]
-    for k, nu_k in enumerate(net.step_constants.nu):
-        for j, dr_j in enumerate(dr):  # nu_k dotted with column j of dr
-            J[..., k, j] = kernel.dot(nu_k, dr_j)
-        J[..., k, k] -= q / net.reactor.V
+    """Per row of N (B, p): the :func:`_jacobian` (B, p, p), given k_T."""
+    J = np.empty((*N.shape, net.n_species))
+    for k, row in enumerate(_jacobian(net, (N / net.reactor.V).T, k_T, q)):
+        for j, entry in enumerate(row):
+            J[..., k, j] = entry
     return J
+
+
+def _lone_newton(net: ReactionNetwork, N, k_T, q):
+    """One row's iteration on floats, from floats N and k_T: its converged N,
+    the bits of its batch row; or None where it does not converge or meets
+    an inf or NaN, a float divisor 0.0 or a singular Jacobian."""
+    V, floor = net.reactor.V, max(q * max(net.inlet.c_in), 1e-300)
+
+    def balance(N):
+        f, turnover = _residual(net, [n / V for n in N], k_T, q)
+        best, scale = math.sqrt(kernel.dot(f, f)), max(turnover, floor)
+        if not best + scale < math.inf:
+            raise FloatingPointError
+        return best, f, scale
+
+    try:
+        best, f, scale = balance(N)
+        for _ in range(MAX_NEWTON_ITER):
+            if all(abs(f_j) <= 1e-12 * scale for f_j in f):
+                return N
+            J = _jacobian(net, [n / V for n in N], k_T, q)
+            if not abs(sum(map(sum, J))) < math.inf:
+                raise FloatingPointError
+            step = np.linalg.solve(J, [-f_j for f_j in f]).tolist()
+            # from the full step (alpha 1.0; a NaN best enters the loop),
+            # halve until the norm falls enough
+            N_old, best_old, alpha, best = N, best, 2.0, math.nan
+            while not (best <= (1.0 - 1e-4 * alpha) * best_old or alpha < 1e-8):
+                alpha = 0.5 * alpha  # np.maximum's clamp: NaN stays, -0.0 is 0.0
+                N = [0.0 if n <= 0.0 else n for n in map(
+                    add, N_old, [alpha * s for s in step])]
+                best, f, scale = balance(N)
+    except (FloatingPointError, ZeroDivisionError, np.linalg.LinAlgError):
+        return None
 
 
 def conserved_moles(net: ReactionNetwork) -> str:
@@ -132,9 +179,14 @@ def mass_balance_steady(net: ReactionNetwork, T, q: float,
 
     Damped Newton from N = V c_in (or the warm start N0) with the exact
     Jacobian (:func:`kernel.mass_action_jacobian`, so also at a zero
-    concentration) and step halving on residual increase.  T of shape (B,)
-    solves B rows as one batch and gives N of shape (B, p).  The Arrhenius
-    constants of every row are evaluated once per call
+    concentration) and step halving on residual increase.  A scalar T
+    iterates on Python floats (:func:`_lone_newton`: the batch's formulas
+    and LAPACK solve) and returns a converged, nonnegative N with the bits
+    of its row in a batch; any other outcome, or an inf, NaN or singular
+    Jacobian on the way, is repeated as a one-row batch, for its errors and
+    numpy's warnings.  T of shape (B,) solves B rows as one batch and gives
+    N of shape (B, p).  The Arrhenius constants of every row are evaluated
+    once per call
     (:func:`kernel.rate_constants`), since T stays fixed through the solve.
     A row leaves the working set (a slice of all B until one leaves) with
     its constants when it converges; every live row takes its full step,
@@ -157,6 +209,9 @@ def mass_balance_steady(net: ReactionNetwork, T, q: float,
                                "determine N", N, done)
     kw = np.reshape(kernel.rate_constants(net, Ts),  # row i's in column i
                     (2 * len(net.reactions), Ts.size))
+    if not np.ndim(T) and (lone := _lone_newton(  # else the batch repeats it
+            net, N[0].tolist(), kw[:, 0].tolist(), q)) and min(lone) >= 0.0:
+        return np.array(lone)
     rows, Nw, conv = slice(None), N, done
     best, f, scale = _balance(net, N, kw, q)
     for _ in range(MAX_NEWTON_ITER):

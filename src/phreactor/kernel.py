@@ -9,10 +9,13 @@ The kernel is species-major: a per-species quantity (N, h, mu/T, c, ...)
 is a sequence of p items and a per-reaction one a sequence of r items, a
 list or an array with the species or reaction first.  An item, like U, T,
 q or Qdot, is a Python float for one state, whose exp and log numpy
-computes (:func:`stepping_network`), and an array, such as a (B,) column,
-for a batch, so each formula is one loop over species or reactions for
-both.  Where a float divisor is 0.0, the formula is redone on numpy float64
-scalars, for numpy's inf or NaN and warning.  Every sum over species or
+computes (the network's :func:`float_view`, built once per network), and
+an array, such as a (B,) column, for a batch, so each formula is one loop
+over species or reactions for both.  Where a float divisor is 0.0, the
+formula is redone on numpy float64 scalars, for numpy's inf or NaN and
+warning; :func:`on_floats` runs a formula at one state on floats and
+redoes it on numpy where a value comes out inf or NaN, since a float
+overflows without numpy's warning.  Every sum over species or
 reactions runs left to right, t_0 + t_1 + ... (:func:`total`, :func:`dot`),
 whatever the CPU core type (BLAS ``ddot`` varies with it) or the operand
 shapes; every other operation keeps one order, and squares are ``x * x``
@@ -35,6 +38,7 @@ product's factors, multiplied in species order, times the constants of
 from __future__ import annotations
 
 import copy
+import math
 from collections import namedtuple
 from functools import reduce
 from operator import add, mul, sub, truediv
@@ -44,39 +48,72 @@ import numpy as np
 #: See :func:`step_constants`.
 StepConstants = namedtuple("StepConstants", "cp neg_cp h_ref s_ref k0 neg_E "
                            "slots grad_slots tail nu nu_T half_rho2_sq "
-                           "half_rho3_sq V R T_ref PV c_in h_in exp log")
+                           "half_rho3_sq V R T_ref PV c_in h_in exp log where")
 
 
 def step_constants(net) -> StepConstants:
-    """``net``'s constants as floats, cached as ``net.step_constants``, as
-    exact as inline: cp, -cp, h_ref, s_ref; k0 and -E, forward then backward,
-    with the :func:`_factors` of their multiplicities; nu by species and by
-    reaction; rho2^2/2, rho3^2/2, V, R, T_ref, PV, c_in, c_in^T h(T_in), exp, log."""
-    rx, rho = net.reactor, net.noise
+    """``net``'s constants as floats read from its fields, cached as
+    ``net.step_constants``: cp, -cp, h_ref, s_ref; k0 and -E, forward then
+    backward, with the :func:`_factors` of their multiplicities; nu by species
+    and by reaction; rho2^2/2, rho3^2/2, V, R, T_ref, PV, c_in, c_in^T h(T_in);
+    numpy's exp, log and where."""
+    rx, rho, sp, rxns = net.reactor, net.noise, net.species, net.reactions
+    cp, p = [float(s.cp) for s in sp], range(len(sp))
+    nu = [[float(r.products[j] - r.reactants[j]) for r in rxns] for j in p]
     k = StepConstants(
-        net.cp.tolist(), (-net.cp).tolist(), net.h_ref.tolist(),
-        net.s_ref.tolist(), np.concatenate((net.k0f, net.k0b)).tolist(),
-        (-np.concatenate((net.Ef, net.Eb))).tolist(),
-        *_factors(np.hstack((net.stoich_reactants, net.stoich_products))),
-        net.stoich_net.tolist(), net.stoich_net.T.tolist(),
+        cp, [-c for c in cp], [float(s.h_ref) for s in sp],
+        [float(s.s_ref) for s in sp],
+        [float(r.k0f) for r in rxns] + [float(r.k0b) for r in rxns],
+        [-float(r.Ef) for r in rxns] + [-float(r.Eb) for r in rxns], *_factors(
+            [[r.reactants[j] for r in rxns] + [r.products[j] for r in rxns]
+             for j in p]), nu, [list(column) for column in zip(*nu)],
         0.5 * rho.rho2 ** 2, 0.5 * rho.rho3 ** 2, rx.V, rx.R_gas, rx.T_ref,
-        rx.P * rx.V, net.c_in.tolist(), None, np.exp, np.log)
+        rx.P * rx.V, [float(c) for c in net.inlet.c_in], None, np.exp, np.log,
+        np.where)
     return k._replace(h_in=dot(k.c_in, _enthalpy(k, net.inlet.T_in)))
 
 
+def float_view(net):
+    """``net`` whose exp and log return numpy's results as Python floats
+    (``math.exp`` differs) and whose where picks floats: one state's
+    formulas run on floats through it.  Cached as ``net.float_view``."""
+    view = copy.copy(net)
+    view.__dict__["step_constants"] = net.step_constants._replace(
+        exp=lambda x: float(np.exp(x)), log=lambda x: float(np.log(x)),
+        where=lambda c, x, y: x if c else y)
+    return view
+
+
 def stepping_network(net, lone: bool):
-    """``net`` as a stepper takes it, the same bits: for a lone state, with
-    exp and log returning numpy's as floats (``math.exp`` differs); for a
-    batch, with 0-d array constants, faster than floats with (B,) columns."""
+    """``net`` as a stepper takes it, the same bits: for a lone state, its
+    :func:`float_view`; for a batch, with 0-d array constants, faster than
+    floats with (B,) columns."""
     def zero_d(v):
         return (list(map(zero_d, v)) if isinstance(v, list)
                 else np.array(v) if isinstance(v, float) else v)
 
-    k, stepping = net.step_constants, copy.copy(net)
-    stepping.__dict__["step_constants"] = (k._replace(
-        exp=lambda x: float(np.exp(x)), log=lambda x: float(np.log(x)))
-        if lone else StepConstants(*map(zero_d, k)))
+    if lone:
+        return net.float_view
+    stepping = copy.copy(net)
+    stepping.__dict__["step_constants"] = StepConstants(
+        *map(zero_d, net.step_constants))
     return stepping
+
+
+def on_floats(net, formula, *args):
+    """``formula(net, *args)``, scalars and lists of them at one state, run
+    on the :func:`float_view` with arrays and numpy scalars as floats; run as
+    called where a float divisor is 0.0 or a value inf or NaN, for numpy's
+    values and warnings."""
+    try:
+        result = formula(net.float_view, *(
+            a.tolist() if hasattr(a, "tolist") else a for a in args))
+        if math.isfinite(sum(sum(r) if isinstance(r, list) else r
+                             for r in result)):
+            return result
+    except ZeroDivisionError:
+        pass
+    return formula(net, *args)
 
 
 def total(terms):
@@ -137,9 +174,10 @@ def _factors(stoich):
     each column alpha of ``stoich``, and of its derivative in each c_j (row
     j), as slots of (c, tail = (0.0, 1.0, ...)), slot p + v reading v: c_l
     alpha_l times, but alpha_j, then c_j alpha_j - 1 times, at l = j."""
-    p, columns = len(stoich), stoich.T.tolist()
+    p, columns = len(stoich), list(zip(*stoich))
     if not all(a >= 0 and a % 1 == 0 for column in columns for a in column):
-        raise ValueError(f"multiplicities must be integers >= 0: {columns}")
+        raise ValueError("multiplicities must be integers >= 0: "
+                         f"{[list(map(float, column)) for column in columns]}")
     columns = [[int(a) for a in column] for column in columns]
 
     def factors(column, j=None):  # derivative in c_j, or the product
@@ -150,7 +188,7 @@ def _factors(stoich):
     return (tuple(factors(column) for column in columns),
             tuple(tuple(factors(column, j) for column in columns)
                   for j in range(p)),
-            tuple(map(float, range(int(stoich.max(initial=0)) + 1))))
+            tuple(map(float, range(max(map(max, columns), default=0) + 1))))
 
 
 def _product(c, factors):
@@ -210,18 +248,16 @@ def affinity(net, mu_over_T, T) -> list:
 AFFINITY_GUARD = 1e-9
 
 
-def log_mean(a, b):
+def log_mean(a, b, where=np.where, log=np.log):
     """Elementwise logarithmic mean (a - b) / ln(a / b), continuously
     extended: 0 where an argument is nonpositive (an absent rate carries no
     dissipation weight), the midpoint within 1e-9 relative.  Unselected
     quotients see safe stand-in operands, so only selected ones can warn."""
     d = a - b
     absent = (a <= 0.0) | (b <= 0.0)
-    mid = np.abs(d) <= 1e-9 * (a + b)
-    quotient = ~(absent | mid)
-    ratio = np.where(quotient, a, 2.0) / np.where(quotient, b, 1.0)
-    return np.where(quotient, d / np.log(ratio),
-                    np.where(absent, 0.0, 0.5 * (a + b)))
+    other = absent | (abs(d) <= 1e-9 * (a + b))  # no quotient
+    ratio = where(other, 2.0, a) / where(other, 1.0, b)
+    return where(other, where(absent, 0.0, 0.5 * (a + b)), d / log(ratio))
 
 
 def damping_weights(net, forward, backward, T, affinity=None) -> list:
@@ -229,8 +265,9 @@ def damping_weights(net, forward, backward, T, affinity=None) -> list:
     :func:`damping_apply`) from the rates (r_f, r_b): logmean(r_f, r_b) / (R T)
     >= 0 or, given the affinities, the strict (r_f - r_b) / affinity wherever
     |affinity| > :data:`AFFINITY_GUARD`, the log-mean weight elsewhere."""
-    RT = net.reactor.R_gas * T
-    coef = [log_mean(f, b) / RT for f, b in zip(forward, backward)]
+    k, RT = net.step_constants, net.reactor.R_gas * T
+    coef = [log_mean(f, b, k.where, k.log) / RT
+            for f, b in zip(forward, backward)]
     if affinity is None:
         return coef
     strict = [np.abs(a) > AFFINITY_GUARD for a in affinity]

@@ -186,6 +186,10 @@ class ReactionNetwork:
         return kernel.step_constants(self)
 
     @cached_property
+    def float_view(self) -> "ReactionNetwork":
+        return kernel.float_view(self)
+
+    @cached_property
     def k0f(self) -> np.ndarray:
         return np.array([r.k0f for r in self.reactions])
 
@@ -360,8 +364,10 @@ def parse_network(text: str) -> ReactionNetwork:
     current: str | None = None
     last = 1
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", line)]
+        line, tokens, end = raw.split("#", 1)[0], [], 0
+        for tok in line.split():  # (column, token), no regex
+            end = line.index(tok, end) + len(tok)
+            tokens.append((end - len(tok) + 1, tok))
         if not tokens:
             continue
         last = line_no

@@ -238,12 +238,13 @@ def check_conditions(net: ReactionNetwork, state,
                      field: ScalarField | None = None,
                      V_star: float | None = None):
     """(input-noise, trace, reaction-noise) reports at a state from one
-    :func:`kernel.margins` call: the trace condition of ``field`` (default
-    -S; only its ``gradient``, which takes a :class:`ThermoState`, is read),
-    the reaction-noise bound at volume ``V_star`` (default V)."""
+    :func:`kernel.margins` call on floats (:func:`kernel.on_floats`): the
+    trace condition of ``field`` (default -S; only its ``gradient``, which
+    takes a :class:`ThermoState`, is read), the reaction-noise bound at
+    volume ``V_star`` (default V)."""
     st = as_state(net, state)
-    m = kernel.margins(
-        net, st.N, st.T, st.h, st.mu_over_T, st.theta,
+    m = kernel.on_floats(
+        net, kernel.margins, st.N, st.T, st.h, st.mu_over_T, st.theta,
         st.mu_over_T if field is None else field.gradient(st)[1:],
         net.reactor.V if V_star is None else float(V_star))
     return (InputNoiseReport(bool(m.input_noise_holds), *m[1:4]),

@@ -17,10 +17,16 @@ x is (-1/T, (mu/T)^T) and its Hessian is
 
 with theta = T^2 sum_j N_j cp_j.  The Hessian is positive semidefinite on
 the physical domain, which makes -S a valid convex storage candidate.
+
+A :class:`ThermoState` evaluates its closures on numpy float64 scalars, so
+an extreme state warns as numpy does; the mole numbers are checked as
+Python floats, and the formulas that read a state downstream run on the
+network's float view (:func:`kernel.on_floats`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +48,11 @@ def _as_moles(net: ReactionNetwork, N) -> np.ndarray:
     if N.shape != (net.n_species,):
         raise ThermoDomainError(
             f"N must have shape ({net.n_species},), got {N.shape}")
-    if not np.isfinite(N).all():
-        raise ThermoDomainError(f"mole numbers must be finite, got {N.tolist()}")
-    if np.any(N <= N_FLOOR):
+    if not all(map(math.isfinite, values := N.tolist())):
+        raise ThermoDomainError(f"mole numbers must be finite, got {values}")
+    if min(values, default=math.inf) <= N_FLOOR:
         raise ThermoDomainError(f"mole numbers must exceed {N_FLOOR} mol, "
-                                f"got {N.tolist()}")
+                                f"got {values}")
     return N
 
 

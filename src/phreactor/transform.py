@@ -13,11 +13,15 @@ Shifting moves the dissipation structure along unchanged only up to the
 residual R(x) pi*, which vanishes when the target composition is at
 reaction equilibrium (net affinity zero at x*) and is generally nonzero
 for flow-sustained targets; :func:`equivalence_residual` reports its size
-so callers can judge how far a given target is from the ideal shift.
+so callers can judge how far a given target is from the ideal shift.  Its
+norm adds the squares left to right, as every species sum does, so the one
+BLAS/LAPACK call of a ``phreactor check`` at q* > 0 is the setpoint
+Newton's p x p solve (:func:`equilibrium.mass_balance_steady`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,17 +129,24 @@ def transformed_output(net: ReactionNetwork, sp: Setpoint, x, u) -> np.ndarray:
     return np.array([o1, o2]) + np.array([d1, d2]) * np.asarray(u, dtype=float)
 
 
+def _shift_residual(net: ReactionNetwork, c, T, pi_N):
+    """(||R_NN pi_N||, r_f, r_b) at concentrations c and T, the norm added
+    left to right; a rate the log-mean weight drops still shows if not finite."""
+    rates = kernel.mass_action(net, c, kernel.rate_constants(net, T))
+    v = kernel.damping_apply(net, kernel.damping_weights(net, *rates, T), T,
+                             pi_N)
+    return math.sqrt(kernel.dot(v, v)), *rates
+
+
 def equivalence_residual(net: ReactionNetwork, sp: Setpoint, x) -> float:
     """Norm of R(x) pi*, that is of R_NN pi*_N (log-mean weights): the
     obstruction to carrying the dissipation structure through the setpoint
-    shift unchanged.
+    shift unchanged, on floats (:func:`kernel.on_floats`).
 
     Zero (to rounding) when the target composition has zero net affinity,
     strictly positive for flow-sustained targets away from reaction
     equilibrium.
     """
     st = as_state(net, x)
-    rates = kernel.mass_action(net, st.N / net.reactor.V,
-                               kernel.rate_constants(net, st.T))
-    return float(np.linalg.norm(kernel.damping_apply(
-        net, kernel.damping_weights(net, *rates, st.T), st.T, sp.pi_star[1:])))
+    return kernel.on_floats(net, _shift_residual, st.N / net.reactor.V, st.T,
+                            sp.pi_star[1:])[0]

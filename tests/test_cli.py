@@ -109,6 +109,23 @@ def test_check_builds_each_state_once(cfg_path, tmp_path, monkeypatch):
     assert len(builds) <= 2
 
 
+def test_check_builds_its_constants_and_float_view_once(cfg_path, tmp_path,
+                                                        monkeypatch):
+    """One check command derives its network's constants once and their
+    float view once, however many states, solves and checks read them."""
+    from phreactor import kernel
+
+    built = {"step_constants": 0, "float_view": 0}
+    for name in built:
+        def counted(net, real=getattr(kernel, name), name=name):
+            built[name] += 1
+            return real(net)
+        monkeypatch.setattr(kernel, name, counted)
+    assert main(["check", "--network", str(cfg_path),
+                 "--out", str(tmp_path / "o")] + CHECK_ARGS) == 0
+    assert built == {"step_constants": 1, "float_view": 1}
+
+
 def test_check_without_network_uses_bundled_network(cfg_path, tmp_path):
     args = ["--T", "342", "--N", "1,1", "--setpoint-T", "331.9",
             "--setpoint-q", "9.15e-6"]

@@ -232,6 +232,66 @@ def test_batch_rows_equal_scalar_solves():
                 [_newton_by_columns(net, T, q, start) for T in rows]))
 
 
+def _outcome(solve):
+    """A solve's result, or its error's type, text and payload."""
+    try:
+        return solve()
+    except ConvergenceError as exc:
+        return type(exc), str(exc), exc.N, exc.converged
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _same_outcome(a, b):
+    if isinstance(a, np.ndarray):
+        _same_bits(a, b)
+        return
+    assert a[:2] == b[:2]
+    for x, y in zip(a[2:], b[2:]):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(net=networks(), T=st.floats(250.0, 500.0), q=st.floats(1e-7, 1e-3),
+       warm=st.booleans())
+def test_lone_solve_steps_on_floats_with_its_batch_row_s_bits(net, T, q,
+                                                              warm):
+    """A scalar T solves on Python floats and ends with the bits of its row
+    solved as a one-row batch: the same N, or the same ConvergenceError
+    (text, N and converged, through _lone_outcome too) or ValueError."""
+    N0 = [1e-3] * net.n_species if warm else None
+    residual, lone, types = equilibrium._residual, equilibrium._lone_newton, []
+
+    def typed_residual(net, c, k_T, q):
+        f, turnover = residual(net, c, k_T, q)
+        types.append({type(x) for x in (*c, *f, turnover)})
+        return f, turnover
+
+    def solved_lone(*args):
+        start, N = len(types), lone(*args)
+        if N is not None:  # no batch redo: every residual was on floats
+            assert types[start:] and all(t == {float} for t in types[start:])
+        return N
+
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(equilibrium, "_residual", typed_residual)
+        patch.setattr(equilibrium, "_lone_newton", solved_lone)
+        # fewer iterations: quicker, and more solves end unconverged
+        patch.setattr(equilibrium, "MAX_NEWTON_ITER", 40)
+        scalar = _outcome(lambda: mass_balance_steady(net, T, q, N0=N0))
+        row = _outcome(lambda: mass_balance_steady(net, np.array([T]), q,
+                                                   N0=N0))
+        if isinstance(row, np.ndarray):
+            row = row[0]
+        _same_outcome(scalar, row)
+        assert types[0] == {float}  # the lone solve starts on floats
+        if not (isinstance(scalar, tuple) and scalar[0] is ValueError):
+            N, ok = _lone_outcome(net, T, q, N0)
+            _same_outcome(N, row if ok else row[2][0])
+            assert ok == isinstance(row, np.ndarray)
+
+
 def test_rate_constants_once_per_solve(monkeypatch):
     """T stays fixed through a solve, so each call evaluates the Arrhenius
     constants of its rows once: on the 2 000-row grid, on warm-started

@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from phreactor import presets
+from conftest import networks
+from phreactor import kernel, presets
 from phreactor.network import (
     NetworkFormatError,
     NetworkValidationError,
@@ -298,6 +300,43 @@ def test_rate_gathers_reject_a_fractional_multiplicity():
     of 1.5 raises instead of being truncated to 1."""
     with pytest.raises(ValueError, match="integers >= 0"):
         _invalid("fractional-multiplicity").step_constants
+
+
+def _constants_by_arrays(net):
+    """``kernel.step_constants`` as built through the network's numpy
+    views: each array made, negated or stacked, then ``.tolist()``."""
+    rx, rho = net.reactor, net.noise
+    k = kernel.StepConstants(
+        net.cp.tolist(), (-net.cp).tolist(), net.h_ref.tolist(),
+        net.s_ref.tolist(), np.concatenate((net.k0f, net.k0b)).tolist(),
+        (-np.concatenate((net.Ef, net.Eb))).tolist(),
+        *kernel._factors(np.hstack((net.stoich_reactants,
+                                    net.stoich_products))),
+        net.stoich_net.tolist(), net.stoich_net.T.tolist(),
+        0.5 * rho.rho2 ** 2, 0.5 * rho.rho3 ** 2, rx.V, rx.R_gas, rx.T_ref,
+        rx.P * rx.V, net.c_in.tolist(), None, np.exp, np.log, np.where)
+    return k._replace(h_in=kernel.dot(k.c_in, np.add(
+        net.cp * (net.inlet.T_in - rx.T_ref), net.h_ref).tolist()))
+
+
+def _numbers(value):
+    """Every number in a nested list or tuple of numbers."""
+    if isinstance(value, (list, tuple)):
+        return [x for item in value for x in _numbers(item)]
+    return [value]
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=networks())
+def test_constants_from_fields_equal_the_array_route(net):
+    """step_constants reads the Species and Reaction fields: every field
+    equals the array route's, and every constant is a Python float (the
+    factor slots are int indices)."""
+    k, want = kernel.step_constants(net), _constants_by_arrays(net)
+    for name, got, expected in zip(k._fields, k, want):
+        assert got == expected, name
+        if name not in ("slots", "grad_slots", "exp", "log", "where"):
+            assert {type(x) for x in _numbers(got)} <= {float}, name
 
 
 def test_parse_rejects_invalid_network():

@@ -10,6 +10,7 @@ difference over R), which pins the strict weight to the log-mean one.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -544,3 +545,52 @@ def test_interconnect_rejects_port_mismatch():
     sys2 = _random_port_system(rng, 3, 1, 0.5)
     with pytest.raises(ValueError):
         feedback_interconnect(sys1, sys2)
+
+
+
+def _recorded(f):
+    """f() and the (message, category) of each warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        value = f()
+    return value, [(str(w.message), w.category) for w in caught]
+
+
+@pytest.mark.parametrize("T, N", [
+    (342.0, [1.0, 1.0]), (331.9, [0.05, 1.5]), (5e-324, [1.0, 1.0]),
+    (1e-170, [1.0, 1.0]), (1e300, [1e300, 1e300]), (342.0, [1e154, 1e154]),
+    (1e-300, [1e200, 1e-11]), (3.0, [1e-11, 1e-11])])
+def test_one_state_runs_on_floats_and_redoes_the_rest_on_numpy(net, T, N):
+    """A state's margins and equivalence residual run on Python floats;
+    where a float divisor is 0.0 or a value is inf or NaN they are redone
+    on numpy, so each has the bits and warnings of the formulas on the
+    state's numpy float64 scalars."""
+    from phreactor.transform import equivalence_residual
+
+    sp = setpoint_from_state(net, [1.3, 0.7], presets.T_STAR, presets.Q_STAR)
+    st, _ = _recorded(lambda: ThermoState._build(net, 0.0, np.array(N), T))
+    want, want_warnings = _recorded(lambda: kernel.margins(
+        net, st.N, st.T, st.h, st.mu_over_T, st.theta,
+        st.mu_over_T - sp.mu_star_over_T, sp.V_star))
+    reports, warned = _recorded(lambda: check_conditions(
+        net, st, AvailabilityHamiltonian(net, sp), sp.V_star))
+    assert warned == want_warnings
+    got = [reports[0].lhs, reports[0].rhs, reports[0].delta_frobenius,
+           reports[1].trace_lhs, reports[1].trace_rhs, reports[2].lhs,
+           reports[2].rhs]
+    want = [want.input_noise_lhs, want.input_noise_rhs, want.feedthrough_norm,
+            want.trace_lhs, want.trace_rhs, want.reaction_noise_lhs,
+            want.reaction_noise_rhs]
+    np.testing.assert_array_equal(np.array(got, dtype=float).view(np.uint64),
+                                  np.array(want, dtype=float).view(np.uint64))
+    if all(map(math.isfinite, want)):  # no redo: the floats' own values
+        assert {type(x) for x in got} == {float, np.float64}  # sqrt's
+    with np.errstate(all="ignore"):
+        rates = kernel.mass_action(net, st.N / net.reactor.V,
+                                   kernel.rate_constants(net, st.T))
+        v = kernel.damping_apply(net, kernel.damping_weights(
+            net, *rates, st.T), st.T, sp.pi_star[1:])
+        got = equivalence_residual(net, sp, st)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(
+        math.sqrt(kernel.dot(v, v))).tobytes()

@@ -22,17 +22,21 @@ shapes; every other operation keeps one order, and squares are ``x * x``
 (a float's ``x ** 2`` calls ``pow``).
 
 Every function is row-safe: each row of a batch result has the bits of the
-lone call on that row, but for a NaN's sign.  Which of two NaNs a product
-keeps depends on the element's place in numpy's vectorised loop, so a
-NaN may differ in sign between a batch row and its lone row; NaN-ness and
-every other bit may not.  Canonical NaNs would cost an ``np.isnan`` select
-on every product, for values the stepper aborts on anyway.
+lone call on that row, but for a NaN's sign, which for two NaNs in a
+product depends on the element's place in numpy's vectorised loop
+(canonical NaNs would cost an ``np.isnan`` select on every product).
 
 A step computes each quantity once (:func:`feedback_terms` hands its flow
 column to :func:`em_update`) from the cached :class:`StepConstants`.  No
 rate takes ``pow``: c_j ** alpha is c_j listed alpha times among a
 product's factors, multiplied in species order, times the constants of
 :func:`rate_constants`.  The paper's conditions are in :func:`margins`.
+
+On the float view, a lone step's :func:`temperature`, :func:`feedback_terms`
+and :func:`em_update` run straight-line code that :func:`_trace` generates
+from their bodies once per argument layout: the same float operations in
+the same order, so the same bits, without the interpreter's loops.  Any
+argument but a float or a list of floats, or a divisor of 0.0, runs the body.
 """
 
 from __future__ import annotations
@@ -75,12 +79,13 @@ def step_constants(net) -> StepConstants:
 
 def float_view(net):
     """``net`` whose exp and log return numpy's results as Python floats
-    (``math.exp`` differs) and whose where picks floats: one state's
-    formulas run on floats through it.  Cached as ``net.float_view``."""
+    (``math.exp`` differs) and whose where picks floats, with the ``traces``
+    of :func:`_traced`: one state's formulas run on floats through it."""
     view = copy.copy(net)
     view.__dict__["step_constants"] = net.step_constants._replace(
         exp=lambda x: float(np.exp(x)), log=lambda x: float(np.log(x)),
         where=lambda c, x, y: x if c else y)
+    view.__dict__["traces"] = {None: copy.copy(view)}  # None: untraced
     return view
 
 
@@ -116,6 +121,95 @@ def on_floats(net, formula, *args):
     return formula(net, *args)
 
 
+class _Operand:
+    """A float operand of a body that :func:`_trace` runs: each operation
+    it takes part in appends a line to its tape, operands in the body's
+    order, any other operand a constant; a branch on it is an error."""
+
+    __array_ufunc__ = None  # a numpy scalar constant defers to it
+    __bool__ = None  # bool() raises TypeError
+
+    def __init__(self, name, tape):
+        self.name, self.tape = name, tape
+
+
+for _name, _op in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/")):
+    setattr(_Operand, f"__{_name}__", lambda a, b, s=_op: a.tape.emit(
+        f"{a.name} {s} {a.tape.ref(b)}"))
+    setattr(_Operand, f"__r{_name}__", lambda a, b, s=_op: a.tape.emit(
+        f"{a.tape.ref(b)} {s} {a.name}"))
+
+
+class _Tape:
+    """One trace: its lines, its operands v0, v1, ... and its constants k0,
+    k1, ..., each bound by id and kept alive, so that the id is unique."""
+
+    def __init__(self):
+        self.lines, self.bound, self.count = [], {}, 0
+
+    def ref(self, x):
+        """x's name in the generated code."""
+        return x.name if type(x) is _Operand else self.bound.setdefault(
+            id(x), (f"k{len(self.bound)}", x))[0]
+
+    def emit(self, expression=None):
+        """A new operand, assigned ``expression`` unless it is an input."""
+        v, self.count = _Operand(f"v{self.count}", self), self.count + 1
+        if expression is not None:
+            self.lines.append(f"    {v.name} = {expression}")
+        return v
+
+    def operands(self, value):
+        """``value``, a new operand for each float in its lists and tuples."""
+        return (type(value)(map(self.operands, value))
+                if isinstance(value, (list, tuple)) else self.emit())
+
+    def code(self, value):
+        """The expression that builds ``value`` from its operands and
+        constants, or the target that unpacks it."""
+        if not isinstance(value, (list, tuple)):
+            return self.ref(value)
+        items = "".join(f"{self.code(v)}, " for v in value)
+        return f"[{items}]" if isinstance(value, list) else f"({items})"
+
+
+def _trace(net, body, args):
+    """``body`` on the float view ``net`` as a generated function of
+    ``args``: it unpacks them, returns None unless each float among them is
+    a Python float, else runs the body's float operations in its order."""
+    k, tape, tracing = net.step_constants, _Tape(), copy.copy(net.traces[None])
+    tracing.__dict__["step_constants"] = k._replace(
+        exp=lambda x: tape.emit(f"exp({tape.ref(x)})"),
+        log=lambda x: tape.emit(f"log({tape.ref(x)})"))
+    inputs = [None if a is None else tape.operands(a) for a in args]
+    floats = " is ".join(f"type(v{i})" for i in range(tape.count))
+    result = tape.code(body(tracing, *inputs))
+    source = "\n".join(
+        [f"def run({', '.join(f'a{i}' for i in range(len(args)))}):"]
+        + [f"    {tape.code(i)} = a{n}" for n, i in enumerate(inputs)
+           if i is not None]
+        + [f"    if not float is {floats}:", "        return None"]
+        + tape.lines + [f"    return {result}"])
+    names = {"exp": k.exp, "log": k.log, **dict(tape.bound.values())}
+    exec(compile(source, f"<traced kernel.{body.__name__}>", "exec"), names)
+    return names["run"]
+
+
+def _traced(net, layout, *args):
+    """``kernel.<layout[0]>(net, *args)`` on the float view ``net`` by its
+    code for ``layout``, traced once into ``net.traces``; by the body where
+    an argument is not a float or a list of floats, or a divisor is 0.0."""
+    traces, body = net.traces, _BODIES[layout[0]]
+    run = traces.get(layout) or traces.setdefault(
+        layout, _trace(net, body, args))
+    try:
+        if (result := run(*args)) is not None:
+            return result
+    except ZeroDivisionError:  # a float divisor of 0.0
+        pass
+    return body(traces[None], *args)
+
+
 def total(terms):
     """The terms added left to right, t_0 + t_1 + ...; 0.0 for none."""
     terms = iter(terms)
@@ -140,6 +234,8 @@ def enthalpy(net, T) -> list:
 
 def temperature(net, U, N):
     """T(U, N) = T_ref + (U + P V - N^T h_ref) / N^T cp."""
+    if "traces" in net.__dict__:  # a float view: see _traced
+        return _traced(net, ("temperature",), U, N)
     k = net.step_constants
     try:
         return k.T_ref + (U + k.PV - dot(N, k.h_ref)) / dot(N, k.cp)
@@ -376,6 +472,8 @@ def feedback_terms(net, N, T, T_star, mu_star_over_T):
     (o1, o2) in the feedback u = -(I + K delta)^(-1) K g^T grad A, and the
     :func:`flow_column` (g00, dc, c) they use, which :func:`em_update`
     takes too.  sum N feeds both the potentials and M; S is not computed."""
+    if "traces" in net.__dict__:  # a float view: see _traced
+        return _traced(net, ("feedback_terms",), N, T, T_star, mu_star_over_T)
     N_sum = total(N)
     h, mu_over_T, theta, _, _ = potentials(net, N, T, N_sum)
     g00, dc, c = flow_column(net, N, h)
@@ -405,6 +503,9 @@ def em_update(net, U, N, T, q, Qdot, dt, dW=None, column=None):
     """One Euler-Maruyama update of (U, N); noise-free when dW is None.
     dW holds the increments of the three channels, one item each;
     ``column`` is passed to :func:`sde_terms`."""
+    if "traces" in net.__dict__:  # a float view: see _traced
+        return _traced(net, ("em_update", dW is None, column is None), U, N, T,
+                       q, Qdot, dt, dW, column)
     (dU, dN), (a, b_U, b_N, c_U) = sde_terms(net, N, T, q, Qdot, column)
     if dW is None:
         return U + dU * dt, [n + d * dt for n, d in zip(N, dN)]
@@ -418,3 +519,7 @@ def jacket_temperature(net, Qdot, T):
     """T_w = Qdot / lambda + T, NaN without a heat transfer path."""
     lam = net.reactor.lam
     return Qdot / lam + T if lam > 0 else np.nan
+
+
+#: The bodies :func:`_traced` traces, as defined here.
+_BODIES = {f.__name__: f for f in (temperature, feedback_terms, em_update)}

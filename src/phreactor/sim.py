@@ -21,9 +21,9 @@ active trajectories are species-major, as the kernel takes them: U, T
 and each N_j are (B,) columns, and each grid step makes one feedback solve
 and one update for the whole batch, each row drawing its increments from
 its own substream; a lone trajectory, as in :func:`simulate`, steps on
-Python floats with the int 0 for its row (numpy gives only its exp, log
-and divisions by zero) and is guarded as a one-row batch.  A step
-whose every row is finite, at or above the floor and at T > 0 passes
+Python floats with the int 0 for its row, by the kernel's traced code, is
+floored on floats (``_Stepper.floor``) and else guarded as a one-row batch.
+A step whose every row is finite, at or above the floor and at T > 0 passes
 without ``settle``.  A row that aborts keeps its recorded prefix.  The
 kernel is row-safe, so a row has the bits :func:`simulate` gives that
 trajectory, whatever the batch size.  The loop records only the states
@@ -278,6 +278,18 @@ class _Stepper:
             self.cursor[rows] = at + 1
         return kernel.em_update(self.net, U, N, T, q, Qdot, dt, dW, column)
 
+    def floor(self, U_new, N_new):
+        """A lone path's finite update guarded on floats as :meth:`settle`
+        guards it, where its clamped N gives T > 0: (N, T); else None."""
+        if math.isfinite(U_new) and all(map(math.isfinite, N_new)):
+            N = [max(n, N_TRAJ_FLOOR) for n in N_new]
+            if (T := kernel.temperature(self.net, U_new, N)) > 0:
+                self.paths[0].events.extend(  # in species order
+                    (self.step_no, f"floor_{name}") for name, n in
+                    zip(self.net.species_names, N_new) if n < N_TRAJ_FLOOR)
+                return N, T
+        return None
+
     def settle(self, rows, U, N, T, U_new, N_new, t: float, dt: float,
                depth=0):
         """The guarded ends (U, N, T), N as (p, b), of the steps of length
@@ -413,6 +425,9 @@ def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
                 (0 < (T_new := kernel.temperature(run.net, U_new, N_new)))
                 & (T_new < math.inf))):
             U, N, T = U_new, N_new, T_new
+            continue
+        if lone and (floored := run.floor(U_new, N_new)):
+            U, (N, T) = U_new, floored
             continue
         if lone:  # the guards take a lone path as a one-row batch, on net itself
             floats, run.net = run.net, net

@@ -3,6 +3,7 @@ the public step functions, batched-ensemble equivalence with single paths,
 guard events, and ensemble aggregation."""
 
 import math
+import warnings
 from operator import mul
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import left_to_right, networks, rows_first, same_bits_but_nan_sign
 from phreactor import control, kernel, presets, sim, thermo
+from phreactor.cli import main
 from phreactor.control import ControllerGains, control_law
 from phreactor.sim import (
     N_TRAJ_FLOOR,
@@ -26,7 +28,7 @@ from phreactor.sim import (
 )
 from phreactor.network import NoiseSpec, parse_network
 from phreactor.thermo import ThermoState
-from phreactor.transform import AvailabilityHamiltonian
+from phreactor.transform import AvailabilityHamiltonian, setpoint_from_state
 
 
 # ------------------------------------------------------------ configuration
@@ -636,6 +638,160 @@ def test_float_zero_divisors_take_numpys_inf_and_warning(net):
     assert {type(k) for k in pairs[1][0]} == {float}
     assert pairs[2][0] == -math.inf
     assert pairs[3][0][0] == -math.inf and math.isnan(pairs[3][0][1])
+
+
+def _bits(result):
+    """Every value of a kernel result as its float64 bits, a NaN's sign
+    included."""
+    values = np.array(list(_leaves(result)), dtype=float)
+    return values.view(np.uint64).tolist()
+
+
+def _untraced(name, view, *args):
+    """Entry point ``name`` of the kernel run as its body on ``view``'s
+    floats, without its traced code."""
+    return kernel._BODIES[name](view.traces[None], *args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_traced_calls_equal_the_bodies_bit_for_bit(data):
+    """On networks of 1-5 species and 0-4 reactions, the straight-line code
+    traced for each argument layout of the entry points a lone step calls
+    gives Python floats with every bit of the body's float call, a NaN's
+    sign included, since both run the same float operations; so does the
+    entry point, which runs it."""
+    net, batch = _draw_states(data)
+    view, s = net.float_view, batch.floats(0)
+    column = _untraced("feedback_terms", view, s.N, s.T, s.T_star,
+                       s.mu_star)[4:]
+    layouts = {("temperature",): (s.U, s.N),
+               ("feedback_terms",): (s.N, s.T, s.T_star, s.mu_star)}
+    for dW in (s.dW, None):
+        for col in (column, None):
+            layouts["em_update", dW is None, col is None] = (
+                s.U, s.N, s.T, s.q, s.Qdot, 1e-3, dW, col)
+    with np.errstate(all="ignore"):  # exp's overflow and the like
+        for layout, args in layouts.items():
+            want = _bits(_untraced(layout[0], view, *args))
+            assert _bits(getattr(kernel, layout[0])(view, *args)) == want
+            got = view.traces[layout](*args)
+            assert {type(v) for v in _leaves(got)} == {float}
+            assert _bits(got) == want
+    assert len(view.traces) == 1 + len(layouts)  # and the untraced view
+
+
+def _warned(f, *args):
+    """f(*args) and the warnings it raised: text, file and line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = f(*args)
+    return result, [(str(w.message), w.filename, w.lineno) for w in caught]
+
+
+def test_traced_zero_divisors_take_the_bodys_values_and_warnings(net):
+    """Where a float divisor of the traced code is 0.0 (theta, R T and
+    N^T cp), the entry point runs its body, which redoes that formula on
+    numpy: the values and the warnings, text, file and line, are the
+    body's; a NaN, which takes no fallback, keeps its sign."""
+    tiny_R = replace(net, reactor=replace(net.reactor, R_gas=5e-324))
+    N, dW = [1.0, 1.0], [0.1, 0.2, 0.3]
+    cases = [  # theta, R T and N^T cp of 0.0, then inf - inf in U
+        (net, "feedback_terms", (N, 1e-170, 331.9, [-40.0, -50.0])),
+        (tiny_R, "em_update", (-4e4, N, 0.1, 1e-6, 2.0, 1e-3, dW, None)),
+        (net, "temperature", (-4e4, [0.0, 0.0])),
+        (net, "em_update", (-4e4, N, 342.0, 1e-6, 2.0, 1e-3,
+                            [0.0, math.inf, -math.inf], None))]
+    for case, name, args in cases:
+        view = case.float_view
+        got, got_warnings = _warned(getattr(kernel, name), view, *args)
+        want, want_warnings = _warned(_untraced, name, view, *args)
+        assert _bits(got) == _bits(want)
+        assert got_warnings == want_warnings
+        assert bool(got_warnings) == (name != "em_update" or case is tiny_R)
+    assert math.isnan(got[0])
+
+
+def test_species_named_like_the_generated_code_step_as_plain_names(gains):
+    """No species name enters the traced code: a network whose species
+    are exp, log, v0 and k0 steps with the bits of the same network under
+    plain names."""
+    text = """\
+[species]
+{0} cp=75.24 h_ref=0 s_ref=50.6
+{1} cp=60.0 h_ref=-4575.0 s_ref=180.2
+{2} cp=70.0 h_ref=-1000.0 s_ref=60.0
+{3} cp=80.0 h_ref=-2000.0 s_ref=70.0
+[reactions]
+{0} -> {1} k0f=1.2e9 Ef=72331.8 k0b=1.33e8 Eb=74826.0
+{1} + {2} -> 2 {3} k0f=1.2e6 Ef=72331.8 k0b=1.33e5 Eb=74826.0
+[reactor]
+V=0.001 P=1e5 T_ref=300.0 lambda=0.05808 R_gas=8.314
+[inlet]
+T_in=310.0 c_{0}=2000.0 c_{2}=500.0
+[noise]
+rho1=0.1 rho2=5e-7 rho3=0.05
+"""
+    paths = []
+    for names in (("exp", "log", "v0", "k0"), ("A", "B", "C", "D")):
+        net = parse_network(text.format(*names))
+        sp = setpoint_from_state(net, [0.5, 0.5, 0.5, 0.5], 331.9, 9.15e-6)
+        x0 = ThermoState.from_temperature(net, np.ones(4), 342.0).x
+        cfg = SimConfig(dt=1e-3, t_end=0.1, seed=3, record_every=1)
+        paths.append(simulate(net, sp, gains, cfg, x0))
+        assert len(net.float_view.traces) == 4  # the untraced view, 3 layouts
+    for name in ("states", "T", "q", "Qdot"):
+        assert _bits(getattr(paths[0], name)) == _bits(getattr(paths[1], name))
+
+
+def test_each_layout_is_traced_once_per_network(sp, gains, x0, tmp_path,
+                                                monkeypatch):
+    """A lone simulate traces each argument layout it calls once per
+    network; a batched ensemble, a check and a steady-state scan trace
+    nothing."""
+    real, traced = kernel._trace, []
+
+    def trace(net, body, args):
+        traced.append((id(net), body.__name__, *(a is None for a in args)))
+        return real(net, body, args)
+
+    monkeypatch.setattr(kernel, "_trace", trace)
+    net, cfg = parse_network(presets.CONFIG_TEXT), SimConfig(
+        dt=1e-3, t_end=0.05, seed=3, n_traj=4)
+    ensemble(net, sp, gains, cfg, x0)
+    (path := tmp_path / "network.cfg").write_text(presets.CONFIG_TEXT)
+    assert main(["check", "--network", str(path), "--T", "342", "--N", "1,1",
+                 "--setpoint-T", "331.9", "--setpoint-q", "9.15e-6",
+                 "--out", str(tmp_path / "check")]) == 0
+    assert main(["equilibria", "--network", str(path), "--q", "9.15e-6",
+                 "--Tw", "299.4922", "--out", str(tmp_path / "scan")]) == 0
+    assert traced == []
+    lone = replace(cfg, n_traj=1)
+    for _ in range(2):
+        simulate(net, sp, gains, lone, x0)
+        simulate(net, None, None, replace(lone, mode="open_loop"), x0)
+    view = id(net.float_view)
+    assert sorted(traced) == [
+        (view, "em_update", *[False] * 8),
+        (view, "em_update", *[False] * 7, True),  # open loop: no column
+        (view, "feedback_terms", False, False, False, False),
+        (view, "temperature", False, False)]
+    simulate(parse_network(presets.CONFIG_TEXT), sp, gains, lone, x0)
+    assert len(traced) == 4 + 3
+
+
+def test_lone_washout_is_floored_on_floats(plain_net, monkeypatch):
+    """A lone path's floored steps, finite and at T > 0 once clamped, are
+    guarded on floats: a washout never calls settle."""
+    def settle(*args):
+        raise AssertionError("a floored lone step went to settle")
+
+    monkeypatch.setattr(sim._Stepper, "settle", settle)
+    x0 = ThermoState.from_temperature(plain_net, np.array([1.0, 1.0]), 342.0).x
+    cfg = SimConfig(dt=1e-3, t_end=0.1, seed=3, mode="open_loop",
+                    u_open=(0.5, 0.0))
+    tr = simulate(plain_net, None, None, cfg, x0)
+    assert sum(c == "floor_B" for _, c in tr.events) > 10 and not tr.aborted
 
 
 @settings(max_examples=200, deadline=None)

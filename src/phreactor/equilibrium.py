@@ -75,9 +75,9 @@ def drift_residual(net: ReactionNetwork, x, u):
     """
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     dU, dN = _drift(net, x, u[..., 0], u[..., 1])
-    scaled = np.stack((dU, *dN), -1) / np.maximum(
-        np.abs(x), [1.0] + [1e-6] * net.n_species)
-    norm = np.sqrt(np.vecdot(scaled, scaled))
+    scaled = np.moveaxis(np.stack((dU, *dN), -1) / np.maximum(
+        np.abs(x), [1.0] + [1e-6] * net.n_species), -1, 0)
+    norm = np.sqrt(kernel.dot(scaled, scaled))  # BLAS ddot's bits vary by CPU
     return float(norm) if x.ndim == 1 else norm
 
 
@@ -343,9 +343,9 @@ def steady_states(net: ReactionNetwork, q: float, T_w: float,
         bad.append(f"T_w={T_w}")
     if not (grid >= 2 and 0.0 < T_lo < T_hi <= 1e6):
         bad.append(f"grid={grid}, T_range={T_range}")
-    elif math.isinf(E / (R * T_lo)):  # as kernel.rate_constants divides
+    elif R * T_lo == 0.0 or math.isinf(E / (R * T_lo)):  # as rate_constants
         bad.append(f"Tmin={T_lo}, where E / (R Tmin) overflows: Tmin must "
-                   f"be above about {E / R / np.finfo(float).max:.3g} K")
+                   f"be above about {E / np.finfo(float).max / R:.3g} K")
     if bad:
         raise ValueError("the scan needs finite q > 0 and T_w, grid >= 2 and "
                          "0 < Tmin < Tmax, both finite, with Tmax <= 1e6 K; "

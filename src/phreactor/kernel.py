@@ -11,15 +11,15 @@ list or an array with the species or reaction first.  An item, like U, T,
 q or Qdot, is a Python float for one state, whose exp and log numpy
 computes (the network's :func:`float_view`, built once per network), and
 an array, such as a (B,) column, for a batch, so each formula is one loop
-over species or reactions for both.  Where a float divisor is 0.0, the
-formula is redone on numpy float64 scalars, for numpy's inf or NaN and
-warning; :func:`on_floats` runs a formula at one state on floats and
-redoes it on numpy where a value comes out inf or NaN, since a float
-overflows without numpy's warning.  Every sum over species or
-reactions runs left to right, t_0 + t_1 + ... (:func:`total`, :func:`dot`),
-whatever the CPU core type (BLAS ``ddot`` varies with it) or the operand
-shapes; every other operation keeps one order, and squares are ``x * x``
-(a float's ``x ** 2`` calls ``pow``).
+over species or reactions for both.  A float divisor of 0.0, as the float
+view's log of x <= 0, raises ZeroDivisionError where numpy gives inf or
+NaN and a warning, so a formula on the float view is redone on numpy: by
+the entry points below, and by :func:`on_floats`, also where a value comes
+out inf or NaN, since a float overflows without numpy's warning.  Every
+sum over species or reactions runs left to right, t_0 + t_1 + ...
+(:func:`total`, :func:`dot`), whatever the CPU core type (BLAS ``ddot``
+varies with it) or the operand shapes; every other operation keeps one
+order, and squares are ``x * x`` (a float's ``x ** 2`` calls ``pow``).
 
 Every function is row-safe: each row of a batch result has the bits of the
 lone call on that row, but for a NaN's sign, which for two NaNs in a
@@ -35,8 +35,9 @@ product's factors, multiplied in species order, times the constants of
 On the float view, a lone step's :func:`temperature`, :func:`feedback_terms`
 and :func:`em_update` run straight-line code that :func:`_trace` generates
 from their bodies once per argument layout: the same float operations in
-the same order, so the same bits, without the interpreter's loops.  Any
-argument but a float or a list of floats, or a divisor of 0.0, runs the body.
+the same order, so the same bits, without the interpreter's loops.  An
+argument not a float or a list of floats, or a divisor of 0.0, runs the
+body on the plain network, every float made a numpy float64.
 """
 
 from __future__ import annotations
@@ -79,30 +80,32 @@ def step_constants(net) -> StepConstants:
 
 def float_view(net):
     """``net`` whose exp and log return numpy's results as Python floats
-    (``math.exp`` differs) and whose where picks floats, with the ``traces``
-    of :func:`_traced`: one state's formulas run on floats through it."""
+    (``math.exp`` differs), a log of x <= 0 or NaN raising ZeroDivisionError,
+    whose where picks floats, and with the ``traces`` of :func:`_traced`,
+    ``net`` at None: one state's formulas run on floats."""
     view = copy.copy(net)
     view.__dict__["step_constants"] = net.step_constants._replace(
-        exp=lambda x: float(np.exp(x)), log=lambda x: float(np.log(x)),
+        exp=lambda x: float(np.exp(x)),
+        log=lambda x: float(np.log(x)) if x > 0.0 else 1.0 / 0.0,
         where=lambda c, x, y: x if c else y)
-    view.__dict__["traces"] = {None: copy.copy(view)}  # None: untraced
+    view.__dict__["traces"] = {None: net}  # None: the fallback
     return view
 
 
-def stepping_network(net, lone: bool):
-    """``net`` as a stepper takes it, the same bits: for a lone state, its
-    :func:`float_view`; for a batch, with 0-d array constants, faster than
-    floats with (B,) columns."""
-    def zero_d(v):
-        return (list(map(zero_d, v)) if isinstance(v, list)
-                else np.array(v) if isinstance(v, float) else v)
-
-    if lone:
-        return net.float_view
+def batch_view(net):
+    """``net`` with 0-d array constants, as a batch steps on it: the same
+    bits, and numpy combines them with (B,) columns faster than floats."""
     stepping = copy.copy(net)
     stepping.__dict__["step_constants"] = StepConstants(
-        *map(zero_d, net.step_constants))
+        *(_floats_as(np.array, v) for v in net.step_constants))
     return stepping
+
+
+def _floats_as(kind, value):
+    """kind(x) for each float x in ``value`` and in its lists and tuples."""
+    return (type(value)(_floats_as(kind, v) for v in value)
+            if isinstance(value, (list, tuple))
+            else kind(value) if type(value) is float else value)
 
 
 def on_floats(net, formula, *args):
@@ -160,9 +163,13 @@ class _Tape:
         return v
 
     def operands(self, value):
-        """``value``, a new operand for each float in its lists and tuples."""
-        return (type(value)(map(self.operands, value))
-                if isinstance(value, (list, tuple)) else self.emit())
+        """``value``, a new operand for each float in its lists and tuples;
+        TypeError for any other item, such as an array."""
+        if isinstance(value, (list, tuple)):
+            return type(value)(map(self.operands, value))
+        if type(value) is not float:
+            raise TypeError(f"traces floats, not {type(value).__name__}")
+        return self.emit()
 
     def code(self, value):
         """The expression that builds ``value`` from its operands and
@@ -175,8 +182,8 @@ class _Tape:
 
 def _trace(net, body, args):
     """``body`` on the float view ``net`` as a generated function of
-    ``args``: it unpacks them, returns None unless each float among them is
-    a Python float, else runs the body's float operations in its order."""
+    ``args``: it unpacks them, raises TypeError unless each float among them
+    is a Python float, else runs the body's float operations in its order."""
     k, tape, tracing = net.step_constants, _Tape(), copy.copy(net.traces[None])
     tracing.__dict__["step_constants"] = k._replace(
         exp=lambda x: tape.emit(f"exp({tape.ref(x)})"),
@@ -188,7 +195,7 @@ def _trace(net, body, args):
         [f"def run({', '.join(f'a{i}' for i in range(len(args)))}):"]
         + [f"    {tape.code(i)} = a{n}" for n, i in enumerate(inputs)
            if i is not None]
-        + [f"    if not float is {floats}:", "        return None"]
+        + [f"    if not float is {floats}:", "        raise TypeError"]
         + tape.lines + [f"    return {result}"])
     names = {"exp": k.exp, "log": k.log, **dict(tape.bound.values())}
     exec(compile(source, f"<traced kernel.{body.__name__}>", "exec"), names)
@@ -197,17 +204,15 @@ def _trace(net, body, args):
 
 def _traced(net, layout, *args):
     """``kernel.<layout[0]>(net, *args)`` on the float view ``net`` by its
-    code for ``layout``, traced once into ``net.traces``; by the body where
-    an argument is not a float or a list of floats, or a divisor is 0.0."""
+    code for ``layout``, traced once into ``net.traces``; by the body on the
+    plain network, every float a numpy float64, where an argument is not a
+    float or a list of floats or a divisor is 0.0: numpy's values, warnings."""
     traces, body = net.traces, _BODIES[layout[0]]
-    run = traces.get(layout) or traces.setdefault(
-        layout, _trace(net, body, args))
-    try:
-        if (result := run(*args)) is not None:
-            return result
-    except ZeroDivisionError:  # a float divisor of 0.0
-        pass
-    return body(traces[None], *args)
+    try:  # an argument not a float raises TypeError, and tracing keeps nothing
+        return (traces.get(layout)
+                or traces.setdefault(layout, _trace(net, body, args)))(*args)
+    except (TypeError, ZeroDivisionError):  # or a float divisor of 0.0
+        return body(traces[None], *(_floats_as(np.float64, a) for a in args))
 
 
 def total(terms):
@@ -237,10 +242,7 @@ def temperature(net, U, N):
     if "traces" in net.__dict__:  # a float view: see _traced
         return _traced(net, ("temperature",), U, N)
     k = net.step_constants
-    try:
-        return k.T_ref + (U + k.PV - dot(N, k.h_ref)) / dot(N, k.cp)
-    except ZeroDivisionError:  # a float N^T cp of 0.0
-        return temperature(net, np.float64(U), N)
+    return k.T_ref + (U + k.PV - dot(N, k.h_ref)) / dot(N, k.cp)
 
 
 def potentials(net, N, T, N_sum):
@@ -300,10 +302,7 @@ def rate_constants(net, T) -> list:
     :func:`mass_action` and :func:`mass_action_jacobian` take."""
     k = net.step_constants
     RT = k.R * T
-    try:
-        return [k0 * k.exp(neg_E / RT) for k0, neg_E in zip(k.k0, k.neg_E)]
-    except ZeroDivisionError:  # a float R T of 0.0
-        return rate_constants(net, np.float64(T))
+    return [k0 * k.exp(neg_E / RT) for k0, neg_E in zip(k.k0, k.neg_E)]
 
 
 def mass_action(net, c, k_T) -> tuple[list, list]:
@@ -411,10 +410,7 @@ def mixing_scale(net, N, h, theta, g00, dc, N_sum):
 def feedthrough(net, M, theta):
     """Diagonal of delta = diag(rho2^2 M / (2 theta), rho3^2 / (2 theta))."""
     k = net.step_constants
-    try:
-        return k.half_rho2_sq * M / theta, k.half_rho3_sq / theta
-    except ZeroDivisionError:  # a float theta of 0.0
-        return feedthrough(net, M, np.float64(theta))
+    return k.half_rho2_sq * M / theta, k.half_rho3_sq / theta
 
 
 #: See :func:`margins`.

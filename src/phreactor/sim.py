@@ -224,7 +224,8 @@ class _Stepper:
         self.sp, self.gains, self.cfg = sp, gains, cfg
         self.paths = [_Path(i, trajectory_rng(cfg.seed, i) if cfg.noise_on
                             else None) for i in indices]
-        self.net = kernel.stepping_network(net, len(self.paths) == 1)
+        self.net = (net.float_view if len(self.paths) == 1
+                    else kernel.batch_view(net))
         if len(self.paths) == 1 and sp is not None:  # mu*/T* as floats, as T* is
             self.sp = replace(sp, mu_star_over_T=sp.mu_star_over_T.tolist())
         self.step_no, self.noise = 0, None
@@ -294,12 +295,13 @@ class _Stepper:
                depth=0):
         """The guarded ends (U, N, T), N as (p, b), of the steps of length
         dt from the rows' (b,) states (U, N, T) at time t whose raw updates
-        are (U_new, N_new).  A non-finite update aborts its row; mole numbers
-        below the floor are clamped and logged; the rows at T <= 0 redo their
-        step as two half steps, each with inputs evaluated at its own start,
-        as one sub-batch that recurses on the rows that fail again (a lone
-        path's is a one-row batch).  T is NaN on every row that aborted."""
-        N, N_new = np.asarray(N), np.asarray(N_new)  # (p, b)
+        are (U_new, N_new), a lone path's floats as a one-row batch.  A
+        non-finite update aborts its row; mole numbers below the floor are
+        clamped and logged; the rows at T <= 0 redo their step as two half
+        steps, each with inputs evaluated at its own start, as one sub-batch
+        that recurses on the rows that fail again.  T is NaN where aborted."""
+        rows, U, T, U_new = (np.reshape(a, -1) for a in (rows, U, T, U_new))
+        N, N_new = (np.reshape(a, (len(a), -1)) for a in (N, N_new))  # (p, b)
         finite = np.isfinite(U_new) & np.isfinite(N_new).all(0)
         for r in rows[~finite]:
             self.paths[r].abort_reason = "non-finite state update"
@@ -429,18 +431,14 @@ def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
         if lone and (floored := run.floor(U_new, N_new)):
             U, (N, T) = U_new, floored
             continue
-        if lone:  # the guards take a lone path as a one-row batch, on net itself
-            floats, run.net = run.net, net
-            rows, U, T, U_new = (np.reshape(a, 1) for a in (rows, U, T, U_new))
-            N, N_new = np.reshape(N, (-1, 1)), np.reshape(N_new, (-1, 1))
         U, N, T = run.settle(rows, U, N, T, U_new, N_new, t, dt)
         ok = T > 0
         if not ok.all():
-            rows, U, N, T = rows[ok], U[ok], N[:, ok], T[ok]
+            rows, U, N, T = np.reshape(rows, -1)[ok], U[ok], N[:, ok], T[ok]
             if not rows.size:
                 break
-        if lone:
-            run.net, rows, U, N, T = floats, 0, U.item(), N[:, 0].tolist(), T.item()
+        if lone:  # settle hands back a one-row batch
+            U, N, T = U.item(), N[:, 0].tolist(), T.item()
     else:
         q, Qdot, *_ = run.law(N, T, cfg.n_steps * dt)
         rec.write(rows, j, U, N, q, Qdot)

@@ -98,8 +98,11 @@ class ThermoState:
 
     @classmethod
     def from_temperature(cls, net: ReactionNetwork, N, T: float) -> "ThermoState":
-        N = _as_moles(net, N)
-        return cls._build(net, internal_energy(net, N, T), N, float(T))
+        N, U = _as_moles(net, N), internal_energy(net, N, T)
+        if not 0 < (T_U := kernel.temperature(net, U, N)) < np.inf:
+            raise ThermoDomainError(f"temperature {T} K gives T(U, N) = {T_U} "
+                                    "K, which is not finite and positive")
+        return cls._build(net, U, N, np.float64(T))
 
     @classmethod
     def from_vector(cls, net: ReactionNetwork, x) -> "ThermoState":

@@ -272,6 +272,20 @@ def test_equilibria_rejects_a_tmin_whose_rate_exponent_overflows(
                  "--Tmax", "400"]) == 0
 
 
+def test_equilibria_rejects_a_tmin_whose_r_t_underflows(tmp_path, capsys):
+    """With R = 5e-324 J/(mol K), R Tmin rounds to 0.0 at Tmin = 0.1 K: the
+    scan exits 1 with one error line naming Tmin, not a traceback."""
+    (cfg := tmp_path / "tiny_R.cfg").write_text(
+        presets.CONFIG_TEXT.replace("R_gas=8.314", "R_gas=5e-324"))
+    out = tmp_path / "eq"
+    assert main(["equilibria", "--network", str(cfg), "--q", "9.15e-6",
+                 "--Tw", "299.4922", "--Tmin", "0.1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("phreactor: error: ") and err.count("\n") == 1
+    assert "got Tmin=0.1, where E / (R Tmin) overflows" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -334,13 +348,16 @@ def test_simulate_deterministic_trajectories_coincide(cfg_path, tmp_path):
 
 
 def test_simulate_zero_theta_aborts_with_numpys_warning(tmp_path, capsys):
-    """At T0 = 1e-170 K, theta = T^2 N^T cp underflows to 0.0: the
+    """With T_ref = 1e-200 K, T0 = 1e-170 K is a state whose own temperature
+    T(U, N) is 1e-200 K, and theta = T^2 N^T cp underflows to 0.0: the
     feedthrough divides by zero with numpy's warning, the feedback is NaN,
     and the lone path aborts on its first update, writing nothing."""
+    text = presets.CONFIG_TEXT.replace("T_ref=300.0", "T_ref=1e-200")
+    (cfg := tmp_path / "cold.cfg").write_text(text)
     out = tmp_path / "t0"
-    argv = ["simulate", "--T0", "1e-170", "--N0", "1,1", "--setpoint-T",
-            "331.9", "--setpoint-q", "9.15e-6", "--t-end", "0.01", "--seed",
-            "1", "--out", str(out)]
+    argv = ["simulate", "--network", str(cfg), "--T0", "1e-170", "--N0",
+            "1,1", "--setpoint-T", "331.9", "--setpoint-q", "9.15e-6",
+            "--t-end", "0.01", "--seed", "1", "--out", str(out)]
     with pytest.warns(RuntimeWarning, match="divide by zero") as caught:
         assert main(argv) == 3
     assert ("divide by zero encountered in scalar divide", "kernel.py") in {
@@ -349,7 +366,7 @@ def test_simulate_zero_theta_aborts_with_numpys_warning(tmp_path, capsys):
         "phreactor: simulation aborted: every trajectory aborted "
         "(trajectory 0: non-finite state update)\n"))
     assert list(out.iterdir()) == []
-    net = presets.benchmark_network()
+    net = parse_network(text)
     x0 = ThermoState.from_temperature(net, np.array([1.0, 1.0]), 1e-170)
     with np.errstate(divide="ignore"):
         tr = sim.simulate(net, make_setpoint(net, 331.9, 9.15e-6),
@@ -359,6 +376,22 @@ def test_simulate_zero_theta_aborts_with_numpys_warning(tmp_path, capsys):
     assert tr.events == [(1, "q_clamp")]
     assert tr.states.tolist() == [x0.x.tolist()]
     assert math.isnan(tr.q[0]) and math.isnan(tr.Qdot[0])
+    assert tr.T.tolist() == [1e-200]  # T(U, N), as derived
+
+
+def test_simulate_rejects_a_start_whose_own_temperature_is_zero(
+        cfg_path, tmp_path, capsys):
+    """On the bundled network, U(N, T0) at T0 = 1e-170 K inverts to
+    T(U, N) = 0.0 K: the start is refused as a state outside the domain,
+    naming both temperatures, before anything is written."""
+    out = tmp_path / "t0"
+    assert main(["simulate", "--network", str(cfg_path), "--T0", "1e-170",
+                 "--N0", "1,1", "--setpoint-T", "331.9", "--setpoint-q",
+                 "9.15e-6", "--t-end", "0.01", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", (
+        "phreactor: error: temperature 1e-170 K gives T(U, N) = 0.0 K, which "
+        "is not finite and positive\n"))
+    assert not out.exists()
 
 
 def test_simulate_zero_RT_lone_path_has_its_batch_rows_bytes(tmp_path):

@@ -3,6 +3,7 @@ classification of the roots."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -744,6 +745,16 @@ def test_scan_range_is_validated(net, T_range, grid, q, T_w, named):
     with pytest.raises(ValueError, match="grid >= 2 and 0 < Tmin < Tmax") as err:
         steady_states(net, q, T_w, T_range=T_range, grid=grid)
     assert named in str(err.value) and "Tmax <= 1e6 K" in str(err.value)
+
+
+def test_scan_rejects_a_tmin_whose_r_t_underflows(net):
+    """With R = 5e-324 J/(mol K), R Tmin rounds to 0.0 at Tmin = 0.1 K: the
+    scan refuses the window, naming Tmin, where E / (R Tmin) would divide a
+    float by zero."""
+    tiny_R = replace(net, reactor=replace(net.reactor, R_gas=5e-324))
+    with pytest.raises(ValueError, match="got Tmin=0.1, where E / "
+                       r"\(R Tmin\) overflows: Tmin must be above about"):
+        steady_states(tiny_R, 9.15e-6, 299.4922, T_range=(0.1, 500.0))
 
 
 def test_two_point_grid_scans(net, roots):

@@ -598,15 +598,16 @@ def _stepping_calls(net, s):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_lone_float_calls_equal_batch_rows(data):
-    """A lone state on Python floats, stepped on the network a lone path
-    steps on, gets Python floats with the bits of its batch row from every
-    kernel call of a step (no divisor here is 0.0)."""
+    """A lone state on Python floats, stepped on the float view a lone path
+    steps on, gets Python floats with the bits of its batch row, stepped on
+    the batch view, from every kernel call of a step (no divisor here is
+    0.0)."""
     net, batch = _draw_states(data)
-    B, lone_net = len(batch.T), kernel.stepping_network(net, True)
+    B = len(batch.T)
     with np.errstate(all="ignore"):  # inf * 0 and the like
-        rows = _flat(_stepping_calls(kernel.stepping_network(net, False),
-                                     batch), B)
-        lone = [_stepping_calls(lone_net, batch.floats(i)) for i in range(B)]
+        rows = _flat(_stepping_calls(kernel.batch_view(net), batch), B)
+        lone = [_stepping_calls(net.float_view, batch.floats(i))
+                for i in range(B)]
     assert all(type(value) is float for calls in lone
                for result in calls.values() for value in _leaves(result))
     same_bits_but_nan_sign(rows, np.concatenate([_flat(calls, 1)
@@ -614,30 +615,23 @@ def test_lone_float_calls_equal_batch_rows(data):
 
 
 def test_float_zero_divisors_take_numpys_inf_and_warning(net):
-    """Where a Python float divisor is 0.0 (theta, R T, N^T cp and the
-    feedback's determinant), a formula gives what it gives on numpy
+    """Where a Python float divisor is 0.0 (N^T cp on the float view and
+    the feedback's determinant), a formula gives what it gives on numpy
     float64 scalars, numpy's inf or NaN and its warning, not
-    ZeroDivisionError."""
-    lone, f64, K = kernel.stepping_network(net, True), np.float64, np.eye(2)
-    tiny_R = replace(net, reactor=replace(net.reactor, R_gas=5e-324))
+    ZeroDivisionError; theta and R T are taken through the entry points
+    in the next test."""
+    f64, K = np.float64, np.eye(2)
     with np.errstate(invalid="ignore"), pytest.warns(
             RuntimeWarning, match="divide by zero encountered in scalar divide"):
         pairs = (
-            (kernel.feedthrough(lone, 2.0, 0.0),
-             kernel.feedthrough(net, f64(2.0), f64(0.0))),
-            (kernel.rate_constants(kernel.stepping_network(tiny_R, True), 0.1),
-             kernel.rate_constants(tiny_R, f64(0.1))),
-            (kernel.temperature(lone, -4e4, [0.0, 0.0]),
+            (kernel.temperature(net.float_view, -4e4, [0.0, 0.0]),
              kernel.temperature(net, f64(-4e4), [0.0, 0.0])),
             (control.solve_feedback(K, -1.0, 0.5, 2.0, 3.0),
              control.solve_feedback(K, *map(f64, (-1.0, 0.5, 2.0, 3.0)))))
     for got, want in pairs:
         same_bits_but_nan_sign(got, want)
-    assert pairs[0][0] == (math.inf, math.inf)
-    assert pairs[1][0] == [0.0, 0.0]  # exp(-inf), a float again
-    assert {type(k) for k in pairs[1][0]} == {float}
-    assert pairs[2][0] == -math.inf
-    assert pairs[3][0][0] == -math.inf and math.isnan(pairs[3][0][1])
+    assert pairs[0][0] == -math.inf
+    assert pairs[1][0][0] == -math.inf and math.isnan(pairs[1][0][1])
 
 
 def _bits(result):
@@ -648,9 +642,19 @@ def _bits(result):
 
 
 def _untraced(name, view, *args):
-    """Entry point ``name`` of the kernel run as its body on ``view``'s
-    floats, without its traced code."""
+    """Entry point ``name`` of the kernel run as its body on the plain
+    network of the float view ``view``, on the arguments as given."""
     return kernel._BODIES[name](view.traces[None], *args)
+
+
+def _on_numpy(name, view, *args):
+    """:func:`_untraced` with every float of the arguments a numpy
+    float64."""
+    def f64(a):
+        return (type(a)(map(f64, a)) if isinstance(a, (list, tuple))
+                else np.float64(a) if type(a) is float else a)
+
+    return _untraced(name, view, *map(f64, args))
 
 
 @settings(max_examples=200, deadline=None)
@@ -678,7 +682,7 @@ def test_traced_calls_equal_the_bodies_bit_for_bit(data):
             got = view.traces[layout](*args)
             assert {type(v) for v in _leaves(got)} == {float}
             assert _bits(got) == want
-    assert len(view.traces) == 1 + len(layouts)  # and the untraced view
+    assert len(view.traces) == 1 + len(layouts)  # and the plain network
 
 
 def _warned(f, *args):
@@ -691,25 +695,73 @@ def _warned(f, *args):
 
 def test_traced_zero_divisors_take_the_bodys_values_and_warnings(net):
     """Where a float divisor of the traced code is 0.0 (theta, R T and
-    N^T cp), the entry point runs its body, which redoes that formula on
-    numpy: the values and the warnings, text, file and line, are the
-    body's; a NaN, which takes no fallback, keeps its sign."""
+    N^T cp), the entry point runs its body on numpy float64 scalars: the
+    values and the warnings, text, file and line, are the body's there; a
+    NaN, which takes no fallback, has the bits of the body on floats."""
     tiny_R = replace(net, reactor=replace(net.reactor, R_gas=5e-324))
     N, dW = [1.0, 1.0], [0.1, 0.2, 0.3]
     cases = [  # theta, R T and N^T cp of 0.0, then inf - inf in U
-        (net, "feedback_terms", (N, 1e-170, 331.9, [-40.0, -50.0])),
-        (tiny_R, "em_update", (-4e4, N, 0.1, 1e-6, 2.0, 1e-3, dW, None)),
-        (net, "temperature", (-4e4, [0.0, 0.0])),
+        (net, "feedback_terms", (N, 1e-170, 331.9, [-40.0, -50.0]), _on_numpy),
+        (tiny_R, "em_update", (-4e4, N, 0.1, 1e-6, 2.0, 1e-3, dW, None),
+         _on_numpy),
+        (net, "temperature", (-4e4, [0.0, 0.0]), _on_numpy),
         (net, "em_update", (-4e4, N, 342.0, 1e-6, 2.0, 1e-3,
-                            [0.0, math.inf, -math.inf], None))]
-    for case, name, args in cases:
+                            [0.0, math.inf, -math.inf], None), _untraced)]
+    for case, name, args, body in cases:
         view = case.float_view
         got, got_warnings = _warned(getattr(kernel, name), view, *args)
-        want, want_warnings = _warned(_untraced, name, view, *args)
+        want, want_warnings = _warned(body, name, view, *args)
         assert _bits(got) == _bits(want)
         assert got_warnings == want_warnings
-        assert bool(got_warnings) == (name != "em_update" or case is tiny_R)
+        assert bool(got_warnings) == (body is _on_numpy)
     assert math.isnan(got[0])
+
+
+def test_float_view_at_zero_kelvin_takes_numpys_values_and_warnings(net):
+    """At T = 0.0 the float view's feedback terms are those of the body on
+    numpy float64 scalars, values and warnings, text, file and line: the
+    traced code's log(T / T_ref) of 0.0 runs the body before it warns, and
+    no ZeroDivisionError reaches the caller."""
+    args = ([1.0, 1.0], 0.0, 331.9, [-40.0, -50.0])
+    got, got_warnings = _warned(kernel.feedback_terms, net.float_view, *args)
+    want, want_warnings = _warned(_on_numpy, "feedback_terms",
+                                  net.float_view, *args)
+    assert _bits(got) == _bits(want)
+    assert got_warnings == want_warnings
+    assert ("divide by zero encountered in log", kernel.__file__) in {
+        (text, file) for text, file, _ in got_warnings}
+    assert got[:2] == (math.inf, math.inf)  # theta = 0.0
+
+
+def _entry_calls(net, s):
+    """The traced entry points' calls at the states ``s``, every layout."""
+    U, N, T, q, Qdot = s.U, s.N, s.T, s.q, s.Qdot
+    terms = kernel.feedback_terms(net, N, T, s.T_star, s.mu_star)
+    calls = {"temperature": kernel.temperature(net, U, N),
+             "feedback_terms": terms}
+    for dW in (s.dW, None):
+        for column in (terms[4:], None):
+            calls["em_update", dW is None, column is None] = kernel.em_update(
+                net, U, N, T, q, Qdot, 1e-3, dW, column)
+    return calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_float_view_takes_columns_as_the_batch_view(data):
+    """Called with (B,) columns, as a lone path's guards call it, the float
+    view gives the bits of the batch view in every traced entry point and
+    layout, also in a layout it never traced, and traces nothing new."""
+    net, batch = _draw_states(data)
+    view, B = net.float_view, len(batch.T)
+    if data.draw(st.booleans(), label="layouts traced first"):
+        _entry_calls(view, batch.floats(0))
+    traced = set(view.traces)
+    with np.errstate(all="ignore"):  # inf * 0 and the like
+        got = _flat(_entry_calls(view, batch), B)
+        want = _flat(_entry_calls(kernel.batch_view(net), batch), B)
+    assert set(view.traces) == traced
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_species_named_like_the_generated_code_step_as_plain_names(gains):
@@ -739,7 +791,7 @@ rho1=0.1 rho2=5e-7 rho3=0.05
         x0 = ThermoState.from_temperature(net, np.ones(4), 342.0).x
         cfg = SimConfig(dt=1e-3, t_end=0.1, seed=3, record_every=1)
         paths.append(simulate(net, sp, gains, cfg, x0))
-        assert len(net.float_view.traces) == 4  # the untraced view, 3 layouts
+        assert len(net.float_view.traces) == 4  # the plain network, 3 layouts
     for name in ("states", "T", "q", "Qdot"):
         assert _bits(getattr(paths[0], name)) == _bits(getattr(paths[1], name))
 

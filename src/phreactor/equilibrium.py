@@ -124,7 +124,7 @@ def _balance_jacobian(net: ReactionNetwork, N, k_T, q):
 def _lone_newton(net: ReactionNetwork, N, k_T, q):
     """One row's iteration on floats, from floats N and k_T: its converged N,
     the bits of its batch row; or None where it does not converge or meets
-    an inf or NaN, a float divisor 0.0 or a singular Jacobian."""
+    an inf or NaN or a singular Jacobian."""
     V, floor = net.reactor.V, max(q * max(net.inlet.c_in), 1e-300)
 
     def balance(N):
@@ -151,7 +151,7 @@ def _lone_newton(net: ReactionNetwork, N, k_T, q):
                 N = [0.0 if n <= 0.0 else n for n in map(
                     add, N_old, [alpha * s for s in step])]
                 best, f, scale = balance(N)
-    except (FloatingPointError, ZeroDivisionError, np.linalg.LinAlgError):
+    except (FloatingPointError, np.linalg.LinAlgError):
         return None
 
 
@@ -344,8 +344,10 @@ def steady_states(net: ReactionNetwork, q: float, T_w: float,
     if not (grid >= 2 and 0.0 < T_lo < T_hi <= 1e6):
         bad.append(f"grid={grid}, T_range={T_range}")
     elif R * T_lo == 0.0 or math.isinf(E / (R * T_lo)):  # as rate_constants
-        bad.append(f"Tmin={T_lo}, where E / (R Tmin) overflows: Tmin must "
-                   f"be above about {E / np.finfo(float).max / R:.3g} K")
+        bound = E / np.finfo(float).max / R
+        bad.append(f"Tmin={T_lo}, where E / (R Tmin) overflows: " + (
+            f"Tmin must be above about {bound:.3g} K" if bound < 1e6 else
+            "it overflows for every Tmin <= 1e6 K, so no window can be scanned"))
     if bad:
         raise ValueError("the scan needs finite q > 0 and T_w, grid >= 2 and "
                          "0 < Tmin < Tmax, both finite, with Tmax <= 1e6 K; "

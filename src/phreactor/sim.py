@@ -21,11 +21,11 @@ active trajectories are species-major, as the kernel takes them: U, T
 and each N_j are (B,) columns, and each grid step makes one feedback solve
 and one update for the whole batch, each row drawing its increments from
 its own substream; a lone trajectory, as in :func:`simulate`, steps on
-Python floats with the int 0 for its row, by the kernel's traced code, is
-floored on floats (``_Stepper.floor``) and else guarded as a one-row batch.
-A step whose every row is finite, at or above the floor and at T > 0 passes
-without ``settle``.  A row that aborts keeps its recorded prefix.  The
-kernel is row-safe, so a row has the bits :func:`simulate` gives that
+Python floats with the int 0 for its row, by the kernel's traced code.  A
+step whose every row is finite, at or above the floor and at T > 0 passes
+without ``settle``, the one guard, which takes a lone path's step, floored
+or not, as a one-row batch.  A row that aborts keeps its recorded prefix.
+The kernel is row-safe, so a row has the bits :func:`simulate` gives that
 trajectory, whatever the batch size.  The loop records only the states
 (U, N) and the applied inputs (q, Qdot); T, S, the availability and T_w of
 every record are derived from them after stepping.
@@ -279,25 +279,13 @@ class _Stepper:
             self.cursor[rows] = at + 1
         return kernel.em_update(self.net, U, N, T, q, Qdot, dt, dW, column)
 
-    def floor(self, U_new, N_new):
-        """A lone path's finite update guarded on floats as :meth:`settle`
-        guards it, where its clamped N gives T > 0: (N, T); else None."""
-        if math.isfinite(U_new) and all(map(math.isfinite, N_new)):
-            N = [max(n, N_TRAJ_FLOOR) for n in N_new]
-            if (T := kernel.temperature(self.net, U_new, N)) > 0:
-                self.paths[0].events.extend(  # in species order
-                    (self.step_no, f"floor_{name}") for name, n in
-                    zip(self.net.species_names, N_new) if n < N_TRAJ_FLOOR)
-                return N, T
-        return None
-
     def settle(self, rows, U, N, T, U_new, N_new, t: float, dt: float,
                depth=0):
         """The guarded ends (U, N, T), N as (p, b), of the steps of length
         dt from the rows' (b,) states (U, N, T) at time t whose raw updates
-        are (U_new, N_new), a lone path's floats as a one-row batch.  A
-        non-finite update aborts its row; mole numbers below the floor are
-        clamped and logged; the rows at T <= 0 redo their step as two half
+        are (U_new, N_new), a lone path's as a one-row batch.  A non-finite
+        update aborts its row; the loop's one floor clamp lifts and logs
+        N_j below the floor; the rows at T <= 0 redo their step as two half
         steps, each with inputs evaluated at its own start, as one sub-batch
         that recurses on the rows that fail again.  T is NaN where aborted."""
         rows, U, T, U_new = (np.reshape(a, -1) for a in (rows, U, T, U_new))
@@ -427,9 +415,6 @@ def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
                 (0 < (T_new := kernel.temperature(run.net, U_new, N_new)))
                 & (T_new < math.inf))):
             U, N, T = U_new, N_new, T_new
-            continue
-        if lone and (floored := run.floor(U_new, N_new)):
-            U, (N, T) = U_new, floored
             continue
         U, N, T = run.settle(rows, U, N, T, U_new, N_new, t, dt)
         ok = T > 0

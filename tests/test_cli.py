@@ -283,7 +283,24 @@ def test_equilibria_rejects_a_tmin_whose_r_t_underflows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("phreactor: error: ") and err.count("\n") == 1
     assert "got Tmin=0.1, where E / (R Tmin) overflows" in err
-    assert not out.exists()
+    assert "so no window can be scanned" in err and not out.exists()
+
+
+def test_equilibria_says_no_window_of_a_network_can_be_scanned(tmp_path,
+                                                               capsys):
+    """With R = 5e-324 J/(mol K), E / (R T) overflows for every T up to the
+    scan's 1e6 K ceiling: the default window exits 1 with one error line
+    that says so, names no bound for Tmin, and writes nothing."""
+    (cfg := tmp_path / "tiny_R.cfg").write_text(
+        presets.CONFIG_TEXT.replace("R_gas=8.314", "R_gas=5e-324"))
+    out = tmp_path / "eq"
+    assert main(["equilibria", "--network", str(cfg), "--q", "9.15e-6",
+                 "--Tw", "299.4922", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("phreactor: error: ") and err.count("\n") == 1
+    assert ("overflows: it overflows for every Tmin <= 1e6 K, so no window "
+            "can be scanned" in err)
+    assert "above about" not in err and not out.exists()
 
 
 # ---------------------------------------------------------------- simulate

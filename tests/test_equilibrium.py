@@ -753,8 +753,20 @@ def test_scan_rejects_a_tmin_whose_r_t_underflows(net):
     float by zero."""
     tiny_R = replace(net, reactor=replace(net.reactor, R_gas=5e-324))
     with pytest.raises(ValueError, match="got Tmin=0.1, where E / "
-                       r"\(R Tmin\) overflows: Tmin must be above about"):
+                       r"\(R Tmin\) overflows: it overflows for every"):
         steady_states(tiny_R, 9.15e-6, 299.4922, T_range=(0.1, 500.0))
+
+
+def test_scan_names_no_tmin_where_every_window_overflows(net):
+    """With R = 5e-324 J/(mol K), E / (R T) overflows up to T = 8.42e19 K,
+    above the scan's 1e6 K ceiling: the default window is refused, saying
+    that no window can be scanned, not naming a bound it cannot meet."""
+    tiny_R = replace(net, reactor=replace(net.reactor, R_gas=5e-324))
+    with pytest.raises(ValueError) as err:
+        steady_states(tiny_R, 9.15e-6, 299.4922)
+    assert str(err.value).endswith(
+        "got Tmin=250.0, where E / (R Tmin) overflows: it overflows for "
+        "every Tmin <= 1e6 K, so no window can be scanned")
 
 
 def test_two_point_grid_scans(net, roots):

@@ -832,18 +832,23 @@ def test_each_layout_is_traced_once_per_network(sp, gains, x0, tmp_path,
     assert len(traced) == 4 + 3
 
 
-def test_lone_washout_is_floored_on_floats(plain_net, monkeypatch):
-    """A lone path's floored steps, finite and at T > 0 once clamped, are
-    guarded on floats: a washout never calls settle."""
-    def settle(*args):
-        raise AssertionError("a floored lone step went to settle")
+def test_lone_washout_floors_through_settle(net, monkeypatch):
+    """A lone path's floored steps go to settle, one call with one row per
+    floored step: settle is the stepping loop's only floor clamp."""
+    real, calls = sim._Stepper.settle, []
+
+    def settle(self, rows, *args):
+        calls.append((self.step_no, np.size(rows)))
+        return real(self, rows, *args)
 
     monkeypatch.setattr(sim._Stepper, "settle", settle)
-    x0 = ThermoState.from_temperature(plain_net, np.array([1.0, 1.0]), 342.0).x
+    x0 = ThermoState.from_temperature(net, np.array([1.0, 1.0]), 342.0).x
     cfg = SimConfig(dt=1e-3, t_end=0.1, seed=3, mode="open_loop",
                     u_open=(0.5, 0.0))
-    tr = simulate(plain_net, None, None, cfg, x0)
-    assert sum(c == "floor_B" for _, c in tr.events) > 10 and not tr.aborted
+    tr = simulate(net, None, None, cfg, x0)
+    floored = [k for k, c in tr.events if c.startswith("floor_")]
+    assert calls == [(k, 1) for k in floored] and len(calls) == 18
+    assert {c for _, c in tr.events} == {"floor_B"} and not tr.aborted
 
 
 @settings(max_examples=200, deadline=None)

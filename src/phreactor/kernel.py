@@ -3,7 +3,7 @@
 Every function takes the network and plain values (U in J, N in mol, T in
 K) and validates nothing: the public modules check shapes, the mole floor
 and T > 0 at their boundary (see :mod:`thermo`), and :mod:`sim` adds its
-own guards.  ``net`` is only read for its parameters.
+own guards.  ``net``'s numbers are read only through ``net.step_constants``.
 
 The kernel is species-major: a per-species quantity (N, h, mu/T, c, ...)
 is a sequence of p items and a per-reaction one a sequence of r items, a
@@ -12,8 +12,8 @@ q or Qdot, is a Python float for one state, whose exp and log numpy
 computes (the network's :func:`float_view`, built once per network), and
 an array, such as a (B,) column, for a batch, so each formula is one loop
 over species or reactions for both.  A float divisor of 0.0, as the float
-view's log of x <= 0, raises ZeroDivisionError where numpy gives inf or
-NaN and a warning, so a formula on the float view is redone on numpy: by
+view's log of x <= 0, +inf or NaN, raises ZeroDivisionError where numpy
+gives inf or NaN and a warning, so a formula on it is redone on numpy: by
 the entry points below, and by :func:`on_floats`, also where a value comes
 out inf or NaN, since a float overflows without numpy's warning.  Every
 sum over species or reactions runs left to right, t_0 + t_1 + ...
@@ -52,16 +52,17 @@ import numpy as np
 
 #: See :func:`step_constants`.
 StepConstants = namedtuple("StepConstants", "cp neg_cp h_ref s_ref k0 neg_E "
-                           "slots grad_slots tail nu nu_T half_rho2_sq "
-                           "half_rho3_sq V R T_ref PV c_in h_in exp log where")
+                           "slots grad_slots tail nu nu_T rho1 rho2 rho3 "
+                           "half_rho2_sq half_rho3_sq lam V R T_ref PV c_in "
+                           "h_in exp log where")
 
 
 def step_constants(net) -> StepConstants:
     """``net``'s constants as floats read from its fields, cached as
     ``net.step_constants``: cp, -cp, h_ref, s_ref; k0 and -E, forward then
     backward, with the :func:`_factors` of their multiplicities; nu by species
-    and by reaction; rho2^2/2, rho3^2/2, V, R, T_ref, PV, c_in, c_in^T h(T_in);
-    numpy's exp, log and where."""
+    and by reaction; rho1, rho2, rho3, rho2^2/2, rho3^2/2, lambda, V, R,
+    T_ref, PV, c_in, c_in^T h(T_in); numpy's exp, log and where."""
     rx, rho, sp, rxns = net.reactor, net.noise, net.species, net.reactions
     cp, p = [float(s.cp) for s in sp], range(len(sp))
     nu = [[float(r.products[j] - r.reactants[j]) for r in rxns] for j in p]
@@ -72,21 +73,21 @@ def step_constants(net) -> StepConstants:
         [-float(r.Ef) for r in rxns] + [-float(r.Eb) for r in rxns], *_factors(
             [[r.reactants[j] for r in rxns] + [r.products[j] for r in rxns]
              for j in p]), nu, [list(column) for column in zip(*nu)],
-        0.5 * rho.rho2 ** 2, 0.5 * rho.rho3 ** 2, rx.V, rx.R_gas, rx.T_ref,
-        rx.P * rx.V, [float(c) for c in net.inlet.c_in], None, np.exp, np.log,
-        np.where)
+        rho.rho1, rho.rho2, rho.rho3, 0.5 * rho.rho2 ** 2, 0.5 * rho.rho3 ** 2,
+        rx.lam, rx.V, rx.R_gas, rx.T_ref, rx.P * rx.V,
+        [float(c) for c in net.inlet.c_in], None, np.exp, np.log, np.where)
     return k._replace(h_in=dot(k.c_in, _enthalpy(k, net.inlet.T_in)))
 
 
 def float_view(net):
     """``net`` whose exp and log return numpy's results as Python floats
-    (``math.exp`` differs), a log of x <= 0 or NaN raising ZeroDivisionError,
-    whose where picks floats, and with the ``traces`` of :func:`_traced`,
-    ``net`` at None: one state's formulas run on floats."""
+    (``math.exp`` differs), a log of x <= 0, +inf or NaN raising
+    ZeroDivisionError, whose where picks floats, and with the ``traces`` of
+    :func:`_traced`, ``net`` at None: one state's formulas run on floats."""
     view = copy.copy(net)
     view.__dict__["step_constants"] = net.step_constants._replace(
         exp=lambda x: float(np.exp(x)),
-        log=lambda x: float(np.log(x)) if x > 0.0 else 1.0 / 0.0,
+        log=lambda x: float(np.log(x)) if 0.0 < x < math.inf else 1.0 / 0.0,
         where=lambda c, x, y: x if c else y)
     view.__dict__["traces"] = {None: net}  # None: the fallback
     return view
@@ -311,7 +312,7 @@ def mass_action(net, c, k_T) -> tuple[list, list]:
     a caller that holds T fixed over many c evaluates k_T once."""
     rates = [k * _product(c, factors)
              for k, factors in zip(k_T, net.step_constants.slots)]
-    return rates[:len(net.reactions)], rates[len(net.reactions):]
+    return rates[:len(rates) // 2], rates[len(rates) // 2:]
 
 
 def mass_action_jacobian(net, c, k_T):
@@ -323,7 +324,7 @@ def mass_action_jacobian(net, c, k_T):
     c = [*c, *k.tail]  # slot p + v reads the constant v
     J = [[k_i * _product(c, row[i]) for row in k.grad_slots]
          for i, k_i in enumerate(k_T)]
-    return J[:len(net.reactions)], J[len(net.reactions):]
+    return J[:len(J) // 2], J[len(J) // 2:]
 
 
 def reaction_flux(net, rate_net) -> list:
@@ -360,7 +361,8 @@ def damping_weights(net, forward, backward, T, affinity=None) -> list:
     :func:`damping_apply`) from the rates (r_f, r_b): logmean(r_f, r_b) / (R T)
     >= 0 or, given the affinities, the strict (r_f - r_b) / affinity wherever
     |affinity| > :data:`AFFINITY_GUARD`, the log-mean weight elsewhere."""
-    k, RT = net.step_constants, net.reactor.R_gas * T
+    k = net.step_constants
+    RT = k.R * T
     coef = [log_mean(f, b, k.where, k.log) / RT
             for f, b in zip(forward, backward)]
     if affinity is None:
@@ -428,15 +430,15 @@ def margins(net, N, T, h, mu_over_T, theta, grad_N, V_star) -> Margins:
     (log-mean weights, to 1e-12 relative) for a storage with Hessian
     Hess(-S) and gradient grad_N; (1/2) rho1^2 V_star M_f / theta <=
     (r_f - r_b)^T A / T.  Last grad_N^T flux: L[A] - y^T u = trace lhs + it."""
-    k, rho = net.step_constants, net.noise
-    half_rho1_sq = 0.5 * rho.rho1 ** 2
+    k = net.step_constants
+    half_rho1_sq = 0.5 * k.rho1 ** 2
     g00, dc, c = flow_column(net, N, h)
     forward, backward = mass_action(net, c, rate_constants(net, T))
     rate_net, N_sum = list(map(sub, forward, backward)), total(N)
     f = [dot(nu_j, rate_net) for nu_j in k.nu]
     flux = [k.V * f_j for f_j in f]  # reaction_flux
     M = mixing_scale(net, N, h, theta, g00, dc, N_sum)
-    noise_lhs = rho.rho2 ** 4 * M * M + rho.rho3 ** 4  # pow of constants
+    noise_lhs = k.rho2 ** 4 * M * M + k.rho3 ** 4  # pow of constants
     noise_rhs = 4.0 * theta * theta
     trace_lhs = half_rho1_sq * mixing_scale(net, N, h, theta, 0.0, flux,
                                             N_sum) / theta
@@ -488,11 +490,11 @@ def sde_terms(net, N, T, q, Qdot, column=None):
     g00, dc, c = column or flow_column(net, N, enthalpy(net, T))
     forward, backward = mass_action(net, c, rate_constants(net, T))
     flux = reaction_flux(net, list(map(sub, forward, backward)))
-    rho = net.noise
-    b = rho.rho2 * q
+    k = net.step_constants
+    b = k.rho2 * q
     return ((g00 * q + Qdot, [f + q * d for f, d in zip(flux, dc)]),
-            ([rho.rho1 * f for f in flux], b * g00, [b * d for d in dc],
-             rho.rho3 * Qdot))
+            ([k.rho1 * f for f in flux], b * g00, [b * d for d in dc],
+             k.rho3 * Qdot))
 
 
 def em_update(net, U, N, T, q, Qdot, dt, dW=None, column=None):
@@ -513,7 +515,7 @@ def em_update(net, U, N, T, q, Qdot, dt, dW=None, column=None):
 
 def jacket_temperature(net, Qdot, T):
     """T_w = Qdot / lambda + T, NaN without a heat transfer path."""
-    lam = net.reactor.lam
+    lam = net.step_constants.lam
     return Qdot / lam + T if lam > 0 else np.nan
 
 

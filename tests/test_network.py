@@ -312,9 +312,10 @@ def _constants_by_arrays(net):
         (-np.concatenate((net.Ef, net.Eb))).tolist(),
         *kernel._factors(np.hstack((net.stoich_reactants,
                                     net.stoich_products))),
-        net.stoich_net.tolist(), net.stoich_net.T.tolist(),
-        0.5 * rho.rho2 ** 2, 0.5 * rho.rho3 ** 2, rx.V, rx.R_gas, rx.T_ref,
-        rx.P * rx.V, net.c_in.tolist(), None, np.exp, np.log, np.where)
+        net.stoich_net.tolist(), net.stoich_net.T.tolist(), rho.rho1,
+        rho.rho2, rho.rho3, 0.5 * rho.rho2 ** 2, 0.5 * rho.rho3 ** 2, rx.lam,
+        rx.V, rx.R_gas, rx.T_ref, rx.P * rx.V, net.c_in.tolist(), None,
+        np.exp, np.log, np.where)
     return k._replace(h_in=kernel.dot(k.c_in, np.add(
         net.cp * (net.inlet.T_in - rx.T_ref), net.h_ref).tolist()))
 

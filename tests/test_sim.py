@@ -764,6 +764,86 @@ def test_float_view_takes_columns_as_the_batch_view(data):
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
+#: The bundled network and its 2 A -> B variant.
+_VIEW_NETWORKS = (presets.CONFIG_TEXT, presets.CONFIG_TEXT.replace(
+    "A -> B k0f=1.2e9", "2 A -> B k0f=1.2e6"))
+
+
+def _view_states(B=3):
+    """The first B of three states of a two-species network as
+    :class:`_States`, with and without flow and heat."""
+    def columns(*rows):
+        return [np.array(row[:B]) for row in rows]
+
+    (U, T, q, Qdot), N, v, dW = (
+        columns([-4e4, 1e4, 2e4], [342.0, 331.9, 360.0], [9.15e-6, 0.0, 5e-6],
+                [-2e3, 0.0, 1e3]),
+        columns([1.0, 0.3, 2.0], [1.0, 1.7, 0.05]),
+        columns([-40.0, 3.0, 0.5], [-50.0, -2.0, 7.0]),
+        columns([0.01, -0.02, 0.0], [0.03, 0.0, -0.01], [-0.02, 0.01, 0.04]))
+    return _States(U=U, T=T, q=q, Qdot=Qdot, N=N, v=v, dW=dW, T_star=331.9,
+                   mu_star=[-40.0, -50.0], V_star=1e-3)
+
+
+def _view_calls(net, s):
+    """The traced entry points' calls at the states ``s`` and the calls
+    that read a noise intensity, lambda or R: sde_terms, margins, both
+    damping weights and jacket_temperature."""
+    N, T = s.N, s.T
+    h, mu_over_T, _, theta = kernel.closures(net, N, T)
+    forward, backward = kernel.mass_action(
+        net, kernel.flow_column(net, N, h)[2], kernel.rate_constants(net, T))
+    calls = _entry_calls(net, s)
+    calls.update({
+        "sde_terms": kernel.sde_terms(net, N, T, s.q, s.Qdot),
+        "margins": kernel.margins(net, N, T, h, mu_over_T, theta, s.v,
+                                  s.V_star),
+        "damping_weights logmean": kernel.damping_weights(
+            net, forward, backward, T),
+        "damping_weights strict": kernel.damping_weights(
+            net, forward, backward, T, kernel.affinity(net, mu_over_T, T)),
+        "jacket_temperature": kernel.jacket_temperature(net, s.Qdot, T)})
+    return calls
+
+
+@pytest.mark.parametrize("text", _VIEW_NETWORKS, ids=["A -> B", "2 A -> B"])
+def test_the_kernel_reads_numbers_only_through_the_view(text):
+    """With its constants cached and its species, reactor, inlet and noise
+    then None, a network gives every bit of the intact one in every call
+    that steps a path or reads a noise intensity, lambda or R: on floats,
+    on its float view and on its batch view."""
+    net, bare = parse_network(text), parse_network(text)
+    bare.step_constants
+    bare.__dict__.update(species=None, reactor=None, inlet=None, noise=None)
+    s = _view_states()
+    for view in (lambda n: n, lambda n: n.float_view):
+        for i in range(len(s.T)):
+            got, want = (_flat(_view_calls(view(n), s.floats(i)), 1)
+                         for n in (bare, net))
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    got, want = (_flat(_view_calls(kernel.batch_view(n), s), len(s.T))
+                 for n in (bare, net))
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_a_batch_view_takes_each_rows_noise_from_its_constants(net):
+    """A batch view whose noise constants are columns, row i those of
+    network i, steps each row with the bits of that network's lone call:
+    every noise intensity is read through the view."""
+    nets = (net, net.with_noise(net.noise.scaled(2.0, 3.0, 4.0)))
+    fields = ("rho1", "rho2", "rho3", "half_rho2_sq", "half_rho3_sq")
+    view = kernel.batch_view(net)
+    view.__dict__["step_constants"] = view.step_constants._replace(**{
+        f: np.array([getattr(n.step_constants, f) for n in nets])
+        for f in fields})
+    s = _view_states(2)
+    rows = _flat(_entry_calls(view, s), 2).view(np.uint64).tolist()
+    lone = [[_flat(_entry_calls(n.float_view, s.floats(i)), 1)[0].view(
+        np.uint64).tolist() for i in range(2)] for n in nets]
+    assert rows == [lone[0][0], lone[1][1]]
+    assert lone[0][1] != lone[1][1]  # the noise shows in row 1
+
+
 def test_species_named_like_the_generated_code_step_as_plain_names(gains):
     """No species name enters the traced code: a network whose species
     are exp, log, v0 and k0 steps with the bits of the same network under

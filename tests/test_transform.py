@@ -1,11 +1,14 @@
 """Setpoint construction, the shifted availability storage function, and the
 transformed port quantities built around it."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import equilibrium_composition, random_states
-from phreactor import kernel
+from phreactor import kernel, presets, transform
 from phreactor.control import control_law
 from phreactor.equilibrium import ConvergenceError, drift_residual
 from phreactor.structure import (
@@ -258,3 +261,22 @@ def test_equivalence_residual_zero_at_reaction_equilibrium(cnet):
         st = ThermoState.from_temperature(cnet, N, T)
         scale = max(np.abs(st.mu_over_T).max(), 1.0)
         assert equivalence_residual(cnet, s, st.x) < 1e-10 * scale
+
+
+def test_equivalence_residual_warns_where_the_rate_ratio_overflows(net):
+    """Where r_f / r_b overflows in the log-mean weight, a direct call
+    gives the residual's value and warning on numpy float64 scalars: the
+    float view's log of +inf hands the formula back to numpy."""
+    fast = replace(net, reactions=(replace(
+        net.reactions[0], k0f=1e300, Ef=0.0, k0b=1e-10, Eb=0.0),))
+    s = setpoint_from_state(fast, [1.3, 0.7], presets.T_STAR, presets.Q_STAR)
+    st = ThermoState.from_temperature(fast, [1.0, 1.0], 342.0)
+    results = []
+    for f, args in ((equivalence_residual, (fast, s, st)),
+                    (lambda *a: transform._shift_residual(*a)[0],
+                     (fast, st.N / fast.reactor.V, np.float64(st.T),
+                      s.pi_star[1:]))):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results.append((f(*args), [str(w.message) for w in caught]))
+    assert results[0] == results[1] == (0.0, ["overflow encountered in divide"])

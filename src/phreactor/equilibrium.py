@@ -6,9 +6,10 @@ At fixed temperature T and flow q the stationary mole balance
 
 is solved by damped Newton iteration with its exact Jacobian
 nu (dr_f/dc - dr_b/dc) - (q/V) I, from the kernel's mass-action
-derivatives, for one T or a batch of them.  The scan solves a temperature
-grid as one batch, retries each point that fails from its nearest
-converged lower-T point, and narrows every sign change of
+derivatives, and its own p x p elimination (:func:`kernel.solve`): one
+body on floats for one T and on (B,) columns for a batch.  The scan solves
+a temperature grid as one batch, retries each point that fails from its
+nearest converged lower-T point, and narrows every sign change of
 
     E(T) = q (c_in^T h(T_in) - N(T)^T h(T)/V) + lambda (T_w - T),
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, sub
+from operator import add, and_, sub
 
 import numpy as np
 
@@ -87,7 +88,7 @@ def _residual(net: ReactionNetwork, c, k_T, q):
     forward, backward = kernel.mass_action(net, c, k_T)
     f = [flux + q * gap for flux, gap in zip(kernel.reaction_flux(
         net, list(map(sub, forward, backward))), kernel.feed_gap(net, c))]
-    return f, net.reactor.V * kernel.total(map(add, forward, backward))
+    return f, net.step_constants.V * kernel.total(map(add, forward, backward))
 
 
 def _jacobian(net: ReactionNetwork, c, k_T, q):
@@ -98,61 +99,65 @@ def _jacobian(net: ReactionNetwork, c, k_T, q):
     J = [[kernel.dot(nu_k, dr_j) for dr_j in dr]  # nu_k by column j of dr
          for nu_k in net.step_constants.nu]
     for k, row in enumerate(J):
-        row[k] = row[k] - q / net.reactor.V
+        row[k] = row[k] - q / net.step_constants.V
     return J
 
 
-def _balance(net: ReactionNetwork, N, k_T, q):
-    """Per row of N (B, p): the mole balance's norm, residual (B, p) and
-    convergence scale (out= gives a network without reactions its shape),
-    given the rows' constants k_T (2 r, B)."""
-    f, turnover = _residual(net, (N / net.reactor.V).T, k_T, q)
-    floor = max(q * max(net.inlet.c_in), 1e-300)
-    scale = np.maximum(turnover, floor, out=np.empty(N.shape[:-1]))
-    return np.sqrt(kernel.dot(f, f)), np.array(f).T, scale
+def _newton(net: ReactionNetwork, Ts, q, N, k_T):
+    """The damped Newton from species-major N, one row's floats on the float
+    view or (B,) columns, given the rows' constants k_T: each row's last
+    iterate (B, p), whether it converged, and the first T whose Jacobian is
+    singular, if one stops it.  Converged rows leave the working set; rows
+    that fail the decrease test halve their step, gathered unless all do."""
+    k, rows, singular = net.step_constants, slice(None), None
+    out, done = np.empty((Ts.size, len(N))), np.zeros(Ts.size, dtype=bool)
+    floor = max(q * max(k.c_in), 1e-300)
 
+    def balance(N, k_T):  # the norm, the residual and the converged rows
+        f, turnover = _residual(net, [n / k.V for n in N], k_T, q)
+        tol = 1e-12 * k.where(floor > turnover, floor, turnover)  # np.maximum
+        return (k.sqrt(kernel.dot(f, f)), f,
+                reduce(and_, [abs(f_j) <= tol for f_j in f]))
 
-def _balance_jacobian(net: ReactionNetwork, N, k_T, q):
-    """Per row of N (B, p): the :func:`_jacobian` (B, p, p), given k_T."""
-    J = np.empty((*N.shape, net.n_species))
-    for k, row in enumerate(_jacobian(net, (N / net.reactor.V).T, k_T, q)):
-        for j, entry in enumerate(row):
-            J[..., k, j] = entry
-    return J
-
-
-def _lone_newton(net: ReactionNetwork, N, k_T, q):
-    """One row's iteration on floats, from floats N and k_T: its converged N,
-    the bits of its batch row; or None where it does not converge or meets
-    an inf or NaN or a singular Jacobian."""
-    V, floor = net.reactor.V, max(q * max(net.inlet.c_in), 1e-300)
-
-    def balance(N):
-        f, turnover = _residual(net, [n / V for n in N], k_T, q)
-        best, scale = math.sqrt(kernel.dot(f, f)), max(turnover, floor)
-        if not best + scale < math.inf:
-            raise FloatingPointError
-        return best, f, scale
-
-    try:
-        best, f, scale = balance(N)
-        for _ in range(MAX_NEWTON_ITER):
-            if all(abs(f_j) <= 1e-12 * scale for f_j in f):
-                return N
-            J = _jacobian(net, [n / V for n in N], k_T, q)
-            if not abs(sum(map(sum, J))) < math.inf:
-                raise FloatingPointError
-            step = np.linalg.solve(J, [-f_j for f_j in f]).tolist()
-            # from the full step (alpha 1.0; a NaN best enters the loop),
-            # halve until the norm falls enough
-            N_old, best_old, alpha, best = N, best, 2.0, math.nan
-            while not (best <= (1.0 - 1e-4 * alpha) * best_old or alpha < 1e-8):
-                alpha = 0.5 * alpha  # np.maximum's clamp: NaN stays, -0.0 is 0.0
-                N = [0.0 if n <= 0.0 else n for n in map(
-                    add, N_old, [alpha * s for s in step])]
-                best, f, scale = balance(N)
-    except (FloatingPointError, np.linalg.LinAlgError):
-        return None
+    best, f, conv = balance(N, k_T)
+    for _ in range(MAX_NEWTON_ITER):
+        if k.all(conv):
+            break
+        if k.any(conv):  # converged rows leave the working set
+            rows, keep = np.arange(Ts.size)[rows], ~conv
+            out[rows[conv]], done[rows[conv]] = np.array([n[conv] for n in N]).T, True
+            rows, best, N, f, k_T = rows[keep], best[keep], *(
+                [a[keep] for a in x] for x in (N, f, k_T))
+        try:
+            step = kernel.solve(net, _jacobian(net, [n / k.V for n in N], k_T,
+                                               q), [-f_j for f_j in f])
+        except ZeroDivisionError as exc:  # args[1] marks the singular rows
+            singular = Ts[rows][np.argmax(exc.args[1])]
+            break
+        # every row takes its full step (alpha 1.0), clamped as np.maximum(N,
+        # 0.0) (NaN stays); the rows whose norm does not fall enough halve it
+        N_old, best_old, k_h, alpha, at, ok = N, best, k_T, 2.0, None, False
+        while not k.all(ok):
+            if k.any(ok):  # gather the rows that halve
+                at, fail = np.flatnonzero(~ok) if at is None else at[~ok], ~ok
+                N_old, step, k_h = ([a[fail] for a in x]
+                                    for x in (N_old, step, k_h))
+                best_old = best_old[fail]
+            alpha = 0.5 * alpha
+            N_try = [k.where(n <= 0.0, 0.0, n) for n in map(
+                add, N_old, [alpha * s for s in step])]
+            norm, f_try, conv_try = balance(N_try, k_h)
+            if at is None:
+                N, best, f, conv = N_try, norm, f_try, conv_try
+            else:
+                for whole, part in zip((*N, *f, best, conv),
+                                       (*N_try, *f_try, norm, conv_try)):
+                    whole[at] = part
+            ok = (norm <= (1.0 - 1e-4 * alpha) * best_old) | (alpha < 1e-8)
+    else:
+        conv = False
+    out[rows], done[rows] = np.array(N).T, k.all(conv)
+    return out, done, singular
 
 
 def conserved_moles(net: ReactionNetwork) -> str:
@@ -177,72 +182,38 @@ def mass_balance_steady(net: ReactionNetwork, T, q: float,
                         N0=None) -> np.ndarray:
     """Solve the stationary mole balance at (T, q) for the composition N.
 
-    Damped Newton from N = V c_in (or the warm start N0) with the exact
-    Jacobian (:func:`kernel.mass_action_jacobian`, so also at a zero
-    concentration) and step halving on residual increase.  A scalar T
-    iterates on Python floats (:func:`_lone_newton`: the batch's formulas
-    and LAPACK solve) and returns a converged, nonnegative N with the bits
-    of its row in a batch; any other outcome, or an inf, NaN or singular
-    Jacobian on the way, is repeated as a one-row batch, for its errors and
-    numpy's warnings.  T of shape (B,) solves B rows as one batch and gives
-    N of shape (B, p).  The Arrhenius constants of every row are evaluated
-    once per call
-    (:func:`kernel.rate_constants`), since T stays fixed through the solve.
-    A row leaves the working set (a slice of all B until one leaves) with
-    its constants when it converges; every live row takes its full step,
-    and only the rows whose norm does not fall enough are gathered and
-    halve it, so the batch pays for its live rows only and each row keeps
-    the bits of its lone solve.  Raises :class:`ConvergenceError` naming
-    the combination of mole numbers the network conserves at q = 0
+    Damped Newton (:func:`_newton`) from N = V c_in (or the warm start N0)
+    with the exact Jacobian (:func:`kernel.mass_action_jacobian`, so also at
+    a zero concentration), the kernel's p x p :func:`kernel.solve` and step
+    halving on residual increase.  A scalar T iterates on the float view's
+    Python floats and returns a converged, finite, nonnegative N; any other
+    outcome is repeated as a one-row batch, for its errors and numpy's
+    warnings.  T of shape (B,) solves B rows as one batch on (B,) columns
+    and gives N of shape (B, p); each row has the bits of its lone solve,
+    and the Arrhenius constants of every row are evaluated once per call
+    (:func:`kernel.rate_constants`).  Raises :class:`ConvergenceError`
+    naming the combination of mole numbers the network conserves at q = 0
     (:func:`conserved_moles`), which leaves N undetermined, the first T not
-    converged in ``MAX_NEWTON_ITER`` iterations, or a T where the solve
-    meets a singular Jacobian; and :class:`ValueError` if a solution has a
-    negative component.
+    converged in ``MAX_NEWTON_ITER`` iterations, or the first T whose
+    Jacobian is singular (a zero pivot), with every row's last iterate; and
+    :class:`ValueError` if a solution has a negative component.
     """
     Ts = np.asarray(T, dtype=float).reshape(-1)
     N = np.empty((Ts.size, net.n_species))
     N[...] = net.reactor.V * net.c_in if N0 is None else N0
-    done = np.zeros(Ts.size, dtype=bool)
     if q == 0 and (conserved := conserved_moles(net)):
         raise ConvergenceError(f"at q=0 the closed reactor conserves "
                                f"{conserved}, so the mole balance does not "
-                               "determine N", N, done)
-    kw = np.reshape(kernel.rate_constants(net, Ts),  # row i's in column i
-                    (2 * len(net.reactions), Ts.size))
-    if not np.ndim(T) and (lone := _lone_newton(  # else the batch repeats it
-            net, N[0].tolist(), kw[:, 0].tolist(), q)) and min(lone) >= 0.0:
-        return np.array(lone)
-    rows, Nw, conv = slice(None), N, done
-    best, f, scale = _balance(net, N, kw, q)
-    for _ in range(MAX_NEWTON_ITER):
-        # max |f_j| column by column: numpy reduces a short axis row by row
-        conv = reduce(np.maximum, np.abs(f).T) <= 1e-12 * scale
-        if conv.all():
-            break
-        if conv.any():  # converged rows leave the working set
-            at, keep = np.arange(Ts.size)[rows], ~conv
-            N[at[conv]], done[at[conv]] = Nw[conv], True
-            rows, Nw, f, best = (a[keep] for a in (at, Nw, f, best))
-            kw = kw[:, keep]
-        J = _balance_jacobian(net, Nw, kw, q)
-        try:
-            step = np.linalg.solve(J, -f[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            N[rows], T_bad = Nw, Ts[rows][np.argmin(np.abs(np.linalg.det(J)))]
-            raise ConvergenceError(f"singular Jacobian at T={T_bad}", N, done) from exc
-        # every row takes its full step; only the rows whose norm does not
-        # fall enough are gathered and halve it, round by round
-        N_old, best_old = Nw, best
-        Nw = np.maximum(N_old + step, 0.0)
-        best, f, scale = _balance(net, Nw, kw, q)
-        ok, i, alpha = best <= (1.0 - 1e-4) * best_old, slice(None), 1.0
-        while not ok.all():
-            i, alpha = np.arange(len(Nw))[i][~ok], 0.5 * alpha
-            N_try = np.maximum(N_old[i] + alpha * step[i], 0.0)
-            norm, f[i], scale[i] = _balance(net, N_try, kw[:, i], q)
-            Nw[i], best[i] = N_try, norm
-            ok = (norm <= (1.0 - 1e-4 * alpha) * best_old[i]) | (alpha < 1e-8)
-    N[rows], done[rows] = Nw, conv.all()  # all rows left converged, or none
+                               "determine N", N, np.zeros(Ts.size, dtype=bool))
+    kw = kernel.rate_constants(net, Ts)  # a (B,) column per constant
+    if not np.ndim(T):  # on floats; the batch repeats any other outcome
+        lone, done, _ = _newton(net.float_view, Ts, q, N[0].tolist(),
+                                [float(k_i[0]) for k_i in kw])
+        if done[0] and 0.0 <= min(x := lone[0].tolist()) and max(x) < math.inf:
+            return lone[0]
+    N, done, singular = _newton(net, Ts, q, [*N.T], kw)
+    if singular is not None:  # every row's last iterate
+        raise ConvergenceError(f"singular Jacobian at T={singular}", N, done)
     if not done.all():
         raise ConvergenceError(
             f"mole balance did not converge at T={Ts[~done][0]}, q={q}", N, done)

@@ -54,15 +54,16 @@ import numpy as np
 StepConstants = namedtuple("StepConstants", "cp neg_cp h_ref s_ref k0 neg_E "
                            "slots grad_slots tail nu nu_T rho1 rho2 rho3 "
                            "half_rho2_sq half_rho3_sq lam V R T_ref PV c_in "
-                           "h_in exp log where")
+                           "h_in exp log where sqrt any all")
 
 
 def step_constants(net) -> StepConstants:
     """``net``'s constants as floats read from its fields, cached as
     ``net.step_constants``: cp, -cp, h_ref, s_ref; k0 and -E, forward then
     backward, with the :func:`_factors` of their multiplicities; nu by species
-    and by reaction; rho1, rho2, rho3, rho2^2/2, rho3^2/2, lambda, V, R,
-    T_ref, PV, c_in, c_in^T h(T_in); numpy's exp, log and where."""
+    and by reaction; rho1, rho2, rho3, rho2^2/2, rho3^2/2, lambda, V, R, T_ref,
+    PV, c_in, c_in^T h(T_in); numpy's exp, log, where and sqrt, and its logical
+    or and logical and reductions as any and all."""
     rx, rho, sp, rxns = net.reactor, net.noise, net.species, net.reactions
     cp, p = [float(s.cp) for s in sp], range(len(sp))
     nu = [[float(r.products[j] - r.reactants[j]) for r in rxns] for j in p]
@@ -75,18 +76,20 @@ def step_constants(net) -> StepConstants:
              for j in p]), nu, [list(column) for column in zip(*nu)],
         rho.rho1, rho.rho2, rho.rho3, 0.5 * rho.rho2 ** 2, 0.5 * rho.rho3 ** 2,
         rx.lam, rx.V, rx.R_gas, rx.T_ref, rx.P * rx.V,
-        [float(c) for c in net.inlet.c_in], None, np.exp, np.log, np.where)
+        [float(c) for c in net.inlet.c_in], None, np.exp, np.log, np.where,
+        np.sqrt, np.logical_or.reduce, np.logical_and.reduce)
     return k._replace(h_in=dot(k.c_in, _enthalpy(k, net.inlet.T_in)))
 
 
 def float_view(net):
     """``net`` whose exp and log return numpy's results as Python floats
     (``math.exp`` differs), a log of x <= 0, +inf or NaN raising
-    ZeroDivisionError, whose where picks floats, and with the ``traces`` of
-    :func:`_traced`, ``net`` at None: one state's formulas run on floats."""
+    ZeroDivisionError, whose where picks floats, any and all are bool and
+    sqrt math's, with the ``traces`` of :func:`_traced`, ``net`` at None:
+    one state's formulas run on floats."""
     view = copy.copy(net)
     view.__dict__["step_constants"] = net.step_constants._replace(
-        exp=lambda x: float(np.exp(x)),
+        exp=lambda x: float(np.exp(x)), sqrt=math.sqrt, any=bool, all=bool,
         log=lambda x: float(np.log(x)) if 0.0 < x < math.inf else 1.0 / 0.0,
         where=lambda c, x, y: x if c else y)
     view.__dict__["traces"] = {None: net}  # None: the fallback
@@ -226,6 +229,32 @@ def dot(a, b):
     """a_0 b_0 + a_1 b_1 + ..., added left to right; 0.0 for none."""
     terms = map(mul, a, b)
     return reduce(add, terms, next(terms, 0.0))
+
+
+def solve(net, A, b) -> list:
+    """x with A x = b, A p rows of p items and b p items: Gaussian
+    elimination with partial pivoting, each lower row that beats the pivot
+    row swapping up (so the first largest |pivot|), and back substitution,
+    in one order.  A zero pivot raises ZeroDivisionError marking its rows."""
+    k, p = net.step_constants, len(b)
+    rows, singular = [[*a, b_j] for a, b_j in zip(A, b)], False
+    for j, row in enumerate(rows):
+        for low in rows[j + 1:]:
+            if k.any(up := abs(low[j]) > abs(row[j])):
+                pairs = [*zip(row[j:], low[j:])]
+                row[j:] = [k.where(up, y, x) for x, y in pairs]
+                low[j:] = [k.where(up, x, y) for x, y in pairs]
+        zero = row[j] == 0.0  # divided as 1.0: its column is zero below it
+        singular, pivot = singular | zero, k.where(zero, 1.0, row[j])
+        for low in rows[j + 1:]:
+            m = low[j] / pivot
+            low[j + 1:] = map(sub, low[j + 1:], [m * c for c in row[j + 1:]])
+    if k.any(singular):
+        raise ZeroDivisionError("zero pivot", singular)
+    x = []
+    for j, row in reversed([*enumerate(rows)]):
+        x.insert(0, reduce(sub, map(mul, row[j + 1:p], x), row[p]) / row[j])
+    return x
 
 
 def _enthalpy(k, T):

@@ -14,9 +14,9 @@ residual R(x) pi*, which vanishes when the target composition is at
 reaction equilibrium (net affinity zero at x*) and is generally nonzero
 for flow-sustained targets; :func:`equivalence_residual` reports its size
 so callers can judge how far a given target is from the ideal shift.  Its
-norm adds the squares left to right, as every species sum does, so the one
-BLAS/LAPACK call of a ``phreactor check`` at q* > 0 is the setpoint
-Newton's p x p solve (:func:`equilibrium.mass_balance_steady`).
+norm adds the squares left to right, as every species sum does, and the
+setpoint's Newton solves with the kernel's own elimination, so a ``phreactor
+check`` calls no BLAS or LAPACK routine.
 """
 
 from __future__ import annotations

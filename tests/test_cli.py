@@ -548,6 +548,27 @@ def test_overflowing_spread_warns_of_nothing(cfg_path, tmp_path, capsys):
     assert "inf" in {cell for row in rows for cell in row}
 
 
+def test_check_bytes_do_not_follow_the_openblas_core_type(tmp_path):
+    """At q* > 0 the setpoint's Newton solves with the kernel's elimination,
+    so a check calls no BLAS or LAPACK routine: its check.csv has the same
+    bytes in a child with OPENBLAS_CORETYPE=Haswell as in one without."""
+    src = str(Path(phreactor.__file__).parents[1])
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))
+    written = []
+    for name, variant in (("default", {}),
+                          ("haswell", {"OPENBLAS_CORETYPE": "Haswell"})):
+        subprocess.run(
+            [sys.executable, "-m", "phreactor", "check", "--T", "342", "--N",
+             "1,1", "--setpoint-T", "331.9", "--setpoint-q", "1e-7", "--out",
+             str(tmp_path / name)], env={**env, **variant}, check=True,
+            stdout=subprocess.DEVNULL)
+        written.append((tmp_path / name / "check.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_unallocatable_record_table_exits_1(tmp_path):
     # 1e10 steps, which int64 holds: the 1e9 recorded steps cannot be
     # allocated.  The child runs under a 2 GiB address-space limit, so code

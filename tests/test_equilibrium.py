@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (NO_REACTION, THREE_REACTIONS, equilibrium_composition,
@@ -76,16 +76,18 @@ def test_negative_root_raises_value_error():
     # 2 A -> B has a second root of its mole balance with N_A < 0 near
     # (-1.92693, 1.96347); an unclamped Newton iteration from (-1, 2) finds
     # it, and passed as N0 it converges at once
-    net2 = parse_network(NONLINEAR)
-    k_T, q = kernel.rate_constants(net2, np.array([331.9])), 9.15e-6
-    N = np.array([[-1.0, 2.0]])
+    net2, q = parse_network(NONLINEAR), 9.15e-6
+    view = net2.float_view
+    k_T, N = kernel.rate_constants(view, 331.9), [-1.0, 2.0]
     for _ in range(50):
-        _, f, _ = equilibrium._balance(net2, N, k_T, q)
-        J = equilibrium._balance_jacobian(net2, N, k_T, q)
-        N = N + np.linalg.solve(J, -f[..., None])[..., 0]
-    np.testing.assert_allclose(N[0], [-1.92693, 1.96347], atol=1e-5)
+        c = [n / view.reactor.V for n in N]
+        f, _ = equilibrium._residual(view, c, k_T, q)
+        step = kernel.solve(view, equilibrium._jacobian(view, c, k_T, q),
+                            [-f_j for f_j in f])
+        N = [n + s for n, s in zip(N, step)]
+    np.testing.assert_allclose(N, [-1.92693, 1.96347], atol=1e-5)
     with pytest.raises(ValueError, match="negative component"):
-        mass_balance_steady(net2, 331.9, q, N0=N[0])
+        mass_balance_steady(net2, 331.9, q, N0=N)
 
 
 def test_convergence_error_when_iterations_exhausted(net, monkeypatch):
@@ -136,6 +138,106 @@ def test_scan_reraises_when_a_round_converges_nothing(net, monkeypatch):
     assert not info.value.converged.any()
 
 
+def _eliminate(A, b):
+    """A x = b on Python floats, written out: each row below the pivot row
+    whose |entry| in the pivot column beats the pivot's swaps with it, each
+    row below loses its multiple of the pivot row, and back substitution
+    subtracts the known terms one by one."""
+    rows = [[*map(float, a), float(b_k)] for a, b_k in zip(A, b)]
+    p = len(rows)
+    for j in range(p):
+        for i in range(j + 1, p):
+            if abs(rows[i][j]) > abs(rows[j][j]):
+                rows[i], rows[j] = rows[j], rows[i]
+        for i in range(j + 1, p):
+            m = rows[i][j] / rows[j][j]
+            for l in range(j + 1, p + 1):
+                rows[i][l] = rows[i][l] - m * rows[j][l]
+    x = [0.0] * p
+    for j in reversed(range(p)):
+        rest = rows[j][p]
+        for l in range(j + 1, p):
+            rest = rest - rows[j][l] * x[l]
+        x[j] = rest / rows[j][j]
+    return np.array(x)
+
+
+#: Matrix and right-hand side entries: ties, signed zeros and wide floats.
+_SOLVE_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+                           st.floats(-1e3, 1e3))
+
+
+def _as_columns(A, b):
+    """A (B, p, p) and b (B, p) as kernel.solve takes a batch: p rows of p
+    (B,) columns, and p (B,) columns."""
+    return [list(row) for row in A.transpose(1, 2, 0)], list(b.T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(1, 5), B=st.integers(1, 6), data=st.data())
+def test_solve_rows_have_the_bits_of_their_float_calls(net, p, B, data):
+    """kernel.solve on (B,) columns gives each row the bits of its call on
+    the row's Python floats through the float view, a NaN's sign excepted,
+    also where pivots tie or are zero: a batch raises where one of its rows
+    does, marking exactly the rows whose float call raises."""
+    A = data.draw(arrays(float, (B, p, p), elements=_SOLVE_ENTRIES))
+    b = data.draw(arrays(float, (B, p), elements=_SOLVE_ENTRIES))
+    lone = []
+    for A_i, b_i in zip(A, b):
+        try:
+            x = kernel.solve(net.float_view, A_i.tolist(), b_i.tolist())
+            assert {type(x_j) for x_j in x} == {float}
+        except ZeroDivisionError as exc:
+            assert exc.args[1] is True
+            x = None
+        lone.append(x)
+    with np.errstate(all="ignore"):  # an overflow's inf - inf
+        try:
+            batch = kernel.solve(net, *_as_columns(A, b))
+        except ZeroDivisionError as exc:
+            np.testing.assert_array_equal(exc.args[1],
+                                          [x is None for x in lone])
+            return
+    same_bits_but_nan_sign(rows_first(batch, B), np.array(lone))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(1, 5), data=st.data())
+def test_solve_agrees_with_lapack_within_the_condition_number(net, p, data):
+    """x from kernel.solve and from np.linalg.solve differ by at most twice
+    the forward error bound of partial pivoting, 3 p eps times the growth
+    bound 2 ** (p - 1) times p times cond(A), relative to |x|; entries of
+    magnitude 1e-3 to 1e3, or 0, keep the elimination off the subnormals."""
+    normal = st.one_of(st.just(0.0), st.floats(1e-3, 1e3),
+                       st.floats(-1e3, -1e-3))
+    A = data.draw(arrays(float, (p, p), elements=normal))
+    b = data.draw(arrays(float, p, elements=normal))
+    cond = np.linalg.cond(A, np.inf)
+    bound = 2.0 * 3 * p * np.finfo(float).eps * 2.0 ** (p - 1) * p * cond
+    assume(bound < 1e-2 and b.any())
+    x, want = np.array(kernel.solve(net.float_view, A.tolist(), b.tolist())), \
+        np.linalg.solve(A, b)
+    assert np.abs(x - want).max() <= bound * np.abs(want).max()
+
+
+def test_solve_raises_at_a_zero_pivot(net):
+    """A zero pivot raises ZeroDivisionError, on floats and on columns, its
+    second argument marking the rows that meet one: a zero first column,
+    or a zero left by the elimination; a batch warns of no division."""
+    singular = [[[0.0, 1.0], [-0.0, 2.0]], [[1.0, 2.0], [2.0, 4.0]]]
+    for A in singular:
+        with pytest.raises(ZeroDivisionError) as info:
+            kernel.solve(net.float_view, A, [1.0, 1.0])
+        assert info.value.args[1] is True
+    A = np.array([[[1.0, 0.0], [0.0, 1.0]], *singular, [[2.0, 1.0], [1.0, 3.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroDivisionError) as info:
+            kernel.solve(net, *_as_columns(A, np.ones((4, 2))))
+    np.testing.assert_array_equal(info.value.args[1],
+                                  [False, True, True, False])
+
+
 def _newton_by_columns(net, T, q, N0=None, tol=1e-12):
     """The mole-balance solve as a scalar loop: one rate evaluation per
     residual, the exact Jacobian one column at a time, and every sum over
@@ -167,7 +269,7 @@ def _newton_by_columns(net, T, q, N0=None, tol=1e-12):
             J[:, j] = ([left_to_right(nu[k] * (dr_f[:, j] - dr_b[:, j]))
                         for k in range(N.size)]
                        - q / V * (np.arange(N.size) == j))
-        step = np.linalg.solve(J, -f)
+        step = _eliminate(J, -f)
         alpha = 1.0
         while True:
             N_try = np.maximum(N + alpha * step, 0.0)
@@ -260,24 +362,28 @@ def test_lone_solve_steps_on_floats_with_its_batch_row_s_bits(net, T, q,
                                                               warm):
     """A scalar T solves on Python floats and ends with the bits of its row
     solved as a one-row batch: the same N, or the same ConvergenceError
-    (text, N and converged, through _lone_outcome too) or ValueError."""
+    (text, N and converged, through _lone_outcome too) or ValueError; every
+    residual of the lone solve, whatever its outcome, is on floats."""
     N0 = [1e-3] * net.n_species if warm else None
-    residual, lone, types = equilibrium._residual, equilibrium._lone_newton, []
+    residual, newton, types = equilibrium._residual, equilibrium._newton, []
 
     def typed_residual(net, c, k_T, q):
         f, turnover = residual(net, c, k_T, q)
         types.append({type(x) for x in (*c, *f, turnover)})
         return f, turnover
 
-    def solved_lone(*args):
-        start, N = len(types), lone(*args)
-        if N is not None:  # no batch redo: every residual was on floats
-            assert types[start:] and all(t == {float} for t in types[start:])
-        return N
+    def lone_on_floats(net, Ts, q, N, k_T):
+        start = len(types)
+        try:
+            return newton(net, Ts, q, N, k_T)
+        finally:
+            if type(N[0]) is float:  # the lone solve, not its batch redo
+                assert types[start:]
+                assert all(t == {float} for t in types[start:])
 
     with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
         patch.setattr(equilibrium, "_residual", typed_residual)
-        patch.setattr(equilibrium, "_lone_newton", solved_lone)
+        patch.setattr(equilibrium, "_newton", lone_on_floats)
         # fewer iterations: quicker, and more solves end unconverged
         patch.setattr(equilibrium, "MAX_NEWTON_ITER", 40)
         scalar = _outcome(lambda: mass_balance_steady(net, T, q, N0=N0))
@@ -355,16 +461,18 @@ def test_singular_jacobian_reports_every_row_s_last_iterate(monkeypatch):
             mass_balance_steady(net, Ts, q)
         stopped[cap] = info.value
     monkeypatch.undo()
-    jacobian, sizes = equilibrium._balance_jacobian, []
+    jacobian, sizes = equilibrium._jacobian, []
 
-    def third_singular(*args):
+    def third_singular(*args):  # the last live row's Jacobian is zero
         J = jacobian(*args)
-        sizes.append(len(J))
+        sizes.append(len(J[0][0]))
         if len(sizes) == 3:
-            J[-1] = 0.0
+            for row in J:
+                for entry in row:
+                    entry[-1] = 0.0
         return J
 
-    monkeypatch.setattr(equilibrium, "_balance_jacobian", third_singular)
+    monkeypatch.setattr(equilibrium, "_jacobian", third_singular)
     with pytest.raises(ConvergenceError,
                        match=f"singular Jacobian at T={Ts[-1]}$") as info:
         mass_balance_steady(net, Ts, q)
@@ -380,9 +488,10 @@ def test_grid_solves_to_rounding_level(net, q):
     # Jacobian's last step lands every grid point far below it
     Ts = np.linspace(250.0, 500.0, 2000)
     N = mass_balance_steady(net, Ts, q)
-    _, f, scale = equilibrium._balance(net, N, kernel.rate_constants(net, Ts),
-                                       q)
-    assert (np.abs(f).max(-1) / scale).max() <= 1e-14
+    f, turnover = equilibrium._residual(net, N.T / net.reactor.V,
+                                        kernel.rate_constants(net, Ts), q)
+    scale = np.maximum(turnover, q * net.c_in.max())
+    assert (np.abs(f).max(0) / scale).max() <= 1e-14
 
 
 #: Step of the central differences, relative to max(N_j, 1e-3 mol).
@@ -398,10 +507,13 @@ def _central_differences(net, N, T, q, h):
     B, p = N.shape
     steps, k_T = h[:, None, :] * np.eye(p), kernel.rate_constants(net, T)
 
+    def residual(X):  # at the rows X (B, p, p), each row's constants p times
+        f, _ = equilibrium._residual(net, X.reshape(-1, p).T / net.reactor.V,
+                                     [k_i.repeat(p, 0) for k_i in k_T], q)
+        return np.transpose(f).reshape(B, p, p)
+
     def central(k):
-        f = [equilibrium._balance(net, (N[:, None] + s * k * steps).reshape(
-            -1, p), [k_i.repeat(p, 0) for k_i in k_T], q)[1].reshape(B, p, p)
-             for s in (1, -1)]
+        f = [residual(N[:, None] + s * k * steps) for s in (1, -1)]
         return ((f[0] - f[1]) / (2.0 * k * h[..., None])).swapaxes(-1, -2)
 
     return (4.0 * central(1) - central(2)) / 3.0
@@ -420,13 +532,14 @@ def test_exact_jacobian_matches_central_differences(net, data):
     T = data.draw(arrays(float, B, elements=st.floats(280.0, 420.0)))
     q = data.draw(st.one_of(st.just(0.0), st.floats(1e-8, 1e-4)))
     k_T = kernel.rate_constants(net, T)
-    J = equilibrium._balance_jacobian(net, N, k_T, q)
+    J = rows_first(equilibrium._jacobian(net, N.T / net.reactor.V, k_T, q), B,
+                   p)
     dr_f, dr_b = (rows_first(d, B, p) for d in kernel.mass_action_jacobian(
         net, N.T / net.reactor.V, k_T))
     for b in range(B):
         k_b = kernel.rate_constants(net, T[b])
-        np.testing.assert_array_equal(
-            J[b], equilibrium._balance_jacobian(net, N[b], k_b, q))
+        np.testing.assert_array_equal(J[b], np.array(equilibrium._jacobian(
+            net, N[b] / net.reactor.V, k_b, q)))
         for batch, lone in zip((dr_f, dr_b), kernel.mass_action_jacobian(
                 net, N[b] / net.reactor.V, k_b)):
             np.testing.assert_array_equal(batch[b], rows_first(lone, 1, p)[0])

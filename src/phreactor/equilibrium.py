@@ -21,6 +21,7 @@ of finite-difference Jacobians of the deterministic drift (:func:`classify`).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -187,7 +188,8 @@ def mass_balance_steady(net: ReactionNetwork, T, q: float,
     a zero concentration), the kernel's p x p :func:`kernel.solve` and step
     halving on residual increase.  A scalar T iterates on the float view's
     Python floats and returns a converged, finite, nonnegative N; any other
-    outcome is repeated as a one-row batch, for its errors and numpy's
+    outcome, a residual norm that overflows included (the view's sqrt of
+    inf raises), is repeated as a one-row batch, for its errors and numpy's
     warnings.  T of shape (B,) solves B rows as one batch on (B,) columns
     and gives N of shape (B, p); each row has the bits of its lone solve,
     and the Arrhenius constants of every row are evaluated once per call
@@ -207,10 +209,11 @@ def mass_balance_steady(net: ReactionNetwork, T, q: float,
                                "determine N", N, np.zeros(Ts.size, dtype=bool))
     kw = kernel.rate_constants(net, Ts)  # a (B,) column per constant
     if not np.ndim(T):  # on floats; the batch repeats any other outcome
-        lone, done, _ = _newton(net.float_view, Ts, q, N[0].tolist(),
-                                [float(k_i[0]) for k_i in kw])
-        if done[0] and 0.0 <= min(x := lone[0].tolist()) and max(x) < math.inf:
-            return lone[0]
+        with contextlib.suppress(ZeroDivisionError):  # sqrt of inf or NaN
+            lone, done, _ = _newton(net.float_view, Ts, q, N[0].tolist(),
+                                    [float(k_i[0]) for k_i in kw])
+            if done[0] and all(0.0 <= x < math.inf for x in lone[0].tolist()):
+                return lone[0]
     N, done, singular = _newton(net, Ts, q, [*N.T], kw)
     if singular is not None:  # every row's last iterate
         raise ConvergenceError(f"singular Jacobian at T={singular}", N, done)

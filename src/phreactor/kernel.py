@@ -3,7 +3,7 @@
 Every function takes the network and plain values (U in J, N in mol, T in
 K) and validates nothing: the public modules check shapes, the mole floor
 and T > 0 at their boundary (see :mod:`thermo`), and :mod:`sim` adds its
-own guards.  ``net``'s numbers are read only through ``net.step_constants``.
+own guards.  ``net``'s numbers and functions come from ``net.step_constants``.
 
 The kernel is species-major: a per-species quantity (N, h, mu/T, c, ...)
 is a sequence of p items and a per-reaction one a sequence of r items, a
@@ -12,14 +12,15 @@ q or Qdot, is a Python float for one state, whose exp and log numpy
 computes (the network's :func:`float_view`, built once per network), and
 an array, such as a (B,) column, for a batch, so each formula is one loop
 over species or reactions for both.  A float divisor of 0.0, as the float
-view's log of x <= 0, +inf or NaN, raises ZeroDivisionError where numpy
-gives inf or NaN and a warning, so a formula on it is redone on numpy: by
-the entry points below, and by :func:`on_floats`, also where a value comes
-out inf or NaN, since a float overflows without numpy's warning.  Every
-sum over species or reactions runs left to right, t_0 + t_1 + ...
-(:func:`total`, :func:`dot`), whatever the CPU core type (BLAS ``ddot``
-varies with it) or the operand shapes; every other operation keeps one
-order, and squares are ``x * x`` (a float's ``x ** 2`` calls ``pow``).
+view's log of x <= 0 or sqrt of x < 0, either of +inf or NaN, raises
+ZeroDivisionError where numpy gives inf or NaN and a warning, so a formula
+on it is redone on numpy: by the entry points below, by the lone
+steady-state solve, and by :func:`on_floats`, also where a value comes out
+inf or NaN, since a float overflows without numpy's warning.  Every sum over
+species or reactions runs left to right, t_0 + t_1 + ... (:func:`total`,
+:func:`dot`), whatever the CPU core type (BLAS ``ddot`` varies with it) or
+the operand shapes; every other operation keeps one order, and squares are
+``x * x`` (a float's ``x ** 2`` calls ``pow``).
 
 Every function is row-safe: each row of a batch result has the bits of the
 lone call on that row, but for a NaN's sign, which for two NaNs in a
@@ -83,14 +84,15 @@ def step_constants(net) -> StepConstants:
 
 def float_view(net):
     """``net`` whose exp and log return numpy's results as Python floats
-    (``math.exp`` differs), a log of x <= 0, +inf or NaN raising
-    ZeroDivisionError, whose where picks floats, any and all are bool and
-    sqrt math's, with the ``traces`` of :func:`_traced`, ``net`` at None:
-    one state's formulas run on floats."""
+    (``math.exp`` differs) and sqrt math's, a log of x <= 0 or a sqrt of
+    x < 0, either of +inf or NaN, raising ZeroDivisionError, whose where
+    picks floats and any and all are bool, with the ``traces`` of
+    :func:`_traced`, ``net`` at None: one state's formulas run on floats."""
     view = copy.copy(net)
     view.__dict__["step_constants"] = net.step_constants._replace(
-        exp=lambda x: float(np.exp(x)), sqrt=math.sqrt, any=bool, all=bool,
+        exp=lambda x: float(np.exp(x)), any=bool, all=bool,
         log=lambda x: float(np.log(x)) if 0.0 < x < math.inf else 1.0 / 0.0,
+        sqrt=lambda x: math.sqrt(x) if 0.0 <= x < math.inf else 1.0 / 0.0,
         where=lambda c, x, y: x if c else y)
     view.__dict__["traces"] = {None: net}  # None: the fallback
     return view
@@ -373,16 +375,17 @@ def affinity(net, mu_over_T, T) -> list:
 AFFINITY_GUARD = 1e-9
 
 
-def log_mean(a, b, where=np.where, log=np.log):
-    """Elementwise logarithmic mean (a - b) / ln(a / b), continuously
-    extended: 0 where an argument is nonpositive (an absent rate carries no
-    dissipation weight), the midpoint within 1e-9 relative.  Unselected
+def log_mean(k, a, b):
+    """Logarithmic mean (a - b) / ln(a / b) by k's where and log, extended
+    continuously: 0 where an argument is nonpositive (an absent rate carries
+    no dissipation weight), the midpoint within 1e-9 relative.  Unselected
     quotients see safe stand-in operands, so only selected ones can warn."""
     d = a - b
     absent = (a <= 0.0) | (b <= 0.0)
     other = absent | (abs(d) <= 1e-9 * (a + b))  # no quotient
-    ratio = where(other, 2.0, a) / where(other, 1.0, b)
-    return where(other, where(absent, 0.0, 0.5 * (a + b)), d / log(ratio))
+    ratio = k.where(other, 2.0, a) / k.where(other, 1.0, b)
+    return k.where(other, k.where(absent, 0.0, 0.5 * (a + b)),
+                   d / k.log(ratio))
 
 
 def damping_weights(net, forward, backward, T, affinity=None) -> list:
@@ -392,12 +395,11 @@ def damping_weights(net, forward, backward, T, affinity=None) -> list:
     |affinity| > :data:`AFFINITY_GUARD`, the log-mean weight elsewhere."""
     k = net.step_constants
     RT = k.R * T
-    coef = [log_mean(f, b, k.where, k.log) / RT
-            for f, b in zip(forward, backward)]
+    coef = [log_mean(k, f, b) / RT for f, b in zip(forward, backward)]
     if affinity is None:
         return coef
-    strict = [np.abs(a) > AFFINITY_GUARD for a in affinity]
-    return [np.where(s, (f - b) / np.where(s, a, 1.0), w)
+    strict = [abs(a) > AFFINITY_GUARD for a in affinity]
+    return [k.where(s, (f - b) / k.where(s, a, 1.0), w)
             for f, b, a, s, w in zip(forward, backward, affinity, strict, coef)]
 
 
@@ -476,10 +478,11 @@ def margins(net, N, T, h, mu_over_T, theta, grad_N, V_star) -> Margins:
     rxn_lhs = half_rho1_sq * V_star * mixing_scale(net, N, h, theta, 0.0, f,
                                                    N_sum) / theta
     rxn_rhs = dot(rate_net, affinity(net, mu_over_T, T)) / T
+    scale = abs(trace_rhs)  # tolerance 1e-12 max(1, scale), NaN kept
     return Margins(
         noise_lhs < noise_rhs, noise_lhs, noise_rhs,
-        0.5 * np.sqrt(noise_lhs) / theta,
-        trace_lhs <= trace_rhs + 1e-12 * np.maximum(1.0, np.abs(trace_rhs)),
+        0.5 * k.sqrt(noise_lhs) / theta,
+        trace_lhs <= trace_rhs + 1e-12 * k.where(1.0 > scale, 1.0, scale),
         trace_lhs, trace_rhs, rxn_lhs <= rxn_rhs, rxn_lhs, rxn_rhs,
         dot(grad_N, flux))
 

@@ -269,7 +269,7 @@ class _Stepper:
         if self.noise is not None:
             at, k = self.cursor[rows], self.noise.shape[1]
             used_up = at == k  # one bool for a lone path's int row
-            if used_up if type(rows) is int else np.logical_or.reduce(used_up):
+            if self.net.step_constants.any(used_up):
                 for r in np.asarray(rows)[used_up].tolist():
                     self.noise[r] = self.paths[r].rng.standard_normal((k, 3))
                 at = at % k  # the used-up rows read their fresh blocks at 0
@@ -396,8 +396,7 @@ def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
     st0 = as_state(net, x0)
     lone = n == 1
     rows = 0 if lone else np.arange(n)  # a lone path: floats, row int 0
-    every, least = ((bool, min) if lone else (
-        np.logical_and.reduce, lambda N: np.minimum.reduce(reduce(np.minimum, N))))
+    least = min if lone else lambda N: np.minimum.reduce(reduce(np.minimum, N))
     U, T, *N = (float(a) if lone else np.full(n, a) for a in (st0.U, st0.T, *st0.N))
     dt, j = cfg.dt, 0
     for k in range(cfg.n_steps):
@@ -411,7 +410,7 @@ def _simulate_paths(net: ReactionNetwork, sp: Setpoint | None,
         # floor and at T > 0 as it is.  A NaN N_j makes N^T cp and so T NaN
         # (a lone path's min may pass it), an infinite N_j makes N^T h_ref
         # and so T NaN, and a NaN or infinite U a T that is not finite.
-        if (N_TRAJ_FLOOR <= least(N_new) and every(
+        if (N_TRAJ_FLOOR <= least(N_new) and run.net.step_constants.all(
                 (0 < (T_new := kernel.temperature(run.net, U_new, N_new)))
                 & (T_new < math.inf))):
             U, N, T = U_new, N_new, T_new

@@ -292,6 +292,23 @@ def _same_bits(a, b):
 SOLVE_NETWORKS = (presets.CONFIG_TEXT, NONLINEAR, THREE_REACTIONS)
 
 
+@pytest.mark.parametrize("N0", [(1e200, 1e200), (1e300, 1e-300)])
+def test_lone_solve_that_overflows_warns_as_its_batch_row(net, N0):
+    """From a start whose residual norm overflows, f . f = inf on floats
+    without numpy's warning, the float view's sqrt raises and the scalar T
+    is solved again as a one-row batch: the warnings and bits of T=[T*]."""
+    got = []
+    for T in (presets.T_STAR, [presets.T_STAR]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            N = mass_balance_steady(net, T, presets.Q_STAR, N0=np.array(N0))
+        got.append((np.reshape(N, -1).view(np.uint64).tolist(),
+                    [(str(w.message), w.category) for w in caught]))
+    assert got[0] == got[1]
+    assert {message for message, _ in got[0][1]} == {
+        "overflow encountered in multiply"}
+
+
 def _lone_outcome(net, T, q, N0=None):
     """One row's solve alone: its last iterate and whether it converged."""
     try:

@@ -2,18 +2,22 @@
 the public step functions, batched-ensemble equivalence with single paths,
 guard events, and ensemble aggregation."""
 
+import ast
 import math
+import sys
 import warnings
 from operator import mul
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import left_to_right, networks, rows_first, same_bits_but_nan_sign
+from conftest import (left_to_right, networks, random_states, rows_first,
+                      same_bits_but_nan_sign)
 from phreactor import control, kernel, presets, sim, thermo
 from phreactor.cli import main
 from phreactor.control import ControllerGains, control_law
@@ -28,7 +32,8 @@ from phreactor.sim import (
 )
 from phreactor.network import NoiseSpec, parse_network
 from phreactor.thermo import ThermoState
-from phreactor.transform import AvailabilityHamiltonian, setpoint_from_state
+from phreactor.transform import (AvailabilityHamiltonian, make_setpoint,
+                                 setpoint_from_state)
 
 
 # ------------------------------------------------------------ configuration
@@ -530,7 +535,8 @@ def _every_kernel_call(net, s):
             net, [f - b for f, b in zip(forward, backward)]),
         "affinity": affinity,
         # N + w takes the quotient, midpoint and absent-rate branches
-        "log_mean": [kernel.log_mean(n, n + w) for n, w in zip(N, s.w)],
+        "log_mean": [kernel.log_mean(net.step_constants, n, n + w)
+                     for n, w in zip(N, s.w)],
         "damping_weights logmean": weights,
         "damping_weights strict": kernel.damping_weights(
             net, forward, backward, T, affinity),
@@ -824,6 +830,81 @@ def test_the_kernel_reads_numbers_only_through_the_view(text):
     got, want = (_flat(_view_calls(kernel.batch_view(n), s), len(s.T))
                  for n in (bare, net))
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+#: Kernel functions that build views or switch between them: they may call
+#: numpy and math.
+_VIEW_BUILDERS = {"step_constants", "float_view", "batch_view", "_floats_as",
+                  "on_floats", "_trace", "_traced"}
+
+
+def _rooted_at_a_module(node):
+    """Whether ``node`` is np.<...> or math.<...>."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in ("np", "math")
+
+
+def test_kernel_formulas_take_their_functions_from_the_view():
+    """No kernel formula calls a function of numpy or math or takes one as a
+    default: each reads exp, log, where, sqrt, any and all from its network's
+    view, so the float, batch and traced views run every formula alike."""
+    tree = ast.parse(Path(kernel.__file__).read_text())
+    functions = [f for node in tree.body for f in (
+        node.body if isinstance(node, ast.ClassDef) else [node])
+        if isinstance(f, ast.FunctionDef) and f.name not in _VIEW_BUILDERS]
+    leaks = sorted(
+        f.name for f in functions
+        if any(isinstance(n, ast.Call) and _rooted_at_a_module(n.func)
+               for n in ast.walk(f))
+        or any(_rooted_at_a_module(n) for d in (
+            *f.args.defaults, *filter(None, f.args.kw_defaults))
+            for n in ast.walk(d)))
+    assert len(functions) > 30  # the parse found the formulas
+    assert leaks == []
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, -1.0])
+def test_float_view_sqrt_raises_outside_zero_to_inf(net, x):
+    """The float view's sqrt raises ZeroDivisionError below 0, at +inf and
+    at NaN, as its log does, so a formula that meets one is redone on
+    numpy."""
+    with pytest.raises(ZeroDivisionError):
+        net.float_view.step_constants.sqrt(x)
+
+
+@pytest.mark.parametrize("x", [0.0, 5e-324, 1.0, sys.float_info.max])
+def test_float_view_sqrt_is_maths(net, x):
+    """Elsewhere it returns math.sqrt's float."""
+    got = net.float_view.step_constants.sqrt(x)
+    assert type(got) is float and got.hex() == math.sqrt(x).hex()
+
+
+def test_margins_and_damping_weights_on_the_float_view_are_python(net):
+    """On the float view, margins and both damping weights return Python
+    floats and bools only, with the bits of the plain network's call on
+    numpy float64, at seeded states and at check's default state."""
+    sp = make_setpoint(net, presets.T_STAR, presets.Q_STAR)
+    Ts, Ns = random_states(net, 20, np.random.default_rng(42))
+    for T, N in [(342.0, [1.0, 1.0]), *zip(Ts, Ns)]:
+        st = ThermoState.from_temperature(net, np.array(N), T)
+        margins = (st.N, st.T, st.h, st.mu_over_T, st.theta,
+                   st.mu_over_T - sp.mu_star_over_T, sp.V_star)
+        weights = (*kernel.mass_action(net, st.N / net.reactor.V,
+                                       kernel.rate_constants(net, st.T)),
+                   st.T, kernel.affinity(net, st.mu_over_T, st.T))
+        for formula, args in ((kernel.margins, margins),
+                              (kernel.damping_weights, weights[:3]),
+                              (kernel.damping_weights, weights)):
+            want = list(_leaves(formula(net, *args)))
+            got = list(_leaves(formula(net.float_view, *(
+                np.asarray(a).tolist() for a in args))))
+            assert all(np.ndim(x) == 0 for x in want)
+            assert [type(x) for x in got] == [
+                bool if np.asarray(x).dtype == bool else float for x in want]
+            np.testing.assert_array_equal(
+                np.array(got, dtype=float).view(np.uint64),
+                np.array(want, dtype=float).view(np.uint64))
 
 
 def test_a_batch_view_takes_each_rows_noise_from_its_constants(net):

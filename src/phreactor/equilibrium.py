@@ -15,8 +15,8 @@ nearest converged lower-T point, and narrows every sign change of
 
 the stationary energy residual under a jacket at T_w, by the ITP method
 (interpolate, truncate, project), all brackets in lockstep; exothermic
-networks can have several roots, classified in one batch by the eigenvalues
-of finite-difference Jacobians of the deterministic drift (:func:`classify`).
+networks can have several roots, classified in one batch by the spectra of
+the deterministic drift's exact Jacobians (:func:`classify`).
 """
 
 from __future__ import annotations
@@ -52,19 +52,16 @@ class ConvergenceError(RuntimeError):
         self.N, self.converged = N, converged
 
 
-def _drift(net: ReactionNetwork, x, q, Qdot, T_w=None):
-    """The drift (dU, dN) at rows x = (U, N) of any leading shape under
-    (q, Qdot), or Qdot = lambda (T_w - T(x)) given a jacket at T_w; the first
-    row outside the domain raises its :class:`ThermoState` error."""
+def _state(net: ReactionNetwork, x):
+    """Species-major N and T(U, N) at rows x = (U, N) of any leading shape;
+    the first row outside the domain raises its :class:`ThermoState` error."""
     N = np.moveaxis(x[..., 1:], -1, 0)  # species-major
-    fine = (len(N) == net.n_species and np.isfinite(N).all()
-            and (N > N_FLOOR).all())
+    fine = len(N) == net.n_species and np.all((N_FLOOR < N) & (N < math.inf))
     T = kernel.temperature(net, x[..., 0], N) if fine else None
     if not (fine and np.all((0 < T) & (T < math.inf))):
         for row in x.reshape(-1, x.shape[-1]):
             ThermoState.from_vector(net, row)
-    Qdot = Qdot if T_w is None else net.reactor.lam * (T_w - T)
-    return kernel.sde_terms(net, N, T, q, Qdot)[0]
+    return N, T
 
 
 def drift_residual(net: ReactionNetwork, x, u):
@@ -76,7 +73,7 @@ def drift_residual(net: ReactionNetwork, x, u):
     and the first row outside the domain raises its error.
     """
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-    dU, dN = _drift(net, x, u[..., 0], u[..., 1])
+    dU, dN = kernel.sde_terms(net, *_state(net, x), u[..., 0], u[..., 1])[0]
     scaled = np.moveaxis(np.stack((dU, *dN), -1) / np.maximum(
         np.abs(x), [1.0] + [1e-6] * net.n_species), -1, 0)
     norm = np.sqrt(kernel.dot(scaled, scaled))  # BLAS ddot's bits vary by CPU
@@ -102,6 +99,21 @@ def _jacobian(net: ReactionNetwork, c, k_T, q):
     for k, row in enumerate(J):
         row[k] = row[k] - q / net.step_constants.V
     return J
+
+
+def _drift_jacobian(net: ReactionNetwork, N, T, q, lam):
+    """The drift's exact Jacobian in (U, N), p + 1 rows of p + 1 items, at
+    species-major N and T(U, N), one state's floats or (B,) columns, under
+    flow q and Qdot = lam (T_w - T), lam 0.0 for a fixed Qdot: with C = N^T cp,
+    dT/dU = 1 / C, dT/dN_j = -h_j / C and dk_i/dT = k_i E_i / (R T^2)."""
+    k, k_T = net.step_constants, kernel.rate_constants(net, T)
+    c, C, RTT = [n / k.V for n in N], kernel.dot(N, k.cp), k.R * T * T
+    f_T = kernel.reaction_flux(net, list(map(sub, *kernel.mass_action(
+        net, c, [k_i * (-neg_E / RTT) for k_i, neg_E in zip(k_T, k.neg_E)]))))
+    h_C = [h / C for h in kernel.enthalpy(net, T)]
+    return [[-q / k.V - lam / C, *[lam * h for h in h_C]],
+            *([f / C, *[J_ij - f * h for J_ij, h in zip(row, h_C)]]
+              for f, row in zip(f_T, _jacobian(net, c, k_T, q)))]
 
 
 def _newton(net: ReactionNetwork, Ts, q, N, k_T):
@@ -260,38 +272,30 @@ MARGINAL_TOL = 1e-9
 
 
 def classify(net: ReactionNetwork, x, u, T_w: float | None = None):
-    """Classify a stationary state by the drift Jacobian's spectrum.
+    """Classify a stationary state by the exact drift Jacobian's spectrum.
 
     With ``T_w=None`` the inputs u = (q, Qdot) are held fixed; given a
     jacket temperature ``T_w`` the heat input follows the jacket law
     Qdot = lambda (T_w - T(x)), the physically relevant linearization for a
-    jacket held at constant temperature.  Each state, then its perturbed
-    states, is one batch of drift evaluations, so a state outside the domain
-    raises the error :func:`drift_residual` raises for it; rows x (R, n),
-    u (R, 2) classify R states in that batch, each as alone, and the first
-    bad row raises its error.
+    jacket held at constant temperature.  Rows x (R, n), u (R, 2) classify
+    R states, each as alone; the first state outside the domain raises the
+    error :func:`drift_residual` raises for it.
 
     Returns ("stable" | "unstable" | "marginal", eigenvalues), or R of each.
     """
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-    n, k = x.shape[-1], np.arange(x.shape[-1])
-    h = 1e-6 * np.maximum(np.abs(x), 1.0)
-    X = np.repeat(x[..., None, :], 2 * n + 1, -2)  # per state: x, +h rows, -h rows
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN: x's own row raises first
-        X[..., 1 + k, k] += h
-        X[..., n + 1 + k, k] -= h
-    q, Qdot = np.repeat(u.reshape(-1, 2), 2 * n + 1, 0).T
-    dU, dN = _drift(net, X.reshape(-1, n), q, Qdot, T_w)
-    D = np.column_stack((dU, *dN)).reshape(X.shape)
-    eigs = np.linalg.eigvals(((D[..., 1:n + 1, :] - D[..., n + 1:, :])
-                              / (2.0 * h)[..., :, None]).swapaxes(-1, -2))
+    rows = _drift_jacobian(net, *_state(net, x), u[..., 0],
+                           0.0 if T_w is None else net.step_constants.lam)
+    J = np.empty(x.shape + x.shape[-1:])
+    for i, j in np.ndindex(J.shape[-2:]):
+        J[..., i, j] = rows[i][j]
+    eigs = np.linalg.eigvals(J)
     labels = ["marginal" if abs(max_re) < MARGINAL_TOL
               else "stable" if max_re < 0 else "unstable"
               for max_re in np.atleast_1d(np.max(eigs.real, -1)).tolist()]
     if x.ndim == 1:
         return labels[0], eigs
-    # eigvals makes a whole stack complex if one row is: give each row the
-    # dtype of its lone call
+    # eigvals makes a whole stack complex if one row is: each row's lone dtype
     return labels, [e if e.imag.any() else e.real for e in eigs]
 
 

@@ -211,6 +211,16 @@ def test_equilibria_benchmark_window(cfg_path, tmp_path, capsys):
     assert capsys.readouterr().out.count("T=") == 3
 
 
+def test_equilibria_high_flow_window(tmp_path, capsys):
+    # the one root's N_B is 1.6e-7 mol, close to the 1e-12 mol floor
+    assert main(["equilibria", "--q", "10", "--Tw", "299.4922", "--out",
+                 str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "equilibria.csv")
+    assert [r[5] for r in rows] == ["stable"]
+    assert float(rows[0][0]) == pytest.approx(310.0, abs=1e-3)
+    assert capsys.readouterr().out.count("T=") == 1
+
+
 def test_equilibria_empty_window(cfg_path, tmp_path, capsys):
     out = tmp_path / "eq"
     rc = main(["equilibria", "--network", str(cfg_path), "--out", str(out),

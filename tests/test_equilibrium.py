@@ -24,7 +24,7 @@ from phreactor.equilibrium import (
 )
 from phreactor.network import parse_network
 from phreactor.structure import sde_fields
-from phreactor.thermo import ThermoDomainError, ThermoState
+from phreactor.thermo import ThermoDomainError, ThermoState, internal_energy
 from phreactor.transform import make_setpoint
 
 #: The benchmark network with a second-order forward reaction; its forward
@@ -578,6 +578,74 @@ def test_exact_jacobian_matches_central_differences(net, data):
     assert (np.abs(J - J_fd) <= bound).all()
 
 
+def _drift_differences(net, x, q, lam, T_w, h):
+    """The drift's Jacobian in (U, N) at the state x, heat input
+    lam (T_w - T), by central differences of steps h, Richardson-extrapolated
+    with steps 2h."""
+    def drift(xv):
+        st = ThermoState.from_vector(net, xv)
+        return sde_fields(net, st, [q, lam * (T_w - st.T)]).drift
+
+    def central(k):
+        return np.column_stack([(drift(x + k * s) - drift(x - k * s))
+                                / (2.0 * k * h_i)
+                                for s, h_i in zip(h * np.eye(x.size), h)])
+
+    return (4.0 * central(1) - central(2)) / 3.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=networks(), data=st.data())
+def test_drift_jacobian_matches_central_differences(net, data):
+    """The drift's exact Jacobian in (U, N), with the heat input held
+    (lambda = 0) or under a jacket law, agrees with central differences of
+    sde_fields' drift; a batch row has the bits of its lone float call."""
+    p, B = net.n_species, data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    Ts, N = random_states(net, B, rng, logN_range=(-3.0, 0.0))
+    q = data.draw(st.one_of(st.just(0.0), st.floats(1e-8, 1e-4)))
+    lam, T_w = data.draw(st.sampled_from([0.0, 0.05])), rng.uniform(250, 450)
+    U = np.array([internal_energy(net, n, T) for n, T in zip(N, Ts)])
+    T = kernel.temperature(net, U, N.T)
+    J = rows_first(equilibrium._drift_jacobian(net, [*N.T], T, q, lam), B,
+                   p + 1)
+    for b in range(B):
+        same_bits_but_nan_sign(J[b], equilibrium._drift_jacobian(
+            net.float_view, N[b].tolist(), float(T[b]), q, lam))
+
+    # tolerance: FD_RTOL of the summed magnitudes of each entry's terms,
+    # among them the U row's two q h_j / V, which cancel, plus the
+    # differences' rounding, 1e-13 of the drift's terms over the step
+    k, V, nu = net.step_constants, net.reactor.V, np.abs(net.stoich_net)
+    k_T = kernel.rate_constants(net, T)
+    k_dT = [k_i * (-neg_E / (k.R * T * T))
+            for k_i, neg_E in zip(k_T, k.neg_E)]
+    rates, dr_dT = (
+        sum(rows_first(r, B) for r in kernel.mass_action(net, N.T / V, k_i))
+        for k_i in (k_T, k_dT))
+    dr_dc = sum(np.abs(rows_first(d, B, p)) for d in
+                kernel.mass_action_jacobian(net, N.T / V, k_T))
+    C = N @ k.cp
+    h_abs = np.outer(T + k.T_ref, k.cp) + np.abs(k.h_ref)  # h_j's terms
+    f_T = V * np.vecdot(nu, dr_dT[:, None, :])
+    terms = np.empty((B, p + 1, p + 1))
+    terms[:, 0, 0] = q / V + lam / C
+    terms[:, 0, 1:] = (2.0 * q / V + lam / C[:, None]) * h_abs
+    terms[:, 1:, 0] = f_T / C[:, None]
+    terms[:, 1:, 1:] = (np.vecdot(nu[:, None, :], dr_dc.swapaxes(-1, -2)[
+        ..., None, :, :]) + q / V * np.eye(p)
+        + f_T[..., None] * h_abs[:, None, :] / C[:, None, None])
+    sizes = np.column_stack((
+        q * (abs(k.h_in) + np.vecdot(N, h_abs) / V) + lam * (abs(T_w) + T),
+        V * np.vecdot(nu, rates[:, None, :]) + q * (net.c_in + N / V)))
+    for b in range(B):
+        x, h = np.concatenate(([U[b]], N[b])), FD_STEP * np.concatenate(
+            ([C[b] * T[b]], N[b]))  # the U step moves T by 1e-6 T
+        J_fd = _drift_differences(net, x, q, lam, T_w, h)
+        bound = FD_RTOL * terms[b] + 1e-13 * sizes[b][:, None] / h
+        assert (np.abs(J[b] - J_fd) <= bound).all()
+
+
 def _power_gradient(c, stoich):
     """The species product's derivatives by libm's powers, species j's
     lowered in row j, multiplied in species order: the reference for the
@@ -819,9 +887,38 @@ def test_three_steady_states_under_benchmark_jacket(roots):
 
 def test_root_spectra(roots):
     max_re = [float(np.max(r.eigenvalues.real)) for r in roots]
-    assert max_re[0] == pytest.approx(-0.0027242936195576023, rel=1e-4)
-    assert max_re[1] == pytest.approx(0.0031469758598758387, rel=1e-4)
-    assert max_re[2] == pytest.approx(-0.009149999999449253, rel=1e-4)
+    assert max_re[0] == pytest.approx(-0.002724293607405491, rel=1e-8)
+    assert max_re[1] == pytest.approx(0.0031469757153343276, rel=1e-8)
+    assert max_re[2] == pytest.approx(-0.009150000000000002, rel=1e-8)
+
+
+def test_washout_root_decays_at_the_flow_rate(net, roots):
+    # the washout root's slowest mode is the dilution rate q / V
+    washout = roots[2]
+    assert float(np.max(washout.eigenvalues.real)) == pytest.approx(
+        -washout.q / net.reactor.V, rel=1e-12, abs=0.0)
+
+
+def test_fixed_input_spectra_hold_the_dilution_rate_twice(net, roots):
+    """Under fixed inputs, A <=> B's drift has -q/V twice, with left
+    eigenvectors (1, 0, 0) and (0, 1, 1), and a real spectrum: a pair split
+    into complex ones would be an error of the Jacobian."""
+    for r in roots:
+        _, eigs = classify(net, np.concatenate([[r.U], r.N]),
+                           np.array([r.q, r.Qdot]))
+        assert eigs.dtype.kind == "f"
+        dilution = np.abs(eigs / (-r.q / net.reactor.V) - 1.0) <= 1e-12
+        assert dilution.sum() == 2
+
+
+@pytest.mark.parametrize("q", [1.6, 2.0, 10.0, 1e3])
+def test_high_flow_scan_classifies_its_washout_root(net, q):
+    # the one root's N_B is below 1e-6 mol (9.7e-7 at q = 1.6): classify
+    # reads the root alone, whatever lies a small step from it
+    found = steady_states(net, q, 299.4922)
+    assert [r.classification for r in found] == ["stable"]
+    assert found[0].T == pytest.approx(310.0, abs=1e-3)
+    assert found[0].N[1] < 1e-6
 
 
 def test_middle_root_matches_exact_setpoint(roots, sp_exact):
@@ -909,7 +1006,8 @@ def test_two_point_grid_scans(net, roots):
 
 
 def _classify_by_columns(net, x, u, T_w=None):
-    """classify's Jacobian one column at a time through ThermoState."""
+    """The drift's spectrum by central differences of step 1e-6 max(|x_i|,
+    1), one column at a time through ThermoState."""
     def drift(xv):
         st = ThermoState.from_vector(net, xv)
         uu = u if T_w is None else [u[0], net.reactor.lam * (T_w - st.T)]
@@ -925,33 +1023,51 @@ def _classify_by_columns(net, x, u, T_w=None):
     return np.linalg.eigvals(J)
 
 
+def _exact_eigenvalues(net, x, u, T_w=None):
+    """eigvals of _drift_jacobian's rows at the state x, on floats."""
+    view, N = net.float_view, x[1:].tolist()
+    T = kernel.temperature(view, float(x[0]), N)
+    lam = 0.0 if T_w is None else net.reactor.lam
+    return np.linalg.eigvals(np.array(equilibrium._drift_jacobian(
+        view, N, T, float(u[0]), lam)))
+
+
+def _agree_within_the_differences(eigs, by_columns):
+    # the differences' error at step 1e-6: within 1e-8 of the spectral
+    # radius, as pairs of the two spectra sorted alike
+    a, b = np.sort_complex(eigs), np.sort_complex(by_columns)
+    assert (np.abs(a - b) <= 1e-8 * np.abs(a).max()).all()
+
+
 def test_batched_classify_equals_column_loop(net, cnet, roots):
     for r in roots:
         x, u = np.concatenate([[r.U], r.N]), np.array([r.q, r.Qdot])
         for T_w in (None, r.T_w):
             _, eigs = classify(net, x, u, T_w)
-            np.testing.assert_array_equal(
+            _same_bits(eigs, _exact_eigenvalues(net, x, u, T_w))
+            _agree_within_the_differences(
                 eigs, _classify_by_columns(net, x, u, T_w))
-        np.testing.assert_array_equal(
-            r.eigenvalues, _classify_by_columns(net, x, u, r.T_w))
+        _same_bits(r.eigenvalues, _exact_eigenvalues(net, x, u, r.T_w))
     # the isolated reactor at reaction equilibrium, with zero eigenvalues
     x = ThermoState.from_temperature(
         cnet, equilibrium_composition(cnet, 330.0), 330.0).x
-    np.testing.assert_array_equal(classify(cnet, x, np.zeros(2))[1],
-                                  _classify_by_columns(cnet, x, np.zeros(2)))
+    _, eigs = classify(cnet, x, np.zeros(2))
+    _same_bits(eigs, _exact_eigenvalues(cnet, x, np.zeros(2)))
+    _agree_within_the_differences(eigs, _classify_by_columns(
+        cnet, x, np.zeros(2)))
 
 
-def test_classify_checks_every_perturbed_state(net):
+def test_classify_takes_states_whose_neighbours_left_the_domain(net):
+    """States inside the domain classify, also where a step of 1e-6 in N_B
+    or in U would leave it; a state of the wrong width raises."""
     u = np.array([9.15e-6, 0.0])
     U = ThermoState.from_temperature(net, np.array([1.0, 1.0]), 330.0).U
-    # N_B - h falls to the mole floor, though x itself is inside the domain
-    with pytest.raises(ThermoDomainError,
-                       match=r"must exceed 1e-12 mol, got \[1.0, 0.0\]"):
-        classify(net, np.array([U, 1.0, 1e-6]), u)
-    # U - h gives T <= 0 for a state just above absolute zero
+    # N_B - 1e-6 is at the mole floor; U - 1e-6 J gives T <= 0 at 1e-5 K
     U0 = ThermoState.from_temperature(net, np.array([1.0, 1.0]), 1e-5).U
-    with pytest.raises(ThermoDomainError, match="not finite and positive"):
-        classify(net, np.array([U0, 1.0, 1.0]), u)
+    for x in ([U, 1.0, 1e-6], [U0, 1.0, 1.0]):
+        label, eigs = classify(net, np.array(x), u)
+        assert label in ("stable", "unstable", "marginal")
+        assert np.isfinite(eigs).all()
     with pytest.raises(ThermoDomainError, match=r"shape \(2,\), got \(3,\)"):
         classify(net, np.array([U, 1.0, 1.0, 1.0]), u)
 
@@ -1014,8 +1130,9 @@ def test_batched_tail_equals_each_root_alone(net):
 
 
 def test_batched_classify_keeps_each_spectrum_as_alone(net):
-    # random states and inputs, some with complex spectra: each row keeps
-    # its own dtype, which eigvals gives a whole stack
+    # random states and inputs, some with complex spectra under the jacket
+    # law: each row keeps its own dtype, which eigvals gives a whole stack;
+    # under fixed inputs every spectrum is real
     rng = np.random.default_rng(3)
     Ts, Ns = random_states(net, 40, rng)
     x = np.array([ThermoState.from_temperature(net, N, T).x
@@ -1024,7 +1141,8 @@ def test_batched_classify_keeps_each_spectrum_as_alone(net):
                          rng.uniform(-100.0, 100.0, len(x))))
     for T_w in (None, 300.0):
         labels, eigs = classify(net, x, u, T_w)
-        assert {e.dtype.kind for e in eigs} == {"c", "f"}
+        assert {e.dtype.kind for e in eigs} == (
+            {"f"} if T_w is None else {"c", "f"})
         for xr, ur, label, e in zip(x, u, labels, eigs):
             alone = classify(net, xr, ur, T_w)
             assert label == alone[0]
@@ -1034,9 +1152,8 @@ def test_batched_classify_keeps_each_spectrum_as_alone(net):
 def test_bad_row_in_a_batch_raises_its_own_error(net, roots):
     x = np.array([np.concatenate(([r.U], r.N)) for r in roots])
     u = np.array([[r.q, r.Qdot] for r in roots])
-    U_cold = ThermoState.from_temperature(net, np.array([1.0, 1.0]), 1e-5).U
     bad_rows = {
-        classify: [[x[0, 0], 1.0, 1e-6], [U_cold, 1.0, 1.0]],
+        classify: [[x[0, 0], 1.0, 0.0], [-1e12, 1.0, 1.0]],
         drift_residual: [[x[0, 0], 1.0, math.nan], [x[0, 0], 1.0, 0.0],
                          [x[0, 0], math.inf, 1.0], [-1e12, 1.0, 1.0],
                          [math.inf, 1.0, 1.0], [math.nan, 1.0, 1.0]],
